@@ -27,21 +27,11 @@ from .representation import KernelTensor, decompose
 
 
 def _base_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-    else:
-        cfg = ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.grid_level is not None:
-        cfg.level = args.grid_level
-    if args.samples is not None:
-        cfg.samples = args.samples
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.format is not None:
-        cfg.fmt = args.format
-    return cfg
+    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    overrides = {"seed": args.seed, "level": args.grid_level, "samples": args.samples,
+                 "out_dir": args.out, "fmt": args.format}
+    # rebuilding runs the config validation on the overridden fields too
+    return ExperimentConfig(**(vars(cfg) | {k: v for k, v in overrides.items() if v is not None}))
 
 
 def _run_named(args, suites: list[str]) -> int:

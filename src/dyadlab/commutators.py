@@ -19,12 +19,17 @@ from .core import (
     DyadicRectangle,
     GridShift,
     TorusGrid,
+    all_rectangles,
+    axis_average,
     axis_cubes,
-    axis_project,
+    block_index,
+    cell_tables,
     enumerate_axis_shifts,
     martingale_block,
     martingale_difference,
+    rect_blocks,
     sample_shift,
+    slice_blocks,
 )
 from .measures import (
     axis_profile_strong_max,
@@ -100,7 +105,6 @@ def paraproduct_bifactor(kind: int, b: DiscreteFunction, f: DiscreteFunction,
     o1 = axis_ops(grid.axes[0], om.shift1)
     o2 = axis_ops(grid.axes[1], om.shift2)
     vol1, vol2 = grid.axes[0].cell_volume, grid.axes[1].cell_volume
-    n1c, n2c = o1.haar.shape[0], o2.haar.shape[0]
     cube1 = np.array([o1.cube_index(c.level, c.pos[0]) for c in o1.canc_cubes])
     cube2 = np.array([o2.cube_index(c.level, c.pos[0]) for c in o2.canc_cubes])
 
@@ -251,7 +255,6 @@ def expand_onepar(b: DiscreteFunction, f: DiscreteFunction, c1: DyadicCube,
     # boundary term: the gap between the one-variable and rectangle averages
     # of the symbol, paired with the one-variable Haar coefficient of f
     if haar_axis == 0:
-        slice_avg = axis_project(b, grid.axes[1].levels, 1, om.shift2)
         bav = _avg1(b, c1).values[c1.cells()[0], :]  # profile in x2
         coeff = f.pair_axis(h, 0)  # profile in x2
         cells2 = c2.cells()
@@ -289,66 +292,40 @@ def expand_none(b: DiscreteFunction, f: DiscreteFunction, c1: DyadicCube,
 class AdaptedMaximal:
     """Oscillation-weighted maximal operator sup_R <|b - <b>_R| |f|>_R.
 
-    kind 'rect' runs over all wrapped rectangles of dyadic side lengths,
-    'axis1'/'axis2' over one-variable windows only."""
+    kind 'rect' runs over all wrapped rectangles of dyadic side lengths (the
+    rectangles of every shift), 'axis1'/'axis2' over one-variable windows
+    only; the windows come from the cached window tables."""
 
     b: DiscreteFunction
     kind: str = "rect"
 
     def apply(self, f: DiscreteFunction) -> DiscreteFunction:
         grid = f.grid
-        bf = self.b.values
         af = np.abs(f.values)
-        n1, n2 = grid.shape
-        out = np.zeros(grid.shape)
         if self.kind == "rect":
-            shapes = [(1 << (grid.axes[0].levels - j1), 1 << (grid.axes[1].levels - j2))
-                      for j1 in range(grid.axes[0].levels + 1)
-                      for j2 in range(grid.axes[1].levels + 1)]
-            for w1, w2 in shapes:
-                for s1 in range(n1):
-                    rows = np.arange(s1, s1 + w1) % n1
-                    for s2 in range(n2):
-                        cols = np.arange(s2, s2 + w2) % n2
-                        blk_b = bf[np.ix_(rows, cols)]
-                        blk_f = af[np.ix_(rows, cols)]
-                        val = np.abs(blk_b - blk_b.mean()) * blk_f
-                        out[np.ix_(rows, cols)] = np.maximum(out[np.ix_(rows, cols)], val.mean())
+            indices, cell_axes = rect_blocks(grid, None), (2, 3)
         elif self.kind in ("axis1", "axis2"):
             ax = 0 if self.kind == "axis1" else 1
-            n = grid.shape[ax]
-            L = grid.axes[ax].levels
-            for j in range(L + 1):
-                w = 1 << (L - j)
-                for s in range(n):
-                    sel = np.arange(s, s + w) % n
-                    if ax == 0:
-                        blk_b = bf[sel, :]
-                        blk_f = af[sel, :]
-                        val = (np.abs(blk_b - blk_b.mean(axis=0)) * blk_f).mean(axis=0)
-                        out[sel, :] = np.maximum(out[sel, :], val[None, :])
-                    else:
-                        blk_b = bf[:, sel]
-                        blk_f = af[:, sel]
-                        val = (np.abs(blk_b - blk_b.mean(axis=1)[:, None]) * blk_f).mean(axis=1)
-                        out[:, sel] = np.maximum(out[:, sel], val[:, None])
+            indices, cell_axes = slice_blocks(grid, ax, None), ax + 1
         else:
             raise ValueError(f"unknown adapted maximal kind {self.kind!r}")
+        out = np.zeros(grid.shape)
+        for idx in indices:
+            blk_b = self.b.values[idx]
+            osc = np.abs(blk_b - blk_b.mean(axis=cell_axes, keepdims=True)) * af[idx]
+            np.maximum.at(out, idx, osc.mean(axis=cell_axes, keepdims=True))
         return DiscreteFunction(grid, out)
 
 
 def profile_adapted_max(b_prof: np.ndarray, g_prof: np.ndarray, axis: Axis) -> np.ndarray:
     """One-factor adapted maximal of a profile over all wrapped windows."""
-    n = axis.n_cells
-    out = np.zeros(n)
+    out = np.zeros(axis.n_cells)
     ag = np.abs(np.asarray(g_prof))
     bb = np.asarray(b_prof)
-    for j in range(axis.levels + 1):
-        w = 1 << (axis.levels - j)
-        for s in range(n):
-            sel = np.arange(s, s + w) % n
-            val = (np.abs(bb[sel] - bb[sel].mean()) * ag[sel]).mean()
-            out[sel] = np.maximum(out[sel], val)
+    for tab in cell_tables(axis, None):
+        blk = bb[tab]
+        osc = (np.abs(blk - blk.mean(axis=1, keepdims=True)) * ag[tab]).mean(axis=1, keepdims=True)
+        np.maximum.at(out, tab, osc)
     return out
 
 
@@ -367,17 +344,9 @@ def adapted_phi(b: DiscreteFunction, f: DiscreteFunction, axis_idx: int,
     for k, h in enumerate(basis.entries):
         if not h.cancellative:
             continue
-        cells = h.cube.cells()
-        if axis_idx == 1:
-            b_slice = b.values[:, cells].mean(axis=1)
-            coeff = f.pair_axis(basis.matrix[k], 1)
-            m = profile_adapted_max(b_slice, coeff, other)
-            out += np.outer(m, basis.matrix[k])
-        else:
-            b_slice = b.values[cells, :].mean(axis=0)
-            coeff = f.pair_axis(basis.matrix[k], 0)
-            m = profile_adapted_max(b_slice, coeff, other)
-            out += np.outer(basis.matrix[k], m)
+        b_slice = axis_average(b, h.cube, axis_idx)
+        m = profile_adapted_max(b_slice, f.pair_axis(basis.matrix[k], axis_idx), other)
+        out += np.outer(m, basis.matrix[k]) if axis_idx == 1 else np.outer(basis.matrix[k], m)
     return DiscreteFunction(grid, out)
 
 
@@ -389,32 +358,46 @@ def pointwise_domination_check(b: DiscreteFunction, f: DiscreteFunction,
     grid = f.grid
     om = shift if shift is not None else GridShift.zero(grid)
     phi2 = adapted_phi(b, f, 1, om)
-    worst_gap = 0.0
     Mb = AdaptedMaximal(b, "rect").apply(f)
+    o2 = axis_ops(grid.axes[1], om.shift2)
+    vol2 = grid.axes[1].cell_volume
+    worst_gap = 0.0
     worst_osc = 0.0
-    for l2 in range(grid.axes[1].levels):
-        for c2 in axis_cubes(grid.axes[1], l2, om.shift2):
-            from .core import HaarFunction, axis_haar_vector
-
-            h2 = axis_haar_vector(HaarFunction(c2, (1,)))
-            coeff = f.pair_axis(h2, 1)  # profile over axis-1 cells
-            b_slice = b.values[:, c2.cells()].mean(axis=1)
-            for l1 in range(grid.axes[0].levels + 1):
-                for c1 in axis_cubes(grid.axes[0], l1, om.shift1):
-                    cells1 = c1.cells()
-                    gap = float(((b_slice[cells1] - _rect_avg(b, c1, c2)) * coeff[cells1]).mean())
-                    dom = float(phi2.values[cells1, :].mean(axis=0) @ (h2 * grid.axes[1].cell_volume))
-                    if abs(gap) > dom + 1e-10:
-                        worst_gap = max(worst_gap, abs(gap) - dom)
-    for l1 in range(grid.axes[0].levels + 1):
-        for c1 in axis_cubes(grid.axes[0], l1, om.shift1):
-            for l2 in range(grid.axes[1].levels + 1):
-                for c2 in axis_cubes(grid.axes[1], l2, om.shift2):
-                    osc = abs(_rect_avg((b - _rect_avg(b, c1, c2)) * f, c1, c2))
-                    dom = _rect_avg(Mb, c1, c2)
-                    if dom > 0:
-                        worst_osc = max(worst_osc, osc / dom)
+    for l2, t2 in enumerate(cell_tables(grid.axes[1], om.shift2)):
+        cancellative = l2 < grid.axes[1].levels
+        if cancellative:
+            # one row per cube c2 of this level: its Haar function, the slice
+            # average of b over c2 and the Haar coefficient profile of f
+            h2 = o2.haar[o2.canc_offset[l2]:o2.canc_offset[l2 + 1]]
+            b_slice = b.values[:, t2].mean(axis=2).T
+            coeff = (f.values @ h2.T * vol2).T
+        for t1 in cell_tables(grid.axes[0], om.shift1):
+            idx = block_index(t1, t2)
+            blk = b.values[idx]
+            avg = blk.mean(axis=(2, 3), keepdims=True)
+            osc = np.abs(((blk - avg) * f.values[idx]).mean(axis=(2, 3)))
+            dom = Mb.values[idx].mean(axis=(2, 3))
+            worst_osc = max(worst_osc, float((osc[dom > 0] / dom[dom > 0]).max(initial=0.0)))
+            if cancellative:
+                gap = np.abs(((b_slice[:, t1] - avg[:, :, 0, 0].T[:, :, None]) * coeff[:, t1]).mean(axis=2))
+                smooth = (phi2.values[t1].mean(axis=1) @ (h2 * vol2).T).T
+                excess = (gap - smooth)[gap > smooth + 1e-10]
+                worst_gap = max(worst_gap, float(excess.max(initial=0.0)))
     return {"gap_violation": worst_gap, "oscillation_ratio": worst_osc}
+
+
+def _nested_cubes(axis: Axis, shift: AxisShift):
+    """Per level lK of the lattice: for every level-lK cube K (one row each)
+    the indices of the cubes inside K, counting cubes of all levels in
+    level-major order, with their depths below K."""
+    tabs = cell_tables(axis, shift)
+    level = np.concatenate([np.full(len(t), j) for j, t in enumerate(tabs)])
+    first = np.concatenate([t[:, 0] for t in tabs])
+    for lK, tK in enumerate(tabs):
+        # lattice cubes are nested or disjoint, so the first cell decides
+        inside = (first[None, :, None] == tK[:, None, :]).any(axis=2) & (level >= lK)
+        desc = np.nonzero(inside)[1].reshape(len(tK), -1)
+        yield desc, level[desc[0]] - lK
 
 
 def average_oscillation_bound(b: DiscreteFunction, shift: GridShift | None = None) -> float:
@@ -428,25 +411,21 @@ def average_oscillation_bound(b: DiscreteFunction, shift: GridShift | None = Non
     if norm == 0:
         return 0.0
     bb = b * (1.0 / norm)
-    worst = 0.0
     ax1, ax2 = grid.axes
-    for lK in range(ax1.levels + 1):
-        for K in axis_cubes(ax1, lK, om.shift1):
-            desc1 = [(c, c.level - lK) for l in range(lK, ax1.levels + 1)
-                     for c in axis_cubes(ax1, l, om.shift1) if K.contains(c)]
-            for lV in range(ax2.levels + 1):
-                for V in axis_cubes(ax2, lV, om.shift2):
-                    desc2 = [(c, c.level - lV) for l in range(lV, ax2.levels + 1)
-                             for c in axis_cubes(ax2, l, om.shift2) if V.contains(c)]
-                    for (cq, q) in desc1:
-                        for (cr, r) in desc2:
-                            for (ci, i) in desc1:
-                                for (cj, j) in desc2:
-                                    m = max(i, j, q, r)
-                                    if m == 0:
-                                        continue
-                                    gap = abs(_rect_avg(bb, cq, cr) - _rect_avg(bb, ci, cj))
-                                    worst = max(worst, gap / m)
+    # <bb>_{Q x R} for every cube pair, cubes of each factor in level-major order
+    avg = np.block([[bb.values[block_index(t1, t2)].mean(axis=(2, 3))
+                     for t2 in cell_tables(ax2, om.shift2)]
+                    for t1 in cell_tables(ax1, om.shift1)])
+    worst = 0.0
+    for desc1, q in _nested_cubes(ax1, om.shift1):
+        for desc2, r in _nested_cubes(ax2, om.shift2):
+            # rectangles nested in each K x V, flattened with their depth max(q, r)
+            sub = avg[desc1[:, None, :, None], desc2[None, :, None, :]].reshape(len(desc1), len(desc2), -1)
+            depth = np.maximum.outer(q, r).ravel()
+            depth = np.maximum.outer(depth, depth)
+            gap = np.abs(sub[..., :, None] - sub[..., None, :])
+            nested = depth > 0
+            worst = max(worst, float((gap[..., nested] / depth[nested]).max(initial=0.0)))
     return worst
 
 
@@ -566,19 +545,7 @@ class ExpansionContext:
         self.o1, self.o2 = o1, o2
         n1c = o1.haar.shape[0]
         n2c = o2.haar.shape[0]
-
-        def tables(g: DiscreteFunction):
-            vals = {}
-            rows1 = {"h": o1.haar, "a": o1.avg}
-            rows2 = {"h": o2.haar, "a": o2.avg}
-            for k1 in ("h", "a"):
-                for k2 in ("h", "a"):
-                    vals[(k1, k2)] = (
-                        (rows1[k1] * grid.axes[0].cell_volume)
-                        @ g.values
-                        @ (rows2[k2] * grid.axes[1].cell_volume).T
-                    )
-            return vals
+        tables = lambda g: _PairOnly(g, om).t
 
         sumA = grid.zeros()
         for kind in range(1, 9):
@@ -597,16 +564,12 @@ class ExpansionContext:
         vol2 = grid.axes[1].cell_volume
         self.bnd1 = np.zeros((n1c, o2.avg.shape[0]))
         for i, cube in enumerate(o1.canc_cubes):
-            cells = cube.cells()
-            b_slice = b.values[cells, :].mean(axis=0)
             coeff = (o1.haar[i] * vol1) @ f.values
-            self.bnd1[i] = (o2.avg * vol2) @ (b_slice * coeff)
+            self.bnd1[i] = (o2.avg * vol2) @ (axis_average(b, cube, 0) * coeff)
         self.bnd2 = np.zeros((o1.avg.shape[0], n2c))
         for j, cube in enumerate(o2.canc_cubes):
-            cells = cube.cells()
-            b_slice = b.values[:, cells].mean(axis=1)
             coeff = f.values @ (o2.haar[j] * vol2)
-            self.bnd2[:, j] = (o1.avg * vol1) @ (b_slice * coeff)
+            self.bnd2[:, j] = (o1.avg * vol1) @ (axis_average(b, cube, 1) * coeff)
 
     def _indices(self, spec):
         c1, k1, c2, k2 = spec
@@ -633,24 +596,6 @@ class ExpansionContext:
         else:
             terms = self.t_bf[("a", "a")][ia, ja] - avg_coef * base
         return float(terms), float(avg_coef), float(base)
-
-
-def _expand_spec(b: DiscreteFunction, f: DiscreteFunction, spec, om: GridShift,
-                 ctx: ExpansionContext | None = None) -> tuple[float, float, float]:
-    """Expansion of <b f, phi1 x phi2>: (sum of structured terms, rectangle
-    average of b, plain pairing), so that lhs = terms + avg * pairing."""
-    if ctx is not None:
-        return ctx.expand(spec)
-    c1, k1, c2, k2 = spec
-    if k1 == "h" and k2 == "h":
-        out = expand_bipar(b, f, c1, c2, om)
-    elif k1 == "h" and k2 == "a":
-        out = expand_onepar(b, f, c1, c2, haar_axis=0, shift=om)
-    elif k1 == "a" and k2 == "h":
-        out = expand_onepar(b, f, c1, c2, haar_axis=1, shift=om)
-    else:
-        out = expand_none(b, f, c1, c2)
-    return sum(out["terms"].values()), out["avg_coef"], out["base"]
 
 
 def commutator_apply(b: DiscreteFunction, U, slot: int,
@@ -906,7 +851,7 @@ def weak_type_sets(
     out = {"omega": [], "omega_tilde": [], "collections": []}
     prev = None
     base = GridShift.zero(grid)
-    rects = list(_all_base_rects(grid, base))
+    rects = list(all_rectangles(grid, base))
     for u in range(u_max + 1):
         thr = C * 2.0**-u * E_measure ** (-1.0 / r)
         omega = level_fn.values > thr
@@ -921,9 +866,3 @@ def weak_type_sets(
             raise AssertionError("threshold sets must be nested")
         prev = omega
     return out
-
-
-def _all_base_rects(grid: TorusGrid, om: GridShift):
-    from .core import all_rectangles
-
-    yield from all_rectangles(grid, om)

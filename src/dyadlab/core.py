@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -266,21 +267,13 @@ class DyadicCube:
         w = self.width_cells
         return tuple((p * w + o) % self.axis.n_side for p, o in zip(self.pos, off))
 
-    def coord_cells(self) -> list[np.ndarray]:
-        n = self.axis.n_side
-        w = self.width_cells
-        return [(s + np.arange(w)) % n for s in self.start_cells()]
-
     def cells(self) -> np.ndarray:
-        """Flat level-L cell indices covered by the cube."""
-        coords = self.coord_cells()
-        n = self.axis.n_side
-        flat = coords[0]
-        mult = n
-        for c in coords[1:]:
-            flat = (flat[:, None] + mult * c[None, :]).ravel()
-            mult *= n
-        return flat
+        """Flat level-L cell indices covered by the cube: a read-only row of
+        the cached table of its (axis, level, shift)."""
+        row = 0
+        for p in self.pos:
+            row = (row << self.level) + p
+        return _cube_table(self.axis, self.level, self.shift)[row]
 
     def ancestor(self, k: int) -> "DyadicCube":
         """The unique cube k levels up containing this one (same lattice)."""
@@ -333,6 +326,81 @@ class DyadicCube:
                 g = min((b0[t] - (a0[t] + wa)) % n, (a0[t] - (b0[t] + wb)) % n)
             d = max(d, g / n)
         return d
+
+
+def _cell_table(axis: Axis, starts: np.ndarray, width: int) -> np.ndarray:
+    """Read-only table with one row per start (rows of `starts`, one start
+    cell per coordinate): the flat cells of the wrapped cube of side `width`
+    cells there, listed with the first coordinate slowest."""
+    n = axis.n_side
+    flat = np.zeros((len(starts), 1), dtype=np.intp)
+    mult = 1
+    for t in range(axis.dim):
+        coord = (starts[:, t, None] + np.arange(width)) % n
+        flat = (flat[:, :, None] + mult * coord[:, None, :]).reshape(len(starts), -1)
+        mult *= n
+    flat.setflags(write=False)
+    return flat
+
+
+@lru_cache(maxsize=None)
+def _cube_table(axis: Axis, level: int, shift: AxisShift) -> np.ndarray:
+    """Cells of every level-`level` cube of the shifted lattice, one row per
+    cube in `axis_cubes` order (shared by all cubes of the lattice level).
+    The cache holds at most one table per level for each of the 2^(L*dim)
+    shifts of an axis."""
+    width = 1 << (axis.levels - level)
+    pos = np.array(list(itertools.product(range(1 << level), repeat=axis.dim)))
+    return _cell_table(axis, pos * width + np.array(shift.offset_cells(level)), width)
+
+
+@lru_cache(maxsize=None)
+def _window_table(axis: Axis, width: int) -> np.ndarray:
+    """Cells of every wrapped window of side `width` cells, one row per start
+    cell in flat order.  Shift bits exist for levels 1..L, so every start is
+    reachable in each coordinate: the cubes of this width over all shifts are
+    exactly these windows."""
+    flat = np.arange(axis.n_cells)
+    starts = np.stack([(flat // axis.n_side**t) % axis.n_side for t in range(axis.dim)], axis=1)
+    return _cell_table(axis, starts, width)
+
+
+def cell_tables(axis: Axis, shift: AxisShift | None) -> list[np.ndarray]:
+    """One cell table per level 0..L: the cubes of the shifted lattice, or
+    with shift None the windows of each dyadic width (the cubes of all shifts)."""
+    if shift is None:
+        return [_window_table(axis, 1 << (axis.levels - j)) for j in range(axis.levels + 1)]
+    return [_cube_table(axis, j, shift) for j in range(axis.levels + 1)]
+
+
+def block_index(tab1: np.ndarray | None, tab2: np.ndarray | None) -> tuple:
+    """Fancy index gathering the blocks cut out by one cell table per factor.
+
+    values[block_index(t1, t2)] has shape (m1, m2, k1, k2), one rectangle
+    block per pair of rows; a None table keeps that factor whole, giving the
+    slice blocks (m1, k1, n2) or (n1, m2, k2).  The same index scatters
+    per-block results back, e.g. with np.maximum.at and keepdims reductions.
+    """
+    if tab2 is None:
+        return (tab1,)
+    if tab1 is None:
+        return (slice(None), tab2)
+    return (tab1[:, None, :, None], tab2[None, :, None, :])
+
+
+def rect_blocks(grid: TorusGrid, shift: GridShift | None) -> Iterator[tuple]:
+    """block_index of every level pair: the rectangles of the shifted
+    lattice, or with shift None of every shift.  Cells lie on axes (2, 3)."""
+    for t1 in cell_tables(grid.axes[0], None if shift is None else shift.shift1):
+        for t2 in cell_tables(grid.axes[1], None if shift is None else shift.shift2):
+            yield block_index(t1, t2)
+
+
+def slice_blocks(grid: TorusGrid, axis_idx: int, shift: GridShift | None) -> Iterator[tuple]:
+    """block_index of every level of one factor, the other kept whole (shift
+    None: every shift).  Cells lie on axis axis_idx + 1."""
+    for tab in cell_tables(grid.axes[axis_idx], None if shift is None else shift[axis_idx]):
+        yield block_index(tab, None) if axis_idx == 0 else block_index(None, tab)
 
 
 def axis_cubes(axis: Axis, level: int, shift: AxisShift) -> Iterator[DyadicCube]:
@@ -509,29 +577,15 @@ def axis_haar_vector(h: HaarFunction) -> np.ndarray:
     axis = cube.axis
     if h.cancellative and cube.level >= axis.levels:
         raise ResolutionError("cancellative Haar function needs children")
-    scale = cube.measure ** -0.5
-    coords = cube.coord_cells()
-    n = axis.n_side
     w = cube.width_cells
-    mask = np.zeros(axis.n_cells)
-    sign_axes = []
-    for t, (s, cc) in enumerate(zip(cube.start_cells(), coords)):
-        if h.signature[t]:
-            # +1 on the first half of the coordinate range, -1 on the second
-            half = w // 2
-            sgn = np.where(np.arange(w) < half, 1.0, -1.0)
-        else:
-            sgn = np.ones(w)
-        sign_axes.append((cc, sgn))
-    flat_vals = sign_axes[0][1]
-    flat_idx = sign_axes[0][0]
-    mult = n
-    for cc, sgn in sign_axes[1:]:
-        flat_vals = (flat_vals[:, None] * sgn[None, :]).ravel()
-        flat_idx = (flat_idx[:, None] + mult * cc[None, :]).ravel()
-        mult *= n
-    mask[flat_idx] = scale * flat_vals
-    return mask
+    sign = np.ones(1)
+    for bit in h.signature:
+        # +1 on the first half of the coordinate range, -1 on the second
+        sgn = np.where(np.arange(w) < w // 2, 1.0, -1.0) if bit else np.ones(w)
+        sign = (sign[:, None] * sgn[None, :]).ravel()
+    vec = np.zeros(axis.n_cells)
+    vec[cube.cells()] = cube.measure ** -0.5 * sign
+    return vec
 
 
 def haar_evaluate(h: HaarFunction, grid: TorusGrid, axis: int) -> DiscreteFunction:
@@ -555,13 +609,10 @@ def axis_project(f: DiscreteFunction, level: int, axis: int, shift: AxisShift) -
     ax = f.grid.axes[axis]
     if level > ax.levels:
         raise ResolutionError("projection level exceeds resolution")
-    out = np.empty_like(f.values, dtype=f.values.dtype)
-    for cube in axis_cubes(ax, level, shift):
-        cells = cube.cells()
-        if axis == 0:
-            out[cells, :] = f.values[cells, :].mean(axis=0)[None, :]
-        else:
-            out[:, cells] = f.values[:, cells].mean(axis=1)[:, None]
+    tab = _cube_table(ax, level, shift)
+    idx = block_index(tab, None) if axis == 0 else block_index(None, tab)
+    out = np.empty_like(f.values)
+    out[idx] = f.values[idx].mean(axis=axis + 1, keepdims=True)
     return DiscreteFunction(f.grid, out)
 
 

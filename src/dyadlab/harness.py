@@ -102,11 +102,16 @@ class ExperimentConfig:
             raise ConfigError("format must be csv or json")
         if self.level < 2:
             raise ConfigError("need at least two levels")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
         with open(path) as fp:
-            raw = json.load(fp)
+            try:
+                raw = json.load(fp)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise ConfigError(f"{path} is not a JSON config: {exc}") from exc
         try:
             return ExperimentConfig(**raw)
         except TypeError as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -14,19 +14,17 @@ from .core import (
     AxisBasis,
     AxisShift,
     DiscreteFunction,
-    DyadicCube,
-    DyadicRectangle,
     GridShift,
     TorusGrid,
-    all_axis_cubes,
-    all_rectangles,
     axis_cubes,
     axis_project,
-    enumerate_axis_shifts,
+    cell_tables,
     enumerate_shifts,
     martingale_block,
     martingale_difference,
+    rect_blocks,
     sample_shift,
+    slice_blocks,
 )
 
 __all__ = [
@@ -104,10 +102,6 @@ class NormReport:
 # weight characteristics
 # ---------------------------------------------------------------------------
 
-def _rect_averages(w: np.ndarray, rect: DyadicRectangle) -> float:
-    return float(w[rect.index()].mean())
-
-
 def ap_characteristic(
     w: Weight,
     p: float,
@@ -118,8 +112,9 @@ def ap_characteristic(
     """sup over rectangles of <w>_R <w^(1-p')>_R^(p-1).
 
     scope 'biparameter' runs over dyadic rectangles of the given (or zero)
-    shift, or of every enumerable shift; 'axis1'/'axis2' take the worst
-    one-parameter characteristic over slices of the other variable.
+    shift, or with over_all_shifts over the rectangles of every shift, which
+    are exactly the wrapped boxes of dyadic side lengths; 'axis1'/'axis2' take
+    the worst one-parameter characteristic over slices of the other variable.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -131,35 +126,27 @@ def ap_characteristic(
         return _slice_ap(wv, dual, grid, axis_idx, p, over_all_shifts)
     if scope != "biparameter":
         raise ValueError(f"unknown scope {scope!r}")
-    shifts: Iterable[GridShift]
-    if over_all_shifts:
-        shifts = enumerate_shifts(grid)
-    else:
-        shifts = [shift if shift is not None else GridShift.zero(grid)]
     best = 0.0
-    for om in shifts:
-        for rect in all_rectangles(grid, om):
-            idx = rect.index()
-            val = float(wv[idx].mean()) * float(dual[idx].mean()) ** (p - 1.0)
-            best = max(best, val)
+    for idx in rect_blocks(grid, _lattice(grid, shift, over_all_shifts)):
+        val = wv[idx].mean(axis=(2, 3)) * dual[idx].mean(axis=(2, 3)) ** (p - 1.0)
+        best = max(best, float(val.max()))
     return best
 
 
+def _lattice(grid: TorusGrid, shift: GridShift | None, over_all_shifts: bool) -> GridShift | None:
+    """The shift whose cubes a sup runs over: None (every shift) or the given
+    one, defaulting to zero."""
+    if over_all_shifts:
+        return None
+    return shift if shift is not None else GridShift.zero(grid)
+
+
 def _slice_ap(wv, dual, grid, axis_idx, p, over_all_shifts):
-    other = 1 - axis_idx
-    axis = grid.axes[axis_idx]
-    shifts = enumerate_axis_shifts(axis) if over_all_shifts else [AxisShift.zero(axis)]
     best = 0.0
-    for shift in shifts:
-        for cube in all_axis_cubes(axis, shift):
-            cells = cube.cells()
-            if axis_idx == 0:
-                a = wv[cells, :].mean(axis=0)
-                b = dual[cells, :].mean(axis=0)
-            else:
-                a = wv[:, cells].mean(axis=1)
-                b = dual[:, cells].mean(axis=1)
-            best = max(best, float((a * b ** (p - 1.0)).max()))
+    for idx in slice_blocks(grid, axis_idx, _lattice(grid, None, over_all_shifts)):
+        a = wv[idx].mean(axis=axis_idx + 1)
+        b = dual[idx].mean(axis=axis_idx + 1)
+        best = max(best, float((a * b ** (p - 1.0)).max()))
     return best
 
 
@@ -173,28 +160,17 @@ def ainfty_characteristic(
     wv = w.values
     logw = np.log(wv)
     grid = w.grid
+    best = 0.0
     if scope in ("axis1", "axis2"):
         axis_idx = 0 if scope == "axis1" else 1
-        axis = grid.axes[axis_idx]
-        shifts = enumerate_axis_shifts(axis) if over_all_shifts else [AxisShift.zero(axis)]
-        best = 0.0
-        for s in shifts:
-            for cube in all_axis_cubes(axis, s):
-                cells = cube.cells()
-                if axis_idx == 0:
-                    a = wv[cells, :].mean(axis=0)
-                    l = logw[cells, :].mean(axis=0)
-                else:
-                    a = wv[:, cells].mean(axis=1)
-                    l = logw[:, cells].mean(axis=1)
-                best = max(best, float((a * np.exp(-l)).max()))
+        for idx in slice_blocks(grid, axis_idx, _lattice(grid, None, over_all_shifts)):
+            a = wv[idx].mean(axis=axis_idx + 1)
+            l = logw[idx].mean(axis=axis_idx + 1)
+            best = max(best, float((a * np.exp(-l)).max()))
         return best
-    shifts = enumerate_shifts(grid) if over_all_shifts else [shift if shift is not None else GridShift.zero(grid)]
-    best = 0.0
-    for om in shifts:
-        for rect in all_rectangles(grid, om):
-            idx = rect.index()
-            best = max(best, float(wv[idx].mean()) * math.exp(-float(logw[idx].mean())))
+    for idx in rect_blocks(grid, _lattice(grid, shift, over_all_shifts)):
+        val = wv[idx].mean(axis=(2, 3)) * np.exp(-logw[idx].mean(axis=(2, 3)))
+        best = max(best, float(val.max()))
     return best
 
 
@@ -273,6 +249,8 @@ def bmo_norm(
 
     kind 'axis1'/'axis2': worst one-parameter dyadic BMO norm over slices.
     kind 'little': sup over dyadic rectangles of <|b - <b>_R|>_R.
+    With over_all_shifts these sups run over the cubes/rectangles of every
+    shift, i.e. over all wrapped windows of dyadic side lengths.
     kind 'product': lower-bound report for the square-sum norm over a
     structured family of open sets (single rectangles, bounded unions from a
     seeded pool, and upper-level sets of the coefficient Carleson density).
@@ -283,89 +261,69 @@ def bmo_norm(
         axis_idx = 0 if kind == "axis1" else 1
         return _slice_bmo(b, axis_idx, over_all_shifts)
     if kind == "little":
-        shifts = enumerate_shifts(grid) if over_all_shifts else [om]
         best = 0.0
-        for s in shifts:
-            for rect in all_rectangles(grid, s):
-                blk = b.values[rect.index()]
-                best = max(best, float(np.abs(blk - blk.mean()).mean()))
+        for idx in rect_blocks(grid, _lattice(grid, om, over_all_shifts)):
+            blk = b.values[idx]
+            osc = np.abs(blk - blk.mean(axis=(2, 3), keepdims=True)).mean(axis=(2, 3))
+            best = max(best, float(osc.max()))
         return best
     if kind == "product":
-        return _product_bmo(b, om, omega_pool, omega_union, seed)
+        b1 = AxisBasis(grid.axes[0], om.shift1)
+        b2 = AxisBasis(grid.axes[1], om.shift2)
+        C = b1.transform() @ b.values @ b2.transform().T
+        canc1 = [i for i, h in enumerate(b1.entries) if h.cancellative]
+        canc2 = [j for j, h in enumerate(b2.entries) if h.cancellative]
+        # a cancellative Haar function is nonzero on every cell of its cube;
+        # with dim >= 2 one cube carries several signatures, so rows repeat
+        on1, on2 = b1.matrix[canc1] != 0, b2.matrix[canc2] != 0
+        masks = (on1[:, None, :, None] & on2[None, :, None, :]).reshape(len(canc1) * len(canc2), -1)
+        c2 = np.array([abs(c) ** 2 for c in C[np.ix_(canc1, canc2)].ravel()])
+        return _product_bmo(grid, masks, c2, omega_pool, omega_union, seed)
     raise ValueError(f"unknown bmo kind {kind!r}")
 
 
 def _slice_bmo(b: DiscreteFunction, axis_idx: int, over_all_shifts: bool) -> float:
-    grid = b.grid
-    axis = grid.axes[axis_idx]
-    shifts = enumerate_axis_shifts(axis) if over_all_shifts else [AxisShift.zero(axis)]
     best = 0.0
-    for s in shifts:
-        for cube in all_axis_cubes(axis, s):
-            cells = cube.cells()
-            blk = b.values[cells, :] if axis_idx == 0 else b.values[:, cells]
-            ax = 0 if axis_idx == 0 else 1
-            osc = np.abs(blk - blk.mean(axis=ax, keepdims=True)).mean(axis=ax)
-            best = max(best, float(osc.max()))
+    ax = axis_idx + 1
+    for idx in slice_blocks(b.grid, axis_idx, _lattice(b.grid, None, over_all_shifts)):
+        blk = b.values[idx]
+        osc = np.abs(blk - blk.mean(axis=ax, keepdims=True)).mean(axis=ax)
+        best = max(best, float(osc.max()))
     return best
 
 
-def _rect_coeff_table(b: DiscreteFunction, om: GridShift):
-    """All cancellative-pair coefficients <b, h_I x h_J> with their rectangles."""
-    grid = b.grid
-    b1 = AxisBasis(grid.axes[0], om.shift1)
-    b2 = AxisBasis(grid.axes[1], om.shift2)
-    C = b1.transform() @ b.values @ b2.transform().T
-    rows = []
-    for i, h1 in enumerate(b1.entries):
-        if not h1.cancellative:
-            continue
-        for j, h2 in enumerate(b2.entries):
-            if not h2.cancellative:
-                continue
-            rows.append((DyadicRectangle(h1.cube, h2.cube), C[i, j]))
-    return rows
+def _product_bmo(grid: TorusGrid, masks: np.ndarray, c2: np.ndarray,
+                 pool: int, union: int, seed: int) -> ProductBmoReport:
+    """The open-set search behind both product-oscillation reports.
 
-
-def _product_bmo(b: DiscreteFunction, om: GridShift, pool: int, union: int, seed: int) -> ProductBmoReport:
-    grid = b.grid
-    table = _rect_coeff_table(b, om)
-    masks = []
-    sq = np.zeros(grid.shape)
-    for rect, c in table:
-        m = np.zeros(grid.shape, dtype=bool)
-        m[rect.index()] = True
-        masks.append((m, abs(c) ** 2, rect.measure))
-        sq += (abs(c) ** 2 / rect.measure) * m
-
-    def set_value(mask: np.ndarray) -> float:
-        area = mask.sum() * grid.cell_volume
-        if area == 0:
-            return 0.0
-        s = sum(c2 for m, c2, _ in masks if mask[m].all())
-        return math.sqrt(s / area)
-
-    best_single = 0.0
-    for m, _, _ in masks:
-        best_single = max(best_single, set_value(m))
-    best = best_single
-    n_sets = len(masks)
+    masks (R x cells) marks the cells of each rectangle and c2 holds its
+    squared coefficient.  A candidate set S scores sqrt(sum of c2 over the
+    rectangles inside S / |S|); the candidates are the single rectangles,
+    unions of 2..`union` rectangles from a seeded pool of `pool`, and the
+    upper-level sets of sum_R c2_R / |R| 1_R.  Containment of every
+    rectangle in every candidate is one boolean matrix product.
+    """
+    n_rect = len(masks)
+    # sequential sums over the rectangles, in order (the level sets depend
+    # on exact ties in the density)
+    sq = (c2 / (masks.sum(axis=1) * grid.cell_volume))[:, None] * masks
+    sq = sq.sum(axis=0)
     rng = np.random.default_rng(seed)
-    pool_idx = rng.choice(len(masks), size=min(pool, len(masks)), replace=False)
-    for k in range(2, union + 1):
-        for combo in itertools.combinations(pool_idx.tolist(), k):
-            m = np.zeros(grid.shape, dtype=bool)
-            for i in combo:
-                m |= masks[i][0]
-            best = max(best, set_value(m))
-            n_sets += 1
-    # upper-level sets of the coefficient square density
-    for lam in np.unique(sq)[:-1]:
-        m = sq > lam
-        if m.any():
-            best = max(best, set_value(m))
-            n_sets += 1
-    return ProductBmoReport(best, best_single, n_sets)
+    pool_idx = rng.choice(n_rect, size=min(pool, n_rect), replace=False)
+    unions = [masks[list(combo)].any(axis=0)
+              for k in range(2, union + 1)
+              for combo in itertools.combinations(pool_idx.tolist(), k)]
+    levels = np.unique(sq)[:-1]
+    sets = np.vstack([masks, *unions, sq[None, :] > levels[:, None]])
+    inside = ~((~sets) @ masks.T)
+    # one rectangle at a time: an (R x sets) float temporary would set the
+    # peak memory of a whole suite
+    total = np.zeros(len(sets))
+    for r in range(n_rect):
+        total += c2[r] * inside[:, r]
+    values = np.sqrt(total / (sets.sum(axis=1) * grid.cell_volume))
+    return ProductBmoReport(float(values.max(initial=0.0)), float(values[:n_rect].max(initial=0.0)),
+                            len(sets))
 
 
 def sequence_product_bmo(
@@ -381,79 +339,16 @@ def sequence_product_bmo(
     coeffs maps DyadicRectangle -> scalar; the same open-set family as the
     function version is used on the given coefficients.
     """
-    masks = []
-    sq = np.zeros(grid.shape)
-    for rect, c in coeffs.items():
-        m = np.zeros(grid.shape, dtype=bool)
-        m[rect.index()] = True
-        masks.append((m, abs(c) ** 2))
-        sq += (abs(c) ** 2 / rect.measure) * m
-
-    def set_value(mask):
-        area = mask.sum() * grid.cell_volume
-        if area == 0:
-            return 0.0
-        s = sum(c2 for m, c2 in masks if mask[m].all())
-        return math.sqrt(s / area)
-
-    best_single = max((set_value(m) for m, _ in masks), default=0.0)
-    best = best_single
-    n = len(masks)
-    rng = np.random.default_rng(seed)
-    if masks:
-        pool_idx = rng.choice(len(masks), size=min(pool, len(masks)), replace=False)
-        for k in range(2, omega_union + 1):
-            for combo in itertools.combinations(pool_idx.tolist(), k):
-                m = np.zeros(grid.shape, dtype=bool)
-                for i in combo:
-                    m |= masks[i][0]
-                best = max(best, set_value(m))
-                n += 1
-        for lam in np.unique(sq)[:-1]:
-            m = sq > lam
-            if m.any():
-                best = max(best, set_value(m))
-                n += 1
-    return ProductBmoReport(best, best_single, n)
+    masks = np.zeros((len(coeffs), grid.shape[0] * grid.shape[1]), dtype=bool)
+    for m, rect in zip(masks, coeffs):
+        m.reshape(grid.shape)[rect.index()] = True
+    c2 = np.array([abs(c) ** 2 for c in coeffs.values()], dtype=float)
+    return _product_bmo(grid, masks, c2, pool, omega_union, seed)
 
 
 # ---------------------------------------------------------------------------
 # maximal functions
 # ---------------------------------------------------------------------------
-
-def _window_means(a: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """Circular sliding means: out[s] = mean of a over the window [s, s+w)."""
-    out = np.zeros_like(a, dtype=float)
-    for k in range(w):
-        out += np.roll(a, -k, axis=axis)
-    return out / w
-
-
-def _window_cover_max(means: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """out[x] = max over window starts s with x in [s, s+w) of means[s]."""
-    out = means.copy()
-    for k in range(1, w):
-        np.maximum(out, np.roll(means, k, axis=axis), out=out)
-    return out
-
-
-def _coord_view(values: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    """Reshape so every torus coordinate is its own array axis."""
-    a1, a2 = grid.axes
-    shape = (a1.n_side,) * a1.dim + (a2.n_side,) * a2.dim
-    view = values.reshape(shape)
-    return view, tuple(range(a1.dim)), tuple(range(a1.dim, a1.dim + a2.dim))
-
-
-def _cube_window_max(a: np.ndarray, width_by_axis: dict[int, int]) -> np.ndarray:
-    """Sup of box means over wrapped windows of the given per-axis widths."""
-    m = a
-    for ax, w in width_by_axis.items():
-        m = _window_means(m, w, ax)
-    for ax, w in width_by_axis.items():
-        m = _window_cover_max(m, w, ax)
-    return m
-
 
 def maximal_function(
     f: DiscreteFunction,
@@ -466,7 +361,7 @@ def maximal_function(
     kind 'dyadic': rectangles of one shifted lattice.  kind 'strong': sup over
     the rectangles of every shifted lattice, which on the torus is exactly the
     sup over all wrapped boxes of dyadic side lengths (any start), so it is
-    computed by sliding windows.  kind 'axis1'/'axis2': the one-parameter
+    computed on the window tables.  kind 'axis1'/'axis2': the one-parameter
     strong operator in a single variable.  s > 1 applies the power trick
     M_s f = (M |f|^s)^(1/s).
     """
@@ -474,49 +369,43 @@ def maximal_function(
         raise ValueError("s must be >= 1")
     grid = f.grid
     a = np.abs(f.values) ** s
+    ax1, ax2 = grid.axes
     if kind == "dyadic":
-        om = shift if shift is not None else GridShift.zero(grid)
-        out = _dyadic_max(a, grid, om)
-    elif kind == "strong":
-        view, ax1, ax2 = _coord_view(a, grid)
-        acc = np.zeros_like(view)
-        for j1 in range(grid.axes[0].levels + 1):
-            w1 = 1 << (grid.axes[0].levels - j1)
-            for j2 in range(grid.axes[1].levels + 1):
-                w2 = 1 << (grid.axes[1].levels - j2)
-                widths = {t: w1 for t in ax1} | {t: w2 for t in ax2}
-                np.maximum(acc, _cube_window_max(view, widths), out=acc)
-        out = acc.reshape(grid.shape)
-    elif kind in ("axis1", "axis2"):
-        idx = 0 if kind == "axis1" else 1
-        view, ax1, ax2 = _coord_view(a, grid)
-        mine = ax1 if idx == 0 else ax2
-        acc = np.zeros_like(view)
-        for j in range(grid.axes[idx].levels + 1):
-            w = 1 << (grid.axes[idx].levels - j)
-            np.maximum(acc, _cube_window_max(view, {t: w for t in mine}), out=acc)
-        out = acc.reshape(grid.shape)
+        out = _dyadic_max(a, grid, shift if shift is not None else GridShift.zero(grid))
+    elif kind in ("strong", "axis1", "axis2"):
+        # a one-variable window is a rectangle whose other side is one cell
+        tabs1, tabs2 = cell_tables(ax1, None), cell_tables(ax2, None)
+        out = _box_max(a, tabs1 if kind != "axis2" else tabs1[-1:], tabs2 if kind != "axis1" else tabs2[-1:])
     else:
         raise ValueError(f"unknown maximal kind {kind!r}")
     return DiscreteFunction(grid, out ** (1.0 / s))
 
 
-def _dyadic_max(a: np.ndarray, grid: TorusGrid, om: GridShift) -> np.ndarray:
-    out = np.zeros(grid.shape)
-    for rect in all_rectangles(grid, om):
-        idx = rect.index()
-        out[idx] = np.maximum(out[idx], a[idx].mean())
+def _box_max(a: np.ndarray, tabs1: list[np.ndarray], tabs2: list[np.ndarray]) -> np.ndarray:
+    """Per-cell sup of the means of `a` over the rectangles of every pair of
+    rows of one cell table per factor.  Rectangle means and the sup over the
+    rectangles holding a cell both separate by factor, so the work is linear
+    in each factor's window size, not in the rectangle's area."""
+    out = np.zeros(a.shape)
+    for t1 in tabs1:
+        means1 = a[t1].mean(axis=1)  # (m1, n2)
+        for t2 in tabs2:
+            means = means1.T[t2].mean(axis=1)  # (m2, m1)
+            cover = np.zeros((a.shape[1], len(t1)))
+            np.maximum.at(cover, t2, means[:, None, :])
+            np.maximum.at(out, t1, cover.T[:, None, :])
     return out
 
 
+def _dyadic_max(a: np.ndarray, grid: TorusGrid, om: GridShift) -> np.ndarray:
+    return _box_max(a, cell_tables(grid.axes[0], om.shift1), cell_tables(grid.axes[1], om.shift2))
+
+
 def axis_profile_strong_max(vec: np.ndarray, axis: Axis) -> np.ndarray:
-    """Strong maximal function of a single-factor profile."""
-    a = np.abs(np.asarray(vec, dtype=float)).reshape((axis.n_side,) * axis.dim)
-    out = np.zeros_like(a)
-    for j in range(axis.levels + 1):
-        w = 1 << (axis.levels - j)
-        np.maximum(out, _cube_window_max(a, {t: w for t in range(axis.dim)}), out=out)
-    return out.reshape(axis.n_cells)
+    """Strong maximal function of a single-factor profile, taken as a grid
+    whose second factor is one cell."""
+    a = np.abs(np.asarray(vec, dtype=float))[:, None]
+    return _box_max(a, cell_tables(axis, None), [np.zeros((1, 1), dtype=np.intp)])[:, 0]
 
 
 # ---------------------------------------------------------------------------

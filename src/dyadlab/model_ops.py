@@ -32,6 +32,7 @@ from .core import (
     HaarFunction,
     TorusGrid,
     axis_haar_vector,
+    cell_tables,
     enumerate_axis_shifts,
 )
 from .measures import sequence_product_bmo
@@ -135,22 +136,15 @@ def axis_ops(axis: Axis, shift: AxisShift) -> AxisOps:
     return AxisOps(axis, shift)
 
 
-def axis_profile_haar_coeffs(vec: np.ndarray, ops: AxisOps) -> np.ndarray:
-    return (ops.haar * ops.axis.cell_volume) @ vec
-
-
 def axis_profile_bmo(vec: np.ndarray, axis: Axis, over_all_shifts: bool = True) -> float:
     """One-parameter BMO norm of an axis profile; by default the sup runs over
-    the lattices of every shift (the torus stand-in for all intervals)."""
-    shifts = enumerate_axis_shifts(axis) if over_all_shifts else [AxisShift.zero(axis)]
-    best = 0.0
+    the lattices of every shift (the torus stand-in for all intervals), whose
+    cubes are all wrapped windows of dyadic widths."""
     a = np.asarray(vec, dtype=float)
-    for shift in shifts:
-        for level in range(axis.levels + 1):
-            for pos in range(1 << level):
-                cells = DyadicCube(axis, level, (pos,), shift).cells()
-                blk = a[cells]
-                best = max(best, float(np.abs(blk - blk.mean()).mean()))
+    best = 0.0
+    for tab in cell_tables(axis, None if over_all_shifts else AxisShift.zero(axis)):
+        blk = a[tab]
+        best = max(best, float(np.abs(blk - blk.mean(axis=1, keepdims=True)).mean(axis=1).max()))
     return best
 
 
@@ -513,7 +507,7 @@ class PartialParaproduct:
                 row = self._slot_index(sops, kk, slot)(idx[slot - 1])
                 prof = profs[slot - 1]
                 g.append(prof[row] if self.shift_axis == 0 else prof[:, row])
-            pvec = _para_apply_third(b, g[0], g[1], pops, self.ptype)
+            pvec = one_param_paraproduct(b, g[0], g[1], pops, self.ptype)
             svec = rows3[self._slot_index(sops, kk, 3)(idx[2])]
             block = np.outer(svec, pvec) if self.shift_axis == 0 else np.outer(pvec, svec)
             out += block
@@ -579,22 +573,6 @@ class PartialParaproduct:
             grid, om, payload["shift_axis"], tuple(payload["k"]),
             payload["h0_slot"], payload["ptype"], symbols,
         )
-
-
-def _para_apply_third(b, g1, g2, pops: AxisOps, ptype: int) -> np.ndarray:
-    vol = pops.axis.cell_volume
-    n_canc = pops.haar.shape[0]
-    bb = (pops.haar * vol) @ np.asarray(b, dtype=float)
-    avg = lambda g: (pops.avg[:n_canc] * vol) @ np.asarray(g)
-    par = lambda g: (pops.haar * vol) @ np.asarray(g)
-    if ptype == 3:
-        w = bb * avg(g1) * avg(g2)
-        return w @ pops.haar
-    if ptype == 1:
-        w = bb * par(g1) * avg(g2)
-    else:
-        w = bb * avg(g1) * par(g2)
-    return w @ pops.avg[:n_canc]
 
 
 # ---------------------------------------------------------------------------

@@ -375,9 +375,6 @@ class AxisDecomposition:
     def write_vector(self, t: AxisTuple):
         return self._triple(self._slot_vectors_write(t))
 
-    def read_vector_plain(self, t: AxisTuple):
-        return self.write_vector(t)
-
     def _chain_child(self, t: AxisTuple) -> DyadicCube:
         """Anchor child for the nested split: the averaged cube for offset
         routes, the middle's child containing the smallest cube otherwise."""
@@ -702,7 +699,7 @@ class Decomposition:
         }
 
         def reader(ax, kind):
-            return ax.read_vector_plain if kind == "plain" else ax.read_vector_nested_C
+            return ax.write_vector if kind == "plain" else ax.read_vector_nested_C
 
         for br1 in BRANCHES:
             for br2 in BRANCHES:
@@ -875,7 +872,7 @@ class Decomposition:
         nested = [t for t in ax.tuples[branch] if t.cls == NES and self._exportable(t)]
         out = {}
         if plain:
-            out["plain"] = (plain, _stack_sparse([ax.read_vector_plain(t) for t in plain], ax.D**3))
+            out["plain"] = (plain, _stack_sparse([ax.write_vector(t) for t in plain], ax.D**3))
         if nested:
             out["nested"] = (nested, _stack_sparse([ax.read_vector_nested_C(t) for t in nested], ax.D**3))
         return out

@@ -164,6 +164,25 @@ def test_adapted_maximal_haar_symbol_enumeration_oracle():
     assert np.abs(m.values[:, 0] - brute).max() < 1e-12
 
 
+def test_adapted_maximal_rect_window_oracle():
+    # every wrapped rectangle of dyadic side lengths, one window at a time
+    grid = TorusGrid.make(2)
+    rng = np.random.default_rng(35)
+    b, f = grid.random(rng), grid.random(rng)
+    m = AdaptedMaximal(b, "rect").apply(f)
+    n1, n2 = grid.shape
+    brute = np.zeros(grid.shape)
+    for j1 in range(grid.axes[0].levels + 1):
+        for j2 in range(grid.axes[1].levels + 1):
+            w1, w2 = 1 << (grid.axes[0].levels - j1), 1 << (grid.axes[1].levels - j2)
+            for s1 in range(n1):
+                for s2 in range(n2):
+                    idx = np.ix_(np.arange(s1, s1 + w1) % n1, np.arange(s2, s2 + w2) % n2)
+                    val = (np.abs(b.values[idx] - b.values[idx].mean()) * np.abs(f.values[idx])).mean()
+                    brute[idx] = np.maximum(brute[idx], val)
+    assert np.abs(m.values - brute).max() < 1e-12
+
+
 def test_pointwise_domination_checks():
     b, f = fn(2), fn(3)
     out = pointwise_domination_check(b, f)

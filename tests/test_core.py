@@ -368,6 +368,30 @@ def test_rectangle_measure_and_membership():
     assert r.contains_cell(int(idx[0][0, 0]), int(idx[1][0, 0]))
 
 
+def test_cube_cells_come_from_one_read_only_table():
+    from dyadlab.core import _cube_table
+
+    axis = Axis(2, 3)
+    bits = ((1, 0), (0, 1), (1, 1))
+    a = DyadicCube(axis, 2, (1, 3), AxisShift(axis, bits))
+    b = DyadicCube(axis, 2, (2, 0), AxisShift(axis, bits))
+    with pytest.raises(ValueError):
+        a.cells()[0] = 0
+    assert _cube_table(axis, 2, a.shift) is _cube_table(axis, 2, b.shift)
+    assert a.cells().base is b.cells().base
+
+
+@pytest.mark.parametrize("dim, levels", [(1, 3), (2, 2)])
+def test_window_tables_are_the_cubes_of_all_shifts(dim, levels):
+    from dyadlab.core import cell_tables
+
+    axis = Axis(dim, levels)
+    for level, windows in enumerate(cell_tables(axis, None)):
+        cubes = {tuple(sorted(c.cells())) for s in enumerate_axis_shifts(axis)
+                 for c in axis_cubes(axis, level, s)}
+        assert {tuple(sorted(row)) for row in windows} == cubes
+
+
 def test_shifted_cube_indicator_exactly_representable():
     axis = Axis(1, 3)
     from dyadlab.core import axis_cube_indicator, sample_axis_shift

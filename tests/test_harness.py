@@ -137,11 +137,21 @@ def test_cli_suite_empty_and_plotdata(tmp_path):
     assert (tmp_path / "plotdata.csv").exists()
 
 
-def test_cli_config_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"exponents": [[1.0, 2.0]]}))
-    out = _run_cli("--config", str(bad), "suite", "empty")
+@pytest.mark.parametrize("config, flags", [
+    (json.dumps({"exponents": [[1.0, 2.0]]}), ()),
+    ("not json {", ()),
+    (None, ("--seed", "-1")),
+    (None, ("--grid-level", "1")),
+], ids=["bad-exponents", "not-json", "negative-seed", "one-level"])
+def test_cli_config_error_exit_code(tmp_path, config, flags):
+    argv = list(flags)
+    if config is not None:
+        bad = tmp_path / "bad.json"
+        bad.write_text(config)
+        argv = ["--config", str(bad)] + argv
+    out = _run_cli(*argv, "suite", "empty")
     assert out.returncode == 2
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_unknown_kernel_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 """Weights, norms, BMO scales, maximal and square functions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab.core import (
+    AxisBasis,
     AxisShift,
     DiscreteFunction,
     DyadicCube,
@@ -16,7 +18,9 @@ from dyadlab.core import (
     HaarFunction,
     TorusGrid,
     all_rectangles,
+    axis_cubes,
     axis_haar_vector,
+    enumerate_axis_shifts,
     enumerate_shifts,
     outer,
     sample_shift,
@@ -32,6 +36,7 @@ from dyadlab.measures import (
     maximal_function,
     mixed_norm,
     phi_function,
+    sequence_product_bmo,
     square_function,
 )
 
@@ -201,6 +206,112 @@ def test_little_bmo_dominates_product_lower_bound():
         little = bmo_norm(b, "little")
         rep = bmo_norm(b, "product")
         assert rep.family_value <= 8.0 * little + 1e-12
+
+
+def _product_search_reference(grid, pairs, pool=24, union=3, seed=0):
+    """Per-set product search: a set scores sqrt(sum |c_R|^2 over the
+    rectangles R inside it / |set|), containment tested one set at a time."""
+    masks = []
+    sq = np.zeros(grid.shape)
+    for rect, c in pairs:
+        m = np.zeros(grid.shape, dtype=bool)
+        m[rect.index()] = True
+        masks.append(m)
+        sq += (abs(c) ** 2 / rect.measure) * m
+
+    def value(s):
+        inside = sum(abs(c) ** 2 for m, (_, c) in zip(masks, pairs) if s[m].all())
+        return math.sqrt(inside / (s.sum() * grid.cell_volume))
+
+    sets = list(masks)
+    if masks:
+        pool_idx = np.random.default_rng(seed).choice(len(masks), size=min(pool, len(masks)), replace=False)
+        sets += [np.logical_or.reduce([masks[i] for i in combo]) for k in range(2, union + 1)
+                 for combo in itertools.combinations(pool_idx.tolist(), k)]
+    sets += [sq > lam for lam in np.unique(sq)[:-1]]
+    single = max((value(m) for m in masks), default=0.0)
+    return max((value(s) for s in sets), default=0.0), single, len(sets)
+
+
+@pytest.mark.parametrize("grid", [GRID, TorusGrid.make(2, (2, 1))], ids=["L3", "L2-dims21"])
+def test_product_search_matches_per_set_containment(grid):
+    rng = np.random.default_rng(17)
+    for trial in range(3):
+        om = sample_shift(grid, rng)
+        rects = list(all_rectangles(grid, om))
+        pick = rng.choice(len(rects), size=min(30, len(rects)), replace=False)
+        coeffs = {rects[i]: float(rng.standard_normal()) for i in pick}
+        reps = [(sequence_product_bmo(grid, coeffs, om), list(coeffs.items()))]
+        # the function version: every cancellative Haar pair, rectangles repeat when dim >= 2
+        b = rand_f(trial, grid)
+        b1, b2 = AxisBasis(grid.axes[0], om.shift1), AxisBasis(grid.axes[1], om.shift2)
+        C = b1.transform() @ b.values @ b2.transform().T
+        pairs = [(DyadicRectangle(h1.cube, h2.cube), C[i, j])
+                 for i, h1 in enumerate(b1.entries) if h1.cancellative
+                 for j, h2 in enumerate(b2.entries) if h2.cancellative]
+        reps.append((bmo_norm(b, "product", om), pairs))
+        for rep, pairs in reps:
+            family, single, n_sets = _product_search_reference(grid, pairs)
+            assert rep.n_sets == n_sets
+            assert abs(rep.family_value - family) <= 1e-12 * family
+            assert abs(rep.single_rectangle - single) <= 1e-12 * single
+
+
+def test_product_search_empty_family():
+    rep = sequence_product_bmo(GRID, {}, GridShift.zero(GRID))
+    assert (rep.family_value, rep.single_rectangle, rep.n_sets) == (0.0, 0.0, 0)
+
+
+# -- sups over every shift: the window tables against shift enumeration -------------
+
+GRID2 = TorusGrid.make(2)
+
+
+def _slice_sup_over_shifts(values, axis_idx, stat):
+    """Brute-force sup of a slice statistic over the cubes of every shift of
+    one factor; blocks are passed with the cube's cells along axis 0."""
+    axis = GRID2.axes[axis_idx]
+    best = 0.0
+    for s in enumerate_axis_shifts(axis):
+        for level in range(axis.levels + 1):
+            for cube in axis_cubes(axis, level, s):
+                cells = cube.cells()
+                blocks = [v[cells, :] if axis_idx == 0 else v[:, cells].T for v in values]
+                best = max(best, float(stat(*blocks).max()))
+    return best
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+
+
+def test_ap_over_all_shifts_oracle():
+    w = Weight(DiscreteFunction(GRID2, np.exp(rand_f(31, GRID2).values)))
+    p = 3.0
+    bi = max(ap_characteristic(w, p, shift=om) for om in enumerate_shifts(GRID2))
+    assert _close(ap_characteristic(w, p, over_all_shifts=True), bi)
+    for axis_idx, scope in enumerate(("axis1", "axis2")):
+        ref = _slice_sup_over_shifts((w.values, w.dual(p).values), axis_idx,
+                                     lambda a, d: a.mean(axis=0) * d.mean(axis=0) ** (p - 1.0))
+        assert _close(ap_characteristic(w, p, scope, over_all_shifts=True), ref)
+
+
+def test_ainfty_over_all_shifts_oracle():
+    w = Weight(DiscreteFunction(GRID2, np.exp(rand_f(32, GRID2).values)))
+    bi = max(ainfty_characteristic(w, shift=om) for om in enumerate_shifts(GRID2))
+    assert _close(ainfty_characteristic(w, over_all_shifts=True), bi)
+    for axis_idx, scope in enumerate(("axis1", "axis2")):
+        ref = _slice_sup_over_shifts((w.values, np.log(w.values)), axis_idx,
+                                     lambda a, l: a.mean(axis=0) * np.exp(-l.mean(axis=0)))
+        assert _close(ainfty_characteristic(w, scope, over_all_shifts=True), ref)
+
+
+def test_bmo_over_all_shifts_oracle():
+    b = rand_f(33, GRID2)
+    bi = max(bmo_norm(b, "little", shift=om) for om in enumerate_shifts(GRID2))
+    assert _close(bmo_norm(b, "little", over_all_shifts=True), bi)
+    ref = _slice_sup_over_shifts((b.values,), 0, lambda blk: np.abs(blk - blk.mean(axis=0)).mean(axis=0))
+    assert _close(bmo_norm(b, "axis1", over_all_shifts=True), ref)
 
 
 # -- maximal functions --------------------------------------------------------------

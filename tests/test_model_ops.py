@@ -165,6 +165,21 @@ def test_one_param_paraproduct_adjoints_on_random_triples():
 
 # -- partial paraproducts ---------------------------------------------------------
 
+def test_axis_profile_bmo_over_all_shifts_oracle():
+    from dyadlab.core import axis_cubes, enumerate_axis_shifts
+
+    axis = TorusGrid.make(2).axes[0]
+    vec = np.random.default_rng(34).standard_normal(axis.n_cells)
+    best = 0.0
+    for s in enumerate_axis_shifts(axis):
+        for level in range(axis.levels + 1):
+            for cube in axis_cubes(axis, level, s):
+                blk = vec[cube.cells()]
+                best = max(best, float(np.abs(blk - blk.mean()).mean()))
+    assert abs(axis_profile_bmo(vec, axis) - best) <= 1e-12 * best
+    assert axis_profile_bmo(vec, axis, over_all_shifts=False) <= best
+
+
 def test_partial_paraproduct_zero_symbols():
     P = PartialParaproduct(GRID, ZERO, 0, (0, 0, 0), 3, 3, {})
     f1, f2, f3 = fns(1, 2, 3)
