@@ -92,6 +92,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for pair in self.exponents:
+            if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                    or not all(isinstance(v, (int, float)) for v in pair)):
+                raise ConfigError(f"an exponent pair must be two numbers, got {pair!r}")
             p, q = pair
             if p <= 1 or q <= 1:
                 raise ConfigError("exponents must exceed 1")

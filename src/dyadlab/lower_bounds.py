@@ -32,9 +32,20 @@ __all__ = [
 ]
 
 
+# A factor table holds n^3 values for the n cells of its axis; past this n
+# (a 16 MB table) the factor is evaluated at the cell centres on each call.
+_TABLE_MAX_CELLS = 128
+
+
 class BilinearKernel:
     """Kernel evaluator on cell triples with declared regularity and
-    non-degeneracy metadata; evaluations are vectorised over index arrays."""
+    non-degeneracy metadata; evaluations are vectorised over index arrays.
+
+    A spec that declares per-axis `factors` is tabulated once per axis, on
+    the n_i^3 cell-centre triples of that axis, and evaluated as the product
+    of two table gathers; the tables come from the same elementwise factor
+    functions, so they equal direct evaluation exactly.  Partners found by
+    `find_nondegenerate_partner` are memoised on the instance."""
 
     def __init__(self, grid: TorusGrid, spec: KernelSpec, c_nd: float = 1.0):
         self.grid = grid
@@ -42,15 +53,32 @@ class BilinearKernel:
         self.c_nd = c_nd
         self._c1, self._c2 = cell_centers(grid)
         self.n2 = grid.shape[1]
+        self._tables = None
+        if spec.factors is not None:
+            self._tables = tuple(_factor_table(f, c)
+                                 for f, c in zip(spec.factors, (self._c1, self._c2)))
+        self._partners: dict = {}
 
     def _coords(self, flat: np.ndarray):
         return self._c1[np.asarray(flat) // self.n2], self._c2[np.asarray(flat) % self.n2]
 
+    def _factor(self, axis: int, i, j, k) -> np.ndarray:
+        table = self._tables[axis]
+        if table is not None:
+            return table[i, j, k]
+        c = (self._c1, self._c2)[axis]
+        return self.spec.factors[axis](c[i], c[j], c[k])
+
     def eval_cells(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        x1, x2 = self._coords(x)
-        y1, y2 = self._coords(y)
-        z1, z2 = self._coords(z)
-        return self.spec(x1, x2, y1, y2, z1, z2)
+        """Kernel values at flat cell triples; x, y, z broadcast together."""
+        if self._tables is None:
+            x, y, z = np.broadcast_arrays(x, y, z)
+            x1, x2 = self._coords(x)
+            y1, y2 = self._coords(y)
+            z1, z2 = self._coords(z)
+            return self.spec(x1, x2, y1, y2, z1, z2)
+        (x1, x2), (y1, y2), (z1, z2) = (np.divmod(np.asarray(v), self.n2) for v in (x, y, z))
+        return self._factor(0, x1, y1, z1) * self._factor(1, x2, y2, z2)
 
     def size_bound_ratio(self, samples: int = 512, seed: int = 0) -> float:
         """Largest |K| times the size envelope over random off-diagonal triples."""
@@ -69,6 +97,18 @@ class BilinearKernel:
         return float((vals[mask] * d1[mask] ** 2 * d2[mask] ** 2).max()) if mask.any() else 0.0
 
 
+def _factor_table(factor, centres: np.ndarray) -> np.ndarray | None:
+    """factor(c[i], c[j], c[k]) for every cell triple of one axis, read-only;
+    None when the axis has too many cells to tabulate."""
+    n = len(centres)
+    if n > _TABLE_MAX_CELLS:
+        return None
+    table = np.ascontiguousarray(np.broadcast_to(factor(*np.ix_(centres, centres, centres)),
+                                                 (n, n, n)))
+    table.setflags(write=False)
+    return table
+
+
 def _base_rectangles(grid: TorusGrid, max_cells: int | None = None):
     om = GridShift.zero(grid)
     for rect in all_rectangles(grid, om):
@@ -85,57 +125,80 @@ def find_nondegenerate_partner(kernel: BilinearKernel, rect: DyadicRectangle,
     C0 side lengths, maximising the worst-case signed kernel value.
 
     Candidate starts walk the torus with the given per-axis stride (default
-    one cube width, which keeps the scan linear in the number of lattice
-    positions); raises when the torus has no room for the separation."""
-    grid = kernel.grid
+    one cell); the candidates are ordered by the kernel at their centre,
+    strongest first, and the best of the first eight, or of all when none of
+    those is single-signed, wins.  Raises when the torus has no room for the
+    separation.
+
+    Partners depend on neither the symbol nor the exponents, so they are
+    memoised on the kernel by (rect, C0, stride), a missing partner too.
+    Each call returns a fresh dict, but its cell arrays are shared with the
+    memo and read-only."""
+    st = (1, 1) if stride is None else tuple(stride)
+    key = (rect, C0, st)
+    if key not in kernel._partners:
+        kernel._partners[key] = _search_partner(kernel, rect, C0, st)
+    found = kernel._partners[key]
+    if found is None:
+        raise ValueError("no separated partner exists at this scale")
+    return dict(found)
+
+
+# kernel points per batched evaluation of a candidate pool
+_POOL_POINTS = 1 << 16
+
+
+def _search_partner(kernel: BilinearKernel, rect: DyadicRectangle, C0: float,
+                    stride: tuple[int, int]) -> dict | None:
     c1, c2 = rect.cube1, rect.cube2
     n1s, n2s = c1.axis.n_side, c2.axis.n_side
     w1, w2 = c1.width_cells, c2.width_cells
     need1 = int(math.ceil(C0 * w1))
     need2 = int(math.ceil(C0 * w2))
     if 2 * need1 + 2 * w1 > n1s or 2 * need2 + 2 * w2 > n2s:
-        raise ValueError("no separated partner exists at this scale")
-    st1, st2 = stride if stride is not None else (1, 1)
-    s1 = c1.start_cells()[0]
-    s2 = c2.start_cells()[0]
+        return None
+
+    def starts(n, st, s, w, need):
+        o = np.arange(0, n, st)
+        gap = np.minimum((o - (s + w)) % n, (s - (o + w)) % n)
+        return o[gap >= need]
+
+    o1 = starts(n1s, stride[0], c1.start_cells()[0], w1, need1)
+    o2 = starts(n2s, stride[1], c2.start_cells()[0], w2, need2)
+    if not len(o1) or not len(o2):
+        return None
+    o1, o2 = (o.ravel() for o in np.meshgrid(o1, o2, indexing="ij"))
     y = np.add.outer(c1.cells() * kernel.n2, c2.cells()).ravel()
-    ymid = np.array([y[len(y) // 2]])
-    candidates = []
-    for o1 in range(0, n1s, st1):
-        gap1 = min((o1 - (s1 + w1)) % n1s, (s1 - (o1 + w1)) % n1s)
-        if gap1 < need1:
-            continue
-        for o2 in range(0, n2s, st2):
-            gap2 = min((o2 - (s2 + w2)) % n2s, (s2 - (o2 + w2)) % n2s)
-            if gap2 < need2:
-                continue
-            mid = ((o1 + w1 // 2) % n1s) * kernel.n2 + (o2 + w2 // 2) % n2s
-            cval = kernel.eval_cells(np.array([mid]), ymid, ymid)[0]
-            candidates.append((abs(cval), cval, o1, o2))
-    if not candidates:
-        raise ValueError("no separated partner exists at this scale")
-    candidates.sort(reverse=True)
+    ymid = y[len(y) // 2]
+    mid = ((o1 + w1 // 2) % n1s) * kernel.n2 + (o2 + w2 // 2) % n2s
+    cval = kernel.eval_cells(mid, ymid, ymid)
+    # descending (|c|, c, o1, o2), as sorting those tuples in reverse
+    order = np.lexsort((o2, o1, cval, np.abs(cval)))[::-1]
+    sigma = np.where(cval >= 0, 1.0, -1.0)
+
+    def cells(o, w, n):
+        return (o[..., None] + np.arange(w)) % n
+
+    def min_values(pool):
+        x = np.add(cells(o1[pool], w1, n1s)[:, :, None] * kernel.n2,
+                   cells(o2[pool], w2, n2s)[:, None, :]).reshape(len(pool), -1, 1)
+        vals = kernel.eval_cells(x, y, y)
+        return (sigma[pool, None, None] * vals).min(axis=(1, 2))
 
     def full_eval(pool):
-        best = None
-        for _, cval, o1, o2 in pool:
-            cells1 = (o1 + np.arange(w1)) % n1s
-            cells2 = (o2 + np.arange(w2)) % n2s
-            x = np.add.outer(cells1 * kernel.n2, cells2).ravel()
-            sigma = 1.0 if cval >= 0 else -1.0
-            vals = sigma * kernel.eval_cells(
-                np.repeat(x, len(y)), np.tile(y, len(x)), np.tile(y, len(x))
-            )
-            lo = float(vals.min())
-            if best is None or lo > best["min_value"]:
-                best = {"cells1": cells1, "cells2": cells2, "sigma": sigma, "min_value": lo}
-        return best
+        per = max(1, _POOL_POINTS // (w1 * w2 * len(y)))
+        lo = np.concatenate([min_values(pool[i:i + per]) for i in range(0, len(pool), per)])
+        b = int(np.argmax(lo))
+        return pool[b], float(lo[b])
 
-    best = full_eval(candidates[:8])
-    if best["min_value"] <= 0 and len(candidates) > 8:
-        best = full_eval(candidates)
-    best["lower_bound_constant"] = best["min_value"] * rect.measure**2
-    return best
+    b, lo = full_eval(order[:8])
+    if lo <= 0 and len(order) > 8:
+        b, lo = full_eval(order)
+    cells1, cells2 = cells(o1[b], w1, n1s), cells(o2[b], w2, n2s)
+    cells1.setflags(write=False)
+    cells2.setflags(write=False)
+    return {"cells1": cells1, "cells2": cells2, "sigma": float(sigma[b]), "min_value": lo,
+            "lower_bound_constant": lo * rect.measure**2}
 
 
 def weighted_median(values: np.ndarray) -> float:
@@ -146,11 +209,17 @@ def weighted_median(values: np.ndarray) -> float:
 
 def weak_lr_norm(values: np.ndarray, cell_volume: float, r: float) -> float:
     """sup_t t |{|g| > t}|^{1/r} computed exactly from the sorted cells."""
-    a = np.sort(np.abs(np.asarray(values)).ravel())[::-1]
+    a = np.asarray(values).ravel()
     if len(a) == 0:
         return 0.0
-    meas = cell_volume * np.arange(1, len(a) + 1)
-    return float((a * meas ** (1.0 / r)).max())
+    return float(_weak_lr_rows(a[None, :], cell_volume, r)[0])
+
+
+def _weak_lr_rows(g: np.ndarray, cell_volume: float, r: float) -> np.ndarray:
+    """weak_lr_norm of every row of a 2-d array."""
+    a = np.sort(np.abs(g), axis=1)[:, ::-1]
+    meas = cell_volume * np.arange(1, g.shape[1] + 1)
+    return (a * meas ** (1.0 / r)).max(axis=1)
 
 
 @dataclass
@@ -161,19 +230,18 @@ class GammaReport:
     searched: int = 0
 
 
-def _sublevel_sets(b_cells: np.ndarray, rng: np.random.Generator, extra: int) -> list[np.ndarray]:
-    """Index subsets of a rectangle: sublevel sets of the symbol at its cell
-    quantiles plus random subsets."""
-    order = np.argsort(b_cells)
-    sets = []
+def _sublevel_sets(b_cells: np.ndarray, rng: np.random.Generator, extra: int) -> np.ndarray:
+    """0/1 masks (sets x cells) of index subsets of a rectangle: sublevel sets
+    of the symbol at its cell quantiles plus nonempty random subsets."""
     n = len(b_cells)
-    for q in (max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n):
-        sets.append(order[:q])
+    rank = np.empty(n, dtype=int)
+    rank[np.argsort(b_cells)] = np.arange(n)
+    sets = [rank < q for q in (max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n)]
     for _ in range(extra):
         mask = rng.integers(0, 2, n).astype(bool)
         if mask.any():
-            sets.append(np.nonzero(mask)[0])
-    return sets
+            sets.append(mask)
+    return np.array(sets, dtype=float)
 
 
 def gamma_constant(
@@ -200,7 +268,6 @@ def gamma_constant(
         raise ValueError("the symbol must be real-valued")
     grid = kernel.grid
     rng = np.random.default_rng(seed)
-    vol = grid.cell_volume
     best = GammaReport(0.0, params={"k": k, "r": r, "gamma": (gamma1, gamma2), "C0": C0})
     bflat = b.values.ravel()
     for rect in _base_rectangles(grid, max_rect_cells):
@@ -210,33 +277,36 @@ def gamma_constant(
             continue
         ycells = np.add.outer(rect.cube1.cells() * kernel.n2, rect.cube2.cells()).ravel()
         xcells = np.add.outer(partner["cells1"] * kernel.n2, partner["cells2"]).ravel()
-        for A in _sublevel_sets(bflat[ycells], rng, random_subsets):
-            Ac = ycells[A]
-            g = _gamma_integrand(kernel, bflat, xcells, Ac, gamma1, gamma2, vol)
-            val = weak_lr_norm(g, vol, r) / rect.measure ** (1.0 / r)
-            best.searched += 1
-            if val > best.value:
-                best.value = val
-                best.witness = {
-                    "rect": ((rect.cube1.level, rect.cube1.pos[0]),
-                             (rect.cube2.level, rect.cube2.pos[0])),
-                    "partner_start": (int(partner["cells1"][0]), int(partner["cells2"][0])),
-                    "sigma": partner["sigma"],
-                    "set_size": len(Ac),
-                }
+        masks = _sublevel_sets(bflat[ycells], rng, random_subsets)
+        norms = _set_values(kernel, bflat, xcells, ycells, masks, gamma1, gamma2, r)
+        vals = norms / rect.measure ** (1.0 / r)
+        best.searched += len(vals)
+        i = int(np.argmax(vals))
+        if vals[i] > best.value:
+            best.value = float(vals[i])
+            best.witness = {
+                "rect": ((rect.cube1.level, rect.cube1.pos[0]),
+                         (rect.cube2.level, rect.cube2.pos[0])),
+                "partner_start": (int(partner["cells1"][0]), int(partner["cells2"][0])),
+                "sigma": partner["sigma"],
+                "set_size": int(masks[i].sum()),
+            }
     return best
 
 
-def _gamma_integrand(kernel, bflat, xcells, Acells, gamma1, gamma2, vol):
+def _set_values(kernel, bflat, xcells, ycells, masks, gamma1, gamma2, r):
+    """Weak-L^r norm over the partner cells x of
+    sum_{y, z in A} (b(x) - b(y))^gamma1 (b(x) - b(z))^gamma2 K(x, y, z) vol^2
+    for every set A, a row of the 0/1 masks over the rectangle cells ycells.
+    The (x, y, z) integrand is built once and summed against every set."""
+    vol = kernel.grid.cell_volume
     bx = bflat[xcells][:, None, None]
-    by = bflat[Acells][None, :, None]
-    bz = bflat[Acells][None, None, :]
-    X = np.repeat(np.repeat(xcells[:, None, None], len(Acells), 1), len(Acells), 2)
-    Y = np.broadcast_to(Acells[None, :, None], X.shape)
-    Z = np.broadcast_to(Acells[None, None, :], X.shape)
-    kv = kernel.eval_cells(X.ravel(), Y.ravel(), Z.ravel()).reshape(X.shape)
+    by = bflat[ycells][None, :, None]
+    bz = bflat[ycells][None, None, :]
+    kv = kernel.eval_cells(xcells[:, None, None], ycells[None, :, None], ycells[None, None, :])
     integrand = (bx - by) ** gamma1 * (bx - bz) ** gamma2 * kv
-    return integrand.sum(axis=(1, 2)) * vol**2
+    g = np.einsum("xyz,sy,sz->sx", integrand, masks, masks) * vol**2
+    return _weak_lr_rows(g, vol, r)
 
 
 def pointwise_chain_check(kernel: BilinearKernel, b: DiscreteFunction,

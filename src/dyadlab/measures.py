@@ -123,7 +123,7 @@ def ap_characteristic(
     grid = w.grid
     if scope in ("axis1", "axis2"):
         axis_idx = 0 if scope == "axis1" else 1
-        return _slice_ap(wv, dual, grid, axis_idx, p, over_all_shifts)
+        return _slice_ap(wv, dual, grid, axis_idx, p, shift, over_all_shifts)
     if scope != "biparameter":
         raise ValueError(f"unknown scope {scope!r}")
     best = 0.0
@@ -141,9 +141,9 @@ def _lattice(grid: TorusGrid, shift: GridShift | None, over_all_shifts: bool) ->
     return shift if shift is not None else GridShift.zero(grid)
 
 
-def _slice_ap(wv, dual, grid, axis_idx, p, over_all_shifts):
+def _slice_ap(wv, dual, grid, axis_idx, p, shift, over_all_shifts):
     best = 0.0
-    for idx in slice_blocks(grid, axis_idx, _lattice(grid, None, over_all_shifts)):
+    for idx in slice_blocks(grid, axis_idx, _lattice(grid, shift, over_all_shifts)):
         a = wv[idx].mean(axis=axis_idx + 1)
         b = dual[idx].mean(axis=axis_idx + 1)
         best = max(best, float((a * b ** (p - 1.0)).max()))
@@ -163,7 +163,7 @@ def ainfty_characteristic(
     best = 0.0
     if scope in ("axis1", "axis2"):
         axis_idx = 0 if scope == "axis1" else 1
-        for idx in slice_blocks(grid, axis_idx, _lattice(grid, None, over_all_shifts)):
+        for idx in slice_blocks(grid, axis_idx, _lattice(grid, shift, over_all_shifts)):
             a = wv[idx].mean(axis=axis_idx + 1)
             l = logw[idx].mean(axis=axis_idx + 1)
             best = max(best, float((a * np.exp(-l)).max()))
@@ -259,7 +259,7 @@ def bmo_norm(
     om = shift if shift is not None else GridShift.zero(grid)
     if kind in ("axis1", "axis2"):
         axis_idx = 0 if kind == "axis1" else 1
-        return _slice_bmo(b, axis_idx, over_all_shifts)
+        return _slice_bmo(b, axis_idx, om, over_all_shifts)
     if kind == "little":
         best = 0.0
         for idx in rect_blocks(grid, _lattice(grid, om, over_all_shifts)):
@@ -282,10 +282,11 @@ def bmo_norm(
     raise ValueError(f"unknown bmo kind {kind!r}")
 
 
-def _slice_bmo(b: DiscreteFunction, axis_idx: int, over_all_shifts: bool) -> float:
+def _slice_bmo(b: DiscreteFunction, axis_idx: int, shift: GridShift,
+               over_all_shifts: bool) -> float:
     best = 0.0
     ax = axis_idx + 1
-    for idx in slice_blocks(b.grid, axis_idx, _lattice(b.grid, None, over_all_shifts)):
+    for idx in slice_blocks(b.grid, axis_idx, _lattice(b.grid, shift, over_all_shifts)):
         blk = b.values[idx]
         osc = np.abs(blk - blk.mean(axis=ax, keepdims=True)).mean(axis=ax)
         best = max(best, float(osc.max()))

@@ -108,7 +108,8 @@ def test_criterion_7_commutator_complexity_growth():
 def test_criterion_8_median_lower_bound():
     t0 = time.time()
     rep = lower_bound_suite(CONFIG)
-    ok = _verdict(8, "median lower bound", rep, f", {time.time()-t0:.0f}s")
+    elapsed = time.time() - t0
+    ok = _verdict(8, "median lower bound", rep, f", {elapsed:.0f}s")
     chains = [r for r in rep.rows if r.experiment == "median-chain"]
     symbols = {r.cell.split("_")[0] for r in chains}
     assert len(symbols) == 5
@@ -116,6 +117,7 @@ def test_criterion_8_median_lower_bound():
     bands = [r for r in rep.rows if r.experiment == "gamma-band-drift"]
     assert bands
     assert ok
+    assert elapsed < 30.0
 
 
 def test_criterion_9_mixed_norm_consistency():

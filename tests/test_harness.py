@@ -139,10 +139,11 @@ def test_cli_suite_empty_and_plotdata(tmp_path):
 
 @pytest.mark.parametrize("config, flags", [
     (json.dumps({"exponents": [[1.0, 2.0]]}), ()),
+    (json.dumps({"exponents": [[2.0]]}), ()),
     ("not json {", ()),
     (None, ("--seed", "-1")),
     (None, ("--grid-level", "1")),
-], ids=["bad-exponents", "not-json", "negative-seed", "one-level"])
+], ids=["bad-exponents", "short-pair", "not-json", "negative-seed", "one-level"])
 def test_cli_config_error_exit_code(tmp_path, config, flags):
     argv = list(flags)
     if config is not None:
@@ -166,6 +167,14 @@ def test_cli_decompose_runs(tmp_path):
     man = json.loads((tmp_path / "decomposition.json").read_text())
     assert man["residual"] <= 1e-10
     assert (tmp_path / "fullpara_AA.json").exists()
+
+
+def test_cli_decompose_sign_kernel(tmp_path):
+    # the CLI offers every kernel the riesz components; sign takes none of them
+    out = _run_cli("--grid-level", "2", "--out", str(tmp_path), "decompose", "--kernel", "sign")
+    assert out.returncode == 0, out.stderr
+    man = json.loads((tmp_path / "decomposition.json").read_text())
+    assert man["residual"] <= 1e-10
 
 
 def test_identity_suite_deterministic_across_processes(tmp_path):

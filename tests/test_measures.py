@@ -267,12 +267,13 @@ def test_product_search_empty_family():
 GRID2 = TorusGrid.make(2)
 
 
-def _slice_sup_over_shifts(values, axis_idx, stat):
+def _slice_sup_over_shifts(values, axis_idx, stat, grid=GRID2, shifts=None):
     """Brute-force sup of a slice statistic over the cubes of every shift of
-    one factor; blocks are passed with the cube's cells along axis 0."""
-    axis = GRID2.axes[axis_idx]
+    one factor (or of the given shifts); blocks are passed with the cube's
+    cells along axis 0."""
+    axis = grid.axes[axis_idx]
     best = 0.0
-    for s in enumerate_axis_shifts(axis):
+    for s in enumerate_axis_shifts(axis) if shifts is None else shifts:
         for level in range(axis.levels + 1):
             for cube in axis_cubes(axis, level, s):
                 cells = cube.cells()
@@ -312,6 +313,26 @@ def test_bmo_over_all_shifts_oracle():
     assert _close(bmo_norm(b, "little", over_all_shifts=True), bi)
     ref = _slice_sup_over_shifts((b.values,), 0, lambda blk: np.abs(blk - blk.mean(axis=0)).mean(axis=0))
     assert _close(bmo_norm(b, "axis1", over_all_shifts=True), ref)
+
+
+def test_slice_scopes_honour_shift():
+    om = sample_shift(GRID, np.random.default_rng(2))
+    assert om.shift1.bits != AxisShift.zero(GRID.axes[0]).bits
+    assert om.shift2.bits != AxisShift.zero(GRID.axes[1]).bits
+    w = Weight(DiscreteFunction(GRID, np.exp(rand_f(34).values)))
+    b = rand_f(35)
+    p = 3.0
+    for axis_idx, scope in enumerate(("axis1", "axis2")):
+        def ref(values, stat):
+            return _slice_sup_over_shifts(values, axis_idx, stat, GRID, [om[axis_idx]])
+
+        want = ref((w.values, w.dual(p).values),
+                   lambda a, d: a.mean(axis=0) * d.mean(axis=0) ** (p - 1.0))
+        assert _close(ap_characteristic(w, p, scope, shift=om), want)
+        want = ref((w.values, np.log(w.values)), lambda a, l: a.mean(axis=0) * np.exp(-l.mean(axis=0)))
+        assert _close(ainfty_characteristic(w, scope, shift=om), want)
+        want = ref((b.values,), lambda blk: np.abs(blk - blk.mean(axis=0)).mean(axis=0))
+        assert _close(bmo_norm(b, scope, shift=om), want)
 
 
 # -- maximal functions --------------------------------------------------------------
