@@ -144,7 +144,8 @@ def find_nondegenerate_partner(kernel: BilinearKernel, rect: DyadicRectangle,
     return dict(found)
 
 
-# kernel points per batched evaluation of a candidate pool
+# kernel points per batched evaluation of a candidate pool; batching keeps
+# the temporaries of a large pool (all candidates at a coarse scale) small
 _POOL_POINTS = 1 << 16
 
 
