@@ -59,7 +59,9 @@ def cmd_decompose(args) -> int:
             tensor = KernelTensor.load(fp)
     else:
         try:
-            spec = get_kernel(args.kernel, i=args.component_i, j=args.component_j)
+            # the component options belong to the riesz kernel only
+            opts = {"i": args.component_i, "j": args.component_j} if args.kernel == "riesz" else {}
+            spec = get_kernel(args.kernel, **opts)
         except KeyError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -8,7 +8,6 @@ Riesz-type kernels, a sign kernel, and user tensors.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,15 +34,9 @@ def register_kernel(name: str, factory: Callable) -> None:
 
 
 def get_kernel(name: str, **kwargs):
-    """Build a registered kernel.  Only the keyword arguments its factory
-    accepts are passed, so a caller may offer every kernel's options."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown kernel {name!r}; registered: {sorted(_REGISTRY)}")
-    factory = _REGISTRY[name]
-    params = inspect.signature(factory).parameters
-    if not any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
-        kwargs = {k: v for k, v in kwargs.items() if k in params}
-    return factory(**kwargs)
+    return _REGISTRY[name](**kwargs)
 
 
 def torus_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,16 +51,12 @@ class KernelSpec:
 
     evaluate takes per-axis centre arrays (x1, x2, y1, y2, z1, z2) already
     broadcast to a common shape and returns kernel values; alpha is the
-    declared smoothness exponent used by coefficient-decay reports.  A
-    tensorised kernel also declares `factors`, one elementwise
-    (x, y, z) -> value function per axis whose product is `evaluate`, so
-    evaluators may tabulate each factor on its own axis.
+    declared smoothness exponent used by coefficient-decay reports.
     """
 
     name: str
     evaluate: Callable[..., np.ndarray]
     alpha: float = 1.0
-    factors: tuple[Callable[..., np.ndarray], Callable[..., np.ndarray]] | None = None
 
     def __call__(self, x1, x2, y1, y2, z1, z2):
         return self.evaluate(x1, x2, y1, y2, z1, z2)
@@ -99,7 +88,7 @@ def tensor_riesz(i: int = 1, j: int = 1, alpha: float = 1.0) -> KernelSpec:
     def ev(x1, x2, y1, y2, z1, z2):
         return k1(x1, y1, z1) * k2(x2, y2, z2)
 
-    return KernelSpec(f"riesz_{i}{j}", ev, alpha, factors=(k1, k2))
+    return KernelSpec(f"riesz_{i}{j}", ev, alpha)
 
 
 def sign_kernel(scale: float = 1.0) -> KernelSpec:
@@ -109,10 +98,7 @@ def sign_kernel(scale: float = 1.0) -> KernelSpec:
         shape = np.broadcast(x1, x2, y1, y2, z1, z2).shape
         return np.full(shape, scale)
 
-    def constant(value):
-        return lambda x, y, z: np.full(np.broadcast(x, y, z).shape, value)
-
-    return KernelSpec("sign", ev, 1.0, factors=(constant(scale), constant(1)))
+    return KernelSpec("sign", ev, 1.0)
 
 
 register_kernel("riesz", lambda i=1, j=1, alpha=1.0: tensor_riesz(i, j, alpha))

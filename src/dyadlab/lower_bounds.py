@@ -32,20 +32,11 @@ __all__ = [
 ]
 
 
-# A factor table holds n^3 values for the n cells of its axis; past this n
-# (a 16 MB table) the factor is evaluated at the cell centres on each call.
-_TABLE_MAX_CELLS = 128
-
-
 class BilinearKernel:
     """Kernel evaluator on cell triples with declared regularity and
     non-degeneracy metadata; evaluations are vectorised over index arrays.
-
-    A spec that declares per-axis `factors` is tabulated once per axis, on
-    the n_i^3 cell-centre triples of that axis, and evaluated as the product
-    of two table gathers; the tables come from the same elementwise factor
-    functions, so they equal direct evaluation exactly.  Partners found by
-    `find_nondegenerate_partner` are memoised on the instance."""
+    Partners found by `find_nondegenerate_partner` are memoised on the
+    instance."""
 
     def __init__(self, grid: TorusGrid, spec: KernelSpec, c_nd: float = 1.0):
         self.grid = grid
@@ -53,32 +44,17 @@ class BilinearKernel:
         self.c_nd = c_nd
         self._c1, self._c2 = cell_centers(grid)
         self.n2 = grid.shape[1]
-        self._tables = None
-        if spec.factors is not None:
-            self._tables = tuple(_factor_table(f, c)
-                                 for f, c in zip(spec.factors, (self._c1, self._c2)))
         self._partners: dict = {}
 
     def _coords(self, flat: np.ndarray):
         return self._c1[np.asarray(flat) // self.n2], self._c2[np.asarray(flat) % self.n2]
 
-    def _factor(self, axis: int, i, j, k) -> np.ndarray:
-        table = self._tables[axis]
-        if table is not None:
-            return table[i, j, k]
-        c = (self._c1, self._c2)[axis]
-        return self.spec.factors[axis](c[i], c[j], c[k])
-
     def eval_cells(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Kernel values at flat cell triples; x, y, z broadcast together."""
-        if self._tables is None:
-            x, y, z = np.broadcast_arrays(x, y, z)
-            x1, x2 = self._coords(x)
-            y1, y2 = self._coords(y)
-            z1, z2 = self._coords(z)
-            return self.spec(x1, x2, y1, y2, z1, z2)
-        (x1, x2), (y1, y2), (z1, z2) = (np.divmod(np.asarray(v), self.n2) for v in (x, y, z))
-        return self._factor(0, x1, y1, z1) * self._factor(1, x2, y2, z2)
+        x1, x2 = self._coords(x)
+        y1, y2 = self._coords(y)
+        z1, z2 = self._coords(z)
+        return self.spec(x1, x2, y1, y2, z1, z2)
 
     def size_bound_ratio(self, samples: int = 512, seed: int = 0) -> float:
         """Largest |K| times the size envelope over random off-diagonal triples."""
@@ -95,18 +71,6 @@ class BilinearKernel:
         vals = np.abs(self.spec(x1, x2, y1, y2, z1, z2))
         mask = (d1 > 0) & (d2 > 0)
         return float((vals[mask] * d1[mask] ** 2 * d2[mask] ** 2).max()) if mask.any() else 0.0
-
-
-def _factor_table(factor, centres: np.ndarray) -> np.ndarray | None:
-    """factor(c[i], c[j], c[k]) for every cell triple of one axis, read-only;
-    None when the axis has too many cells to tabulate."""
-    n = len(centres)
-    if n > _TABLE_MAX_CELLS:
-        return None
-    table = np.ascontiguousarray(np.broadcast_to(factor(*np.ix_(centres, centres, centres)),
-                                                 (n, n, n)))
-    table.setflags(write=False)
-    return table
 
 
 def _base_rectangles(grid: TorusGrid, max_cells: int | None = None):

@@ -170,7 +170,7 @@ def test_cli_decompose_runs(tmp_path):
 
 
 def test_cli_decompose_sign_kernel(tmp_path):
-    # the CLI offers every kernel the riesz components; sign takes none of them
+    # the component options are riesz's; the sign kernel is built without them
     out = _run_cli("--grid-level", "2", "--out", str(tmp_path), "decompose", "--kernel", "sign")
     assert out.returncode == 0, out.stderr
     man = json.loads((tmp_path / "decomposition.json").read_text())

@@ -63,6 +63,9 @@ def test_kernel_registry():
     assert get_kernel("sign").name == "sign"
     with pytest.raises(KeyError):
         get_kernel("nope")
+    for name, opts in (("riesz", {"alpah": 2.0}), ("sign", {"i": 1})):
+        with pytest.raises(TypeError):  # an option the kernel does not take
+            get_kernel(name, **opts)
 
 
 def test_size_bound_sampled():
@@ -86,21 +89,6 @@ def _direct(kernel, x, y, z):
     n2 = kernel.grid.shape[1]
     x, y, z = np.broadcast_arrays(x, y, z)
     return kernel.spec(c1[x // n2], c2[x % n2], c1[y // n2], c2[y % n2], c1[z // n2], c2[z % n2])
-
-
-@pytest.mark.parametrize("grid", [GRID, TorusGrid.make(4, (2, 1))], ids=["L3", "L4-dims21"])
-def test_eval_cells_equals_spec(grid):
-    # level 4 with a 2-d first factor has 256 cells on that axis, too many
-    # to tabulate, so there the first factor is evaluated directly
-    rng = np.random.default_rng(0)
-    C = grid.shape[0] * grid.shape[1]
-    x, y, z = (rng.integers(0, C, 4096) for _ in range(3))
-    specs = [tensor_riesz(i, j) for i in (1, 2) for j in (1, 2)] + [sign_kernel(1.5)]
-    for spec in specs:
-        K = BilinearKernel(grid, spec)
-        assert np.array_equal(K.eval_cells(x, y, z), _direct(K, x, y, z)), spec.name
-        assert np.array_equal(K.eval_cells(x[:, None], y[None, :64], z[None, :64]),
-                              _direct(K, x[:, None], y[None, :64], z[None, :64])), spec.name
 
 
 def _partner_scan(kernel, rect, C0, stride):
