@@ -23,22 +23,23 @@ from .harness import (
     run_suite,
 )
 from .kernels import get_kernel
-from .representation import KernelTensor, decompose
+from .representation import KernelFormatError, KernelTensor, decompose
 
 
-def _base_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {"seed": args.seed, "level": args.grid_level, "samples": args.samples,
-                 "out_dir": args.out, "fmt": args.format}
-    # rebuilding runs the config validation on the overridden fields too
-    return ExperimentConfig(**(vars(cfg) | {k: v for k, v in overrides.items() if v is not None}))
+def _base_config(args, suite: str | None = None) -> ExperimentConfig:
+    overrides = {"suite": suite, "seed": args.seed, "level": args.grid_level,
+                 "samples": args.samples, "out_dir": args.out, "fmt": args.format}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    # one construction, so the config validation sees the overridden fields
+    if args.config:
+        return ExperimentConfig.from_file(args.config, **overrides)
+    return ExperimentConfig(**overrides)
 
 
 def _run_named(args, suites: list[str]) -> int:
-    cfg = _base_config(args)
     ok = True
     for name in suites:
-        cfg.suite = name
+        cfg = _base_config(args, name)
         report = run_suite(cfg)
         path = report.write(cfg.out_dir, cfg.fmt)
         n_fail = sum(not r.passed for r in report.rows)
@@ -181,6 +182,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except KernelFormatError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -27,6 +27,8 @@ from .core import (
     GridShift,
     TorusGrid,
     all_rectangles,
+    block_index,
+    cell_tables,
     haar_coefficients,
     sample_shift,
     truncated_projection,
@@ -75,6 +77,11 @@ class ConfigError(ValueError):
     pass
 
 
+# the suites that run on factors of any dimension; the others use the model
+# operators or the partner search, which are built on 1-d factors
+_ANY_DIMS_SUITES = ("empty", "duality")
+
+
 @dataclass
 class ExperimentConfig:
     suite: str = "identity"
@@ -107,16 +114,29 @@ class ExperimentConfig:
             raise ConfigError("need at least two levels")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if (not isinstance(self.dims, (list, tuple)) or len(self.dims) != 2
+                or not all(isinstance(d, int) and d >= 1 for d in self.dims)):
+            raise ConfigError(f"dims must be two positive integers, got {self.dims!r}")
+        self._check_dims()
+
+    def _check_dims(self) -> None:
+        """Factors of dimension >= 2 only for the suites that support them."""
+        if tuple(self.dims) != (1, 1) and self.suite not in _ANY_DIMS_SUITES:
+            raise ConfigError(f"dims {list(self.dims)}: only the {' and '.join(_ANY_DIMS_SUITES)} "
+                              f"suites run on factors of dimension >= 2 (suite {self.suite!r})")
 
     @staticmethod
-    def from_file(path: str) -> "ExperimentConfig":
+    def from_file(path: str, **overrides) -> "ExperimentConfig":
+        """The config in a JSON file, with `overrides` replacing its fields."""
         with open(path) as fp:
             try:
                 raw = json.load(fp)
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise ConfigError(f"{path} is not a JSON config: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path} does not hold a JSON object")
         try:
-            return ExperimentConfig(**raw)
+            return ExperimentConfig(**(raw | overrides))
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -517,6 +537,16 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
     return rep
 
 
+def _rect_densities(F: np.ndarray, om: GridShift) -> np.ndarray:
+    """Mean of the mask F over every rectangle of the lattice, in
+    all_rectangles order (cube 1 outer, both over levels then positions)."""
+    t2s = cell_tables(om.shift2.axis, om.shift2)
+    return np.concatenate([
+        np.concatenate([F[block_index(t1, t2)].mean(axis=(2, 3)) for t2 in t2s], axis=1).ravel()
+        for t1 in cell_tables(om.shift1.axis, om.shift1)
+    ])
+
+
 def duality_suite(config: ExperimentConfig, instances: int = 1000) -> Report:
     """Coefficient duality bound over a seeded family with the density
     precondition; one frozen constant."""
@@ -524,7 +554,8 @@ def duality_suite(config: ExperimentConfig, instances: int = 1000) -> Report:
     goldens = load_goldens()
     rep = Report("duality", config.seed)
     rng = _rng(config.seed, "duality")
-    rects = list(all_rectangles(grid, GridShift.zero(grid)))
+    zero = GridShift.zero(grid)
+    rects = list(all_rectangles(grid, zero))
     worst = 0.0
     for s in range(instances):
         F = np.ones(grid.shape, dtype=bool)
@@ -533,7 +564,7 @@ def duality_suite(config: ExperimentConfig, instances: int = 1000) -> Report:
         elif s % 3 == 2:
             F[:, int(rng.integers(0, grid.shape[1]))] = False
         om = sample_shift(grid, rng)
-        pool = [r for r in rects if F[r.index()].mean() >= 0.99]
+        pool = [r for r, d in zip(rects, _rect_densities(F, zero)) if d >= 0.99]
         k = min(10, len(pool))
         sel = [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
         a = {r: float(rng.standard_normal()) for r in sel}
@@ -714,6 +745,7 @@ SUITES = {
 def run_suite(config: ExperimentConfig) -> Report:
     if config.suite not in SUITES:
         raise ConfigError(f"unknown suite {config.suite!r}; have {sorted(SUITES)}")
+    config._check_dims()  # the suite may have been set after construction
     return SUITES[config.suite](config)
 
 

@@ -91,8 +91,9 @@ def find_nondegenerate_partner(kernel: BilinearKernel, rect: DyadicRectangle,
     Candidate starts walk the torus with the given per-axis stride (default
     one cell); the candidates are ordered by the kernel at their centre,
     strongest first, and the best of the first eight, or of all when none of
-    those is single-signed, wins.  Raises when the torus has no room for the
-    separation.
+    those is single-signed, wins.  Raises ValueError when the torus has no
+    room for the separation, and NotImplementedError on a factor of
+    dimension >= 2.
 
     Partners depend on neither the symbol nor the exponents, so they are
     memoised on the kernel by (rect, C0, stride), a missing partner too.
@@ -116,6 +117,9 @@ _POOL_POINTS = 1 << 16
 def _search_partner(kernel: BilinearKernel, rect: DyadicRectangle, C0: float,
                     stride: tuple[int, int]) -> dict | None:
     c1, c2 = rect.cube1, rect.cube2
+    if c1.axis.dim != 1 or c2.axis.dim != 1:
+        # candidates are runs of cells along one coordinate
+        raise NotImplementedError("the partner search runs on 1-d factors")
     n1s, n2s = c1.axis.n_side, c2.axis.n_side
     w1, w2 = c1.width_cells, c2.width_cells
     need1 = int(math.ceil(C0 * w1))

@@ -21,7 +21,6 @@ from .core import (
     cell_tables,
     enumerate_shifts,
     martingale_block,
-    martingale_difference,
     rect_blocks,
     sample_shift,
     slice_blocks,
@@ -447,13 +446,17 @@ def square_function(
 
 
 def _axis_groups(f: DiscreteFunction, axis_idx: int, shift: AxisShift):
-    """Orthogonal one-variable decomposition with the coarsest scale carrying
-    difference plus average (so the pieces sum back to f exactly)."""
-    grid = f.grid
-    yield axis_project(f, 1, axis_idx, shift)  # top cube: Delta + E
-    for level in range(1, grid.axes[axis_idx].levels):
-        for cube in axis_cubes(grid.axes[axis_idx], level, shift):
-            yield martingale_difference(f, cube, axis_idx)
+    """Orthogonal one-variable decomposition, one piece per level, with the
+    coarsest scale carrying difference plus average (so the pieces sum back
+    to f exactly)."""
+    coarse = axis_project(f, 1, axis_idx, shift)
+    yield coarse  # top cube: Delta + E
+    # the differences of one level have disjoint cube supports, so one
+    # E_{l+1} f - E_l f carries the squares of all of them
+    for level in range(2, f.grid.axes[axis_idx].levels + 1):
+        fine = axis_project(f, level, axis_idx, shift)
+        yield fine - coarse
+        coarse = fine
 
 
 def _sf_rect(f: DiscreteFunction, om: GridShift) -> DiscreteFunction:

@@ -17,8 +17,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,6 +82,7 @@ class AxisOps:
         n = axis.n_side
         self.canc_offset = np.cumsum([0] + [1 << l for l in range(L)])
         self.cube_offset = np.cumsum([0] + [1 << l for l in range(L + 1)])
+        self.offsets = np.array([shift.offset_cells(l)[0] for l in range(L + 1)])
         haar_rows = []
         self.canc_cubes: list[DyadicCube] = []
         for level in range(L):
@@ -111,24 +112,23 @@ class AxisOps:
     def cube_index(self, level: int, pos: int) -> int:
         return int(self.cube_offset[level]) + pos
 
-    def descendant_positions(self, level: int, pos: int, depth: int) -> np.ndarray:
-        """Positions of the depth-`depth` descendants, in spatial order."""
-        if depth == 0:
-            return np.array([pos])
-        cube = DyadicCube(self.axis, level, (pos,), self.shift)
-        w_child = 1 << (self.axis.levels - level - depth)
-        start = cube.start_cells()[0]
-        off = self.shift.offset_cells(level + depth)[0]
-        q0 = ((start - off) % self.axis.n_side) // w_child
-        return (q0 + np.arange(1 << depth)) % (1 << (level + depth))
+    def descendant_positions(self, level, pos, depth: int) -> np.ndarray:
+        """Positions of the depth-`depth` descendants, in spatial order; with
+        arrays of levels and positions, one row per cube."""
+        level, pos = np.asarray(level), np.asarray(pos)
+        L, n = self.axis.levels, self.axis.n_side
+        start = (pos << (L - level)) + self.offsets[level]
+        q0 = ((start - self.offsets[level + depth]) % n) >> (L - level - depth)
+        return (q0[..., None] + np.arange(1 << depth)) % (1 << (level + depth))[..., None]
+
+    def descendant_rows(self, kind: str, level, pos, depth: int) -> np.ndarray:
+        """Rows of `kind` ('haar' or 'unit') holding the depth-`depth`
+        descendants of each cube, in spatial order (one row per cube)."""
+        first = (self.canc_offset if kind == "haar" else self.cube_offset)[np.asarray(level) + depth]
+        return first[..., None] + self.descendant_positions(level, pos, depth)
 
     def rows(self, kind: str) -> np.ndarray:
         return {"haar": self.haar, "unit": self.unit, "avg": self.avg}[kind]
-
-    def pair(self, values: np.ndarray, kind: str, side: int) -> np.ndarray:
-        """Pair a grid value table against every row on one side."""
-        mat = self.rows(kind) * self.axis.cell_volume
-        return mat @ values if side == 0 else values @ mat.T
 
 
 @lru_cache(maxsize=256)
@@ -148,6 +148,22 @@ def axis_profile_bmo(vec: np.ndarray, axis: Axis, over_all_shifts: bool = True) 
     return best
 
 
+class _Plan(NamedTuple):
+    """Gather plan of a shift or partial paraproduct: the coefficients
+    stacked along a leading key axis, and per slot the row indices of every
+    key into that slot's AxisOps rows (one array per factor with a shift
+    structure)."""
+
+    coeffs: np.ndarray
+    rows: tuple[tuple[np.ndarray, ...], ...]
+
+    @classmethod
+    def frozen(cls, coeffs: np.ndarray, rows: tuple) -> "_Plan":
+        for a in (coeffs, *itertools.chain.from_iterable(rows)):
+            a.setflags(write=False)
+        return cls(coeffs, rows)
+
+
 # ---------------------------------------------------------------------------
 # bilinear bi-parameter shifts
 # ---------------------------------------------------------------------------
@@ -159,6 +175,8 @@ class ShiftOperator:
 
     coeffs maps ((K_level, K_pos), (V_level, V_pos)) to a dense block of
     shape (2^k1, 2^k2, 2^k3, 2^v1, 2^v2, 2^v3) indexed by descendant order.
+    The first evaluation caches a gather plan of the coefficients, so they
+    must not change after it.
     """
 
     grid: TorusGrid
@@ -202,79 +220,72 @@ class ShiftOperator:
     def _slot_kind(self, slot: int, axis: int) -> str:
         return "unit" if self.pattern[axis] == slot else "haar"
 
-    def _slot_table(self, f: DiscreteFunction, slot: int) -> np.ndarray:
+    def _slot_rows(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
         o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
         o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
-        m1 = o1.rows(self._slot_kind(slot, 0)) * o1.axis.cell_volume
-        m2 = o2.rows(self._slot_kind(slot, 1)) * o2.axis.cell_volume
-        return m1 @ f.values @ m2.T
+        return o1.rows(self._slot_kind(slot, 0)), o2.rows(self._slot_kind(slot, 1))
 
-    def _gather(self, ops: AxisOps, level: int, pos: int, depth: int, kind: str) -> np.ndarray:
-        qs = ops.descendant_positions(level, pos, depth)
-        if kind == "haar":
-            return np.array([ops.canc_index(level + depth, int(q)) for q in qs])
-        return np.array([ops.cube_index(level + depth, int(q)) for q in qs])
-
-    def _slot_block(self, table: np.ndarray, slot: int, kk, vv) -> np.ndarray:
+    @cached_property
+    def _plan(self) -> _Plan:
+        """Built on the first evaluation; the coefficients are fixed from
+        then on.  rows[s] holds each key's (2^k, 2^v) slot-s row indices."""
         o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
         o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
-        i1 = self._gather(o1, kk[0], kk[1], self.k[slot - 1], self._slot_kind(slot, 0))
-        i2 = self._gather(o2, vv[0], vv[1], self.v[slot - 1], self._slot_kind(slot, 1))
-        return table[np.ix_(i1, i2)]
+        shape = tuple(1 << d for d in self.k) + tuple(1 << d for d in self.v)
+        blocks = np.array(list(self.coeffs.values())).reshape((len(self.coeffs),) + shape)
+        # K level, K position, V level, V position of every key
+        keys = np.array(list(self.coeffs), dtype=int).reshape(-1, 4).T
+        rows = tuple(
+            (o1.descendant_rows(self._slot_kind(s, 0), keys[0], keys[1], self.k[s - 1]),
+             o2.descendant_rows(self._slot_kind(s, 1), keys[2], keys[3], self.v[s - 1]))
+            for s in (1, 2, 3)
+        )
+        return _Plan.frozen(blocks, rows)
+
+    def _slot_blocks(self, fs) -> list[np.ndarray]:
+        """Per input slot, the (keys, 2^k, 2^v) pairings of f with the rows
+        of every key: one table per slot, one gather."""
+        vol1, vol2 = (ax.cell_volume for ax in self.grid.axes)
+        out = []
+        for s, f in enumerate(fs):
+            r1, r2 = self._slot_rows(s + 1)
+            i1, i2 = self._plan.rows[s]
+            table = (r1 * vol1) @ f.values @ (r2 * vol2).T
+            out.append(table[i1[:, :, None], i2[:, None, :]])
+        return out
 
     def form(self, f1: DiscreteFunction, f2: DiscreteFunction, f3: DiscreteFunction) -> float:
-        tables = [self._slot_table(f, s + 1) for s, f in enumerate((f1, f2, f3))]
-        total = 0.0
-        for (kk, vv), block in self.coeffs.items():
-            us = [self._slot_block(tables[s], s + 1, kk, vv) for s in range(3)]
-            total += float(np.einsum("abcdef,ad,be,cf->", block, *us))
-        return total
+        return float(np.einsum("nabcdef,nad,nbe,ncf->", self._plan.coeffs,
+                               *self._slot_blocks((f1, f2, f3))))
 
     def absolute_form(self, f1, f2, f3) -> float:
-        tables = [self._slot_table(f, s + 1) for s, f in enumerate((f1, f2, f3))]
-        total = 0.0
-        for (kk, vv), block in self.coeffs.items():
-            us = [np.abs(self._slot_block(tables[s], s + 1, kk, vv)) for s in range(3)]
-            total += float(np.einsum("abcdef,ad,be,cf->", np.abs(block), *us))
-        return total
+        us = [np.abs(u) for u in self._slot_blocks((f1, f2, f3))]
+        return float(np.einsum("nabcdef,nad,nbe,ncf->", np.abs(self._plan.coeffs), *us))
 
     def apply(self, f1: DiscreteFunction, f2: DiscreteFunction) -> DiscreteFunction:
-        o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
-        o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
-        tables = [self._slot_table(f, s + 1) for s, f in enumerate((f1, f2))]
-        out = np.zeros(self.grid.shape)
-        r1 = o1.rows(self._slot_kind(3, 0))
-        r2 = o2.rows(self._slot_kind(3, 1))
-        for (kk, vv), block in self.coeffs.items():
-            u1 = self._slot_block(tables[0], 1, kk, vv)
-            u2 = self._slot_block(tables[1], 2, kk, vv)
-            w3 = np.einsum("abcdef,ad,be->cf", block, u1, u2)
-            i1 = self._gather(o1, kk[0], kk[1], self.k[2], self._slot_kind(3, 0))
-            i2 = self._gather(o2, vv[0], vv[1], self.v[2], self._slot_kind(3, 1))
-            out += r1[i1].T @ w3 @ r2[i2]
-        return DiscreteFunction(self.grid, out)
+        u1, u2 = self._slot_blocks((f1, f2))
+        w3 = np.einsum("nabcdef,nad,nbe->ncf", self._plan.coeffs, u1, u2)
+        r1, r2 = self._slot_rows(3)
+        i1, i2 = self._plan.rows[2]
+        table = np.zeros((len(r1), len(r2)), dtype=w3.dtype)
+        np.add.at(table, (i1[:, :, None], i2[:, None, :]), w3)
+        return DiscreteFunction(self.grid, r1.T @ table @ r2)
 
     def kernel_density(self) -> np.ndarray:
         """Order-3 kernel K[x, y, z] over flattened product cells realising
         the trilinear form as an exact integral."""
-        o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
-        o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
+        blocks, rows = self._plan
+        (a1, a2), (b1, b2), (c1, c2) = (
+            tuple(r[i] for r, i in zip(self._slot_rows(s + 1), rows[s])) for s in range(3)
+        )
         n1, n2 = self.grid.shape
-        dens = np.zeros((n1, n2, n1, n2, n1, n2))
-        for (kk, vv), block in self.coeffs.items():
-            rows = []
-            for slot in (1, 2, 3):
-                i1 = self._gather(o1, kk[0], kk[1], self.k[slot - 1], self._slot_kind(slot, 0))
-                i2 = self._gather(o2, vv[0], vv[1], self.v[slot - 1], self._slot_kind(slot, 1))
-                rows.append((o1.rows(self._slot_kind(slot, 0))[i1],
-                             o2.rows(self._slot_kind(slot, 1))[i2]))
-            dens += np.einsum(
-                "abcdef,cX,fP,aY,dQ,bZ,eR->XPYQZR",
-                block, rows[2][0], rows[2][1], rows[0][0], rows[0][1], rows[1][0], rows[1][1],
-                optimize=True,
-            )
+        N, K = len(blocks), a1.shape[1] * b1.shape[1] * c1.shape[1]
+        # per key, the slot rows of each axis as one (slot indices, x y z cells) matrix
+        m1 = np.einsum("naY,nbZ,ncX->nabcXYZ", a1, b1, c1).reshape(N * K, n1**3)
+        m2 = np.einsum("ndQ,neR,nfP->ndefPQR", a2, b2, c2).reshape(N, -1, n2**3)
+        dens = m1.T @ (blocks.reshape(N, K, -1) @ m2).reshape(N * K, n2**3)
         C = n1 * n2
-        return dens.reshape(C, C, C)
+        return dens.reshape((n1,) * 3 + (n2,) * 3).transpose(0, 3, 1, 4, 2, 5).reshape(C, C, C)
 
     # -- duals ------------------------------------------------------------------
     def dual(self, swap1: int | None = None, swap2: int | None = None) -> "ShiftOperator":
@@ -408,7 +419,9 @@ class PartialParaproduct:
     symbols maps ((K_level, K_pos), (i1, i2, i3)) to a profile over the
     paraproduct axis cells, where i1..i3 index descendants of K at depths
     k1..k3.  The non-cancellative slot of the shift axis is `h0_slot`; the
-    paraproduct pairs slot `ptype` with the Haar function.
+    paraproduct pairs slot `ptype` with the Haar function.  The first
+    evaluation caches a gather plan of the symbols, so they must not change
+    after it.
     """
 
     grid: TorusGrid
@@ -449,86 +462,67 @@ class PartialParaproduct:
             axis_ops(self.grid.axes[self.para_axis], s[self.para_axis]),
         )
 
-    def _slot_profiles(self, f: DiscreteFunction, slot: int, sops: AxisOps) -> np.ndarray:
-        kind = "unit" if slot == self.h0_slot else "haar"
-        return sops.pair(f.values, kind, self.shift_axis)
+    def _kind(self, slot: int) -> str:
+        return "unit" if slot == self.h0_slot else "haar"
 
-    def _slot_index(self, sops: AxisOps, kk, slot: int) -> Callable[[int], int]:
-        level, pos = kk
-        depth = self.k[slot - 1]
-        qs = sops.descendant_positions(level, pos, depth)
-        if slot == self.h0_slot:
-            return lambda i: sops.cube_index(level + depth, int(qs[i]))
-        return lambda i: sops.canc_index(level + depth, int(qs[i]))
+    def _para_rows(self, slot: int) -> np.ndarray:
+        pops = self._ops()[1]
+        return pops.haar if self.ptype == slot else pops.avg[: len(pops.haar)]
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        """Built on the first evaluation; the symbols are fixed from then on.
+        coeffs holds the Haar coefficients of each key's symbol and rows[s]
+        each key's slot-s row on the shift axis."""
+        sops, pops = self._ops()
+        profs = np.array(list(self.symbols.values())).reshape(len(self.symbols), pops.axis.n_cells)
+        coeffs = profs @ (pops.haar * pops.axis.cell_volume).T
+        # K level, K position, then the descendant index of each slot
+        keys = np.array([kk + idx for kk, idx in self.symbols], dtype=int).reshape(-1, 5).T
+        rows = tuple(
+            (sops.descendant_rows(self._kind(s), keys[0], keys[1], self.k[s - 1])[
+                np.arange(len(self.symbols)), keys[1 + s]],)
+            for s in (1, 2, 3)
+        )
+        return _Plan.frozen(coeffs, rows)
+
+    def _slot_tables(self, fs) -> list[np.ndarray]:
+        """Per input slot, the (keys, paraproduct cubes) pairings of f with
+        every key's shift-axis row and the slot's paraproduct-axis rows."""
+        sops, pops = self._ops()
+        out = []
+        for s, f in enumerate(fs):
+            ms = sops.rows(self._kind(s + 1))[self._plan.rows[s][0]] * sops.axis.cell_volume
+            vals = f.values if self.shift_axis == 0 else f.values.T
+            out.append(ms @ vals @ (self._para_rows(s + 1) * pops.axis.cell_volume).T)
+        return out
 
     def form(self, f1, f2, f3) -> float:
-        sops, pops = self._ops()
-        profs = [self._slot_profiles(f, s + 1, sops) for s, f in enumerate((f1, f2, f3))]
-        total = 0.0
-        for (kk, idx), b in self.symbols.items():
-            g = []
-            for slot in (1, 2, 3):
-                row = self._slot_index(sops, kk, slot)(idx[slot - 1])
-                prof = profs[slot - 1]
-                g.append(prof[row] if self.shift_axis == 0 else prof[:, row])
-            total += one_param_paraproduct_form(b, g[0], g[1], g[2], pops, self.ptype)
-        return total
+        gs = self._slot_tables((f1, f2, f3))
+        return float(np.einsum("nv,nv,nv,nv->", self._plan.coeffs, *gs))
 
     def absolute_form(self, f1, f2, f3) -> float:
-        sops, pops = self._ops()
-        profs = [self._slot_profiles(f, s + 1, sops) for s, f in enumerate((f1, f2, f3))]
-        vol = pops.axis.cell_volume
-        n_canc = pops.haar.shape[0]
-        total = 0.0
-        for (kk, idx), b in self.symbols.items():
-            g = []
-            for slot in (1, 2, 3):
-                row = self._slot_index(sops, kk, slot)(idx[slot - 1])
-                prof = profs[slot - 1]
-                g.append(prof[row] if self.shift_axis == 0 else prof[:, row])
-            bb = np.abs((pops.haar * vol) @ b)
-            xs = [
-                np.abs((pops.haar * vol) @ g[i]) if self.ptype == i + 1
-                else np.abs((pops.avg[:n_canc] * vol) @ g[i])
-                for i in range(3)
-            ]
-            total += float((bb * xs[0] * xs[1] * xs[2]).sum())
-        return total
+        gs = [np.abs(g) for g in self._slot_tables((f1, f2, f3))]
+        return float(np.einsum("nv,nv,nv,nv->", np.abs(self._plan.coeffs), *gs))
 
     def apply(self, f1, f2) -> DiscreteFunction:
-        sops, pops = self._ops()
-        profs = [self._slot_profiles(f, s + 1, sops) for s, f in enumerate((f1, f2))]
-        out = np.zeros(self.grid.shape)
-        kind3 = "unit" if self.h0_slot == 3 else "haar"
-        rows3 = sops.rows(kind3)
-        for (kk, idx), b in self.symbols.items():
-            g = []
-            for slot in (1, 2):
-                row = self._slot_index(sops, kk, slot)(idx[slot - 1])
-                prof = profs[slot - 1]
-                g.append(prof[row] if self.shift_axis == 0 else prof[:, row])
-            pvec = one_param_paraproduct(b, g[0], g[1], pops, self.ptype)
-            svec = rows3[self._slot_index(sops, kk, 3)(idx[2])]
-            block = np.outer(svec, pvec) if self.shift_axis == 0 else np.outer(pvec, svec)
-            out += block
-        return DiscreteFunction(self.grid, out)
+        g1, g2 = self._slot_tables((f1, f2))
+        rows3 = self._ops()[0].rows(self._kind(3))
+        table = np.zeros((len(rows3), g1.shape[1]), dtype=g1.dtype)
+        np.add.at(table, self._plan.rows[2][0], self._plan.coeffs * g1 * g2)
+        out = rows3.T @ table @ self._para_rows(3)
+        return DiscreteFunction(self.grid, out if self.shift_axis == 0 else out.T)
 
     def kernel_density(self) -> np.ndarray:
         sops, pops = self._ops()
-        na = sops.axis.n_cells
-        nb = pops.axis.n_cells
-        vol = pops.axis.cell_volume
-        n_canc = pops.haar.shape[0]
-        dens = np.zeros((na, nb, na, nb, na, nb))
-        kinds = ["unit" if s == self.h0_slot else "haar" for s in (1, 2, 3)]
-        for (kk, idx), b in self.symbols.items():
-            svecs = [sops.rows(kinds[s - 1])[self._slot_index(sops, kk, s)(idx[s - 1])]
-                     for s in (1, 2, 3)]
-            bb = (pops.haar * vol) @ b
-            prows = [pops.haar if self.ptype == s else pops.avg[:n_canc] for s in (1, 2, 3)]
-            # paraproduct-axis density: sum over outer cubes of the three rows
-            pdens = np.einsum("v,vP,vQ,vR->PQR", bb, prows[2], prows[0], prows[1])
-            dens += np.einsum("X,Y,Z,PQR->XPYQZR", svecs[2], svecs[0], svecs[1], pdens)
+        coeffs, rows = self._plan
+        na, nb = sops.axis.n_cells, pops.axis.n_cells
+        s1, s2, s3 = (sops.rows(self._kind(s + 1))[rows[s][0]] for s in range(3))
+        p1, p2, p3 = (self._para_rows(s) for s in (1, 2, 3))
+        # shift-axis density per paraproduct cube, then the sum over those cubes
+        sdens = np.einsum("nv,nX,nY,nZ->vXYZ", coeffs, s3, s1, s2).reshape(len(p1), -1)
+        pdens = np.einsum("vP,vQ,vR->vPQR", p3, p1, p2).reshape(len(p1), -1)
+        dens = (sdens.T @ pdens).reshape((na,) * 3 + (nb,) * 3).transpose(0, 3, 1, 4, 2, 5)
         if self.shift_axis == 1:
             dens = dens.transpose(1, 0, 3, 2, 5, 4)
         C = self.grid.shape[0] * self.grid.shape[1]

@@ -58,6 +58,7 @@ from .model_ops import (
 
 __all__ = [
     "KernelTensor",
+    "KernelFormatError",
     "AxisDecomposition",
     "Decomposition",
     "decompose",
@@ -70,6 +71,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # kernel tensors
 # ---------------------------------------------------------------------------
+
+class KernelFormatError(ValueError):
+    """Input that is not a dyadlab kernel file."""
+
 
 class KernelTensor:
     """Order-3 array over flattened product cells; the discrete stand-in for
@@ -145,13 +150,16 @@ class KernelTensor:
 
     @staticmethod
     def load(fp: io.BufferedIOBase) -> "KernelTensor":
-        hlen = int.from_bytes(fp.read(4), "little")
-        header = json.loads(fp.read(hlen).decode())
-        if header.get("format") != "dyadlab-kernel-v1":
-            raise ValueError("not a dyadlab kernel file")
-        grid = TorusGrid.make(tuple(header["levels"]), tuple(header["dims"]))
-        C = grid.shape[0] * grid.shape[1]
-        data = np.frombuffer(fp.read(), dtype="float64").reshape(C, C, C)
+        try:
+            hlen = int.from_bytes(fp.read(4), "little")
+            header = json.loads(fp.read(hlen).decode())
+            if not isinstance(header, dict) or header.get("format") != "dyadlab-kernel-v1":
+                raise ValueError("no dyadlab-kernel-v1 header")
+            grid = TorusGrid.make(tuple(header["levels"]), tuple(header["dims"]))
+            C = grid.shape[0] * grid.shape[1]
+            data = np.frombuffer(fp.read(), dtype="float64").reshape(C, C, C)
+        except (ValueError, KeyError, TypeError) as exc:  # JSON, UTF-8, header fields, data size
+            raise KernelFormatError(f"not a dyadlab kernel file: {exc}") from exc
         return KernelTensor(grid, data.copy(), header.get("alpha"))
 
 
@@ -816,36 +824,38 @@ class Decomposition:
         # profile; they are outside the strict nine-type builders
         return t.kind_m == 0 and t.kind_s == 0
 
+    def _slot_keys(self, ax: AxisDecomposition, tuples: list[AxisTuple]) -> list[tuple]:
+        """Per tuple: (anchor, per-slot depths, averaged slot, per-slot index
+        among the anchor's descendants at that depth)."""
+        out = []
+        for t in tuples:
+            anc, lv, oslot, pos = self._axis_slot_data(ax, t)
+            k = tuple(l - anc[0] for l in lv)
+            d = [ax.ops.descendant_positions(anc[0], anc[1], kk) for kk in k]
+            out.append((anc, k, oslot, tuple(int(np.where(d[s] == pos[s])[0][0]) for s in range(3))))
+        return out
+
     def extracted_shift_families(self) -> list[dict]:
         """Builder-validated shift operators with their extracted sizes.
 
         Plain cells and the cancellative parts of nested cells regroup into
         families keyed by (complexity, averaged-slot pattern); coefficients
         are rescaled by the family maximum against the structural cap."""
-        o1 = axis_ops(self.grid.axes[0], self.om.shift1)
-        o2 = axis_ops(self.grid.axes[1], self.om.shift2)
+        sets = [
+            {br: {tag: (self._slot_keys(ax, tuples), W)
+                  for tag, (tuples, W) in self._export_sets(ax, br).items()} for br in BRANCHES}
+            for ax in (self.ax1, self.ax2)
+        ]
         buckets: dict[tuple, dict] = {}
         for br1 in BRANCHES:
-            sets1 = self._export_sets(self.ax1, br1)
             for br2 in BRANCHES:
-                sets2 = self._export_sets(self.ax2, br2)
-                for tag1, (tuples1, W1) in sets1.items():
-                    for tag2, (tuples2, W2) in sets2.items():
-                        if not tuples1 or not tuples2:
-                            continue
+                for tag1, (keys1, W1) in sets[0][br1].items():
+                    for tag2, (keys2, W2) in sets[1][br2].items():
                         C = np.asarray(W1 @ self.lam_hat @ W2.T)
-                        for i, t1 in enumerate(tuples1):
-                            anc1, lv1, oslot1, pos1 = self._axis_slot_data(self.ax1, t1)
-                            k = tuple(l - anc1[0] for l in lv1)
-                            d1 = [o1.descendant_positions(anc1[0], anc1[1], kk) for kk in k]
-                            idx1 = tuple(int(np.where(d1[s] == pos1[s])[0][0]) for s in range(3))
-                            for j, t2 in enumerate(tuples2):
+                        for i, (anc1, k, oslot1, idx1) in enumerate(keys1):
+                            for j, (anc2, v, oslot2, idx2) in enumerate(keys2):
                                 if C[i, j] == 0.0:
                                     continue
-                                anc2, lv2, oslot2, pos2 = self._axis_slot_data(self.ax2, t2)
-                                v = tuple(l - anc2[0] for l in lv2)
-                                d2 = [o2.descendant_positions(anc2[0], anc2[1], vv) for vv in v]
-                                idx2 = tuple(int(np.where(d2[s] == pos2[s])[0][0]) for s in range(3))
                                 fam = (k, v, (oslot1, oslot2), f"{br1}{br2}", f"{tag1}/{tag2}")
                                 bucket = buckets.setdefault(fam, {})
                                 key = ((anc1[0], anc1[1]), (anc2[0], anc2[1]))
@@ -887,10 +897,9 @@ class Decomposition:
         out = []
         for shift_axis, sax, pax, flip in ((0, self.ax1, self.ax2, False),
                                            (1, self.ax2, self.ax1, True)):
-            sops = axis_ops(self.grid.axes[shift_axis],
-                            self.om.shift1 if shift_axis == 0 else self.om.shift2)
             for br_s in BRANCHES:
-                sets = self._export_sets(sax, br_s)
+                sets = {tag: (self._slot_keys(sax, tuples), W)
+                        for tag, (tuples, W) in self._export_sets(sax, br_s).items()}
                 for br_p in BRANCHES:
                     R, cubes = _para_reads(pax, br_p)
                     if R is None:
@@ -898,15 +907,11 @@ class Decomposition:
                     rows = np.array([pax.ops.canc_index(l, p) for (l, p) in cubes])
                     hrows = pax.ops.haar[rows]
                     ptype = SMALLEST_SLOT[br_p]
-                    for tag, (tuples, W) in sets.items():
+                    for tag, (keys, W) in sets.items():
                         tbl = np.asarray(W @ (self.lam_hat if not flip else self.lam_hat.T) @ R.T)
                         profs = tbl @ hrows
                         buckets: dict[tuple, dict] = {}
-                        for i, t in enumerate(tuples):
-                            anc, lv, oslot, pos = self._axis_slot_data(sax, t)
-                            k = tuple(l - anc[0] for l in lv)
-                            d = [sops.descendant_positions(anc[0], anc[1], kk) for kk in k]
-                            idx = tuple(int(np.where(d[s] == pos[s])[0][0]) for s in range(3))
+                        for i, (anc, k, oslot, idx) in enumerate(keys):
                             fam = (k, oslot, f"{br_s}{br_p}", tag)
                             buckets.setdefault(fam, {})[((anc[0], anc[1]), idx)] = profs[i]
                         for (k, oslot, sym, cells), symbols in sorted(buckets.items()):

@@ -83,18 +83,23 @@ def test_criterion_4_coefficient_bound_regression():
 def test_criterion_5_weighted_sweeps():
     t0 = time.time()
     rep = weighted_suite(CONFIG, seeds_per_cell=1000)
-    ok = _verdict(5, "weighted sweeps", rep, f", {time.time()-t0:.0f}s")
+    elapsed = time.time() - t0
+    ok = _verdict(5, "weighted sweeps", rep, f", {elapsed:.0f}s")
     families = {r.experiment for r in rep.rows}
     assert {"weighted-shift", "weighted-partial", "weighted-full",
             "weighted-expansion", "weighted-adaptedmax", "lower-sf",
             "sparse-domination"} <= families
     assert ok
+    assert elapsed < 30.0
 
 
 def test_criterion_6_duality_constant():
+    t0 = time.time()
     rep = duality_suite(CONFIG, instances=1000)
-    ok = _verdict(6, "duality constant", rep)
+    elapsed = time.time() - t0
+    ok = _verdict(6, "duality constant", rep, f", {elapsed:.1f}s")
     assert ok
+    assert elapsed < 30.0
 
 
 def test_criterion_7_commutator_complexity_growth():

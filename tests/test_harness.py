@@ -12,13 +12,15 @@ from dyadlab.harness import (
     ConfigError,
     ExperimentConfig,
     Report,
+    _rect_densities,
+    duality_suite,
     emit_plotdata,
     identity_suite,
     load_goldens,
     run_suite,
     weight_catalog,
 )
-from dyadlab.core import TorusGrid
+from dyadlab.core import GridShift, TorusGrid, all_rectangles, sample_shift
 from dyadlab.measures import ap_characteristic
 
 
@@ -137,22 +139,69 @@ def test_cli_suite_empty_and_plotdata(tmp_path):
     assert (tmp_path / "plotdata.csv").exists()
 
 
-@pytest.mark.parametrize("config, flags", [
-    (json.dumps({"exponents": [[1.0, 2.0]]}), ()),
-    (json.dumps({"exponents": [[2.0]]}), ()),
-    ("not json {", ()),
-    (None, ("--seed", "-1")),
-    (None, ("--grid-level", "1")),
-], ids=["bad-exponents", "short-pair", "not-json", "negative-seed", "one-level"])
-def test_cli_config_error_exit_code(tmp_path, config, flags):
+ONE_D_SUITES = ("identity", "representation", "coefficients", "weighted", "commutator",
+                "lowerbound", "mixednorm")
+EMPTY = ("suite", "empty")
+
+
+@pytest.mark.parametrize("config, flags, command", [
+    (json.dumps({"exponents": [[1.0, 2.0]]}), (), EMPTY),
+    (json.dumps({"exponents": [[2.0]]}), (), EMPTY),
+    ("not json {", (), EMPTY),
+    (None, ("--seed", "-1"), EMPTY),
+    (None, ("--grid-level", "1"), EMPTY),
+    *[(json.dumps({"dims": [2, 1]}), ("--grid-level", "2"), ("suite", name))
+      for name in ONE_D_SUITES],
+    (None, ("--grid-level", "2"), ("decompose", "--kernel-file", "<garbage>")),
+], ids=["bad-exponents", "short-pair", "not-json", "negative-seed", "one-level",
+        *[f"dims21-{name}" for name in ONE_D_SUITES], "garbage-kernel-file"])
+def test_cli_config_error_exit_code(tmp_path, config, flags, command):
     argv = list(flags)
     if config is not None:
         bad = tmp_path / "bad.json"
         bad.write_text(config)
         argv = ["--config", str(bad)] + argv
-    out = _run_cli(*argv, "suite", "empty")
+    garbage = tmp_path / "garbage.dyk"
+    garbage.write_bytes(bytes(range(7, 256)))
+    out = _run_cli(*argv, *(str(garbage) if c == "<garbage>" else c for c in command))
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
+
+
+def test_config_dims_by_suite():
+    # factors of dimension >= 2 only where no 1-d model operator is built
+    for name in ("empty", "duality"):
+        assert ExperimentConfig(suite=name, dims=[2, 1]).dims == [2, 1]
+    for name in ONE_D_SUITES:
+        with pytest.raises(ConfigError):
+            ExperimentConfig(suite=name, dims=(1, 2))
+    for dims in ((1,), (0, 1), ("1", 1), 2):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(suite="empty", dims=dims)
+    rep = duality_suite(small_config(suite="duality", dims=(2, 1)), instances=3)
+    assert len(rep.rows) == 1 and rep.all_passed
+    cfg = small_config(suite="empty", dims=(2, 1))
+    cfg.suite = "mixednorm"  # set after the validation in the constructor
+    with pytest.raises(ConfigError):
+        run_suite(cfg)
+
+
+def test_rect_densities_match_per_rectangle_means():
+    # the duality pool: one gather per level pair, in all_rectangles order
+    rng = np.random.default_rng(4)
+    for grid in (TorusGrid.make(2), TorusGrid.make(3), TorusGrid.make(3, (2, 1))):
+        for om in (GridShift.zero(grid), sample_shift(grid, rng)):
+            F = rng.random(grid.shape) > 0.2
+            want = [F[r.index()].mean() for r in all_rectangles(grid, om)]
+            assert np.array_equal(_rect_densities(F, om), want)
+
+
+def test_cli_runs_as_package_module(tmp_path):
+    out = subprocess.run([sys.executable, "-m", "dyadlab", "--grid-level", "2",
+                          "--out", str(tmp_path), "suite", "empty"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "empty.csv").exists()
 
 
 def test_cli_unknown_kernel_exit_code(tmp_path):

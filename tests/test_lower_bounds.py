@@ -83,6 +83,18 @@ def test_partner_no_room_at_top_scale():
         find_nondegenerate_partner(RIEZ, rect(1, 0, 1, 0), C0=2.0)
 
 
+def test_partner_search_rejects_higher_dim_factors():
+    # candidates are runs of cells along one coordinate, which on a 2-d
+    # factor are neither cubes nor separated from the rectangle
+    grid = TorusGrid.make(3, (2, 1))
+    om = GridShift.zero(grid)
+    r = DyadicRectangle(DyadicCube(grid.axes[0], 2, (0, 1), om.shift1),
+                        DyadicCube(grid.axes[1], 2, (1,), om.shift2))
+    K = BilinearKernel(grid, tensor_riesz(1, 1))
+    with pytest.raises(NotImplementedError):
+        find_nondegenerate_partner(K, r)
+
+
 def _direct(kernel, x, y, z):
     """The spec evaluated at the cell centres of flat cell triples."""
     c1, c2 = cell_centers(kernel.grid)

@@ -125,6 +125,184 @@ def test_shift_serialization_exact_roundtrip():
         assert np.array_equal(S2.coeffs[key], block)
 
 
+# -- gather plans against the per-key reference loops ----------------------------
+#
+# The references below are the per-key loops the plans replaced: descendant
+# rows found cube by cube, one pairing table per slot, one einsum per key.
+
+def _descendants_ref(ops, level, pos, depth):
+    """Descendant positions from the cube geometry, in spatial order."""
+    cubes = [DyadicCube(ops.axis, level, (pos,), ops.shift)]
+    for _ in range(depth):
+        cubes = [c for q in cubes for c in q.children()]
+    return [c.pos[0] for c in cubes]
+
+
+def _rows_ref(ops, level, pos, depth, kind):
+    index = ops.canc_index if kind == "haar" else ops.cube_index
+    return np.array([index(level + depth, q) for q in _descendants_ref(ops, level, pos, depth)])
+
+
+def _shift_slot_ref(S, slot, kk, vv):
+    """One key's slot rows on both factors (unscaled row matrices)."""
+    out = []
+    for a, (level, pos), depth in ((0, kk, S.k[slot - 1]), (1, vv, S.v[slot - 1])):
+        ops = axis_ops(S.grid.axes[a], S.shift[a])
+        kind = "unit" if S.pattern[a] == slot else "haar"
+        out.append(ops.rows(kind)[_rows_ref(ops, level, pos, depth, kind)])
+    return out
+
+
+def shift_reference(S, f1, f2, f3=None, absolute=False):
+    """Per-key loop: the (absolute) form when f3 is given, else apply."""
+    vol1, vol2 = (ax.cell_volume for ax in S.grid.axes)
+    total, out = 0.0, np.zeros(S.grid.shape)
+    for (kk, vv), block in S.coeffs.items():
+        rows = [_shift_slot_ref(S, s, kk, vv) for s in (1, 2, 3)]
+        us = [(r1 * vol1) @ f.values @ (r2 * vol2).T
+              for (r1, r2), f in zip(rows, (f1, f2, f3 if f3 is not None else f1))]
+        if f3 is None:
+            w3 = np.einsum("abcdef,ad,be->cf", block, us[0], us[1])
+            out += rows[2][0].T @ w3 @ rows[2][1]
+            continue
+        if absolute:
+            block, us = np.abs(block), [np.abs(u) for u in us]
+        total += float(np.einsum("abcdef,ad,be,cf->", block, *us))
+    return total if f3 is not None else out
+
+
+def shift_density_reference(S):
+    n1, n2 = S.grid.shape
+    dens = np.zeros((n1, n2) * 3)
+    for (kk, vv), block in S.coeffs.items():
+        (a1, a2), (b1, b2), (c1, c2) = (_shift_slot_ref(S, s, kk, vv) for s in (1, 2, 3))
+        dens += np.einsum("abcdef,cX,fP,aY,dQ,bZ,eR->XPYQZR",
+                          block, c1, c2, a1, a2, b1, b2, optimize=True)
+    return dens.reshape((n1 * n2,) * 3)
+
+
+def _partial_slot_ref(P, slot, kk, i):
+    sops = axis_ops(P.grid.axes[P.shift_axis], P.shift[P.shift_axis])
+    kind = "unit" if slot == P.h0_slot else "haar"
+    return sops.rows(kind)[_rows_ref(sops, kk[0], kk[1], P.k[slot - 1], kind)[i]]
+
+
+def partial_reference(P, f1, f2, f3=None, absolute=False):
+    """Per-key loop: the (absolute) form when f3 is given, else apply."""
+    sax = P.shift_axis
+    pops = axis_ops(P.grid.axes[1 - sax], P.shift[1 - sax])
+    vol, n_canc = pops.axis.cell_volume, len(pops.haar)
+    total, out = 0.0, np.zeros(P.grid.shape)
+    for (kk, idx), b in P.symbols.items():
+        svecs = [_partial_slot_ref(P, s, kk, idx[s - 1]) for s in (1, 2, 3)]
+        gs = [f.pair_axis(v, sax) for v, f in zip(svecs, (f1, f2, f3 if f3 is not None else f1))]
+        if f3 is None:
+            pvec = one_param_paraproduct(b, gs[0], gs[1], pops, P.ptype)
+            out += np.outer(svecs[2], pvec) if sax == 0 else np.outer(pvec, svecs[2])
+        elif absolute:
+            bb = np.abs((pops.haar * vol) @ b)
+            xs = [np.abs(((pops.haar if P.ptype == s + 1 else pops.avg[:n_canc]) * vol) @ g)
+                  for s, g in enumerate(gs)]
+            total += float((bb * xs[0] * xs[1] * xs[2]).sum())
+        else:
+            total += one_param_paraproduct_form(b, *gs, pops, P.ptype)
+    return total if f3 is not None else out
+
+
+def partial_density_reference(P):
+    sax = P.shift_axis
+    pops = axis_ops(P.grid.axes[1 - sax], P.shift[1 - sax])
+    na, nb = P.grid.axes[sax].n_cells, pops.axis.n_cells
+    prows = [pops.haar if P.ptype == s else pops.avg[:len(pops.haar)] for s in (1, 2, 3)]
+    dens = np.zeros((na, nb) * 3)
+    for (kk, idx), b in P.symbols.items():
+        svecs = [_partial_slot_ref(P, s, kk, idx[s - 1]) for s in (1, 2, 3)]
+        bb = (pops.haar * pops.axis.cell_volume) @ b
+        pdens = np.einsum("v,vP,vQ,vR->PQR", bb, prows[2], prows[0], prows[1])
+        dens += np.einsum("X,Y,Z,PQR->XPYQZR", svecs[2], svecs[0], svecs[1], pdens)
+    if sax == 1:
+        dens = dens.transpose(1, 0, 3, 2, 5, 4)
+    return dens.reshape((na * nb,) * 3)
+
+
+def _assert_matches_reference(U, reference, density_reference, fs):
+    """Form, absolute form, apply and kernel density against the per-key
+    loops, at 1e-12 relative to the absolute form (the size of the summed
+    terms) or to the largest reference entry."""
+    f1, f2, f3 = fs
+    scale = reference(U, f1, f2, f3, absolute=True)
+    assert abs(U.absolute_form(f1, f2, f3) - scale) <= 1e-12 * scale
+    assert abs(U.form(f1, f2, f3) - reference(U, f1, f2, f3)) <= 1e-12 * scale
+    for got, want in ((U.apply(f1, f2).values, reference(U, f1, f2)),
+                      (U.kernel_density(), density_reference(U))):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS)
+def test_shift_plan_matches_per_key_loops(pattern):
+    # multi-key operators on a random lattice, and their duals
+    rng = np.random.default_rng(100 + 3 * pattern[0] + pattern[1])
+    for grid in (TorusGrid.make(2), GRID):
+        om = sample_shift(grid, rng)
+        k = tuple(int(x) for x in rng.integers(0, grid.axes[0].levels - 1, 3))
+        v = tuple(int(x) for x in rng.integers(0, grid.axes[1].levels - 1, 3))
+        S = random_shift_operator(grid, om, k, v, pattern, rng)
+        fs = tuple(grid.random(rng) for _ in range(3))
+        assert len(S.coeffs) > 1
+        for U in (S, S.dual(1, 1), S.dual(2, None), S.dual(None, 1)):
+            _assert_matches_reference(U, shift_reference, shift_density_reference, fs)
+
+
+@pytest.mark.parametrize("shift_axis, h0_slot, ptype",
+                         list(itertools.product((0, 1), (1, 2, 3), (1, 2, 3))))
+def test_partial_plan_matches_per_key_loops(shift_axis, h0_slot, ptype):
+    rng = np.random.default_rng(200 + 9 * shift_axis + 3 * h0_slot + ptype)
+    for grid in (TorusGrid.make(2), GRID):
+        om = sample_shift(grid, rng)
+        k = tuple(int(x) for x in rng.integers(0, grid.axes[shift_axis].levels - 1, 3))
+        P = random_partial_paraproduct(grid, om, k, shift_axis, h0_slot, ptype, rng)
+        fs = tuple(grid.random(rng) for _ in range(3))
+        for U in (P, P.dual(1), P.dual(2)):
+            _assert_matches_reference(U, partial_reference, partial_density_reference, fs)
+
+
+def test_descendant_rows_follow_the_cube_geometry():
+    grid = TorusGrid.make(4)
+    L = grid.axes[0].levels
+    ops = axis_ops(grid.axes[0], sample_shift(grid, np.random.default_rng(8)).shift1)
+    for depth in range(L + 1):
+        for kind, finest in (("unit", L), ("haar", L - 1)):
+            # every cube whose depth-`depth` descendants have rows of this kind
+            cubes = [(l, p) for l in range(finest + 1 - depth) for p in range(1 << l)]
+            if not cubes:
+                continue
+            lv, pos = np.array(cubes).T
+            want = np.stack([_rows_ref(ops, l, p, depth, kind) for l, p in cubes])
+            assert np.array_equal(ops.descendant_rows(kind, lv, pos, depth), want)
+            for l, p in cubes:
+                assert np.array_equal(ops.descendant_positions(l, p, depth),
+                                      _descendants_ref(ops, l, p, depth))
+
+
+def test_plans_are_built_on_first_evaluation_and_read_only():
+    rng = np.random.default_rng(9)
+    f1, f2, f3 = fns(1, 2, 3)
+    ops = (random_shift_operator(GRID, ZERO, (1, 0, 0), (0, 1, 0), (2, 3), rng),
+           random_partial_paraproduct(GRID, ZERO, (0, 1, 0), 1, 2, 1, rng))
+    for U in ops:
+        assert "_plan" not in vars(U)  # construction and validation build none
+        base = U.form(f1, f2, f3)
+        plan = vars(U)["_plan"]
+        arrays = [plan.coeffs] + [a for slot in plan.rows for a in slot]
+        assert len(arrays) == (7 if isinstance(U, ShiftOperator) else 4)
+        for a in arrays:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            plan.coeffs[0] = 0.0
+        U.apply(f1, f2)
+        assert vars(U)["_plan"] is plan and U.form(f1, f2, f3) == base
+
+
 def test_shift_on_random_lattice():
     om = sample_shift(GRID, np.random.default_rng(17))
     S = random_shift_operator(GRID, om, (1, 1, 1), (0, 0, 0), (3, 3), np.random.default_rng(2))
@@ -184,6 +362,8 @@ def test_partial_paraproduct_zero_symbols():
     P = PartialParaproduct(GRID, ZERO, 0, (0, 0, 0), 3, 3, {})
     f1, f2, f3 = fns(1, 2, 3)
     assert P.form(f1, f2, f3) == 0.0
+    assert not P.apply(f1, f2).values.any()
+    assert not P.kernel_density().any()
 
 
 def test_partial_paraproduct_single_key_oracle():

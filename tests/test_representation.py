@@ -1,5 +1,7 @@
 """Decomposer: exact reconstruction, round trips, coefficient bounds."""
 
+import io
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -26,6 +28,7 @@ from dyadlab.representation import (
     BRANCHES,
     AxisDecomposition,
     Decomposition,
+    KernelFormatError,
     KernelTensor,
     averaged_reconstruction,
     common_ancestor,
@@ -316,6 +319,21 @@ def test_manifest_counts_and_serialization(tmp_path):
     with open(p, "rb") as fp:
         T2 = KernelTensor.load(fp)
     assert np.array_equal(T.data, T2.data)
+
+
+@pytest.mark.parametrize("blob", [
+    bytes(range(7, 256)),                                     # not a header at all
+    (2).to_bytes(4, "little") + b"[]",                        # JSON, not an object
+    (15).to_bytes(4, "little") + b'{"format": "x"}',          # another format tag
+    None,                                                     # data cut short
+], ids=["garbage", "not-object", "wrong-tag", "truncated"])
+def test_kernel_load_rejects_malformed_files(blob):
+    if blob is None:
+        buf = io.BytesIO()
+        rand_tensor(1, TorusGrid.make(2)).dump(buf)
+        blob = buf.getvalue()[:-8]
+    with pytest.raises(KernelFormatError):
+        KernelTensor.load(io.BytesIO(blob))
 
 
 def test_object_level_emission_matches_matrix_subset():
