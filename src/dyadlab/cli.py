@@ -23,7 +23,7 @@ from .harness import (
     run_suite,
 )
 from .kernels import get_kernel
-from .representation import KernelFormatError, KernelTensor, decompose
+from .representation import KernelFormatError, KernelTensor, check_decomposer_size, decompose
 
 
 def _base_config(args, suite: str | None = None) -> ExperimentConfig:
@@ -52,13 +52,24 @@ def cmd_verify_identities(args) -> int:
     return _run_named(args, ["identity"])
 
 
+def _check_one_dim(grid: TorusGrid) -> None:
+    dims = [ax.dim for ax in grid.axes]
+    if dims != [1, 1]:
+        raise ConfigError(f"dims {dims}: the decomposer runs on 1-d factors")
+
+
 def cmd_decompose(args) -> int:
-    cfg = _base_config(args)
-    grid = TorusGrid.make(cfg.level, tuple(cfg.dims))
+    # no suite runs here: "empty" takes any dims, and the decomposer's own
+    # condition on them is checked below
+    cfg = _base_config(args, "empty")
     if args.kernel_file:
         with open(args.kernel_file, "rb") as fp:
             tensor = KernelTensor.load(fp)
+        _check_one_dim(tensor.grid)
     else:
+        grid = TorusGrid.make(cfg.level, tuple(cfg.dims))
+        _check_one_dim(grid)
+        check_decomposer_size(grid)
         try:
             # the component options belong to the riesz kernel only
             opts = {"i": args.component_i, "j": args.component_j} if args.kernel == "riesz" else {}

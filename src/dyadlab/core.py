@@ -30,6 +30,7 @@ __all__ = [
     "DiscreteFunction",
     "HaarFunction",
     "ResolutionError",
+    "ConfigError",
     "haar_evaluate",
     "axis_cube_indicator",
     "axis_haar_vector",
@@ -52,6 +53,10 @@ __all__ = [
 
 class ResolutionError(ValueError):
     """Requested scale is finer than the grid resolution."""
+
+
+class ConfigError(ValueError):
+    """A configuration or input the laboratory refuses to run on."""
 
 
 # ---------------------------------------------------------------------------

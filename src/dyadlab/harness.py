@@ -21,6 +21,7 @@ import numpy as np
 from . import commutators as com
 from . import measures as ms
 from .core import (
+    ConfigError,
     DiscreteFunction,
     DyadicCube,
     DyadicRectangle,
@@ -73,13 +74,15 @@ GOLDEN_SAFETY = 5.0
 # config and report plumbing
 # ---------------------------------------------------------------------------
 
-class ConfigError(ValueError):
-    pass
-
-
 # the suites that run on factors of any dimension; the others use the model
 # operators or the partner search, which are built on 1-d factors
 _ANY_DIMS_SUITES = ("empty", "duality")
+
+
+def _finite_number(v) -> bool:
+    """A number that converts to a finite float (JSON also reads NaN,
+    Infinity and integers of any size)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < 1e300
 
 
 @dataclass
@@ -98,9 +101,17 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
+        for name, kinds in (("suite", str), ("level", int), ("seed", int), ("samples", int),
+                            ("tolerance", (int, float)), ("out_dir", str), ("fmt", str),
+                            ("exponents", (list, tuple)), ("weights", (list, tuple))):
+            value = getattr(self, name)
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise ConfigError(f"{name} has the wrong type: {value!r}")
+        if not all(isinstance(w, str) for w in self.weights):
+            raise ConfigError(f"weights must be names, got {self.weights!r}")
         for pair in self.exponents:
             if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) for v in pair)):
+                    or not all(_finite_number(v) for v in pair)):
                 raise ConfigError(f"an exponent pair must be two numbers, got {pair!r}")
             p, q = pair
             if p <= 1 or q <= 1:
@@ -114,6 +125,10 @@ class ExperimentConfig:
             raise ConfigError("need at least two levels")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if self.samples < 1:
+            raise ConfigError("samples must be positive")
+        if not (_finite_number(self.tolerance) and self.tolerance >= 0):
+            raise ConfigError(f"tolerance must be a non-negative number, got {self.tolerance!r}")
         if (not isinstance(self.dims, (list, tuple)) or len(self.dims) != 2
                 or not all(isinstance(d, int) and d >= 1 for d in self.dims)):
             raise ConfigError(f"dims must be two positive integers, got {self.dims!r}")

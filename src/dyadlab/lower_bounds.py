@@ -35,8 +35,8 @@ __all__ = [
 class BilinearKernel:
     """Kernel evaluator on cell triples with declared regularity and
     non-degeneracy metadata; evaluations are vectorised over index arrays.
-    Partners found by `find_nondegenerate_partner` are memoised on the
-    instance."""
+    Partners found by `find_nondegenerate_partner`, and the separated pairs
+    of the testing-constant search, are memoised on the instance."""
 
     def __init__(self, grid: TorusGrid, spec: KernelSpec, c_nd: float = 1.0):
         self.grid = grid
@@ -45,6 +45,7 @@ class BilinearKernel:
         self._c1, self._c2 = cell_centers(grid)
         self.n2 = grid.shape[1]
         self._partners: dict = {}
+        self._pair_groups: dict = {}
 
     def _coords(self, flat: np.ndarray):
         return self._c1[np.asarray(flat) // self.n2], self._c2[np.asarray(flat) % self.n2]
@@ -199,18 +200,36 @@ class GammaReport:
     searched: int = 0
 
 
-def _sublevel_sets(b_cells: np.ndarray, rng: np.random.Generator, extra: int) -> np.ndarray:
-    """0/1 masks (sets x cells) of index subsets of a rectangle: sublevel sets
-    of the symbol at its cell quantiles plus nonempty random subsets."""
-    n = len(b_cells)
-    rank = np.empty(n, dtype=int)
-    rank[np.argsort(b_cells)] = np.arange(n)
-    sets = [rank < q for q in (max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n)]
-    for _ in range(extra):
-        mask = rng.integers(0, 2, n).astype(bool)
-        if mask.any():
-            sets.append(mask)
-    return np.array(sets, dtype=float)
+def _pair_groups(kernel: BilinearKernel, C0: float, max_rect_cells: int | None):
+    """The base rectangles that have a separated partner, in `_base_rectangles`
+    order, as (rect, partner) pairs, and their flat cells grouped by cell
+    count: n -> (positions in the pair list, rectangle cells (R, n), partner
+    cells (R, n)).
+
+    Like the partners, they are memoised on the kernel, by (C0,
+    max_rect_cells); the cell arrays are read-only."""
+    key = (C0, max_rect_cells)
+    if key not in kernel._pair_groups:
+        kernel._pair_groups[key] = _build_pair_groups(kernel, C0, max_rect_cells)
+    return kernel._pair_groups[key]
+
+
+def _build_pair_groups(kernel: BilinearKernel, C0: float, max_rect_cells: int | None):
+    pairs = []
+    for rect in _base_rectangles(kernel.grid, max_rect_cells):
+        try:
+            pairs.append((rect, find_nondegenerate_partner(kernel, rect, C0)))
+        except ValueError:
+            continue
+    rows: dict[int, list] = {}
+    for i, (rect, partner) in enumerate(pairs):
+        y = np.add.outer(rect.cube1.cells() * kernel.n2, rect.cube2.cells()).ravel()
+        x = np.add.outer(partner["cells1"] * kernel.n2, partner["cells2"]).ravel()
+        rows.setdefault(len(y), []).append((i, y, x))
+    groups = {n: tuple(np.array(col) for col in zip(*group)) for n, group in rows.items()}
+    for arr in (a for group in groups.values() for a in group):
+        arr.setflags(write=False)
+    return pairs, groups
 
 
 def gamma_constant(
@@ -230,52 +249,81 @@ def gamma_constant(
     The supremum runs over a structured family (all rectangles up to a size
     cap, their maximising partners, sublevel-set plus `random_subsets` random
     subsets per pair), so the returned value is a certified lower bound for
-    the true constant and grows with the search budget."""
+    the true constant and grows with the search budget.
+
+    Per pair the sets are the sublevel sets of the symbol at its cell
+    quantiles, then the nonempty ones of `random_subsets` random 0/1 masks,
+    drawn pair after pair in rectangle order from one generator.  All masks
+    come from one draw, and the pairs are evaluated per cell count, one
+    integrand and one weak norm per batch of pairs."""
     if gamma1 + gamma2 != k:
         raise ValueError("exponents must split the order k")
     if np.iscomplexobj(b.values):
         raise ValueError("the symbol must be real-valued")
-    grid = kernel.grid
-    rng = np.random.default_rng(seed)
     best = GammaReport(0.0, params={"k": k, "r": r, "gamma": (gamma1, gamma2), "C0": C0})
+    pairs, groups = _pair_groups(kernel, C0, max_rect_cells)
+    if not pairs:
+        return best
     bflat = b.values.ravel()
-    for rect in _base_rectangles(grid, max_rect_cells):
-        try:
-            partner = find_nondegenerate_partner(kernel, rect, C0)
-        except ValueError:
-            continue
-        ycells = np.add.outer(rect.cube1.cells() * kernel.n2, rect.cube2.cells()).ravel()
-        xcells = np.add.outer(partner["cells1"] * kernel.n2, partner["cells2"]).ravel()
-        masks = _sublevel_sets(bflat[ycells], rng, random_subsets)
-        norms = _set_values(kernel, bflat, xcells, ycells, masks, gamma1, gamma2, r)
-        vals = norms / rect.measure ** (1.0 / r)
-        best.searched += len(vals)
-        i = int(np.argmax(vals))
-        if vals[i] > best.value:
-            best.value = float(vals[i])
-            best.witness = {
-                "rect": ((rect.cube1.level, rect.cube1.pos[0]),
-                         (rect.cube2.level, rect.cube2.pos[0])),
-                "partner_start": (int(partner["cells1"][0]), int(partner["cells2"][0])),
-                "sigma": partner["sigma"],
-                "set_size": int(masks[i].sum()),
-            }
+    n_cells = np.zeros(len(pairs), dtype=int)
+    for n, (idx, _, _) in groups.items():
+        n_cells[idx] = n
+    # a batched draw equals the per-set draws, value for value
+    draws = np.random.default_rng(seed).integers(0, 2, random_subsets * int(n_cells.sum()))
+    draws = np.split(draws, np.cumsum(random_subsets * n_cells)[:-1])
+    # per pair: the value of its first best set and that set's size
+    top = np.zeros(len(pairs))
+    top_size = np.zeros(len(pairs), dtype=int)
+    for n, (idx, ycells, xcells) in groups.items():
+        rank = np.argsort(np.argsort(bflat[ycells], axis=1), axis=1)
+        quantiles = np.stack([rank < q for q in (max(1, n // 4), max(1, n // 2),
+                                                 max(1, (3 * n) // 4), n)], axis=1)
+        rand = np.stack([draws[i].reshape(random_subsets, n) for i in idx]).astype(bool)
+        masks = np.concatenate([quantiles, rand], axis=1)
+        best.searched += int(masks.any(axis=2).sum())
+        root = np.array([pairs[i][0].measure ** (1.0 / r) for i in idx])
+        vals = np.empty(masks.shape[:2])
+        per = max(1, _POOL_POINTS // n**3)
+        for s in range(0, len(idx), per):
+            sl = slice(s, s + per)
+            vals[sl] = _group_values(kernel, bflat, xcells[sl], ycells[sl], masks[sl],
+                                     gamma1, gamma2, r) / root[sl, None]
+        # an empty set has the value 0 and comes after the quantile sets, so
+        # the first maximum is never an empty set
+        j = np.argmax(vals, axis=1)
+        top[idx] = vals[np.arange(len(idx)), j]
+        top_size[idx] = masks[np.arange(len(idx)), j].sum(axis=1)
+    # the first pair to reach the largest value, as a scan with a strict `>`
+    i = int(np.argmax(top))
+    if top[i] > best.value:
+        rect, partner = pairs[i]
+        best.value = float(top[i])
+        best.witness = {
+            "rect": ((rect.cube1.level, rect.cube1.pos[0]),
+                     (rect.cube2.level, rect.cube2.pos[0])),
+            "partner_start": (int(partner["cells1"][0]), int(partner["cells2"][0])),
+            "sigma": partner["sigma"],
+            "set_size": int(top_size[i]),
+        }
     return best
 
 
-def _set_values(kernel, bflat, xcells, ycells, masks, gamma1, gamma2, r):
+def _group_values(kernel, bflat, xcells, ycells, masks, gamma1, gamma2, r):
     """Weak-L^r norm over the partner cells x of
     sum_{y, z in A} (b(x) - b(y))^gamma1 (b(x) - b(z))^gamma2 K(x, y, z) vol^2
-    for every set A, a row of the 0/1 masks over the rectangle cells ycells.
-    The (x, y, z) integrand is built once and summed against every set."""
+    for every pair and every set A, a row of the 0/1 masks (pairs x sets x
+    cells) over the rectangle cells ycells (pairs x cells).  Each pair's
+    (x, y, z) integrand is built once and summed against all of its sets."""
     vol = kernel.grid.cell_volume
-    bx = bflat[xcells][:, None, None]
-    by = bflat[ycells][None, :, None]
-    bz = bflat[ycells][None, None, :]
-    kv = kernel.eval_cells(xcells[:, None, None], ycells[None, :, None], ycells[None, None, :])
+    bx = bflat[xcells][:, :, None, None]
+    by = bflat[ycells][:, None, :, None]
+    bz = bflat[ycells][:, None, None, :]
+    kv = kernel.eval_cells(xcells[:, :, None, None], ycells[:, None, :, None],
+                           ycells[:, None, None, :])
     integrand = (bx - by) ** gamma1 * (bx - bz) ** gamma2 * kv
-    g = np.einsum("xyz,sy,sz->sx", integrand, masks, masks) * vol**2
-    return _weak_lr_rows(g, vol, r)
+    m = masks.astype(float)
+    g = np.einsum("rxyz,rsy,rsz->rsx", integrand, m, m) * vol**2
+    return _weak_lr_rows(g.reshape(-1, g.shape[2]), vol, r).reshape(g.shape[:2])
 
 
 def pointwise_chain_check(kernel: BilinearKernel, b: DiscreteFunction,
@@ -293,22 +341,16 @@ def pointwise_chain_check(kernel: BilinearKernel, b: DiscreteFunction,
     alpha = weighted_median(bflat[xcells])
     low = ycells[bflat[ycells] <= alpha]
     lhs = (np.maximum(alpha - bflat[ycells], 0.0).mean()) ** k
-    ok_cells = 0
-    n_cells = 0
-    worst_gap = 0.0
-    for x in xcells[bflat[xcells] >= alpha]:
-        n_cells += 1
-        bx = bflat[x]
-        by = bflat[low][:, None]
-        bz = bflat[low][None, :]
-        rhs = ((bx - by) ** gamma1 * (bx - bz) ** gamma2).sum() * vol**2 / rect.measure**2
-        if lhs <= rhs + 1e-12:
-            ok_cells += 1
-        else:
-            worst_gap = max(worst_gap, lhs - rhs)
+    high = xcells[bflat[xcells] >= alpha]
+    bx = bflat[high][:, None, None]
+    by = bflat[low][None, :, None]
+    bz = bflat[low][None, None, :]
+    rhs = ((bx - by) ** gamma1 * (bx - bz) ** gamma2).sum(axis=(1, 2)) * vol**2 / rect.measure**2
+    ok = lhs <= rhs + 1e-12
+    worst_gap = float(np.max(lhs - rhs[~ok], initial=0.0))
     half_hi = (bflat[xcells] >= alpha).mean()
     half_lo = (bflat[xcells] <= alpha).mean()
-    return {"alpha": alpha, "cells_checked": n_cells, "cells_ok": ok_cells,
+    return {"alpha": alpha, "cells_checked": len(high), "cells_ok": int(ok.sum()),
             "worst_gap": worst_gap, "half_high": half_hi, "half_low": half_lo}
 
 
@@ -330,26 +372,20 @@ def bmo_lower_bound(
     recorded."""
     from .measures import bmo_norm
 
-    grid = kernel.grid
     report = gamma_constant(kernel, b, k, r, gamma1, gamma2, C0,
                             max_rect_cells=max_rect_cells, seed=seed)
     bflat = b.values.ravel()
     osc = bmo_norm(b, "little")
-    med_bounds = []
-    positive_partners = 0
-    for rect in _base_rectangles(grid, max_rect_cells):
-        try:
-            partner = find_nondegenerate_partner(kernel, rect, C0)
-        except ValueError:
-            continue
-        positive_partners += partner["min_value"] > 0
-        ycells = np.add.outer(rect.cube1.cells() * kernel.n2, rect.cube2.cells()).ravel()
+    pairs, groups = _pair_groups(kernel, C0, max_rect_cells)
+    positive_partners = sum(partner["min_value"] > 0 for _, partner in pairs)
+    med = np.zeros(len(pairs))
+    for n, (idx, ycells, xcells) in groups.items():
+        # the lower median on each partner, as weighted_median row by row
+        alpha = np.sort(bflat[xcells], axis=1)[:, (n - 1) // 2, None]
         blk = bflat[ycells]
-        xcells = np.add.outer(partner["cells1"] * kernel.n2, partner["cells2"]).ravel()
-        alpha = weighted_median(bflat[xcells])
-        plus = float(np.maximum(alpha - blk, 0.0).mean())
-        minus = float(np.maximum(blk - alpha, 0.0).mean())
-        med_bounds.append(plus + minus)
+        med[idx] = (np.maximum(alpha - blk, 0.0).mean(axis=1)
+                    + np.maximum(blk - alpha, 0.0).mean(axis=1))
+    med_bounds = med.tolist()
     gamma_k = report.value ** (1.0 / k) if report.value > 0 else 0.0
     return {
         "oscillation": osc,

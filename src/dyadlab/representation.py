@@ -35,6 +35,7 @@ from .core import (
     Axis,
     AxisBasis,
     AxisShift,
+    ConfigError,
     DiscreteFunction,
     DyadicCube,
     GridShift,
@@ -59,6 +60,8 @@ from .model_ops import (
 __all__ = [
     "KernelTensor",
     "KernelFormatError",
+    "decomposer_bytes",
+    "check_decomposer_size",
     "AxisDecomposition",
     "Decomposition",
     "decompose",
@@ -74,6 +77,32 @@ __all__ = [
 
 class KernelFormatError(ValueError):
     """Input that is not a dyadlab kernel file."""
+
+
+# bytes the decomposer's two dense arrays may take: level 4 needs 0.27 GB
+# (0.7 GB peak RSS measured), level 5 needs 17 GB
+DECOMPOSER_BUDGET = 1 << 30
+
+
+def decomposer_bytes(grid: TorusGrid) -> int:
+    """Bytes of the dense C^3 kernel tensor plus the D1^3 x D2^3 Haar
+    coefficient matrix `lam_hat`, where D1, D2 are the cells per factor
+    and C = D1 D2; both are C^3 float64 entries."""
+    n1, n2 = grid.shape
+    return 2 * 8 * (n1 * n2) ** 3
+
+
+def check_decomposer_size(grid: TorusGrid) -> None:
+    """Refuse, before anything is allocated, a grid whose kernel tensor and
+    Haar coefficients exceed DECOMPOSER_BUDGET."""
+    need = decomposer_bytes(grid)
+    if need > DECOMPOSER_BUDGET:
+        # need is a power of two; a header may name any level, so it is
+        # printed as one and not converted to a float or a decimal string
+        raise ConfigError(f"levels {[ax.levels for ax in grid.axes]}, dims "
+                          f"{[ax.dim for ax in grid.axes]}: the dense kernel tensor and its Haar "
+                          f"coefficients need 2^{need.bit_length() - 1} bytes, over the "
+                          f"budget of {DECOMPOSER_BUDGET} bytes")
 
 
 class KernelTensor:
@@ -112,12 +141,14 @@ class KernelTensor:
 
     @staticmethod
     def random(grid: TorusGrid, rng: np.random.Generator, scale: float = 1.0) -> "KernelTensor":
+        check_decomposer_size(grid)
         C = grid.shape[0] * grid.shape[1]
         return KernelTensor(grid, scale * rng.standard_normal((C, C, C)))
 
     @staticmethod
     def from_kernel(grid: TorusGrid, kernel: KernelSpec) -> "KernelTensor":
         """Evaluate a kernel at cell-centre triples (singular cells get zero)."""
+        check_decomposer_size(grid)
         c1, c2 = cell_centers(grid)
         n1, n2 = grid.shape
         x1 = c1[:, None, None, None, None, None]
@@ -150,15 +181,24 @@ class KernelTensor:
 
     @staticmethod
     def load(fp: io.BufferedIOBase) -> "KernelTensor":
+        """Read a dumped tensor; the grid in the header is checked against
+        the decomposer's budget before the data is read."""
         try:
             hlen = int.from_bytes(fp.read(4), "little")
             header = json.loads(fp.read(hlen).decode())
             if not isinstance(header, dict) or header.get("format") != "dyadlab-kernel-v1":
                 raise ValueError("no dyadlab-kernel-v1 header")
-            grid = TorusGrid.make(tuple(header["levels"]), tuple(header["dims"]))
-            C = grid.shape[0] * grid.shape[1]
+            levels, dims = tuple(header["levels"]), tuple(header["dims"])
+            if not all(type(v) is int for v in levels + dims):
+                raise ValueError(f"levels {levels} and dims {dims} must be integers")
+            grid = TorusGrid.make(levels, dims)
+        except (ValueError, KeyError, IndexError, TypeError) as exc:  # JSON, UTF-8, header fields
+            raise KernelFormatError(f"not a dyadlab kernel file: {exc}") from exc
+        check_decomposer_size(grid)
+        C = grid.shape[0] * grid.shape[1]
+        try:
             data = np.frombuffer(fp.read(), dtype="float64").reshape(C, C, C)
-        except (ValueError, KeyError, TypeError) as exc:  # JSON, UTF-8, header fields, data size
+        except ValueError as exc:  # data size
             raise KernelFormatError(f"not a dyadlab kernel file: {exc}") from exc
         return KernelTensor(grid, data.copy(), header.get("alpha"))
 

@@ -1,14 +1,20 @@
 """Config handling, report determinism, CLI plumbing."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dyadlab import cli
 from dyadlab.harness import (
+    SUITES,
     ConfigError,
     ExperimentConfig,
     Report,
@@ -22,6 +28,7 @@ from dyadlab.harness import (
 )
 from dyadlab.core import GridShift, TorusGrid, all_rectangles, sample_shift
 from dyadlab.measures import ap_characteristic
+from dyadlab.representation import KernelTensor
 
 
 def small_config(**kw):
@@ -153,19 +160,83 @@ EMPTY = ("suite", "empty")
     *[(json.dumps({"dims": [2, 1]}), ("--grid-level", "2"), ("suite", name))
       for name in ONE_D_SUITES],
     (None, ("--grid-level", "2"), ("decompose", "--kernel-file", "<garbage>")),
+    (json.dumps({"dims": [2, 1]}), ("--grid-level", "2"), ("decompose",)),
+    (None, (), ("decompose", "--kernel-file", "<dims21>")),
 ], ids=["bad-exponents", "short-pair", "not-json", "negative-seed", "one-level",
-        *[f"dims21-{name}" for name in ONE_D_SUITES], "garbage-kernel-file"])
+        *[f"dims21-{name}" for name in ONE_D_SUITES], "garbage-kernel-file", "dims21-decompose",
+        "dims21-kernel-file"])
 def test_cli_config_error_exit_code(tmp_path, config, flags, command):
     argv = list(flags)
     if config is not None:
         bad = tmp_path / "bad.json"
         bad.write_text(config)
         argv = ["--config", str(bad)] + argv
-    garbage = tmp_path / "garbage.dyk"
-    garbage.write_bytes(bytes(range(7, 256)))
-    out = _run_cli(*argv, *(str(garbage) if c == "<garbage>" else c for c in command))
+    files = {"<garbage>": tmp_path / "garbage.dyk", "<dims21>": tmp_path / "dims21.dyk"}
+    files["<garbage>"].write_bytes(bytes(range(7, 256)))
+    if "<dims21>" in command:
+        with open(files["<dims21>"], "wb") as fp:
+            KernelTensor.random(TorusGrid.make(2, (2, 1)), np.random.default_rng(0)).dump(fp)
+    out = _run_cli(*argv, *(str(files.get(c, c)) for c in command))
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
+    if command[0] == "decompose":  # no suite runs there, so none is to blame
+        assert "identity" not in out.stderr
+
+
+def test_cli_decompose_refuses_oversize_grid(tmp_path, monkeypatch, capsys):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the kernel tensor was built")
+
+    # a guard that fails lets the command reach the patched constructor,
+    # which raises before anything is allocated
+    monkeypatch.setattr(KernelTensor, "from_kernel", allocate)
+    assert cli.main(["--grid-level", "5", "--out", str(tmp_path), "decompose"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+# JSON values of every kind; integers stay at or below 3, so no fuzzed level
+# is both valid and large
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=5)
+_NUMBER = st.integers(-4, 3) | st.floats()
+_FIELDS = {
+    "suite": st.sampled_from(sorted(SUITES)) | _JSON,
+    "level": _JSON,
+    "dims": st.lists(st.integers(-1, 3), max_size=3) | _JSON,
+    "seed": st.integers(-(2**70), 2**70) | _NUMBER | _JSON,
+    "samples": st.integers(-2, 10**6) | _JSON,
+    "exponents": st.lists(st.lists(_NUMBER | st.integers(2**1100, 2**1200), min_size=1,
+                                   max_size=3), max_size=3) | _JSON,
+    "weights": st.lists(st.sampled_from(["unit", "power", "nope"]) | _JSON, max_size=3) | _JSON,
+    "tolerance": _NUMBER | _JSON,
+    "out_dir": _JSON,
+    "fmt": st.sampled_from(["csv", "json"]) | _JSON,
+}
+_CONFIGS = st.fixed_dictionaries({}, optional=_FIELDS) | st.dictionaries(
+    st.sampled_from(sorted(_FIELDS)) | st.text(max_size=4), _JSON, max_size=4) | _JSON
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_CONFIGS)
+def test_cli_config_fuzz_exit_codes(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fp:
+            json.dump(raw, fp)  # NaN and Infinity literals too
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(["--config", path, "--out", tmp, "suite", "empty"])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    seed = raw.get("seed") if isinstance(raw, dict) else None
+    if isinstance(seed, float) or (isinstance(seed, int) and seed < 0):
+        assert code == 2  # a seed is a non-negative integer
 
 
 def test_config_dims_by_suite():

@@ -196,6 +196,20 @@ def test_partner_memo_returns_fresh_read_only_copies():
     assert len(K._partners) == 2
 
 
+def test_pair_groups_memoised_and_read_only():
+    K = BilinearKernel(GRID, tensor_riesz(1, 1))
+    b = log_symbol(GRID)
+    first = bmo_lower_bound(K, b, 1, 1.0, 1, 0, 1.0, max_rect_cells=8, seed=2)
+    again = bmo_lower_bound(K, b, 2, 2.0, 1, 1, 1.0, max_rect_cells=8, seed=2)
+    assert list(K._pair_groups) == [(1.0, 8)]  # one build for both searches
+    assert again["median_sums"] == first["median_sums"]
+    pairs, groups = K._pair_groups[(1.0, 8)]
+    assert sum(len(idx) for idx, _, _ in groups.values()) == len(pairs)
+    for arr in (a for group in groups.values() for a in group):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def _reference_sets(b_cells, rng, extra):
     """Index subsets of a rectangle's cells, drawn one set at a time: the
     sublevel sets at the cell quantiles, then nonempty random subsets."""
@@ -219,72 +233,149 @@ def _set_value(kernel, bflat, xcells, Ac, gamma1, gamma2, r):
     return weak_lr_norm(g, vol, r)
 
 
+def _per_set_values(kernel, bflat, xcells, ycells, sets, gamma1, gamma2, r):
+    """One rectangle's set values, every set's integrand built on its own."""
+    return np.array([_set_value(kernel, bflat, xcells, ycells[A], gamma1, gamma2, r)
+                     for A in sets])
+
+
+def _masks(sets, n):
+    """0/1 masks (sets x cells) of index subsets of n cells."""
+    masks = np.zeros((len(sets), n))
+    for row, A in zip(masks, sets):
+        row[A] = 1.0
+    return masks
+
+
+def _per_rect_values(kernel, bflat, xcells, ycells, sets, gamma1, gamma2, r):
+    """One rectangle's set values from one (x, y, z) integrand, summed
+    against the mask of every set."""
+    vol = kernel.grid.cell_volume
+    bx = bflat[xcells][:, None, None]
+    by = bflat[ycells][None, :, None]
+    bz = bflat[ycells][None, None, :]
+    kv = _direct(kernel, xcells[:, None, None], ycells[None, :, None], ycells[None, None, :])
+    masks = _masks(sets, len(ycells))
+    g = np.einsum("xyz,sy,sz->sx", (bx - by) ** gamma1 * (bx - bz) ** gamma2 * kv,
+                  masks, masks) * vol**2
+    return lower_bounds._weak_lr_rows(g, vol, r)
+
+
 def _rect_cells(c1, c2, n2):
     return np.add.outer(np.asarray(c1) * n2, c2).ravel()
 
 
-@pytest.mark.parametrize("k, g1, g2, r", [(1, 1, 0, 1.0), (1, 0, 1, 0.5), (2, 1, 1, 2.0)])
-def test_set_values_match_per_set_sums(k, g1, g2, r):
-    b = GRID.random(np.random.default_rng(k))
-    bflat = b.values.ravel()
-    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    checked = 0
-    for r_ in all_rectangles(GRID, ZERO):
-        if not (r_.cube1.level and r_.cube2.level):
-            continue
-        try:
-            partner = find_nondegenerate_partner(RIEZ, r_, 1.0)
-        except ValueError:
-            continue
-        ycells = _rect_cells(r_.cube1.cells(), r_.cube2.cells(), RIEZ.n2)
-        xcells = _rect_cells(partner["cells1"], partner["cells2"], RIEZ.n2)
-        masks = lower_bounds._sublevel_sets(bflat[ycells], rng, 6)
-        sets = _reference_sets(bflat[ycells], ref_rng, 6)
-        assert len(masks) == len(sets)
-        got = lower_bounds._set_values(RIEZ, bflat, xcells, ycells, masks, g1, g2, r)
-        for mask, A, val in zip(masks, sets, got):
-            assert np.array_equal(np.nonzero(mask)[0], np.sort(A))
-            want = _set_value(RIEZ, bflat, xcells, ycells[A], g1, g2, r)
-            assert abs(val - want) <= 1e-12 * abs(want)
-            checked += 1
-    assert checked > 100
-
-
-def _gamma_per_set(kernel, b, k, r, gamma1, gamma2, C0, max_rect_cells, random_subsets, seed):
-    """Reference testing-constant search: every set's integrand is built and
-    normed on its own."""
+def _gamma_reference(kernel, b, k, r, gamma1, gamma2, C0, max_rect_cells, random_subsets,
+                     seed, values):
+    """Reference testing-constant search: one rectangle at a time, its sets
+    drawn one at a time, a strict `>` scan over rectangles and their sets in
+    order; `values` evaluates one rectangle's sets."""
     grid = kernel.grid
     rng = np.random.default_rng(seed)
     bflat = b.values.ravel()
-    value, searched, witness = 0.0, 0, None
+    value, searched, witness = 0.0, 0, {}
     for rect_ in all_rectangles(grid, GridShift.zero(grid)):
         c1, c2 = rect_.cube1, rect_.cube2
         if c1.level == 0 or c2.level == 0 or c1.width_cells * c2.width_cells > max_rect_cells:
             continue
-        partner = _partner_scan(kernel, rect_, C0, (1, 1))
-        if partner is None:
+        try:
+            partner = find_nondegenerate_partner(kernel, rect_, C0)
+        except ValueError:
             continue
         ycells = _rect_cells(c1.cells(), c2.cells(), kernel.n2)
         xcells = _rect_cells(partner["cells1"], partner["cells2"], kernel.n2)
-        for A in _reference_sets(bflat[ycells], rng, random_subsets):
-            val = _set_value(kernel, bflat, xcells, ycells[A], gamma1, gamma2, r) \
-                / rect_.measure ** (1.0 / r)
-            searched += 1
+        sets = _reference_sets(bflat[ycells], rng, random_subsets)
+        vals = values(kernel, bflat, xcells, ycells, sets, gamma1, gamma2, r) \
+            / rect_.measure ** (1.0 / r)
+        searched += len(sets)
+        for A, val in zip(sets, vals):
             if val > value:
-                value, witness = val, (rect_, len(A))
+                value = val
+                witness = {"rect": ((c1.level, c1.pos[0]), (c2.level, c2.pos[0])),
+                           "partner_start": (int(partner["cells1"][0]),
+                                             int(partner["cells2"][0])),
+                           "sigma": partner["sigma"], "set_size": len(A)}
     return value, searched, witness
 
 
-@pytest.mark.parametrize("k, g1, g2, r", [(1, 1, 0, 1.0), (1, 0, 1, 0.5), (2, 1, 1, 2.0)])
-def test_gamma_batched_matches_per_set(k, g1, g2, r):
-    b = log_symbol(GRID)
-    got = gamma_constant(RIEZ, b, k, r, g1, g2, 1.0, random_subsets=6, seed=4)
-    value, searched, (wrect, size) = _gamma_per_set(RIEZ, b, k, r, g1, g2, 1.0, 64, 6, 4)
+def _assert_same_search(got, want):
+    value, searched, witness = want
     assert abs(got.value - value) <= 1e-12 * value
     assert got.searched == searched
-    assert got.witness["rect"] == ((wrect.cube1.level, wrect.cube1.pos[0]),
-                                   (wrect.cube2.level, wrect.cube2.pos[0]))
-    assert got.witness["set_size"] == size
+    assert got.witness == witness
+
+
+@pytest.mark.parametrize("k, g1, g2, r", [(1, 1, 0, 1.0), (1, 0, 1, 0.5), (2, 1, 1, 2.0)])
+def test_set_values_match_per_set_sums(k, g1, g2, r):
+    # every rectangle's sets, padded with empty masks to a common count per
+    # cell-count group, evaluated in one call per group
+    b = GRID.random(np.random.default_rng(k))
+    bflat = b.values.ravel()
+    rng = np.random.default_rng(9)
+    pairs, groups = lower_bounds._pair_groups(RIEZ, 1.0, None)
+    sets = [_reference_sets(bflat[_rect_cells(p.cube1.cells(), p.cube2.cells(), RIEZ.n2)], rng, 6)
+            for p, _ in pairs]
+    checked = 0
+    for n, (idx, ycells, xcells) in groups.items():
+        width = max(len(sets[i]) for i in idx)
+        masks = np.stack([_masks(sets[i] + [[]] * (width - len(sets[i])), n) for i in idx])
+        got = lower_bounds._group_values(RIEZ, bflat, xcells, ycells, masks, g1, g2, r)
+        assert got.shape == (len(idx), width)
+        for row, i, y, x in zip(got, idx, ycells, xcells):
+            for A, val in zip(sets[i], row):
+                want = _set_value(RIEZ, bflat, x, y[A], g1, g2, r)
+                assert abs(val - want) <= 1e-12 * abs(want)
+                checked += 1
+            assert not row[len(sets[i]):].any()  # an empty set has no mass
+    assert checked > 100 and len(groups) > 1
+
+
+@pytest.mark.parametrize("k, g1, g2, r, kernel, C0, budget", [
+    pytest.param(1, 1, 0, 1.0, RIEZ, 1.0, (64, 6), id="1-1-0-1.0"),
+    pytest.param(1, 0, 1, 0.5, RIEZ, 2.0, (8, 32), id="1-0-1-0.5"),
+    pytest.param(2, 1, 1, 2.0, BilinearKernel(GRID, sign_kernel(1.0)), 1.0, (16, 0),
+                 id="2-1-1-2.0"),
+])
+def test_gamma_batched_matches_per_set(k, g1, g2, r, kernel, C0, budget):
+    b = log_symbol(GRID)
+    got = gamma_constant(kernel, b, k, r, g1, g2, C0, *budget, seed=4)
+    want = _gamma_reference(kernel, b, k, r, g1, g2, C0, *budget, 4, _per_set_values)
+    _assert_same_search(got, want)
+
+
+TRIPLES = ((1, 1, 0, 1.0), (1, 0, 1, 0.5), (2, 1, 1, 2.0))
+SEARCHES = [(C0, budget) for C0 in (1.0, 2.0) for budget in ((8, 32), (64, 6), (16, 0))]
+
+
+@pytest.mark.parametrize("L", [3, 4])
+@pytest.mark.parametrize("spec", [tensor_riesz(1, 1), sign_kernel(1.0)], ids=["riesz", "sign"])
+def test_gamma_batched_matches_per_rectangle(L, spec):
+    # on level 3 every (k, gamma, r) with every (C0, budget); on level 4 each
+    # (C0, budget) with one (k, gamma, r), in turn.  Empty random masks occur
+    # on the one-cell rectangles of level 3.
+    grid = TorusGrid.make(L)
+    kernel = BilinearKernel(grid, spec)
+    b = log_symbol(grid) if L == 4 else grid.random(np.random.default_rng(3))
+    cases = ([t + s for t in TRIPLES for s in SEARCHES] if L == 3
+             else [TRIPLES[i % 3] + s for i, s in enumerate(SEARCHES)])
+    for k, g1, g2, r, C0, budget in cases:
+        got = gamma_constant(kernel, b, k, r, g1, g2, C0, *budget, seed=L + budget[0])
+        want = _gamma_reference(kernel, b, k, r, g1, g2, C0, *budget, L + budget[0],
+                                _per_rect_values)
+        _assert_same_search(got, want)
+
+
+def test_gamma_chunked_groups_match_unchunked(monkeypatch):
+    b = GRID.random(np.random.default_rng(5))
+    cases = [t + (1.0, budget) for t in TRIPLES for budget in ((64, 6), (16, 0))]
+    whole = [gamma_constant(RIEZ, b, k, r, g1, g2, C0, *budget, seed=6)
+             for k, g1, g2, r, C0, budget in cases]
+    # at most 64 kernel points per batch: groups of one- and two-cell
+    # rectangles split into several batches, larger ones one pair per batch
+    monkeypatch.setattr(lower_bounds, "_POOL_POINTS", 64)
+    for (k, g1, g2, r, C0, budget), want in zip(cases, whole):
+        got = gamma_constant(RIEZ, b, k, r, g1, g2, C0, *budget, seed=6)
+        assert (got.value, got.searched, got.witness) == (want.value, want.searched, want.witness)
 
 
 def test_sign_kernel_trivial_sigma():
@@ -363,6 +454,61 @@ def test_pointwise_chain_on_witnesses():
         out = pointwise_chain_check(RIEZ, b, rect(3, 5, 3, 2), 1.0, k, g1, g2)
         assert out["cells_ok"] == out["cells_checked"]
         assert out["half_high"] >= 0.5 and out["half_low"] >= 0.5
+
+
+def _chain_reference(kernel, b, rect_, C0, k, gamma1, gamma2):
+    """The median chain checked one partner cell at a time."""
+    vol = kernel.grid.cell_volume
+    partner = find_nondegenerate_partner(kernel, rect_, C0)
+    bflat = b.values.ravel()
+    xcells = _rect_cells(partner["cells1"], partner["cells2"], kernel.n2)
+    ycells = _rect_cells(rect_.cube1.cells(), rect_.cube2.cells(), kernel.n2)
+    alpha = weighted_median(bflat[xcells])
+    low = bflat[ycells[bflat[ycells] <= alpha]]
+    lhs = np.maximum(alpha - bflat[ycells], 0.0).mean() ** k
+    checked, ok, gap = 0, 0, 0.0
+    for x in xcells[bflat[xcells] >= alpha]:
+        checked += 1
+        rhs = sum((bflat[x] - by) ** gamma1 * (bflat[x] - bz) ** gamma2
+                  for by in low for bz in low) * vol**2 / rect_.measure**2
+        if lhs <= rhs + 1e-12:
+            ok += 1
+        else:
+            gap = max(gap, lhs - rhs)
+    return checked, ok, gap
+
+
+def test_pointwise_chain_matches_per_cell_loop():
+    failing = 0
+    for seed in range(3):
+        b = GRID.random(np.random.default_rng(seed))
+        for rect_ in (rect(3, 5, 3, 2), rect(2, 1, 3, 4), rect(2, 0, 2, 3)):
+            for k, g1, g2 in ((1, 1, 0), (1, 0, 1), (2, 1, 1)):
+                out = pointwise_chain_check(RIEZ, b, rect_, 1.0, k, g1, g2)
+                checked, ok, gap = _chain_reference(RIEZ, b, rect_, 1.0, k, g1, g2)
+                assert (out["cells_checked"], out["cells_ok"]) == (checked, ok)
+                assert abs(out["worst_gap"] - gap) <= 1e-12 * max(gap, 1.0)
+                failing += ok < checked
+    assert failing > 0  # the gap of failing cells was compared too
+
+
+def test_median_sums_match_per_rectangle_loop():
+    b = GRID.random(np.random.default_rng(2))
+    out = bmo_lower_bound(RIEZ, b, 1, 1.0, 1, 0, 1.0, max_rect_cells=16)
+    bflat = b.values.ravel()
+    want, positive = [], 0
+    for rect_ in lower_bounds._base_rectangles(GRID, 16):
+        try:
+            partner = find_nondegenerate_partner(RIEZ, rect_, 1.0)
+        except ValueError:
+            continue
+        positive += partner["min_value"] > 0
+        blk = bflat[_rect_cells(rect_.cube1.cells(), rect_.cube2.cells(), RIEZ.n2)]
+        alpha = weighted_median(bflat[_rect_cells(partner["cells1"], partner["cells2"], RIEZ.n2)])
+        want.append(float(np.maximum(alpha - blk, 0.0).mean())
+                    + float(np.maximum(blk - alpha, 0.0).mean()))
+    assert out["median_sums"] == want
+    assert out["positive_partners"] == positive
 
 
 def test_bmo_lower_bound_zero_symbol():

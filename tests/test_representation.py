@@ -1,6 +1,7 @@
 """Decomposer: exact reconstruction, round trips, coefficient bounds."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 from dyadlab.core import (
     Axis,
     AxisShift,
+    ConfigError,
     DyadicCube,
     GridShift,
     ResolutionError,
@@ -24,6 +26,7 @@ from dyadlab.model_ops import (
     random_partial_paraproduct,
     random_shift_operator,
 )
+from dyadlab import representation
 from dyadlab.representation import (
     BRANCHES,
     AxisDecomposition,
@@ -31,8 +34,10 @@ from dyadlab.representation import (
     KernelFormatError,
     KernelTensor,
     averaged_reconstruction,
+    check_decomposer_size,
     common_ancestor,
     decompose,
+    decomposer_bytes,
 )
 
 GRID = TorusGrid.make(3)
@@ -334,6 +339,38 @@ def test_kernel_load_rejects_malformed_files(blob):
         blob = buf.getvalue()[:-8]
     with pytest.raises(KernelFormatError):
         KernelTensor.load(io.BytesIO(blob))
+
+
+def _header(levels, dims=(1, 1)):
+    blob = json.dumps({"format": "dyadlab-kernel-v1", "dims": list(dims),
+                       "levels": list(levels), "alpha": None}).encode()
+    return len(blob).to_bytes(4, "little") + blob
+
+
+def test_decomposer_size_model(monkeypatch):
+    # the dense kernel tensor and the Haar coefficients, C^3 float64 each
+    assert decomposer_bytes(TorusGrid.make(4)) == 2 * 8 * 256**3
+    check_decomposer_size(TorusGrid.make(4))  # 0.27 GB, 0.7 GB peak RSS measured
+    for grid in (TorusGrid.make(5), TorusGrid.make((5, 4)), TorusGrid.make(3, (2, 2))):
+        assert decomposer_bytes(grid) > representation.DECOMPOSER_BUDGET
+        with pytest.raises(ConfigError):
+            check_decomposer_size(grid)
+    # a header naming a level-5 grid is refused before its data is read;
+    # without the check the missing data would be a format error
+    for levels in ((5, 5), (5000, 3)):
+        with pytest.raises(ConfigError):
+            KernelTensor.load(io.BytesIO(_header(levels)))
+    for blob in (_header((3, 2.5)), _header((3,)), _header((3, 3), (1, "1"))):
+        with pytest.raises(KernelFormatError):
+            KernelTensor.load(io.BytesIO(blob))
+    # the constructors check before they allocate: under a budget below
+    # the level-2 need they refuse a grid whose tensor is a few kB
+    small = TorusGrid.make(2)
+    monkeypatch.setattr(representation, "DECOMPOSER_BUDGET", decomposer_bytes(small) - 1)
+    for build in (lambda: KernelTensor.random(small, np.random.default_rng(0)),
+                  lambda: KernelTensor.from_kernel(small, tensor_riesz(1, 1))):
+        with pytest.raises(ConfigError):
+            build()
 
 
 def test_object_level_emission_matches_matrix_subset():
