@@ -21,15 +21,11 @@ from .core import (
     TorusGrid,
     all_rectangles,
     axis_average,
-    axis_cubes,
     block_index,
     cell_tables,
     enumerate_axis_shifts,
     martingale_block,
-    martingale_difference,
-    rect_blocks,
     sample_shift,
-    slice_blocks,
 )
 from .measures import (
     axis_profile_strong_max,
@@ -70,14 +66,6 @@ __all__ = [
 # the eight bi-parameter and four one-parameter paraproduct operators
 # ---------------------------------------------------------------------------
 
-def _delta1(f: DiscreteFunction, cube: DyadicCube) -> DiscreteFunction:
-    return martingale_difference(f, cube, 0)
-
-
-def _delta2(f: DiscreteFunction, cube: DyadicCube) -> DiscreteFunction:
-    return martingale_difference(f, cube, 1)
-
-
 def _avg1(f: DiscreteFunction, cube: DyadicCube) -> DiscreteFunction:
     out = np.zeros_like(f.values)
     cells = cube.cells()
@@ -92,112 +80,61 @@ def _avg2(f: DiscreteFunction, cube: DyadicCube) -> DiscreteFunction:
     return DiscreteFunction(f.grid, out)
 
 
+# per kind, the rows the symbol and the input pair with on (axis 1, axis 2):
+# 'h' the cancellative Haar rows, 'a' the averaging rows of the same cubes
+_BIFACTOR_ROWS = {1: ("hh", "hh"), 2: ("hh", "ah"), 3: ("hh", "ha"), 4: ("hh", "aa"),
+                  5: ("ah", "hh"), 6: ("ah", "ha"), 7: ("ha", "hh"), 8: ("ha", "ah")}
+
+
+def _canc_rows(o) -> dict[str, np.ndarray]:
+    """Haar and averaging rows of the cancellative cubes of one axis: the
+    cubes of levels 0..L-1, which come first in the cube order."""
+    return {"h": o.haar, "a": o.avg[: o.cube_offset[o.axis.levels]]}
+
+
 def paraproduct_bifactor(kind: int, b: DiscreteFunction, f: DiscreteFunction,
                          shift: GridShift | None = None) -> DiscreteFunction:
     """The eight bi-parameter product-expansion operators (kind 1..8).
 
     Kinds 1-4 place the full rectangle difference on the symbol; 5-8 mix one
     averaged variable in, matching the product expansion term by term.
-    Evaluated through coefficient tables; `paraproduct_bifactor_reference`
-    is the independent summation form."""
-    grid = b.grid
-    om = shift if shift is not None else GridShift.zero(grid)
-    o1 = axis_ops(grid.axes[0], om.shift1)
-    o2 = axis_ops(grid.axes[1], om.shift2)
-    vol1, vol2 = grid.axes[0].cell_volume, grid.axes[1].cell_volume
-    cube1 = np.array([o1.cube_index(c.level, c.pos[0]) for c in o1.canc_cubes])
-    cube2 = np.array([o2.cube_index(c.level, c.pos[0]) for c in o2.canc_cubes])
-
-    def tab(g, k1, k2):
-        r1 = o1.haar if k1 == "h" else o1.avg[cube1]
-        r2 = o2.haar if k2 == "h" else o2.avg[cube2]
-        return (r1 * vol1) @ g.values @ (r2 * vol2).T
-
-    avg1c, avg2c = o1.avg[cube1], o2.avg[cube2]
-    pick = {
-        1: (tab(b, "h", "h") * tab(f, "h", "h"), avg1c, avg2c),
-        2: (tab(b, "h", "h") * tab(f, "a", "h"), o1.haar, avg2c),
-        3: (tab(b, "h", "h") * tab(f, "h", "a"), avg1c, o2.haar),
-        4: (tab(b, "h", "h") * tab(f, "a", "a"), o1.haar, o2.haar),
-        5: (tab(b, "a", "h") * tab(f, "h", "h"), o1.haar, avg2c),
-        6: (tab(b, "a", "h") * tab(f, "h", "a"), o1.haar, o2.haar),
-        7: (tab(b, "h", "a") * tab(f, "h", "h"), avg1c, o2.haar),
-        8: (tab(b, "h", "a") * tab(f, "a", "h"), o1.haar, o2.haar),
-    }
-    if kind not in pick:
+    Evaluated through coefficient tables.  b and f may be stacks of
+    functions, giving one output per sample."""
+    if kind not in _BIFACTOR_ROWS:
         raise ValueError("kind must be 1..8")
-    W, R1, R2 = pick[kind]
-    return DiscreteFunction(grid, R1.T @ W @ R2)
-
-
-def paraproduct_bifactor_reference(kind: int, b: DiscreteFunction, f: DiscreteFunction,
-                                   shift: GridShift | None = None) -> DiscreteFunction:
-    """Direct summation over rectangles (independent oracle)."""
     grid = b.grid
     om = shift if shift is not None else GridShift.zero(grid)
-    out = grid.zeros()
-    for l1 in range(grid.axes[0].levels):
-        for c1 in axis_cubes(grid.axes[0], l1, om.shift1):
-            for l2 in range(grid.axes[1].levels):
-                for c2 in axis_cubes(grid.axes[1], l2, om.shift2):
-                    if kind == 1:
-                        term = _delta2(_delta1(b, c1), c2) * _delta2(_delta1(f, c1), c2)
-                    elif kind == 2:
-                        term = _delta2(_delta1(b, c1), c2) * _delta2(_avg1(f, c1), c2)
-                    elif kind == 3:
-                        term = _delta2(_delta1(b, c1), c2) * _avg2(_delta1(f, c1), c2)
-                    elif kind == 4:
-                        avg = f.values[np.ix_(c1.cells(), c2.cells())].mean()
-                        term = _delta2(_delta1(b, c1), c2) * avg
-                    elif kind == 5:
-                        term = _delta2(_avg1(b, c1), c2) * _delta2(_delta1(f, c1), c2)
-                    elif kind == 6:
-                        term = _delta2(_avg1(b, c1), c2) * _avg2(_delta1(f, c1), c2)
-                    elif kind == 7:
-                        term = _avg2(_delta1(b, c1), c2) * _delta2(_delta1(f, c1), c2)
-                    elif kind == 8:
-                        term = _avg2(_delta1(b, c1), c2) * _delta2(_avg1(f, c1), c2)
-                    else:
-                        raise ValueError("kind must be 1..8")
-                    out = out + term
-    return out
+    rows1 = _canc_rows(axis_ops(grid.axes[0], om.shift1))
+    rows2 = _canc_rows(axis_ops(grid.axes[1], om.shift2))
+    vol1, vol2 = grid.axes[0].cell_volume, grid.axes[1].cell_volume
+
+    def tab(g, k):
+        return (rows1[k[0]] * vol1) @ g.values @ (rows2[k[1]] * vol2).T
+
+    kb, kf = _BIFACTOR_ROWS[kind]
+    # per axis exactly one of symbol, input and output takes the averages
+    out1, out2 = ("a" if kb[i] == kf[i] == "h" else "h" for i in (0, 1))
+    return DiscreteFunction(grid, rows1[out1].T @ (tab(b, kb) * tab(f, kf)) @ rows2[out2])
 
 
 def paraproduct_onefactor(kind: int, axis_idx: int, b: DiscreteFunction,
                           f: DiscreteFunction, shift: GridShift | None = None) -> DiscreteFunction:
     """One-variable expansion operators: kind 1 pairs differences with
-    differences, kind 2 differences with averages."""
+    differences, kind 2 differences with averages.  b and f may be stacks
+    of functions, giving one output per sample."""
     grid = b.grid
     om = shift if shift is not None else GridShift.zero(grid)
     sh = om.shift1 if axis_idx == 0 else om.shift2
-    ops = axis_ops(grid.axes[axis_idx], sh)
+    rows = _canc_rows(axis_ops(grid.axes[axis_idx], sh))
     vol = grid.axes[axis_idx].cell_volume
-    cube_of = np.array([ops.cube_index(c.level, c.pos[0]) for c in ops.canc_cubes])
+    f_rows, out_rows = (rows["h"], rows["a"]) if kind == 1 else (rows["a"], rows["h"])
     if axis_idx == 0:
-        bprof = (ops.haar * vol) @ b.values
-        fprof = (ops.haar * vol) @ f.values if kind == 1 else (ops.avg[cube_of] * vol) @ f.values
-        rows = ops.avg[cube_of] if kind == 1 else ops.haar
-        return DiscreteFunction(grid, rows.T @ (bprof * fprof))
-    bprof = b.values @ (ops.haar * vol).T
-    fprof = f.values @ (ops.haar * vol).T if kind == 1 else f.values @ (ops.avg[cube_of] * vol).T
-    rows = ops.avg[cube_of] if kind == 1 else ops.haar
-    return DiscreteFunction(grid, (bprof * fprof) @ rows)
-
-
-def paraproduct_onefactor_reference(kind: int, axis_idx: int, b: DiscreteFunction,
-                                    f: DiscreteFunction, shift: GridShift | None = None) -> DiscreteFunction:
-    """Direct summation over cubes (independent oracle)."""
-    grid = b.grid
-    om = shift if shift is not None else GridShift.zero(grid)
-    sh = om.shift1 if axis_idx == 0 else om.shift2
-    delta = _delta1 if axis_idx == 0 else _delta2
-    avg = _avg1 if axis_idx == 0 else _avg2
-    out = grid.zeros()
-    for level in range(grid.axes[axis_idx].levels):
-        for cube in axis_cubes(grid.axes[axis_idx], level, sh):
-            other = delta(f, cube) if kind == 1 else avg(f, cube)
-            out = out + delta(b, cube) * other
-    return out
+        bprof = (rows["h"] * vol) @ b.values
+        fprof = (f_rows * vol) @ f.values
+        return DiscreteFunction(grid, out_rows.T @ (bprof * fprof))
+    bprof = b.values @ (rows["h"] * vol).T
+    fprof = f.values @ (f_rows * vol).T
+    return DiscreteFunction(grid, (bprof * fprof) @ out_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +231,8 @@ class AdaptedMaximal:
 
     kind 'rect' runs over all wrapped rectangles of dyadic side lengths (the
     rectangles of every shift), 'axis1'/'axis2' over one-variable windows
-    only; the windows come from the cached window tables."""
+    only; the windows come from the cached window tables.  b and f may be
+    stacks of functions, giving one maximal function per sample."""
 
     b: DiscreteFunction
     kind: str = "rect"
@@ -302,19 +240,48 @@ class AdaptedMaximal:
     def apply(self, f: DiscreteFunction) -> DiscreteFunction:
         grid = f.grid
         af = np.abs(f.values)
-        if self.kind == "rect":
-            indices, cell_axes = rect_blocks(grid, None), (2, 3)
-        elif self.kind in ("axis1", "axis2"):
-            ax = 0 if self.kind == "axis1" else 1
-            indices, cell_axes = slice_blocks(grid, ax, None), ax + 1
-        else:
+        ax1, ax2 = grid.axes
+        if self.kind not in ("rect", "axis1", "axis2"):
             raise ValueError(f"unknown adapted maximal kind {self.kind!r}")
-        out = np.zeros(grid.shape)
-        for idx in indices:
-            blk_b = self.b.values[idx]
-            osc = np.abs(blk_b - blk_b.mean(axis=cell_axes, keepdims=True)) * af[idx]
-            np.maximum.at(out, idx, osc.mean(axis=cell_axes, keepdims=True))
+        # per factor the window levels, or None to keep the factor whole
+        levels1 = [None] if self.kind == "axis2" else range(ax1.levels + 1)
+        levels2 = [None] if self.kind == "axis1" else range(ax2.levels + 1)
+        tabs1, tabs2 = cell_tables(ax1, None), cell_tables(ax2, None)
+        out = np.zeros(np.broadcast_shapes(self.b.values.shape, af.shape))
+        bv = np.broadcast_to(self.b.values, out.shape)
+        for j1 in levels1:
+            for j2 in levels2:
+                idx = block_index(None if j1 is None else tabs1[j1], None if j2 is None else tabs2[j2])
+                cells = tuple(ax for ax, j in ((-2, j1), (-1, j2)) if j is not None)
+                blk = bv[idx]  # a gathered copy, changed in place
+                blk -= blk.mean(axis=cells, keepdims=True)
+                np.abs(blk, out=blk)
+                blk *= af[idx]
+                osc = blk.mean(axis=cells)
+                # osc holds one value per window, indexed by its start cell
+                if j1 is not None:
+                    osc = _window_cover(osc, ax1, ax1.n_side >> j1, -2)
+                if j2 is not None:
+                    osc = _window_cover(osc, ax2, ax2.n_side >> j2, -1)
+                np.maximum(out, osc, out=out)
         return DiscreteFunction(grid, out)
+
+
+def _window_cover(vals: np.ndarray, axis: Axis, width: int, at: int) -> np.ndarray:
+    """Per cell, the max of `vals` over the windows of side `width` cells
+    that contain the cell, where array axis `at` (negative) of `vals` runs
+    over the windows of one factor by start cell.  The window at s covers
+    s..s+width-1 in each coordinate, so this is a sliding max per coordinate,
+    taken by doubling; max is exact, so it equals a scatter of the maxima."""
+    shape = vals.shape
+    at = len(shape) + at
+    v = vals.reshape(shape[:at] + (axis.n_side,) * axis.dim + shape[at + 1:])
+    step = 1
+    while step < width:
+        for c in range(at, at + axis.dim):
+            v = np.maximum(v, np.roll(v, step, axis=c))
+        step *= 2
+    return v.reshape(shape)
 
 
 def profile_adapted_max(b_prof: np.ndarray, g_prof: np.ndarray, axis: Axis) -> np.ndarray:
@@ -322,10 +289,10 @@ def profile_adapted_max(b_prof: np.ndarray, g_prof: np.ndarray, axis: Axis) -> n
     out = np.zeros(axis.n_cells)
     ag = np.abs(np.asarray(g_prof))
     bb = np.asarray(b_prof)
-    for tab in cell_tables(axis, None):
+    for j, tab in enumerate(cell_tables(axis, None)):
         blk = bb[tab]
-        osc = (np.abs(blk - blk.mean(axis=1, keepdims=True)) * ag[tab]).mean(axis=1, keepdims=True)
-        np.maximum.at(out, tab, osc)
+        osc = (np.abs(blk - blk.mean(axis=1, keepdims=True)) * ag[tab]).mean(axis=1)
+        out = np.maximum(out, _window_cover(osc, axis, axis.n_side >> j, -1))
     return out
 
 

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -87,24 +87,6 @@ class Axis:
     @property
     def cell_volume(self) -> float:
         return 2.0 ** (-self.levels * self.dim)
-
-    def cube_count(self, level: int) -> int:
-        return (1 << level) ** self.dim
-
-    def cell_coords(self, flat: int) -> tuple[int, ...]:
-        n = self.n_side
-        out = []
-        for _ in range(self.dim):
-            out.append(flat % n)
-            flat //= n
-        return tuple(out)
-
-    def flat_cell(self, coords: Sequence[int]) -> int:
-        n = self.n_side
-        flat = 0
-        for t in reversed(range(self.dim)):
-            flat = flat * n + (coords[t] % n)
-        return flat
 
 
 @dataclass(frozen=True)
@@ -383,19 +365,20 @@ def block_index(tab1: np.ndarray | None, tab2: np.ndarray | None) -> tuple:
 
     values[block_index(t1, t2)] has shape (m1, m2, k1, k2), one rectangle
     block per pair of rows; a None table keeps that factor whole, giving the
-    slice blocks (m1, k1, n2) or (n1, m2, k2).  The same index scatters
-    per-block results back, e.g. with np.maximum.at and keepdims reductions.
+    slice blocks (m1, k1, n2) or (n1, m2, k2).  The index acts on the last
+    two axes, so a stack of functions keeps its leading sample axis.  The
+    same index scatters per-block results back, e.g. with keepdims reductions.
     """
     if tab2 is None:
-        return (tab1,)
+        return (Ellipsis, tab1, slice(None))
     if tab1 is None:
-        return (slice(None), tab2)
-    return (tab1[:, None, :, None], tab2[None, :, None, :])
+        return (Ellipsis, slice(None), tab2)
+    return (Ellipsis, tab1[:, None, :, None], tab2[None, :, None, :])
 
 
 def rect_blocks(grid: TorusGrid, shift: GridShift | None) -> Iterator[tuple]:
     """block_index of every level pair: the rectangles of the shifted
-    lattice, or with shift None of every shift.  Cells lie on axes (2, 3)."""
+    lattice, or with shift None of every shift.  Cells lie on axes (-2, -1)."""
     for t1 in cell_tables(grid.axes[0], None if shift is None else shift.shift1):
         for t2 in cell_tables(grid.axes[1], None if shift is None else shift.shift2):
             yield block_index(t1, t2)
@@ -403,7 +386,7 @@ def rect_blocks(grid: TorusGrid, shift: GridShift | None) -> Iterator[tuple]:
 
 def slice_blocks(grid: TorusGrid, axis_idx: int, shift: GridShift | None) -> Iterator[tuple]:
     """block_index of every level of one factor, the other kept whole (shift
-    None: every shift).  Cells lie on axis axis_idx + 1."""
+    None: every shift).  Cells lie on axis axis_idx - 2."""
     for tab in cell_tables(grid.axes[axis_idx], None if shift is None else shift[axis_idx]):
         yield block_index(tab, None) if axis_idx == 0 else block_index(None, tab)
 
@@ -452,14 +435,16 @@ class DiscreteFunction:
     """Piecewise-constant scalar field on the level-L cells of the product grid.
 
     values[i, j] is the value on (axis-1 cell i, axis-2 cell j); integrals and
-    averages are exact finite sums.
+    averages are exact finite sums.  A stack of functions carries a leading
+    sample axis, values[s, i, j]: the algebra and the functions documented
+    to take stacks act per sample, the integrals below take one function.
     """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: TorusGrid, values: np.ndarray):
         values = np.asarray(values)
-        if values.shape != grid.shape:
+        if values.shape[-2:] != grid.shape or values.ndim not in (2, 3):
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
         self.grid = grid
         self.values = values
@@ -515,9 +500,6 @@ class DiscreteFunction:
             return (vec @ self.values) * self.grid.axes[0].cell_volume
         return (self.values @ vec) * self.grid.axes[1].cell_volume
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt((np.abs(self.values) ** 2).sum() * self.grid.cell_volume))
-
     # -- serialization --------------------------------------------------------
     def dump(self, fp: io.BufferedIOBase) -> None:
         header = {
@@ -540,6 +522,12 @@ class DiscreteFunction:
         grid = TorusGrid.make(tuple(header["levels"]), tuple(header["dims"]))
         raw = np.frombuffer(fp.read(), dtype=header["dtype"]).reshape(grid.shape)
         return DiscreteFunction(grid, raw.copy())
+
+
+def per_sample(x: np.ndarray) -> float | np.ndarray:
+    """A statistic reduced over cells: a float for one function, the array
+    of per-sample values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def outer(grid: TorusGrid, vec1: np.ndarray, vec2: np.ndarray) -> DiscreteFunction:
@@ -617,7 +605,7 @@ def axis_project(f: DiscreteFunction, level: int, axis: int, shift: AxisShift) -
     tab = _cube_table(ax, level, shift)
     idx = block_index(tab, None) if axis == 0 else block_index(None, tab)
     out = np.empty_like(f.values)
-    out[idx] = f.values[idx].mean(axis=axis + 1, keepdims=True)
+    out[idx] = f.values[idx].mean(axis=axis - 2, keepdims=True)
     return DiscreteFunction(f.grid, out)
 
 
@@ -660,10 +648,6 @@ def martingale_block(f: DiscreteFunction, cube: DyadicCube, depth: int, axis: in
 
 def martingale_difference_rect(f: DiscreteFunction, rect: DyadicRectangle) -> DiscreteFunction:
     return martingale_difference(martingale_difference(f, rect.cube1, 0), rect.cube2, 1)
-
-
-def martingale_block_rect(f: DiscreteFunction, rect: DyadicRectangle, depths: tuple[int, int]) -> DiscreteFunction:
-    return martingale_block(martingale_block(f, rect.cube1, depths[0], 0), rect.cube2, depths[1], 1)
 
 
 def truncated_projection(f: DiscreteFunction, level_pair: tuple[int, int], shift: GridShift) -> DiscreteFunction:

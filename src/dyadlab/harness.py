@@ -281,6 +281,45 @@ def _rng(master: int, *labels) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
+# A sweep cell draws and evaluates its samples in chunks along a leading
+# sample axis, sized so that no temporary holds more than about this many
+# float64 elements.
+SAMPLE_CHUNK = 1 << 15
+
+
+def _draws(rng: np.random.Generator, n_samples: int, shape: tuple, per_sample: int):
+    """Standard normal inputs of `n_samples` samples of `shape`, in chunks
+    along a leading sample axis, sized for temporaries of `per_sample`
+    elements per sample.  A generator's normal stream does not depend on
+    how the draws cut it, so the chunks in order equal one draw of `shape`
+    per sample, element for element."""
+    step = max(1, SAMPLE_CHUNK // per_sample)
+    for start in range(0, n_samples, step):
+        yield rng.standard_normal((min(step, n_samples - start),) + shape)
+
+
+def _worst(worst: float, num: np.ndarray, den: np.ndarray, floor: float = 1e-12) -> float:
+    """The larger of `worst` and the largest per-sample num/den over the
+    samples whose den exceeds `floor`."""
+    keep = den > floor
+    return max(worst, float((num[keep] / den[keep]).max(initial=0.0)))
+
+
+def _bilinear_sweep(U, rng, n_samples: int, exps, w1, w2, v3) -> float:
+    """Worst ||U(f1, f2)||_{L^r(v3)} / (||f1||_{L^p(w1)} ||f2||_{L^q(w2)})
+    over `n_samples` seeded normal pairs."""
+    grid = U.grid
+    p, q, r = exps
+    worst = 0.0
+    # an apply's temporaries are coefficient tables of under 4 cells' worth
+    # per sample (one row per cube of each factor)
+    for fs in _draws(rng, n_samples, (2,) + grid.shape, 4 * grid.shape[0] * grid.shape[1]):
+        f1, f2 = DiscreteFunction(grid, fs[:, 0]), DiscreteFunction(grid, fs[:, 1])
+        worst = _worst(worst, ms.lp_norm(U.apply(f1, f2), r, v3),
+                       ms.lp_norm(f1, p, w1) * ms.lp_norm(f2, q, w2))
+    return worst
+
+
 def _exp_triple(pair) -> tuple[float, float, float]:
     p, q = pair
     return p, q, 1.0 / (1.0 / p + 1.0 / q)
@@ -442,8 +481,10 @@ def coefficient_suite(config: ExperimentConfig) -> Report:
 def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Report:
     """Norm-inequality sweeps for the three operator families, the expansion
     operators, the adapted maximal function and the square-function lower
-    bounds, against golden quantile curves."""
+    bounds, against golden quantile curves.  Each sweep cell evaluates its
+    seeded samples as stacks along a leading sample axis."""
     grid = config.grid()
+    n_cells = grid.shape[0] * grid.shape[1]
     goldens = load_goldens()
     rep = Report("weighted", config.seed)
     weights = weight_catalog(grid)
@@ -465,14 +506,8 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
                 w1 = weights[wname]
                 w2 = weights[wname]
                 v3 = ms.Weight(DiscreteFunction(grid, w1.values ** (r / p) * w2.values ** (r / q)))
-                worst = 0.0
-                rng = _rng(config.seed, "sweep", fam, wname, p, q)
-                for _ in range(seeds_per_cell):
-                    f1, f2 = grid.random(rng), grid.random(rng)
-                    num = ms.lp_norm(U.apply(f1, f2), r, v3)
-                    den = ms.lp_norm(f1, p, w1) * ms.lp_norm(f2, q, w2)
-                    if den > 1e-12:
-                        worst = max(worst, num / den)
+                worst = _bilinear_sweep(U, _rng(config.seed, "sweep", fam, wname, p, q),
+                                        seeds_per_cell, (p, q, r), w1, w2, v3)
                 cell = f"p{p:g}_q{q:g}_{wname}"
                 rep.add(f"weighted-{fam}", cell, config.seed, worst,
                         _bound(goldens, f"weighted/{fam}/{cell}"))
@@ -491,14 +526,8 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
         for wname in use[:3]:
             w1 = weights[wname]
             v3 = ms.Weight(DiscreteFunction(grid, w1.values ** (r / p) * w1.values ** (r / q)))
-            worst = 0.0
-            rng = _rng(config.seed, "sweeptf", wname, p, q)
-            for _ in range(seeds_per_cell // 4):
-                f1, f2 = grid.random(rng), grid.random(rng)
-                num = ms.lp_norm(Ft.apply(f1, f2), r, v3)
-                den = ms.lp_norm(f1, p, w1) * ms.lp_norm(f2, q, w1)
-                if den > 1e-12:
-                    worst = max(worst, num / den)
+            worst = _bilinear_sweep(Ft, _rng(config.seed, "sweeptf", wname, p, q),
+                                    seeds_per_cell // 4, (p, q, r), w1, w1, v3)
             cell = f"p{p:g}_q{q:g}_{wname}"
             rep.add("weighted-tensorfull", cell, config.seed, worst,
                     _bound(goldens, f"weighted/tensorfull/{cell}"))
@@ -509,19 +538,19 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
             worstA = 0.0
             worstM = 0.0
             rng = _rng(config.seed, "lin", wname, p)
-            for s in range(max(seeds_per_cell // 10, 20)):
-                b = grid.random(rng)
-                b = b * (1.0 / max(ms.bmo_norm(b, "little"), 1e-12))
-                f = grid.random(rng)
+            # the window statistics gather every window of the top level, all
+            # cells of the grid from each start cell, per sample
+            for bf in _draws(rng, max(seeds_per_cell // 10, 20), (2,) + grid.shape, n_cells**2):
+                b = DiscreteFunction(grid, bf[:, 0])
+                b = b * (1.0 / np.maximum(ms.bmo_norm(b, "little"), 1e-12))[:, None, None]
+                f = DiscreteFunction(grid, bf[:, 1])
                 den = ms.lp_norm(f, p, w)
-                for kind in (1, 4, 6, 8):
-                    out = com.paraproduct_bifactor(kind, b, f, om)
-                    worstA = max(worstA, ms.lp_norm(out, p, w) / den)
-                for kind in (1, 2):
-                    out = com.paraproduct_onefactor(kind, 0, b, f, om)
-                    worstA = max(worstA, ms.lp_norm(out, p, w) / den)
+                outs = [com.paraproduct_bifactor(kind, b, f, om) for kind in (1, 4, 6, 8)]
+                outs += [com.paraproduct_onefactor(kind, 0, b, f, om) for kind in (1, 2)]
+                for out in outs:
+                    worstA = _worst(worstA, ms.lp_norm(out, p, w), den)
                 mb = com.AdaptedMaximal(b, "rect").apply(f)
-                worstM = max(worstM, ms.lp_norm(mb, p, w) / den)
+                worstM = _worst(worstM, ms.lp_norm(mb, p, w), den)
             rep.add("weighted-expansion", f"p{p:g}_{wname}", config.seed, worstA,
                     _bound(goldens, f"weighted/expansion/p{p:g}_{wname}"))
             rep.add("weighted-adaptedmax", f"p{p:g}_{wname}", config.seed, worstM,
@@ -533,21 +562,21 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
         char = max(ms.ainfty_characteristic(w, "axis1"), ms.ainfty_characteristic(w, "axis2"))
         worst = 0.0
         rng = _rng(config.seed, "lsf", wname)
-        for s in range(max(seeds_per_cell // 10, 20)):
-            f = grid.random(rng)
-            out = ms.lower_sf_check(f, w, 2.0)
-            worst = max(worst, max(out.values()))
+        # the square functions hold a few one-cell-per-sample arrays
+        for fs in _draws(rng, max(seeds_per_cell // 10, 20), grid.shape, 4 * n_cells):
+            out = ms.lower_sf_check(DiscreteFunction(grid, fs), w, 2.0)
+            worst = max(worst, float(np.max(list(out.values()))))
         rep.add("lower-sf-char", wname, config.seed, char, None)
         rep.add("lower-sf", wname, config.seed, worst, _bound(goldens, f"lowersf/{wname}"))
     # sparse domination of the one-parameter paraproduct form
     worst = 0.0
     rng = _rng(config.seed, "sparse")
     axis = grid.axes[0]
-    for s in range(seeds_per_cell):
-        b, g1, g2, g3 = (rng.standard_normal(axis.n_cells) for _ in range(4))
-        out = sparse_dominate_paraproduct(b, g1, g2, g3, axis)
-        if out["rhs"] > 0:
-            worst = max(worst, out["ratio"])
+    # rows of b, g1, g2, g3 per sample; the stopping sweep holds their
+    # averages over one level at a time
+    for rows in _draws(rng, seeds_per_cell, (4, axis.n_cells), 4 * axis.n_cells):
+        out = sparse_dominate_paraproduct(*np.moveaxis(rows, 1, 0), axis)
+        worst = _worst(worst, out["lhs"], out["rhs"], 0.0)
     rep.add("sparse-domination", "axis1", config.seed, worst, _bound(goldens, "sparse/ratio"))
     return rep
 

@@ -21,6 +21,7 @@ from .core import (
     cell_tables,
     enumerate_shifts,
     martingale_block,
+    per_sample,
     rect_blocks,
     sample_shift,
     slice_blocks,
@@ -177,15 +178,16 @@ def ainfty_characteristic(
 # norms
 # ---------------------------------------------------------------------------
 
-def lp_norm(f: DiscreteFunction, p: float, w: Weight | None = None) -> float:
-    """Exact L^p(w) (quasi-)norm; p = inf takes the cell max."""
+def lp_norm(f: DiscreteFunction, p: float, w: Weight | None = None) -> float | np.ndarray:
+    """Exact L^p(w) (quasi-)norm; p = inf takes the cell max.  A stack of
+    functions gives one norm per sample."""
     dens = 1.0 if w is None else w.values
     a = np.abs(f.values)
     if math.isinf(p):
-        return float(a.max())
+        return per_sample(a.max(axis=(-2, -1)))
     if p <= 0:
         raise ValueError("p must be positive")
-    return float(((a**p * dens).sum() * f.grid.cell_volume) ** (1.0 / p))
+    return per_sample(((a**p * dens).sum(axis=(-2, -1)) * f.grid.cell_volume) ** (1.0 / p))
 
 
 def mixed_norm(
@@ -247,7 +249,8 @@ def bmo_norm(
     """Oscillation norms.
 
     kind 'axis1'/'axis2': worst one-parameter dyadic BMO norm over slices.
-    kind 'little': sup over dyadic rectangles of <|b - <b>_R|>_R.
+    kind 'little': sup over dyadic rectangles of <|b - <b>_R|>_R; a stack
+    of symbols gives one norm per sample.
     With over_all_shifts these sups run over the cubes/rectangles of every
     shift, i.e. over all wrapped windows of dyadic side lengths.
     kind 'product': lower-bound report for the square-sum norm over a
@@ -262,10 +265,11 @@ def bmo_norm(
     if kind == "little":
         best = 0.0
         for idx in rect_blocks(grid, _lattice(grid, om, over_all_shifts)):
-            blk = b.values[idx]
-            osc = np.abs(blk - blk.mean(axis=(2, 3), keepdims=True)).mean(axis=(2, 3))
-            best = max(best, float(osc.max()))
-        return best
+            blk = b.values[idx]  # a gathered copy, changed in place
+            blk -= blk.mean(axis=(-2, -1), keepdims=True)
+            osc = np.abs(blk, out=blk).mean(axis=(-2, -1))
+            best = np.maximum(best, osc.max(axis=(-2, -1)))
+        return per_sample(best)
     if kind == "product":
         b1 = AxisBasis(grid.axes[0], om.shift1)
         b2 = AxisBasis(grid.axes[1], om.shift2)
@@ -309,10 +313,11 @@ def _product_bmo(grid: TorusGrid, masks: np.ndarray, c2: np.ndarray,
     sq = (c2 / (masks.sum(axis=1) * grid.cell_volume))[:, None] * masks
     sq = sq.sum(axis=0)
     rng = np.random.default_rng(seed)
-    pool_idx = rng.choice(n_rect, size=min(pool, n_rect), replace=False)
-    unions = [masks[list(combo)].any(axis=0)
-              for k in range(2, union + 1)
-              for combo in itertools.combinations(pool_idx.tolist(), k)]
+    pool_idx = rng.choice(n_rect, size=min(pool, n_rect), replace=False).tolist()
+    # one gather per union size, the unions in itertools.combinations order
+    unions = [masks[np.fromiter(itertools.chain.from_iterable(itertools.combinations(pool_idx, k)),
+                                dtype=np.intp).reshape(-1, k)].any(axis=1)
+              for k in range(2, union + 1)]
     levels = np.unique(sq)[:-1]
     sets = np.vstack([masks, *unions, sq[None, :] > levels[:, None]])
     inside = ~((~sets) @ masks.T)
@@ -426,7 +431,8 @@ def square_function(
     kinds: 'rect' (bi-parameter differences), 'axis1'/'axis2' (one-parameter
     differences in one variable), 'phi1'/'phi2' (maximal-smoothed versions),
     'block' (bi-parameter blocks at the given depths, averaged over shifts),
-    'block1'/'block2' (one-parameter blocks at depths[0]).
+    'block1'/'block2' (one-parameter blocks at depths[0]).  The kinds 'rect',
+    'axis1' and 'axis2' also take a stack of functions.
 
     For the block kinds the expectation over shifts is exact when
     shift_samples is None (full enumeration) and Monte-Carlo otherwise; an
@@ -461,7 +467,7 @@ def _axis_groups(f: DiscreteFunction, axis_idx: int, shift: AxisShift):
 
 def _sf_rect(f: DiscreteFunction, om: GridShift) -> DiscreteFunction:
     grid = f.grid
-    acc = np.zeros(grid.shape)
+    acc = np.zeros(f.values.shape)
     for g1 in _axis_groups(f, 0, om.shift1):
         for g2 in _axis_groups(g1, 1, om.shift2):
             acc += np.abs(g2.values) ** 2
@@ -471,7 +477,7 @@ def _sf_rect(f: DiscreteFunction, om: GridShift) -> DiscreteFunction:
 def _sf_axis(f: DiscreteFunction, om: GridShift, axis_idx: int) -> DiscreteFunction:
     grid = f.grid
     shift = om.shift1 if axis_idx == 0 else om.shift2
-    acc = np.zeros(grid.shape)
+    acc = np.zeros(f.values.shape)
     for g in _axis_groups(f, axis_idx, shift):
         acc += np.abs(g.values) ** 2
     return DiscreteFunction(grid, np.sqrt(acc))
@@ -563,11 +569,14 @@ def phi_function(
 
 
 def lower_sf_check(f: DiscreteFunction, v: Weight, p: float, shift: GridShift | None = None) -> dict:
-    """Ratios ||f||_{L^p(v)}^p / int (S f)^p v for the three square functions."""
+    """Ratios ||f||_{L^p(v)}^p / int (S f)^p v for the three square functions;
+    a stack of functions gives one ratio per sample."""
     out = {}
     num = lp_norm(f, p, v) ** p
     for kind in ("axis1", "axis2", "rect"):
         sf = square_function(f, kind, shift)
-        den = float(((sf.values**p) * v.values).sum() * f.grid.cell_volume)
-        out[kind] = num / den if den > 0 else math.inf if num > 0 else 1.0
+        den = ((sf.values**p) * v.values).sum(axis=(-2, -1)) * f.grid.cell_volume
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(den > 0, num / den, np.where(num > 0, math.inf, 1.0))
+        out[kind] = per_sample(ratio)
     return out

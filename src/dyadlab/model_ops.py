@@ -34,6 +34,7 @@ from .core import (
     axis_haar_vector,
     cell_tables,
     enumerate_axis_shifts,
+    per_sample,
 )
 from .measures import sequence_product_bmo
 
@@ -136,16 +137,17 @@ def axis_ops(axis: Axis, shift: AxisShift) -> AxisOps:
     return AxisOps(axis, shift)
 
 
-def axis_profile_bmo(vec: np.ndarray, axis: Axis, over_all_shifts: bool = True) -> float:
+def axis_profile_bmo(vec: np.ndarray, axis: Axis, over_all_shifts: bool = True) -> float | np.ndarray:
     """One-parameter BMO norm of an axis profile; by default the sup runs over
     the lattices of every shift (the torus stand-in for all intervals), whose
-    cubes are all wrapped windows of dyadic widths."""
+    cubes are all wrapped windows of dyadic widths.  Rows (S, n) of profiles
+    give one norm per row."""
     a = np.asarray(vec, dtype=float)
     best = 0.0
     for tab in cell_tables(axis, None if over_all_shifts else AxisShift.zero(axis)):
-        blk = a[tab]
-        best = max(best, float(np.abs(blk - blk.mean(axis=1, keepdims=True)).mean(axis=1).max()))
-    return best
+        blk = a[..., tab]
+        best = np.maximum(best, np.abs(blk - blk.mean(axis=-1, keepdims=True)).mean(axis=-1).max(axis=-1))
+    return per_sample(best)
 
 
 class _Plan(NamedTuple):
@@ -251,7 +253,7 @@ class ShiftOperator:
             r1, r2 = self._slot_rows(s + 1)
             i1, i2 = self._plan.rows[s]
             table = (r1 * vol1) @ f.values @ (r2 * vol2).T
-            out.append(table[i1[:, :, None], i2[:, None, :]])
+            out.append(table[..., i1[:, :, None], i2[:, None, :]])
         return out
 
     def form(self, f1: DiscreteFunction, f2: DiscreteFunction, f3: DiscreteFunction) -> float:
@@ -263,13 +265,15 @@ class ShiftOperator:
         return float(np.einsum("nabcdef,nad,nbe,ncf->", np.abs(self._plan.coeffs), *us))
 
     def apply(self, f1: DiscreteFunction, f2: DiscreteFunction) -> DiscreteFunction:
+        """U(f1, f2); stacks of functions give one output per sample."""
         u1, u2 = self._slot_blocks((f1, f2))
-        w3 = np.einsum("nabcdef,nad,nbe->ncf", self._plan.coeffs, u1, u2)
+        w3 = np.einsum("nabcdef,...nad,...nbe->...ncf", self._plan.coeffs, u1, u2)
         r1, r2 = self._slot_rows(3)
         i1, i2 = self._plan.rows[2]
-        table = np.zeros((len(r1), len(r2)), dtype=w3.dtype)
-        np.add.at(table, (i1[:, :, None], i2[:, None, :]), w3)
-        return DiscreteFunction(self.grid, r1.T @ table @ r2)
+        # sum over keys and slot-3 cubes of w3 times the gathered row pairs
+        t = w3 @ r2[i2]  # (..., keys, 2^k3, n2)
+        a = r1[i1].reshape(-1, r1.shape[1])  # (keys * 2^k3, n1)
+        return DiscreteFunction(self.grid, a.T @ t.reshape(t.shape[:-3] + (-1, t.shape[-1])))
 
     def kernel_density(self) -> np.ndarray:
         """Order-3 kernel K[x, y, z] over flattened product cells realising
@@ -371,18 +375,17 @@ def one_param_paraproduct_form(
 
     ptype names the slot paired with the Haar function; the other two slots
     take plain averages.  cube_mask (over cancellative cubes) restricts the
-    outer sum.
+    outer sum.  Rows (S, n) of inputs give one value per row.
     """
     vol = ops.axis.cell_volume
-    bb = (ops.haar * vol) @ np.asarray(b, dtype=float)
-    n_canc = ops.haar.shape[0]
-    avgs = [(ops.avg[:n_canc] * vol) @ np.asarray(g) for g in (g1, g2, g3)]
-    haars = [(ops.haar * vol) @ np.asarray(g) for g in (g1, g2, g3)]
-    xs = [haars[i] if ptype == i + 1 else avgs[i] for i in range(3)]
-    total = bb * xs[0] * xs[1] * xs[2]
+    haar = (ops.haar * vol).T
+    avg = (ops.avg[: ops.haar.shape[0]] * vol).T
+    total = np.asarray(b, dtype=float) @ haar
+    for slot, g in enumerate((g1, g2, g3), start=1):
+        total = total * (np.asarray(g) @ (haar if ptype == slot else avg))
     if cube_mask is not None:
-        total = total[cube_mask]
-    return float(total.sum())
+        total = total[..., cube_mask]
+    return per_sample(total.sum(axis=-1))
 
 
 def one_param_paraproduct(
@@ -493,7 +496,7 @@ class PartialParaproduct:
         out = []
         for s, f in enumerate(fs):
             ms = sops.rows(self._kind(s + 1))[self._plan.rows[s][0]] * sops.axis.cell_volume
-            vals = f.values if self.shift_axis == 0 else f.values.T
+            vals = f.values if self.shift_axis == 0 else np.swapaxes(f.values, -1, -2)
             out.append(ms @ vals @ (self._para_rows(s + 1) * pops.axis.cell_volume).T)
         return out
 
@@ -506,12 +509,12 @@ class PartialParaproduct:
         return float(np.einsum("nv,nv,nv,nv->", np.abs(self._plan.coeffs), *gs))
 
     def apply(self, f1, f2) -> DiscreteFunction:
+        """U(f1, f2); stacks of functions give one output per sample."""
         g1, g2 = self._slot_tables((f1, f2))
-        rows3 = self._ops()[0].rows(self._kind(3))
-        table = np.zeros((len(rows3), g1.shape[1]), dtype=g1.dtype)
-        np.add.at(table, self._plan.rows[2][0], self._plan.coeffs * g1 * g2)
-        out = rows3.T @ table @ self._para_rows(3)
-        return DiscreteFunction(self.grid, out if self.shift_axis == 0 else out.T)
+        # sum over keys of each key's slot-3 row times its paraproduct profile
+        rows3 = self._ops()[0].rows(self._kind(3))[self._plan.rows[2][0]]
+        out = rows3.T @ (self._plan.coeffs * g1 * g2) @ self._para_rows(3)
+        return DiscreteFunction(self.grid, out if self.shift_axis == 0 else np.swapaxes(out, -1, -2))
 
     def kernel_density(self) -> np.ndarray:
         sops, pops = self._ops()
@@ -622,6 +625,7 @@ class FullParaproduct:
         return float((np.abs(self.lam) * t[0] * t[1] * t[2]).sum())
 
     def apply(self, f1, f2) -> DiscreteFunction:
+        """U(f1, f2); stacks of functions give one output per sample."""
         o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
         o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
         n1, n2 = o1.haar.shape[0], o2.haar.shape[0]
@@ -788,41 +792,44 @@ def sparse_dominate_paraproduct(
 ) -> dict:
     """Stopping-time sparse family dominating the paraproduct form.
 
-    Children stop when the sum of the three averages more than doubles, which
-    forces every selected cube to own at least half of its measure.  Returns
-    the family, the form value, the sparse sum (scaled by the symbol's BMO
-    norm) and their ratio.
+    A cube's budget is the sum of the three input averages on it.  The top
+    cube is selected, and a cube stops when its budget more than doubles the
+    budget of its anchor, the nearest selected strict ancestor; this forces
+    every selected cube to own at least half of its measure.  The rule runs
+    top-down over the levels: a cube inherits its parent's anchor unless
+    the parent stopped.  Rows (S, n) of inputs give one result per row.
+    Returns the family (cubes in level-major order; one list per row), the
+    form value, the sparse sum (scaled by the symbol's BMO norm) and their
+    ratio.
     """
     shift = shift if shift is not None else AxisShift.zero(axis)
     ops = axis_ops(axis, shift)
-    lhs = abs(one_param_paraproduct_form(b, g1, g2, g3, ops, ptype))
-    a1, a2, a3 = (np.abs(np.asarray(g)) for g in (g1, g2, g3))
-
-    def avg(vec, cube):
-        return float(vec[cube.cells()].mean())
-
-    def budget(cube):
-        return avg(a1, cube) + avg(a2, cube) + avg(a3, cube)
-
-    top = DyadicCube(axis, 0, (0,), shift)
-    family = []
-    stack = [top]
-    while stack:
-        q = stack.pop()
-        family.append(q)
-        base = budget(q)
-        # maximal descendants whose budget more than doubles
-        inner = list(q.children()) if q.level < axis.levels else []
-        while inner:
-            c = inner.pop()
-            if base > 0 and budget(c) > 2.0 * base:
-                stack.append(c)
-            elif c.level < axis.levels:
-                inner.extend(c.children())
-    bnorm = axis_profile_bmo(b, axis)
-    rhs = bnorm * sum(avg(a1, q) * avg(a2, q) * avg(a3, q) * q.measure for q in family)
-    ratio = lhs / rhs if rhs > 0 else (math.inf if lhs > 0 else 0.0)
-    return {"family": family, "lhs": lhs, "rhs": rhs, "ratio": ratio}
+    lhs = np.abs(one_param_paraproduct_form(b, g1, g2, g3, ops, ptype))
+    a = np.abs(np.stack(np.broadcast_arrays(*(np.asarray(g, dtype=float) for g in (g1, g2, g3))), axis=-2))
+    stopped, sparse = [], 0.0
+    for level, tab in enumerate(cell_tables(axis, shift)):
+        avg = a[..., tab].mean(axis=-1)  # (..., 3, cubes)
+        budget = avg[..., 0, :] + avg[..., 1, :] + avg[..., 2, :]
+        if level == 0:
+            stop, anchor = np.ones(budget.shape, dtype=bool), budget
+        else:
+            # the parent of each cube is the previous-level cube holding its first cell
+            owner = np.empty(axis.n_cells, dtype=np.intp)
+            owner[prev_tab] = np.arange(len(prev_tab))[:, None]
+            anchor = np.where(stopped[-1], prev_budget, prev_anchor)[..., owner[tab[:, 0]]]
+            stop = (anchor > 0) & (budget > 2.0 * anchor)
+        sparse = sparse + (avg[..., 0, :] * avg[..., 1, :] * avg[..., 2, :] * stop).sum(axis=-1) \
+            * 2.0 ** (-level * axis.dim)
+        stopped.append(stop)
+        prev_tab, prev_budget, prev_anchor = tab, budget, anchor
+    rhs = axis_profile_bmo(b, axis) * sparse
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, math.inf, 0.0))
+    # ops.cubes lists the cubes of every level in cell-table order
+    chosen = np.concatenate(stopped, axis=-1)
+    family = [[ops.cubes[i] for i in np.flatnonzero(row)] for row in chosen.reshape(-1, len(ops.cubes))]
+    return {"family": family[0] if chosen.ndim == 1 else family, "lhs": per_sample(lhs),
+            "rhs": per_sample(rhs), "ratio": per_sample(ratio)}
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_criterion_5_weighted_sweeps():
             "weighted-expansion", "weighted-adaptedmax", "lower-sf",
             "sparse-domination"} <= families
     assert ok
-    assert elapsed < 30.0
+    assert elapsed < 3.0
 
 
 def test_criterion_6_duality_constant():

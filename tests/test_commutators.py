@@ -12,7 +12,9 @@ from dyadlab.core import (
     HaarFunction,
     TorusGrid,
     all_rectangles,
+    axis_cubes,
     axis_haar_vector,
+    martingale_difference,
     outer,
     sample_shift,
 )
@@ -34,9 +36,7 @@ from dyadlab.commutators import (
     iterated_form_direct,
     pointwise_domination_check,
     paraproduct_bifactor,
-    paraproduct_bifactor_reference,
     paraproduct_onefactor,
-    paraproduct_onefactor_reference,
     weak_type_sets,
 )
 from dyadlab.model_ops import (
@@ -55,6 +55,75 @@ def fn(seed):
 
 def cube(axis_idx, level, pos):
     return DyadicCube(GRID.axes[axis_idx], level, (pos,), ZERO[axis_idx])
+
+
+# -- reference summations -----------------------------------------------------
+# Direct sums over cubes and rectangles, independent of the coefficient
+# tables the expansion operators are evaluated through.
+
+def _delta1(f, cube):
+    return martingale_difference(f, cube, 0)
+
+
+def _delta2(f, cube):
+    return martingale_difference(f, cube, 1)
+
+
+def _avg1(f, cube):
+    out = np.zeros_like(f.values)
+    cells = cube.cells()
+    out[cells, :] = f.values[cells, :].mean(axis=0)[None, :]
+    return DiscreteFunction(f.grid, out)
+
+
+def _avg2(f, cube):
+    out = np.zeros_like(f.values)
+    cells = cube.cells()
+    out[:, cells] = f.values[:, cells].mean(axis=1)[:, None]
+    return DiscreteFunction(f.grid, out)
+
+
+def paraproduct_bifactor_reference(kind, b, f, om):
+    """The eight bi-parameter operators, summed rectangle by rectangle."""
+    grid = b.grid
+    out = grid.zeros()
+    for l1 in range(grid.axes[0].levels):
+        for c1 in axis_cubes(grid.axes[0], l1, om.shift1):
+            for l2 in range(grid.axes[1].levels):
+                for c2 in axis_cubes(grid.axes[1], l2, om.shift2):
+                    if kind == 1:
+                        term = _delta2(_delta1(b, c1), c2) * _delta2(_delta1(f, c1), c2)
+                    elif kind == 2:
+                        term = _delta2(_delta1(b, c1), c2) * _delta2(_avg1(f, c1), c2)
+                    elif kind == 3:
+                        term = _delta2(_delta1(b, c1), c2) * _avg2(_delta1(f, c1), c2)
+                    elif kind == 4:
+                        avg = f.values[np.ix_(c1.cells(), c2.cells())].mean()
+                        term = _delta2(_delta1(b, c1), c2) * avg
+                    elif kind == 5:
+                        term = _delta2(_avg1(b, c1), c2) * _delta2(_delta1(f, c1), c2)
+                    elif kind == 6:
+                        term = _delta2(_avg1(b, c1), c2) * _avg2(_delta1(f, c1), c2)
+                    elif kind == 7:
+                        term = _avg2(_delta1(b, c1), c2) * _delta2(_delta1(f, c1), c2)
+                    else:
+                        term = _avg2(_delta1(b, c1), c2) * _delta2(_avg1(f, c1), c2)
+                    out = out + term
+    return out
+
+
+def paraproduct_onefactor_reference(kind, axis_idx, b, f, om):
+    """The one-variable operators, summed cube by cube."""
+    grid = b.grid
+    sh = om.shift1 if axis_idx == 0 else om.shift2
+    delta = _delta1 if axis_idx == 0 else _delta2
+    avg = _avg1 if axis_idx == 0 else _avg2
+    out = grid.zeros()
+    for level in range(grid.axes[axis_idx].levels):
+        for cube in axis_cubes(grid.axes[axis_idx], level, sh):
+            other = delta(f, cube) if kind == 1 else avg(f, cube)
+            out = out + delta(b, cube) * other
+    return out
 
 
 # -- expansion identities ------------------------------------------------------
@@ -98,17 +167,27 @@ def test_expand_identities_fuzz():
 
 
 def test_fast_expansion_operators_match_reference():
-    b, f = fn(3), fn(4)
-    om = sample_shift(GRID, np.random.default_rng(9))
-    for kind in range(1, 9):
-        fast = paraproduct_bifactor(kind, b, f, om)
-        ref = paraproduct_bifactor_reference(kind, b, f, om)
-        assert np.abs(fast.values - ref.values).max() < 1e-12
-    for kind in (1, 2):
-        for ax in (0, 1):
-            fast = paraproduct_onefactor(kind, ax, b, f, om)
-            ref = paraproduct_onefactor_reference(kind, ax, b, f, om)
-            assert np.abs(fast.values - ref.values).max() < 1e-12
+    # on stacks of two functions, at L = 3 and 4, zero and random shifts
+    rng = np.random.default_rng(9)
+    for level, shifted in ((3, False), (3, True), (4, False), (4, True)):
+        grid = TorusGrid.make(level)
+        om = sample_shift(grid, rng) if shifted else GridShift.zero(grid)
+        B = DiscreteFunction(grid, rng.standard_normal((2,) + grid.shape))
+        F = DiscreteFunction(grid, rng.standard_normal((2,) + grid.shape))
+        pairs = [(DiscreteFunction(grid, B.values[s]), DiscreteFunction(grid, F.values[s]))
+                 for s in range(2)]
+        ops = [(lambda b, f, k=kind: paraproduct_bifactor(k, b, f, om),
+                lambda b, f, k=kind: paraproduct_bifactor_reference(k, b, f, om))
+               for kind in range(1, 9)]
+        ops += [(lambda b, f, k=kind, a=ax: paraproduct_onefactor(k, a, b, f, om),
+                 lambda b, f, k=kind, a=ax: paraproduct_onefactor_reference(k, a, b, f, om))
+                for kind in (1, 2) for ax in (0, 1)]
+        for fast, ref in ops:
+            stacked = fast(B, F).values
+            for s, (b, f) in enumerate(pairs):
+                want = ref(b, f).values
+                assert np.abs(stacked[s] - want).max() <= 1e-12 * np.abs(want).max()
+                assert np.abs(fast(b, f).values - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_a4_single_term_oracle():
