@@ -105,8 +105,13 @@ def cmd_decompose(args) -> int:
                 | {"operator": rec["operator"].to_payload()}
                 for rec in fams
             ]
+            # one record at a time through the C encoder: the output of
+            # json.dump, without its pure-Python encoder or one whole-file string
             with open(os.path.join(cfg.out_dir, fname), "w") as fp:
-                json.dump(payload, fp, sort_keys=True, default=list)
+                fp.write("[")
+                for n, rec in enumerate(payload):
+                    fp.write((", " if n else "") + json.dumps(rec, sort_keys=True, default=list))
+                fp.write("]")
         print(f"exported {len(shifts)} shift families, {len(partials)} partial families")
     print(f"decomposition residual {resid:.3e} -> {man_path}")
     return 0 if resid <= cfg.tolerance else 1

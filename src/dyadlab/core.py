@@ -416,9 +416,6 @@ class DyadicRectangle:
     def index(self) -> tuple[np.ndarray, np.ndarray]:
         return np.ix_(self.cube1.cells(), self.cube2.cells())
 
-    def contains_cell(self, i: int, j: int) -> bool:
-        return bool(np.isin(i, self.cube1.cells()) and np.isin(j, self.cube2.cells()))
-
 
 def all_rectangles(grid: TorusGrid, shift: GridShift,
                    max_levels: tuple[int | None, int | None] = (None, None)) -> Iterator[DyadicRectangle]:
@@ -644,10 +641,6 @@ def martingale_block(f: DiscreteFunction, cube: DyadicCube, depth: int, axis: in
     else:
         out[:, cells] = fine.values[:, cells] - coarse.values[:, cells]
     return DiscreteFunction(f.grid, out)
-
-
-def martingale_difference_rect(f: DiscreteFunction, rect: DyadicRectangle) -> DiscreteFunction:
-    return martingale_difference(martingale_difference(f, rect.cube1, 0), rect.cube2, 1)
 
 
 def truncated_projection(f: DiscreteFunction, level_pair: tuple[int, int], shift: GridShift) -> DiscreteFunction:

@@ -441,20 +441,7 @@ def representation_suite(config: ExperimentConfig, n_tensors: int = 50) -> Repor
     total += sum(r["size"] * r["operator"].form(g1, g2, g3)
                  for r in decS.extracted_partial_paraproducts())
     total += sum(sz * op.form(g1, g2, g3) for _, op, sz in decS.extracted_full_paraproducts())
-    from .representation import CELLS as _CELLS
-    from .representation import BRANCHES as _BR
-
-    def _subset(ax):
-        out = None
-        for br in _BR:
-            for cell in _CELLS:
-                keep = decS._exportable if cell != "nesP" else None
-                m = ax.matrix(br, cell, keep=keep)
-                out = m if out is None else out + m
-        return out
-
-    hat = np.asarray(_subset(decS.ax1) @ decS.lam_hat @ _subset(decS.ax2).T)
-    want = decS._eval_hat(hat, g1, g2, g3)
+    want = decS._eval_hat(decS.exportable_hat(), g1, g2, g3)
     rep.add("object-emission", "L2", 0, abs(total - want) / max(1.0, abs(want)), tol)
     return rep
 

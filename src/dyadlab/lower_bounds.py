@@ -57,22 +57,6 @@ class BilinearKernel:
         z1, z2 = self._coords(z)
         return self.spec(x1, x2, y1, y2, z1, z2)
 
-    def size_bound_ratio(self, samples: int = 512, seed: int = 0) -> float:
-        """Largest |K| times the size envelope over random off-diagonal triples."""
-        rng = np.random.default_rng(seed)
-        C = self.grid.shape[0] * self.grid.shape[1]
-        x, y, z = (rng.integers(0, C, samples) for _ in range(3))
-        x1, x2 = self._coords(x)
-        y1, y2 = self._coords(y)
-        z1, z2 = self._coords(z)
-        from .kernels import torus_delta
-
-        d1 = np.abs(torus_delta(x1, y1)) + np.abs(torus_delta(x1, z1))
-        d2 = np.abs(torus_delta(x2, y2)) + np.abs(torus_delta(x2, z2))
-        vals = np.abs(self.spec(x1, x2, y1, y2, z1, z2))
-        mask = (d1 > 0) & (d2 > 0)
-        return float((vals[mask] * d1[mask] ** 2 * d2[mask] ** 2).max()) if mask.any() else 0.0
-
 
 def _base_rectangles(grid: TorusGrid, max_cells: int | None = None):
     om = GridShift.zero(grid)

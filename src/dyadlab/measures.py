@@ -88,15 +88,6 @@ class NormReport:
     seed: int | None = None
     quasi: bool = False
 
-    def csv_row(self) -> str:
-        exps = "/".join(f"{e:g}" for e in self.exponents)
-        seed = "" if self.seed is None else str(self.seed)
-        return f"{self.kind},{exps},{self.value!r},{self.grid_id},{self.weight_id},{seed}"
-
-    @staticmethod
-    def csv_header() -> str:
-        return "kind,exponents,value,grid_id,weight_id,seed"
-
 
 # ---------------------------------------------------------------------------
 # weight characteristics

@@ -113,14 +113,23 @@ class AxisOps:
     def cube_index(self, level: int, pos: int) -> int:
         return int(self.cube_offset[level]) + pos
 
-    def descendant_positions(self, level, pos, depth: int) -> np.ndarray:
-        """Positions of the depth-`depth` descendants, in spatial order; with
-        arrays of levels and positions, one row per cube."""
+    def _first_descendant(self, level, pos, depth):
         level, pos = np.asarray(level), np.asarray(pos)
         L, n = self.axis.levels, self.axis.n_side
         start = (pos << (L - level)) + self.offsets[level]
-        q0 = ((start - self.offsets[level + depth]) % n) >> (L - level - depth)
-        return (q0[..., None] + np.arange(1 << depth)) % (1 << (level + depth))[..., None]
+        return ((start - self.offsets[level + depth]) % n) >> (L - level - depth)
+
+    def descendant_positions(self, level, pos, depth: int) -> np.ndarray:
+        """Positions of the depth-`depth` descendants, in spatial order; with
+        arrays of levels and positions, one row per cube."""
+        q0 = self._first_descendant(level, pos, depth)
+        return (q0[..., None] + np.arange(1 << depth)) % (1 << (np.asarray(level) + depth))[..., None]
+
+    def descendant_index(self, level, pos, depth, child):
+        """Index of the descendant at position `child`, `depth` levels below,
+        in the spatial order of `descendant_positions`; arrays broadcast."""
+        q0 = self._first_descendant(level, pos, depth)
+        return (np.asarray(child) - q0) % (1 << (np.asarray(level) + depth))
 
     def descendant_rows(self, kind: str, level, pos, depth: int) -> np.ndarray:
         """Rows of `kind` ('haar' or 'unit') holding the depth-`depth`
@@ -145,7 +154,8 @@ def axis_profile_bmo(vec: np.ndarray, axis: Axis, over_all_shifts: bool = True) 
     a = np.asarray(vec, dtype=float)
     best = 0.0
     for tab in cell_tables(axis, None if over_all_shifts else AxisShift.zero(axis)):
-        blk = a[..., tab]
+        # laid out row after row, so that each row reduces as a single profile does
+        blk = np.take(a, tab, axis=-1)
         best = np.maximum(best, np.abs(blk - blk.mean(axis=-1, keepdims=True)).mean(axis=-1).max(axis=-1))
     return per_sample(best)
 
@@ -455,7 +465,10 @@ class PartialParaproduct:
                     raise ValueError("slot cubes fall below the resolution")
             if len(prof) != paxis.n_cells:
                 raise ValueError("symbol profile has the wrong length")
-            if axis_profile_bmo(prof, paxis) > self.cap(kk[0]) * (1 + 1e-9):
+        if self.symbols:
+            bmo = axis_profile_bmo(np.stack(list(self.symbols.values())), paxis)
+            caps = np.array([self.cap(kk[0]) for kk, _ in self.symbols])
+            if (bmo > caps * (1 + 1e-9)).any():
                 raise NormalizationError("partial paraproduct symbol exceeds the BMO cap")
 
     def _ops(self) -> tuple[AxisOps, AxisOps]:

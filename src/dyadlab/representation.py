@@ -21,12 +21,9 @@ keys).
 from __future__ import annotations
 
 import io
-import itertools
 import json
-import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterable
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,10 +36,9 @@ from .core import (
     DiscreteFunction,
     DyadicCube,
     GridShift,
-    HaarFunction,
     ResolutionError,
     TorusGrid,
-    axis_haar_vector,
+    cell_tables,
     classify_goodness,
     enumerate_shifts,
     goodness_fraction,
@@ -63,6 +59,7 @@ __all__ = [
     "decomposer_bytes",
     "check_decomposer_size",
     "AxisDecomposition",
+    "axis_decomposition",
     "Decomposition",
     "decompose",
     "averaged_reconstruction",
@@ -216,38 +213,78 @@ ROUTES = {
 }
 BRANCHES = ("A", "B", "C")
 SMALLEST_SLOT = {"A": 3, "B": 1, "C": 2}
+CELLS = ("sep", "diag", "nesC", "nesP")
 
 SEP, DIAG, NES = 0, 1, 2
 
+# Columns of a branch's tuple table: the route (index into ROUTES[branch]),
+# the level, position and kind (0 cancellative, 1 top average) of the middle
+# and smallest slots, the averaged slot's position, the cell class and the
+# minimal common ancestor of the three cubes.
+TUPLE_FIELDS = ("route", "lvl_m", "pos_m", "kind_m", "lvl_s", "pos_s", "kind_s",
+                "pos_o", "cls", "anc_level", "anc_pos")
+TUPLE_DTYPE = np.dtype([(name, np.int64) for name in TUPLE_FIELDS])
 
-def _interval_distance(a0: int, wa: int, b0: int, wb: int, n: int) -> int:
-    if (b0 - a0) % n < wa or (a0 - b0) % n < wb:
-        return 0
-    return min((b0 - (a0 + wa)) % n, (a0 - (b0 + wb)) % n)
+
+class _Rows(NamedTuple):
+    """Sparse vectors stored row after row: the number of entries of each
+    row, and their flat indices and values."""
+
+    counts: np.ndarray
+    idx: np.ndarray
+    val: np.ndarray
+
+    def row_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.counts)), self.counts)
 
 
-@dataclass
-class AxisTuple:
-    route: tuple
-    lvl_m: int
-    pos_m: int
-    kind_m: int  # 0 cancellative, 1 top average
-    lvl_s: int
-    pos_s: int
-    kind_s: int
-    pos_o: int
-    cls: int = SEP
-    anc_level: int = 0
-    anc_pos: int = 0
+def _stack(parts: list[tuple[np.ndarray, _Rows]], n_rows: int, width: int) -> sp.csr_matrix:
+    """CSR matrix of sparse rows gathered from parts (at, rows): row i of
+    `rows` lands on matrix row at[i], and repeated indices of a row add."""
+    return sp.coo_matrix((np.concatenate([part.val for _, part in parts]),
+                          (np.concatenate([at[part.row_ids()] for at, part in parts]),
+                           np.concatenate([part.idx for _, part in parts]))),
+                         shape=(n_rows, width)).tocsr()
+
+
+def _ragged_pairs(na: np.ndarray, nb: np.ndarray):
+    """Every pair of an entry of row t of A with an entry of row t of B, in
+    (row, A entry, B entry) order, where na and nb count the entries per row
+    of two row-major ragged arrays: the row and both entry indices."""
+    row_a = np.repeat(np.arange(len(na)), na)
+    reps = nb[row_a]
+    ia = np.repeat(np.arange(len(row_a)), reps)
+    ib = np.repeat((np.cumsum(nb) - nb)[row_a] - (np.cumsum(reps) - reps), reps) + np.arange(reps.sum())
+    return row_a[ia], ia, ib
+
+
+def _noise_free(V: np.ndarray) -> _Rows:
+    """The entries of each row of V above that row's rounding floor."""
+    A = np.abs(V)
+    keep = A > 1e-13 * np.maximum(1.0, A.max(axis=1))[:, None]
+    return _Rows(keep.sum(axis=1), np.flatnonzero(keep) % V.shape[1], V[keep])
+
+
+def _pair(a: _Rows, b: _Rows, stride_a, stride_b, base) -> _Rows:
+    """Row by row, the tensor product of a in one slot and b in another: flat
+    index idx_a * stride_a + idx_b * stride_b + base, entries in (a, b)
+    order.  Strides and base are scalars or one value per row."""
+    row, ia, ib = _ragged_pairs(a.counts, b.counts)
+    sa, sb, base = (np.broadcast_to(x, a.counts.shape)[row] for x in (stride_a, stride_b, base))
+    return _Rows(a.counts * b.counts, a.idx[ia] * sa + b.idx[ib] * sb + base, a.val[ia] * b.val[ib])
 
 
 class AxisDecomposition:
     """Per-axis tuple tables and redistribution matrices.
 
-    Matrix key: (branch, cell) with cell in {'sep','diag','nesC','nesP'};
-    each matrix maps Haar-coefficient triples (read) to emitted-term
-    coefficient triples (write), and the exact per-axis identity is
-    sum over branches and cells == identity.
+    `tuples[branch]` is a read-only table (TUPLE_FIELDS) with one row per
+    Haar-coefficient triple the branch consumes, ordered by route, lvl_m,
+    lvl_s, kind_m, kind_s and position.  Matrix key: (branch, cell) with cell
+    in CELLS; each matrix maps Haar-coefficient triples (read) to
+    emitted-term coefficient triples (write), and the exact per-axis identity
+    is sum over branches and cells == identity.  Matrices are built on each
+    request and not kept; `axis_decomposition` shares one instance per
+    (axis, shift, r, gamma, alpha).
     """
 
     def __init__(self, axis: Axis, shift: AxisShift, r: int = 2,
@@ -261,8 +298,11 @@ class AxisDecomposition:
         self.gamma = gamma if gamma is not None else alpha / (2.0 * (2 * axis.dim + alpha))
         self.basis = AxisBasis(axis, shift)
         self.D = self.basis.size
+        # flat-index stride of slots 1, 2, 3 in a basis triple
+        self.stride = self.D ** (3 - np.arange(4))
         L = axis.levels
-        vol = axis.cell_volume
+        self.offset = np.array([shift.offset_cells(j)[0] for j in range(L + 1)])
+        self.width = 1 << (L - np.arange(L + 1))
         tr = self.basis.transform()
         # exact expansions of the pairing profiles in the basis
         ops = axis_ops(axis, shift)
@@ -270,317 +310,313 @@ class AxisDecomposition:
         self.avg_exp = tr @ ops.avg.T          # averages 1_I/|I|
         self.ones_exp = tr @ np.ones(axis.n_cells)
         self.ops = ops
-        self.tuples: dict[str, list[AxisTuple]] = {b: [] for b in BRANCHES}
-        self._enumerate()
-        self._good_cache: dict[tuple[int, int], bool] = {}
+        self.tuples = {b: self._enumerate(b) for b in BRANCHES}
 
     # -- enumeration and classification -----------------------------------
-    def _enumerate(self):
-        L = self.axis.levels
+    def _starts(self, lvl, pos):
+        return (pos * self.width[lvl] + self.offset[lvl]) % self.axis.n_side
+
+    def _distance(self, a0, wa, b0, wb):
+        """Torus gap, in cells, between the windows [a0, a0 + wa) and [b0, b0 + wb)."""
         n = self.axis.n_side
-        off = [self.shift.offset_cells(j)[0] for j in range(L + 1)]
-        width = [1 << (L - j) for j in range(L + 1)]
+        overlap = ((b0 - a0) % n < wa) | ((a0 - b0) % n < wb)
+        return np.where(overlap, 0, np.minimum((b0 - (a0 + wa)) % n, (a0 - (b0 + wb)) % n))
 
-        def starts(lvl, pos):
-            return (pos * width[lvl] + off[lvl]) % n
+    def _enumerate(self, branch: str) -> np.ndarray:
+        L, n = self.axis.levels, self.axis.n_side
+        off, width = self.offset, self.width
+        blocks = [np.empty(0, TUPLE_DTYPE)]  # a branch may be empty at L = 1
+        for route, (s_slot, m_slot, o_slot, delta, strict, min_m) in enumerate(ROUTES[branch]):
+            for lvl_m in range(min_m, L):
+                lvl_o = lvl_m + delta
+                for lvl_s in range(lvl_m + strict, L):
+                    kinds_m = (0, 1) if lvl_m == 0 else (0,)
+                    kinds_s = (0, 1) if lvl_s == 0 else (0,)
+                    pm, ps, po = np.meshgrid(
+                        np.arange(1 << lvl_m), np.arange(1 << lvl_s),
+                        np.arange(1 << lvl_o), indexing="ij",
+                    )
+                    pm, ps, po = pm.ravel(), ps.ravel(), po.ravel()
+                    sm, ss, so = self._starts(lvl_m, pm), self._starts(lvl_s, ps), self._starts(lvl_o, po)
+                    wm, ws, wo = width[lvl_m], width[lvl_s], width[lvl_o]
+                    d_ms = self._distance(sm, wm, ss, ws) / n
+                    d_os = self._distance(so, wo, ss, ws) / n
+                    thr = (2.0**-lvl_s) ** self.gamma * (2.0**-lvl_o) ** (1.0 - self.gamma)
+                    sep = np.maximum(d_ms, d_os) > thr
+                    if delta == 1:
+                        par_pos = ((so - off[lvl_m]) % n) // wm
+                        nested = (((ss - so) % n) + ws <= wo) & (par_pos == pm)
+                    else:
+                        nested = (pm == po) & (((ss - sm) % n) + ws <= wm) \
+                            & ~((lvl_s == lvl_m) & (ps == pm))
+                    cls = np.where(sep, SEP, np.where(nested, NES, DIAG))
+                    anc_lvl = np.zeros(len(pm), dtype=int)
+                    anc_pos = np.zeros(len(pm), dtype=int)
+                    done = np.zeros(len(pm), dtype=bool)
+                    for j in range(min(lvl_m, lvl_s), -1, -1):
+                        a1 = ((sm - off[j]) % n) // width[j]
+                        a2 = ((so - off[j]) % n) // width[j]
+                        a3 = ((ss - off[j]) % n) // width[j]
+                        hit = (a1 == a2) & (a1 == a3) & ~done
+                        anc_lvl[hit] = j
+                        anc_pos[hit] = a1[hit]
+                        done |= hit
+                    for kind_m in kinds_m:
+                        for kind_s in kinds_s:
+                            block = np.empty(len(pm), TUPLE_DTYPE)
+                            for name, col in zip(TUPLE_FIELDS, (route, lvl_m, pm, kind_m, lvl_s, ps, kind_s,
+                                                                po, cls, anc_lvl, anc_pos)):
+                                block[name] = col
+                            blocks.append(block)
+        table = np.concatenate(blocks)
+        table.setflags(write=False)
+        return table
 
-        def dist(a0, wa, b0, wb):
-            overlap = ((b0 - a0) % n < wa) | ((a0 - b0) % n < wb)
-            g = np.minimum((b0 - (a0 + wa)) % n, (a0 - (b0 + wb)) % n)
-            return np.where(overlap, 0, g)
+    def _route(self, branch: str, tab: np.ndarray):
+        """Per row: the middle slot, the averaged slot and the averaged level."""
+        spec = np.array(ROUTES[branch])[tab["route"]]
+        return spec[:, 1], spec[:, 2], tab["lvl_m"] + spec[:, 3]
 
-        for branch in BRANCHES:
-            for route in ROUTES[branch]:
-                s_slot, m_slot, o_slot, delta, strict, min_m = route
-                for lvl_m in range(min_m, L):
-                    lvl_o = lvl_m + delta
-                    for lvl_s in range(lvl_m + strict, L):
-                        kinds_m = (0, 1) if lvl_m == 0 else (0,)
-                        kinds_s = (0, 1) if lvl_s == 0 else (0,)
-                        pm, ps, po = np.meshgrid(
-                            np.arange(1 << lvl_m), np.arange(1 << lvl_s),
-                            np.arange(1 << lvl_o), indexing="ij",
-                        )
-                        pm, ps, po = pm.ravel(), ps.ravel(), po.ravel()
-                        sm, ss, so = starts(lvl_m, pm), starts(lvl_s, ps), starts(lvl_o, po)
-                        wm, ws, wo = width[lvl_m], width[lvl_s], width[lvl_o]
-                        d_ms = dist(sm, wm, ss, ws) / n
-                        d_os = dist(so, wo, ss, ws) / n
-                        thr = (2.0**-lvl_s) ** self.gamma * (2.0**-lvl_o) ** (1.0 - self.gamma)
-                        sep = np.maximum(d_ms, d_os) > thr
-                        if delta == 1:
-                            par_pos = ((so - off[lvl_m]) % n) // wm
-                            nested = (((ss - so) % n) + ws <= wo) & (par_pos == pm)
-                        else:
-                            nested = (pm == po) & (((ss - sm) % n) + ws <= wm) \
-                                & ~((lvl_s == lvl_m) & (ps == pm))
-                        cls = np.where(sep, SEP, np.where(nested, NES, DIAG))
-                        anc_lvl = np.zeros(len(pm), dtype=int)
-                        anc_pos = np.zeros(len(pm), dtype=int)
-                        done = np.zeros(len(pm), dtype=bool)
-                        for j in range(min(lvl_m, lvl_s), -1, -1):
-                            a1 = ((sm - off[j]) % n) // width[j]
-                            a2 = ((so - off[j]) % n) // width[j]
-                            a3 = ((ss - off[j]) % n) // width[j]
-                            hit = (a1 == a2) & (a1 == a3) & ~done
-                            anc_lvl[hit] = j
-                            anc_pos[hit] = a1[hit]
-                            done |= hit
-                        for kind_m in kinds_m:
-                            for kind_s in kinds_s:
-                                for i in range(len(pm)):
-                                    self.tuples[branch].append(AxisTuple(
-                                        route, lvl_m, int(pm[i]), kind_m,
-                                        lvl_s, int(ps[i]), kind_s, int(po[i]),
-                                        int(cls[i]), int(anc_lvl[i]), int(anc_pos[i]),
-                                    ))
-
-    def _cube(self, level, pos):
-        return DyadicCube(self.axis, level, (pos,), self.shift)
-
-    def good(self, level: int, pos: int) -> bool:
-        key = (level, pos)
-        if key not in self._good_cache:
-            self._good_cache[key] = classify_goodness(
-                self._cube(level, pos), r=self.r, gamma=self.gamma, alpha=self.alpha
-            )
-        return self._good_cache[key]
-
-    # -- decay certificates ---------------------------------------------------
-    def nested_inside(self, t: AxisTuple) -> bool:
-        """Smallest cube strictly inside its chain anchor (the configuration
-        the nested coefficient bounds quantify over)."""
-        cstar = self._chain_child(t)
-        cs = self._cube(t.lvl_s, t.pos_s)
-        n = self.axis.n_side
-        rel = (cs.start_cells()[0] - cstar.start_cells()[0]) % n
-        return min(rel, cstar.width_cells - rel - cs.width_cells) > 0
-
-    def well_separated(self, t: AxisTuple) -> bool:
-        """At least one smallest-cube length between the smallest cube and
-        both partners (the quantitative separated configuration)."""
-        n = self.axis.n_side
-        L = self.axis.levels
-        delta = t.route[3]
-        off = [self.shift.offset_cells(j)[0] for j in range(L + 1)]
-        w = [1 << (L - j) for j in range(L + 1)]
-        sm = (t.pos_m * w[t.lvl_m] + off[t.lvl_m]) % n
-        so = (t.pos_o * w[t.lvl_m + delta] + off[t.lvl_m + delta]) % n
-        ss = (t.pos_s * w[t.lvl_s] + off[t.lvl_s]) % n
-        d = max(
-            _interval_distance(sm, w[t.lvl_m], ss, w[t.lvl_s], n),
-            _interval_distance(so, w[t.lvl_m + delta], ss, w[t.lvl_s], n),
-        )
-        return d >= w[t.lvl_s]
-
-    # -- per-tuple read/write vectors ---------------------------------------
-    def _hot_index(self, kind: int, level: int, pos: int) -> int:
+    def _hot(self, kind, lvl, pos):
         # basis order: the top average comes first, then cancellative cubes
-        return 0 if kind == 1 else 1 + self.ops.canc_index(level, pos)
+        return np.where(kind == 1, 0, 1 + self.ops.canc_offset[lvl] + pos)
 
-    def _one_hot(self, kind: int, level: int, pos: int) -> tuple[np.ndarray, np.ndarray]:
-        return np.array([self._hot_index(kind, level, pos)]), np.array([1.0])
+    def slots(self, branch: str, tab: np.ndarray):
+        """Per row, the level and the position of the cube in slots 1, 2, 3
+        (two (rows, 3) arrays)."""
+        m_slot, o_slot, lvl_o = self._route(branch, tab)
+        rows = np.arange(len(tab))
+        levels = np.empty((len(tab), 3), dtype=np.int64)
+        pos = np.empty_like(levels)
+        for slot, lvl, p in ((m_slot, tab["lvl_m"], tab["pos_m"]), (o_slot, lvl_o, tab["pos_o"]),
+                             (SMALLEST_SLOT[branch], tab["lvl_s"], tab["pos_s"])):
+            levels[rows, slot - 1] = lvl
+            pos[rows, slot - 1] = p
+        return levels, pos
 
-    @lru_cache(maxsize=None)
-    def _cube_expansion_table(self, lvl: int) -> tuple[np.ndarray, np.ndarray]:
-        """Basis expansions of the normalised indicators of all level-lvl
-        cubes: index and value arrays of shape (2^lvl, lvl + 1)."""
-        count = 1 << lvl
-        idx = np.zeros((count, lvl + 1), dtype=int)
-        val = np.zeros((count, lvl + 1))
-        for pos in range(count):
-            col = self.unit_exp[:, self.ops.cube_index(lvl, pos)]
-            nz = np.nonzero(np.abs(col) > 1e-13)[0]
-            if len(nz) != lvl + 1:
-                raise AssertionError("indicator expansion must have lvl+1 terms")
-            idx[pos] = nz
-            val[pos] = col[nz]
-        return idx, val
+    def slot_keys(self, branch: str, tab: np.ndarray) -> np.ndarray:
+        """Per row, as columns: the anchor level and position, the three
+        per-slot depths below the anchor, the averaged slot, and the three
+        per-slot indices among the anchor's descendants at that depth."""
+        levels, pos = self.slots(branch, tab)
+        anc_level, anc_pos = tab["anc_level"], tab["anc_pos"]
+        depth = levels - anc_level[:, None]
+        idx = self.ops.descendant_index(anc_level[:, None], anc_pos[:, None], depth, pos)
+        _, o_slot, _ = self._route(branch, tab)
+        return np.column_stack([anc_level, anc_pos, depth, o_slot, idx])
 
-    def _dense_to_sparse(self, vec: np.ndarray):
-        vec = np.asarray(vec)
-        mask = np.abs(vec) > 1e-13 * max(1.0, np.abs(vec).max())
-        return np.nonzero(mask)[0], vec[mask]
+    def caps(self, branch: str) -> np.ndarray:
+        """Per row: the structural cap times the complexity decay.  For nested
+        rows the common ancestor is the chain parent itself, so one formula
+        covers every class."""
+        tab = self.tuples[branch]
+        levels, _ = self.slots(branch, tab)
+        lvlK = tab["anc_level"]
+        size_cap = 2.0 ** (-(levels.sum(axis=1)) / 2.0 + 2 * lvlK)
+        decay = 2.0 ** (-self.alpha * (levels - lvlK[:, None]).max(axis=1) / 2.0)
+        return size_cap * decay
 
-    def _slot_vectors_write(self, t: AxisTuple):
-        """Write vector per slot (the functions paired with the inputs)."""
-        s_slot, m_slot, o_slot, delta, _, _ = t.route
-        out = [None, None, None]
-        out[m_slot - 1] = self._one_hot(t.kind_m, t.lvl_m, t.pos_m)
-        out[s_slot - 1] = self._one_hot(t.kind_s, t.lvl_s, t.pos_s)
-        lvl_o = t.lvl_m + delta
-        oi = self.ops.cube_index(lvl_o, t.pos_o)
-        out[o_slot - 1] = self._dense_to_sparse(self.unit_exp[:, oi])
-        return out
+    def exportable(self, branch: str) -> np.ndarray:
+        """Rows the strict nine-type builders take: top-scale convention rows
+        pair a difference slot with the flat profile and are left out."""
+        tab = self.tuples[branch]
+        return (tab["kind_m"] == 0) & (tab["kind_s"] == 0)
 
-    def _triple(self, slots) -> tuple[np.ndarray, np.ndarray]:
-        (i1, v1), (i2, v2), (i3, v3) = slots
-        D = self.D
-        idx = (i1[:, None, None] * D * D + i2[None, :, None] * D + i3[None, None, :]).ravel()
-        val = (v1[:, None, None] * v2[None, :, None] * v3[None, None, :]).ravel()
-        return idx, val
+    @cached_property
+    def good(self) -> np.ndarray:
+        """Goodness of every cube, in `ops.cubes` order (read-only)."""
+        good = np.array([classify_goodness(c, r=self.r, gamma=self.gamma, alpha=self.alpha)
+                         for c in self.ops.cubes])
+        good.setflags(write=False)
+        return good
 
-    def write_vector(self, t: AxisTuple):
-        return self._triple(self._slot_vectors_write(t))
-
-    def _chain_child(self, t: AxisTuple) -> DyadicCube:
-        """Anchor child for the nested split: the averaged cube for offset
-        routes, the middle's child containing the smallest cube otherwise."""
-        delta = t.route[3]
-        if delta == 1:
-            return self._cube(t.lvl_m + 1, t.pos_o)
-        return self._cube(t.lvl_s, t.pos_s).ancestor(t.lvl_s - t.lvl_m - 1)
-
-    def read_vector_nested_C(self, t: AxisTuple):
-        """Cancellative part of the nested split: complement and split-function
-        pairings replacing the parent-Haar / indicator pair."""
-        s_slot, m_slot, o_slot, delta, _, _ = t.route
-        n = self.axis.n_cells
-        cstar = self._chain_child(t)
-        o_cube = self._cube(t.lvl_m + delta, t.pos_o)
-        hP = axis_haar_vector(HaarFunction(self._cube(t.lvl_m, t.pos_m), (t.kind_m ^ 1,)))
-        scale = o_cube.measure**-0.5
-        ind_c = np.ones(n)
-        ind_c[o_cube.cells()] = 0.0
-        out_star = np.ones(n)
-        out_star[cstar.cells()] = 0.0
-        mean_on_child = hP[cstar.cells()].mean()
-        s_split = out_star * (hP - mean_on_child)
-        tr = self.basis.transform()
-        svec = self._dense_to_sparse(tr @ (scale * s_split))
-        ones = self._dense_to_sparse(self.ones_exp)
-        hvec = self._dense_to_sparse(tr @ (scale * hP))
-        comp = self._dense_to_sparse(tr @ ind_c)
-        s_hot = self._one_hot(t.kind_s, t.lvl_s, t.pos_s)
-        term1 = [None, None, None]
-        term1[m_slot - 1] = svec
-        term1[o_slot - 1] = ones
-        term1[s_slot - 1] = s_hot
-        term2 = [None, None, None]
-        term2[m_slot - 1] = hvec
-        term2[o_slot - 1] = comp
-        term2[s_slot - 1] = s_hot
-        i1, v1 = self._triple(term1)
-        i2, v2 = self._triple(term2)
-        return np.concatenate([i1, i2]), np.concatenate([v1, -v2])
-
-    def para_vectors(self, branch: str, lvl_s: int, pos_s: int):
-        """Write/read pair of the collapsed averaging part, per smallest cube."""
-        s_slot = SMALLEST_SLOT[branch]
-        ci = self.ops.cube_index(lvl_s, pos_s)
-        avg = self._dense_to_sparse(self.avg_exp[:, ci])
-        ones = self._dense_to_sparse(self.ones_exp)
-        s_hot = self._one_hot(0, lvl_s, pos_s)
-        write = [avg, avg, avg]
-        read = [ones, ones, ones]
-        write[s_slot - 1] = s_hot
-        read[s_slot - 1] = s_hot
-        return self._triple(write), self._triple(read)
-
-    # -- matrices -----------------------------------------------------------
-    def matrix(self, branch: str, cell: str,
-               gate: bool = False, weights: dict[int, float] | None = None,
-               keep=None) -> sp.csr_matrix:
-        D3 = self.D**3
-        rows, cols, vals = [], [], []
-
-        def add(widx, wval, ridx, rval, scale=1.0):
-            for i, a in zip(widx, wval):
-                rows.extend([i] * len(ridx))
-                cols.extend(ridx.tolist())
-                vals.extend((scale * a * rval).tolist())
-
-        def s_scale(lvl_s, pos_s):
-            if gate and not self.good(lvl_s, pos_s):
-                return 0.0
-            w = weights.get(lvl_s, 1.0) if weights else 1.0
-            return w
-
-        if cell in ("sep", "diag"):
-            want = SEP if cell == "sep" else DIAG
-            groups: dict[tuple, list] = {}
-            for t in self.tuples[branch]:
-                if t.cls != want or (keep is not None and not keep(t)):
-                    continue
-                sc = s_scale(t.lvl_s, t.pos_s)
-                if sc == 0.0:
-                    continue
-                s_slot, m_slot, o_slot, delta, _, _ = t.route
-                base = (
-                    self._hot_index(t.kind_m, t.lvl_m, t.pos_m) * self.D ** (3 - m_slot)
-                    + self._hot_index(t.kind_s, t.lvl_s, t.pos_s) * self.D ** (3 - s_slot)
-                )
-                key = (t.lvl_m + delta, o_slot)
-                groups.setdefault(key, []).append(
-                    (base, self.ops.cube_index(t.lvl_m + delta, t.pos_o), sc)
-                )
-            parts = []
-            for (lvl_o, o_slot), recs in groups.items():
-                base = np.array([r[0] for r in recs])
-                ocube = np.array([r[1] for r in recs])
-                sc = np.array([r[2] for r in recs])
-                eidx, eval_ = self._cube_expansion_table(lvl_o)
-                widx = base[:, None] + eidx[ocube - self.ops.cube_offset[lvl_o]] * self.D ** (3 - o_slot)
-                wval = eval_[ocube - self.ops.cube_offset[lvl_o]]
-                r = np.repeat(widx, widx.shape[1], axis=1).ravel()
-                c = np.tile(widx, (1, widx.shape[1])).ravel()
-                v = (sc[:, None, None] * wval[:, :, None] * wval[:, None, :]).ravel()
-                parts.append(sp.coo_matrix((v, (r, c)), shape=(D3, D3)))
-            m = sum(parts) if parts else sp.coo_matrix((D3, D3))
-            return sp.csr_matrix(m)
-        elif cell == "nesC":
-            for t in self.tuples[branch]:
-                if t.cls != NES or (keep is not None and not keep(t)):
-                    continue
-                sc = s_scale(t.lvl_s, t.pos_s)
-                if sc == 0.0:
-                    continue
-                widx, wval = self.write_vector(t)
-                ridx, rval = self.read_vector_nested_C(t)
-                add(widx, wval, ridx, rval, sc)
-        elif cell == "nesP":
-            for lvl_s in range(1, self.axis.levels):
-                for pos_s in range(1 << lvl_s):
-                    sc = s_scale(lvl_s, pos_s)
-                    if sc == 0.0:
-                        continue
-                    (widx, wval), (ridx, rval) = self.para_vectors(branch, lvl_s, pos_s)
-                    add(widx, wval, ridx, rval, sc)
-        else:
-            raise ValueError(f"unknown cell {cell!r}")
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(D3, D3))
-        return m.tocsr()
-
-    def branch_matrix(self, branch: str, gate: bool = False,
-                      weights: dict[int, float] | None = None) -> sp.csr_matrix:
-        return sum(self.matrix(branch, c, gate, weights)
-                   for c in ("sep", "diag", "nesC", "nesP"))
-
-    def total_matrix(self, gate: bool = False, weights: dict[int, float] | None = None) -> sp.csr_matrix:
-        return sum(self.branch_matrix(b, gate, weights) for b in BRANCHES)
-
-    def raw_tiling_matrix(self) -> sp.csr_matrix:
-        """Pre-split tiling: every tuple contributes its own read=write term."""
-        D3 = self.D**3
-        rows, cols, vals = [], [], []
-        for branch in BRANCHES:
-            for t in self.tuples[branch]:
-                widx, wval = self.write_vector(t)
-                for i, a in zip(widx, wval):
-                    rows.extend([i] * len(widx))
-                    cols.extend(widx.tolist())
-                    vals.extend((a * wval).tolist())
-        return sp.coo_matrix((vals, (rows, cols)), shape=(D3, D3)).tocsr()
-
-    def goodness_weights(self) -> dict[int, float]:
-        """Inverse goodness probabilities per smallest-cube level."""
-        out = {}
-        for lvl in range(self.axis.levels):
+    def gated_weights(self) -> np.ndarray:
+        """Per cube of levels 0..L-1, in `ops.cubes` order: the inverse
+        goodness probability of its level if the cube is good, else 0."""
+        L = self.axis.levels
+        inv = []
+        for lvl in range(L):
             p = goodness_fraction(self.axis, lvl, r=self.r, gamma=self.gamma, alpha=self.alpha)
             if p == 0:
                 raise ValueError(f"goodness probability vanishes at level {lvl}")
-            out[lvl] = 1.0 / p
-        return out
+            inv.append(1.0 / p)
+        levels = np.repeat(np.arange(L), 1 << np.arange(L))
+        return np.where(self.good[:len(levels)], np.array(inv)[levels], 0.0)
+
+    def smallest_cubes(self, branch: str, cell: str) -> np.ndarray:
+        """Index, in `ops.cubes` order, of the smallest cube of every term of
+        a cell: one per table row, or for 'nesP' one term per cube of levels
+        1..L-1."""
+        if cell == "nesP":
+            return np.arange(self.ops.cube_offset[1], self.ops.cube_offset[self.axis.levels])
+        tab = self.tuples[branch]
+        return self.ops.cube_offset[tab["lvl_s"]] + tab["pos_s"]
+
+    # -- decay certificates ---------------------------------------------------
+    def _chain_child(self, branch: str, tab: np.ndarray):
+        """Per row, level and position of the anchor child of the nested
+        split: the averaged cube for offset routes, the middle's child
+        containing the smallest cube otherwise."""
+        _, _, lvl_o = self._route(branch, tab)
+        lvl = tab["lvl_m"] + 1
+        below = ((self._starts(tab["lvl_s"], tab["pos_s"]) - self.offset[lvl])
+                 % self.axis.n_side) // self.width[lvl]
+        return lvl, np.where(lvl_o == lvl, tab["pos_o"], below)
+
+    def nested_inside(self, branch: str) -> np.ndarray:
+        """Per row: smallest cube strictly inside its chain anchor (the
+        configuration the nested coefficient bounds quantify over)."""
+        tab = self.tuples[branch]
+        lvl_c, pos_c = self._chain_child(branch, tab)
+        rel = (self._starts(tab["lvl_s"], tab["pos_s"]) - self._starts(lvl_c, pos_c)) % self.axis.n_side
+        return np.minimum(rel, self.width[lvl_c] - rel - self.width[tab["lvl_s"]]) > 0
+
+    def well_separated(self, branch: str) -> np.ndarray:
+        """Per row: at least one smallest-cube length between the smallest
+        cube and both partners (the quantitative separated configuration)."""
+        tab = self.tuples[branch]
+        _, _, lvl_o = self._route(branch, tab)
+        ss, ws = self._starts(tab["lvl_s"], tab["pos_s"]), self.width[tab["lvl_s"]]
+        d = np.maximum(
+            self._distance(self._starts(tab["lvl_m"], tab["pos_m"]), self.width[tab["lvl_m"]], ss, ws),
+            self._distance(self._starts(lvl_o, tab["pos_o"]), self.width[lvl_o], ss, ws),
+        )
+        return d >= ws
+
+    # -- read/write vectors -------------------------------------------------
+    @cached_property
+    def _expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        """Basis expansions of the normalised indicators of all cubes, rows in
+        cube order: index and value arrays of shape (cubes, L + 1), a level-j
+        cube filling its first j + 1 columns."""
+        L = self.axis.levels
+        cols = self.unit_exp.T
+        nz = np.abs(cols) > 1e-13
+        levels = np.repeat(np.arange(L + 1), 1 << np.arange(L + 1))
+        if not np.array_equal(nz.sum(axis=1), levels + 1):
+            raise AssertionError("indicator expansion must have lvl+1 terms")
+        fill = np.arange(L + 1) <= levels[:, None]
+        idx = np.zeros(fill.shape, dtype=np.int64)
+        val = np.zeros(fill.shape)
+        idx[fill], val[fill] = np.flatnonzero(nz) % nz.shape[1], cols[nz]
+        return idx, val
+
+    def _transform(self, S: np.ndarray) -> np.ndarray:
+        # one matrix-vector product per row: each row's coefficients round as
+        # a single `transform() @ v` does (a matrix product sums otherwise)
+        return (self.basis.transform() @ S[..., None])[..., 0]
+
+    def _plain_rows(self, branch: str, tab: np.ndarray) -> _Rows:
+        """Write vectors of the rows (the functions paired with the inputs):
+        one-hot middle and smallest slots, and in the averaged slot the
+        expansion of its cube's normalised indicator."""
+        m_slot, o_slot, lvl_o = self._route(branch, tab)
+        X = self.stride
+        base = (self._hot(tab["kind_m"], tab["lvl_m"], tab["pos_m"]) * X[m_slot]
+                + self._hot(tab["kind_s"], tab["lvl_s"], tab["pos_s"]) * X[SMALLEST_SLOT[branch]])
+        eidx, eval_ = self._expansion
+        cube = self.ops.cube_offset[lvl_o] + tab["pos_o"]
+        fill = np.arange(eidx.shape[1]) <= lvl_o[:, None]
+        return _Rows(lvl_o + 1, (base[:, None] + eidx[cube] * X[o_slot][:, None])[fill], eval_[cube][fill])
+
+    def _nested_terms(self, branch: str, tab: np.ndarray) -> tuple[_Rows, _Rows]:
+        """Read vectors of the cancellative part of the nested split, as its
+        two terms: the split-function pairing, and minus the complement
+        pairing, which replace the parent-Haar / indicator pair."""
+        ops, X = self.ops, self.stride
+        m_slot, o_slot, lvl_o = self._route(branch, tab)
+        o_cube = ops.cube_offset[lvl_o] + tab["pos_o"]
+        lvl_c, pos_c = self._chain_child(branch, tab)
+        # the middle slot's own basis function, and its mean on the anchor child
+        hP = self.basis.matrix[self._hot(tab["kind_m"], tab["lvl_m"], tab["pos_m"])]
+        mean = np.empty(len(tab))
+        for lvl, cells in enumerate(cell_tables(self.axis, self.shift)):
+            at = lvl_c == lvl
+            mean[at] = np.take_along_axis(hP[at], cells[pos_c[at]], axis=1).mean(axis=1)
+        scale = np.array([c.measure**-0.5 for c in ops.cubes])[o_cube][:, None]
+        outside = (ops.unit == 0).astype(float)  # per cube: 1 off the cube, 0 on it
+        split = outside[ops.cube_offset[lvl_c] + pos_c] * (hP - mean[:, None])
+        svec = _noise_free(self._transform(scale * split))
+        hvec = _noise_free(self._transform(scale * hP))
+        comp = _noise_free(self._transform(outside[o_cube]))
+        ones = _noise_free(np.broadcast_to(self.ones_exp, (len(tab), self.D)))
+        base = self._hot(tab["kind_s"], tab["lvl_s"], tab["pos_s"]) * X[SMALLEST_SLOT[branch]]
+        complement = _pair(hvec, comp, X[m_slot], X[o_slot], base)
+        return (_pair(svec, ones, X[m_slot], X[o_slot], base),
+                complement._replace(val=-complement.val))
+
+    def _averaging_rows(self, branch: str, cubes: np.ndarray) -> tuple[_Rows, _Rows]:
+        """Write and read vectors of the collapsed averaging part, one row per
+        smallest cube (indices in `ops.cubes` order)."""
+        ops, X = self.ops, self.stride
+        s_slot = SMALLEST_SLOT[branch]
+        p, q = (slot for slot in (1, 2, 3) if slot != s_slot)
+        level = np.repeat(np.arange(self.axis.levels + 1), np.diff(ops.cube_offset))[cubes]
+        base = self._hot(0, level, cubes - ops.cube_offset[level]) * X[s_slot]
+        avg = _noise_free(self.avg_exp.T[cubes])
+        ones = _noise_free(np.broadcast_to(self.ones_exp, (len(cubes), self.D)))
+        return _pair(avg, avg, X[p], X[q], base), _pair(ones, ones, X[p], X[q], base)
+
+    def reads(self, branch: str, rows: np.ndarray | None = None) -> sp.csr_matrix:
+        """Read vectors of the rows of the branch table (all, or a boolean
+        mask), as a (rows, D^3) CSR matrix: the write vector for separated
+        and diagonal rows, the cancellative nested read for nested rows."""
+        tab = self.tuples[branch] if rows is None else self.tuples[branch][rows]
+        nes = tab["cls"] == NES
+        parts = [(np.flatnonzero(~nes), self._plain_rows(branch, tab[~nes]))]
+        parts += [(np.flatnonzero(nes), term) for term in self._nested_terms(branch, tab[nes])]
+        return _stack(parts, len(tab), self.D**3)
+
+    def averaging_reads(self, branch: str) -> tuple[sp.csr_matrix, list[tuple[int, int]]]:
+        """Read vectors of the averaging part, one row per smallest cube of
+        levels 1..L-1, with the (level, position) of each row's cube."""
+        cubes = self.smallest_cubes(branch, "nesP")
+        _, read = self._averaging_rows(branch, cubes)
+        return (_stack([(np.arange(len(cubes)), read)], len(cubes), self.D**3),
+                [(c.level, c.pos[0]) for c in (self.ops.cubes[i] for i in cubes)])
+
+    # -- matrices -----------------------------------------------------------
+    def matrix(self, branch: str, cell: str, weight: np.ndarray | None = None) -> sp.csr_matrix:
+        """Redistribution matrix of one (branch, cell).
+
+        `weight` holds one factor per term of the cell, indexed like
+        `smallest_cubes(branch, cell)`: per table row for 'sep', 'diag' and
+        'nesC' (rows of the other classes are ignored), per smallest cube
+        for 'nesP'.  Terms of weight 0 are left out."""
+        if cell not in CELLS:
+            raise ValueError(f"unknown cell {cell!r}")
+        terms = self.smallest_cubes(branch, cell) if cell == "nesP" else self.tuples[branch]
+        w = np.ones(len(terms)) if weight is None else np.asarray(weight, dtype=float)
+        keep = w != 0
+        if cell != "nesP":
+            keep &= terms["cls"] == {"sep": SEP, "diag": DIAG, "nesC": NES}[cell]
+        terms, w = terms[keep], w[keep]
+        if cell == "nesP":
+            write, read = self._averaging_rows(branch, terms)
+            reads = (read,)
+        else:
+            write = self._plain_rows(branch, terms)
+            reads = self._nested_terms(branch, terms) if cell == "nesC" else (write,)
+        # one outer product write (x) read per term and read vector
+        rows, cols, vals = [], [], []
+        for read in reads:
+            row, iw, ir = _ragged_pairs(write.counts, read.counts)
+            rows.append(write.idx[iw])
+            cols.append(read.idx[ir])
+            vals.append(w[row] * write.val[iw] * read.val[ir])
+        D3 = self.D**3
+        m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(D3, D3)).tocsr()
+        m.eliminate_zeros()  # entries whose terms cancel exactly
+        return m
+
+
+@lru_cache(maxsize=16)
+def axis_decomposition(axis: Axis, shift: AxisShift, r: int = 2,
+                       gamma: float | None = None, alpha: float = 1.0) -> AxisDecomposition:
+    """The shared AxisDecomposition of one (axis, shift, r, gamma, alpha); its
+    tables are read-only and it keeps no matrix."""
+    return AxisDecomposition(axis, shift, r, gamma, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -660,15 +696,13 @@ def _lambda_hat_to_cells(lam_hat: np.ndarray, grid: TorusGrid, om: GridShift) ->
     return K6.reshape(C, C, C)
 
 
-CELLS = ("sep", "diag", "nesC", "nesP")
-
-
 class Decomposition:
-    """One run of the decomposer at a fixed lattice shift."""
+    """One run of the decomposer at a fixed lattice shift.  The per-axis
+    redistribution matrices are built on first use."""
 
     def __init__(self, tensor: KernelTensor, om: GridShift, r: int = 2,
                  gamma: float | None = None, alpha: float | None = None,
-                 gated: bool = False, max_complexity: int | None = None):
+                 max_complexity: int | None = None):
         grid = tensor.grid
         if max_complexity is not None:
             depth = max(grid.axes[0].levels, grid.axes[1].levels) - 1
@@ -682,12 +716,17 @@ class Decomposition:
         self.grid = grid
         self.om = om
         self.alpha = a
-        self.gated = gated
-        self.ax1 = AxisDecomposition(grid.axes[0], om.shift1, r=r, gamma=gamma, alpha=a)
-        self.ax2 = AxisDecomposition(grid.axes[1], om.shift2, r=r, gamma=gamma, alpha=a)
+        self.ax1 = axis_decomposition(grid.axes[0], om.shift1, r, gamma, a)
+        self.ax2 = axis_decomposition(grid.axes[1], om.shift2, r, gamma, a)
         self.lam_hat = _lambda_hat(tensor, om)
-        self._m1 = {(b, c): self.ax1.matrix(b, c, gate=gated) for b in BRANCHES for c in CELLS}
-        self._m2 = {(b, c): self.ax2.matrix(b, c, gate=gated) for b in BRANCHES for c in CELLS}
+
+    @cached_property
+    def _m1(self) -> dict:
+        return {(b, c): self.ax1.matrix(b, c) for b in BRANCHES for c in CELLS}
+
+    @cached_property
+    def _m2(self) -> dict:
+        return {(b, c): self.ax2.matrix(b, c) for b in BRANCHES for c in CELLS}
 
     # -- reconstruction -------------------------------------------------------
     def reconstructed_hat(self) -> np.ndarray:
@@ -700,10 +739,12 @@ class Decomposition:
         scale = np.abs(self.lam_hat).max()
         return float(np.abs(R).max() / (scale if scale > 0 else 1.0))
 
-    def term_form(self, br1: str, cell1: str, br2: str, cell2: str,
-                  f1: DiscreteFunction, f2: DiscreteFunction, f3: DiscreteFunction) -> float:
-        hat = np.asarray(self._m1[(br1, cell1)] @ self.lam_hat @ self._m2[(br2, cell2)].T)
-        return self._eval_hat(hat, f1, f2, f3)
+    def exportable_hat(self) -> np.ndarray:
+        """Haar coefficients of the part the object-level families emit: the
+        terms of the `exportable` rows and the whole averaging part."""
+        M1, M2 = (sum(ax.matrix(b, c, None if c == "nesP" else ax.exportable(b))
+                      for b in BRANCHES for c in CELLS) for ax in (self.ax1, self.ax2))
+        return np.asarray(M1 @ self.lam_hat @ M2.T)
 
     def total_form(self, f1, f2, f3) -> float:
         return self._eval_hat(self.reconstructed_hat(), f1, f2, f3)
@@ -728,96 +769,65 @@ class Decomposition:
         out = {"by_class": {}, "certified": {"nested": 0.0, "separated": 0.0},
                "counts": {"nested": 0, "separated": 0}}
 
-        def block(set1, read1, set2, read2):
-            W1 = _stack_sparse([read1(t) for t in set1], self.ax1.D**3)
-            W2 = _stack_sparse([read2(t) for t in set2], self.ax2.D**3)
-            Cmat = np.asarray(W1 @ self.lam_hat @ W2.T)
-            cap1 = np.array([self._axis_cap(t, self.ax1) for t in set1])
-            cap2 = np.array([self._axis_cap(t, self.ax2) for t in set2])
-            return np.abs(Cmat) / np.outer(cap1, cap2)
+        def rows(ax, br):
+            cls = ax.tuples[br]["cls"]
+            raw = {"sep": cls == SEP, "diag": cls == DIAG, "nes": cls == NES}
+            certified = {"sep": raw["sep"] & ax.well_separated(br),
+                         "nes": raw["nes"] & ax.nested_inside(br)}
+            return ax.reads(br), ax.caps(br), raw, certified
 
-        raw = {
-            "sep": (lambda ax, t: t.cls == SEP, "plain"),
-            "diag": (lambda ax, t: t.cls == DIAG, "plain"),
-            "nes": (lambda ax, t: t.cls == NES, "nested"),
-        }
-        certified = {
-            "sep": (lambda ax, t: t.cls == SEP and ax.well_separated(t), "plain"),
-            "nes": (lambda ax, t: t.cls == NES and ax.nested_inside(t), "nested"),
-        }
-
-        def reader(ax, kind):
-            return ax.write_vector if kind == "plain" else ax.read_vector_nested_C
-
+        per_axis = [{br: rows(ax, br) for br in BRANCHES} for ax in (self.ax1, self.ax2)]
         for br1 in BRANCHES:
+            R1, cap1, *sets1 = per_axis[0][br1]
+            # (R1 @ lam_hat)^T laid out once for the three right factors
+            left = np.ascontiguousarray((R1 @ self.lam_hat).T)
             for br2 in BRANCHES:
-                for table, dest in ((raw, "by_class"), (certified, "certified")):
-                    for n1, (sel1, kind1) in table.items():
-                        set1 = [t for t in self.ax1.tuples[br1] if sel1(self.ax1, t)]
-                        if not set1:
+                R2, cap2, *sets2 = per_axis[1][br2]
+                ratios = np.abs((R2 @ left).T) / np.outer(cap1, cap2)
+                for dest, table1, table2 in zip(("by_class", "certified"), sets1, sets2):
+                    for n1, sel1 in table1.items():
+                        if not sel1.any():
                             continue
-                        for n2, (sel2, kind2) in table.items():
-                            set2 = [t for t in self.ax2.tuples[br2] if sel2(self.ax2, t)]
-                            if not set2:
+                        for n2, sel2 in table2.items():
+                            if not sel2.any():
                                 continue
-                            ratios = block(set1, reader(self.ax1, kind1),
-                                           set2, reader(self.ax2, kind2))
+                            block = ratios[np.ix_(sel1, sel2)]
                             if dest == "by_class":
                                 key = tuple(sorted((n1, n2)))
                                 out["by_class"][key] = max(out["by_class"].get(key, 0.0),
-                                                           float(ratios.max()))
+                                                           float(block.max()))
                             else:
                                 key = "nested" if (n1 == n2 == "nes") else "separated"
-                                out["certified"][key] = max(out["certified"][key],
-                                                            float(ratios.max()))
-                                out["counts"][key] += ratios.size
+                                out["certified"][key] = max(out["certified"][key], float(block.max()))
+                                out["counts"][key] += block.size
         return out
-
-    def _axis_cap(self, t: AxisTuple, ax: AxisDecomposition) -> float:
-        # for nested tuples the common ancestor is the chain parent itself,
-        # so one formula covers every class
-        s_slot, m_slot, o_slot, delta, _, _ = t.route
-        lvlK = t.anc_level
-        levels = [0, 0, 0]
-        levels[m_slot - 1] = t.lvl_m
-        levels[o_slot - 1] = t.lvl_m + delta
-        levels[s_slot - 1] = t.lvl_s
-        size_cap = 2.0 ** (-(sum(levels)) / 2.0 + 2 * lvlK)
-        kmax = max(l - lvlK for l in levels)
-        decay = 2.0 ** (-self.alpha * kmax / 2.0)
-        return size_cap * decay
 
     def partial_symbol_report(self) -> dict:
         """Symbol oscillation norms of the extracted partial paraproducts
         against the nested-chain shape cap, for the nested x averaged cells."""
         out = {"max_ratio": 0.0, "n_symbols": 0}
-        for shift_ax, para_ax, m_sh, m_pa in (
-            (self.ax1, self.ax2, self._m1, self._m2),
-            (self.ax2, self.ax1, self._m2, self._m1),
-        ):
-            first = shift_ax is self.ax1
+        # lam_hat^T laid out once: a sparse product copies a transposed view
+        for shift_ax, para_ax, lam in ((self.ax1, self.ax2, self.lam_hat),
+                                       (self.ax2, self.ax1, np.ascontiguousarray(self.lam_hat.T))):
             for br_s in BRANCHES:
-                nes = [t for t in shift_ax.tuples[br_s] if t.cls == NES]
-                if not nes:
+                tab = shift_ax.tuples[br_s]
+                nes = tab["cls"] == NES
+                if not nes.any():
                     continue
-                W = _stack_sparse([shift_ax.read_vector_nested_C(t) for t in nes], shift_ax.D**3)
+                W = shift_ax.reads(br_s, nes)
+                # the chain child sits one level below the middle cube
+                depth = tab["lvl_s"][nes] - tab["lvl_m"][nes] - 1
+                shape = (2.0**-depth) ** (self.alpha / 2.0) * (2.0**-depth) ** 0.5
                 for br_p in BRANCHES:
-                    R, cubes = _para_reads(para_ax, br_p)
-                    if R is None:
+                    R, cubes = para_ax.averaging_reads(br_p)
+                    if not cubes:
                         continue
-                    tbl = np.asarray(W @ (self.lam_hat if first else self.lam_hat.T) @ R.T)
                     # tbl[t, j]: coefficient of the symbol of key t on cube j
-                    rows = np.array([para_ax.ops.canc_index(l, p) for (l, p) in cubes])
-                    prof = tbl @ para_ax.ops.haar[rows]
-                    for i, t in enumerate(nes):
-                        bmo = axis_profile_bmo(prof[i], para_ax.axis)
-                        cstar = shift_ax._chain_child(t)
-                        shape = (
-                            (2.0 ** -(t.lvl_s - cstar.level)) ** (self.alpha / 2.0)
-                            * (2.0 ** -(t.lvl_s - cstar.level)) ** 0.5
-                        )
-                        out["max_ratio"] = max(out["max_ratio"], bmo / shape)
-                        out["n_symbols"] += 1
+                    tbl = np.asarray(W @ lam @ R.T)
+                    prof = tbl @ para_ax.ops.haar[[para_ax.ops.canc_index(l, p) for l, p in cubes]]
+                    ratio = axis_profile_bmo(prof, para_ax.axis) / shape
+                    out["max_ratio"] = max(out["max_ratio"], float(ratio.max()))
+                    out["n_symbols"] += len(ratio)
         return out
 
     def full_paraproduct_tables(self) -> dict:
@@ -825,9 +835,9 @@ class Decomposition:
         each of the nine symmetry pairs."""
         out = {}
         for br1 in BRANCHES:
-            R1, cubes1 = _para_reads(self.ax1, br1)
+            R1, cubes1 = self.ax1.averaging_reads(br1)
             for br2 in BRANCHES:
-                R2, cubes2 = _para_reads(self.ax2, br2)
+                R2, cubes2 = self.ax2.averaging_reads(br2)
                 tbl = np.asarray(R1 @ self.lam_hat @ R2.T)
                 out[(br1, br2)] = {"lam": tbl, "cubes1": cubes1, "cubes2": cubes2,
                                    "pattern": (SMALLEST_SLOT[br1], SMALLEST_SLOT[br2])}
@@ -838,9 +848,8 @@ class Decomposition:
         out = []
         for key, rec in self.full_paraproduct_tables().items():
             lam_full = np.zeros((self.ax1.ops.haar.shape[0], self.ax2.ops.haar.shape[0]))
-            for i, ci in enumerate(rec["cubes1"]):
-                for j, cj in enumerate(rec["cubes2"]):
-                    lam_full[self.ax1.ops.canc_index(*ci), self.ax2.ops.canc_index(*cj)] = rec["lam"][i, j]
+            lam_full[np.ix_([self.ax1.ops.canc_index(*c) for c in rec["cubes1"]],
+                            [self.ax2.ops.canc_index(*c) for c in rec["cubes2"]])] = rec["lam"]
             op = FullParaproduct(self.grid, self.om, rec["pattern"], lam_full)
             size = op.coefficient_report().family_value
             if size > 0:
@@ -849,31 +858,14 @@ class Decomposition:
         return out
 
     # -- object-level emission ---------------------------------------------
-    def _axis_slot_data(self, ax: AxisDecomposition, t: AxisTuple):
-        """(anchor, per-slot levels, averaged slot, per-slot positions)."""
-        s_slot, m_slot, o_slot, delta, _, _ = t.route
-        levels = [0, 0, 0]
-        pos = [0, 0, 0]
-        levels[m_slot - 1], pos[m_slot - 1] = t.lvl_m, t.pos_m
-        levels[o_slot - 1], pos[o_slot - 1] = t.lvl_m + delta, t.pos_o
-        levels[s_slot - 1], pos[s_slot - 1] = t.lvl_s, t.pos_s
-        return (t.anc_level, t.anc_pos), tuple(levels), o_slot, tuple(pos)
-
-    def _exportable(self, t: AxisTuple) -> bool:
-        # top-scale convention rows pair a difference slot with the flat
-        # profile; they are outside the strict nine-type builders
-        return t.kind_m == 0 and t.kind_s == 0
-
-    def _slot_keys(self, ax: AxisDecomposition, tuples: list[AxisTuple]) -> list[tuple]:
-        """Per tuple: (anchor, per-slot depths, averaged slot, per-slot index
-        among the anchor's descendants at that depth)."""
-        out = []
-        for t in tuples:
-            anc, lv, oslot, pos = self._axis_slot_data(ax, t)
-            k = tuple(l - anc[0] for l in lv)
-            d = [ax.ops.descendant_positions(anc[0], anc[1], kk) for kk in k]
-            out.append((anc, k, oslot, tuple(int(np.where(d[s] == pos[s])[0][0]) for s in range(3))))
-        return out
+    def _export_sets(self, ax: AxisDecomposition, branch: str) -> dict:
+        """The exportable rows by tag ('plain': separated and diagonal,
+        'nested'): their slot keys and their read vectors."""
+        tab = ax.tuples[branch]
+        keep = ax.exportable(branch)
+        nes = tab["cls"] == NES
+        return {tag: (ax.slot_keys(branch, tab[rows]), ax.reads(branch, rows))
+                for tag, rows in (("plain", keep & ~nes), ("nested", keep & nes)) if rows.any()}
 
     def extracted_shift_families(self) -> list[dict]:
         """Builder-validated shift operators with their extracted sizes.
@@ -881,27 +873,38 @@ class Decomposition:
         Plain cells and the cancellative parts of nested cells regroup into
         families keyed by (complexity, averaged-slot pattern); coefficients
         are rescaled by the family maximum against the structural cap."""
-        sets = [
-            {br: {tag: (self._slot_keys(ax, tuples), W)
-                  for tag, (tuples, W) in self._export_sets(ax, br).items()} for br in BRANCHES}
-            for ax in (self.ax1, self.ax2)
-        ]
+        sets = [{br: self._export_sets(ax, br) for br in BRANCHES} for ax in (self.ax1, self.ax2)]
         buckets: dict[tuple, dict] = {}
         for br1 in BRANCHES:
             for br2 in BRANCHES:
                 for tag1, (keys1, W1) in sets[0][br1].items():
                     for tag2, (keys2, W2) in sets[1][br2].items():
                         C = np.asarray(W1 @ self.lam_hat @ W2.T)
-                        for i, (anc1, k, oslot1, idx1) in enumerate(keys1):
-                            for j, (anc2, v, oslot2, idx2) in enumerate(keys2):
-                                if C[i, j] == 0.0:
-                                    continue
-                                fam = (k, v, (oslot1, oslot2), f"{br1}{br2}", f"{tag1}/{tag2}")
-                                bucket = buckets.setdefault(fam, {})
-                                key = ((anc1[0], anc1[1]), (anc2[0], anc2[1]))
-                                shape = tuple(1 << d for d in k) + tuple(1 << d for d in v)
-                                block = bucket.setdefault(key, np.zeros(shape))
-                                block[idx1 + idx2] += C[i, j]
+                        nz = np.flatnonzero(C)
+                        if not len(nz):
+                            continue
+                        i, j = nz // C.shape[1], nz % C.shape[1]
+                        # one block per pair of (anchor, depths, averaged slot)
+                        # groups, numbered in the order their first entries come
+                        g2 = _group_codes(keys2[:, :6])
+                        pair = _group_codes(keys1[:, :6])[i] * (g2.max() + 1) + g2[j]
+                        first = np.full(pair.max() + 1, len(pair))
+                        np.minimum.at(first, pair, np.arange(len(pair)))
+                        head = np.zeros(len(pair), dtype=bool)
+                        head[first[first < len(pair)]] = True
+                        block_of = (np.cumsum(head) - 1)[first[pair]]
+                        rep1, rep2 = keys1[i[head]], keys2[j[head]]
+                        size = 1 << (rep1[:, 2:5].sum(axis=1) + rep2[:, 2:5].sum(axis=1))
+                        start = np.cumsum(size) - size
+                        cell = (_block_offset(keys1[i]) << keys2[j, 2:5].sum(axis=1)) | _block_offset(keys2[j])
+                        flat = np.zeros(size.sum())
+                        flat[start[block_of] + cell] = C.ravel()[nz]
+                        for (a1, p1, *k, o1, _, _, _), (a2, p2, *v, o2, _, _, _), lo, n in zip(
+                                rep1.tolist(), rep2.tolist(), start.tolist(), size.tolist()):
+                            k, v = tuple(k), tuple(v)
+                            shape = tuple(1 << d for d in k) + tuple(1 << d for d in v)
+                            bucket = buckets.setdefault((k, v, (o1, o2), f"{br1}{br2}", f"{tag1}/{tag2}"), {})
+                            bucket[((a1, p1), (a2, p2))] = flat[lo:lo + n].reshape(shape)
         out = []
         for (k, v, pattern, sym, cells), coeffs in sorted(buckets.items()):
             probe = ShiftOperator(self.grid, self.om, k, v, pattern, {})
@@ -917,16 +920,6 @@ class Decomposition:
                         "pattern": pattern, "operator": op, "size": scale})
         return out
 
-    def _export_sets(self, ax: AxisDecomposition, branch: str):
-        plain = [t for t in ax.tuples[branch] if t.cls in (SEP, DIAG) and self._exportable(t)]
-        nested = [t for t in ax.tuples[branch] if t.cls == NES and self._exportable(t)]
-        out = {}
-        if plain:
-            out["plain"] = (plain, _stack_sparse([ax.write_vector(t) for t in plain], ax.D**3))
-        if nested:
-            out["nested"] = (nested, _stack_sparse([ax.read_vector_nested_C(t) for t in nested], ax.D**3))
-        return out
-
     def extracted_partial_paraproducts(self) -> list[dict]:
         """Builder-validated partial paraproducts with extracted sizes.
 
@@ -935,39 +928,34 @@ class Decomposition:
         profiles are rescaled by the family maximum against the one-axis
         oscillation cap."""
         out = []
-        for shift_axis, sax, pax, flip in ((0, self.ax1, self.ax2, False),
-                                           (1, self.ax2, self.ax1, True)):
+        for shift_axis, sax, pax, lam in ((0, self.ax1, self.ax2, self.lam_hat),
+                                          (1, self.ax2, self.ax1, np.ascontiguousarray(self.lam_hat.T))):
             for br_s in BRANCHES:
-                sets = {tag: (self._slot_keys(sax, tuples), W)
-                        for tag, (tuples, W) in self._export_sets(sax, br_s).items()}
+                sets = self._export_sets(sax, br_s)
                 for br_p in BRANCHES:
-                    R, cubes = _para_reads(pax, br_p)
-                    if R is None:
+                    R, cubes = pax.averaging_reads(br_p)
+                    if not cubes:
                         continue
-                    rows = np.array([pax.ops.canc_index(l, p) for (l, p) in cubes])
-                    hrows = pax.ops.haar[rows]
+                    hrows = pax.ops.haar[[pax.ops.canc_index(l, p) for l, p in cubes]]
                     ptype = SMALLEST_SLOT[br_p]
                     for tag, (keys, W) in sets.items():
-                        tbl = np.asarray(W @ (self.lam_hat if not flip else self.lam_hat.T) @ R.T)
+                        tbl = np.asarray(W @ lam @ R.T)
                         profs = tbl @ hrows
-                        buckets: dict[tuple, dict] = {}
-                        for i, (anc, k, oslot, idx) in enumerate(keys):
-                            fam = (k, oslot, f"{br_s}{br_p}", tag)
-                            buckets.setdefault(fam, {})[((anc[0], anc[1]), idx)] = profs[i]
-                        for (k, oslot, sym, cells), symbols in sorted(buckets.items()):
+                        # a family per (depths, averaged slot), in sorted order
+                        fam = _group_codes(keys[:, 2:6])
+                        for f in np.flatnonzero(np.bincount(fam)):
+                            rows = np.flatnonzero(fam == f)
+                            *k, oslot = keys[rows[0], 2:6].tolist()
+                            k = tuple(k)
                             probe = PartialParaproduct(self.grid, self.om, shift_axis,
                                                        k, oslot, ptype, {})
-                            worst = max(
-                                (axis_profile_bmo(prof, pax.axis) / probe.cap(kk[0])
-                                 for (kk, _), prof in symbols.items()),
-                                default=0.0,
-                            )
+                            caps = np.array([probe.cap(level) for level in keys[rows, 0].tolist()])
+                            worst = (axis_profile_bmo(profs[rows], pax.axis) / caps).max()
                             scale = max(worst, 1.0)
-                            op = PartialParaproduct(
-                                self.grid, self.om, shift_axis, k, oslot, ptype,
-                                {key: prof / scale for key, prof in symbols.items()},
-                            )
-                            out.append({"symmetry": sym, "cells": cells,
+                            symbols = {((a, p), (i1, i2, i3)): profs[r] / scale
+                                       for r, (a, p, *_, i1, i2, i3) in zip(rows, keys[rows].tolist())}
+                            op = PartialParaproduct(self.grid, self.om, shift_axis, k, oslot, ptype, symbols)
+                            out.append({"symmetry": f"{br_s}{br_p}", "cells": tag,
                                         "shift_axis": shift_axis, "k": k,
                                         "h0_slot": oslot, "ptype": ptype,
                                         "operator": op, "size": scale})
@@ -977,14 +965,12 @@ class Decomposition:
         cells = {}
         for br in BRANCHES:
             for name, ax in (("axis1", self.ax1), ("axis2", self.ax2)):
-                counts = {"sep": 0, "diag": 0, "nes": 0}
-                for t in ax.tuples[br]:
-                    counts[("sep", "diag", "nes")[t.cls]] += 1
-                cells[f"{name}/{br}"] = counts
+                sep, diag, nes = np.bincount(ax.tuples[br]["cls"], minlength=3).tolist()
+                cells[f"{name}/{br}"] = {"sep": sep, "diag": diag, "nes": nes}
         return {
             "grid": {"levels": [self.grid.axes[0].levels, self.grid.axes[1].levels]},
             "alpha": self.alpha,
-            "gated": self.gated,
+            "gated": False,
             "cells": cells,
             "symmetries": [f"{b1}{b2}" for b1 in BRANCHES for b2 in BRANCHES],
             "term_kinds": {
@@ -995,30 +981,29 @@ class Decomposition:
         }
 
 
-def _stack_sparse(pairs, width) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for r, (idx, val) in enumerate(pairs):
-        rows.extend([r] * len(idx))
-        cols.extend(idx.tolist())
-        vals.extend(val.tolist())
-    return sp.coo_matrix((vals, (rows, cols)), shape=(len(pairs), width)).tocsr()
+def _group_codes(cols: np.ndarray) -> np.ndarray:
+    """One integer per row of a nonnegative int array, ordered as the rows
+    sort."""
+    return np.ravel_multi_index(tuple(cols.T), tuple(cols.max(axis=0) + 1))
 
 
-def _para_reads(ax: AxisDecomposition, branch: str):
-    pairs = []
-    cubes = []
-    for lvl in range(1, ax.axis.levels):
-        for pos in range(1 << lvl):
-            _, read = ax.para_vectors(branch, lvl, pos)
-            pairs.append(read)
-            cubes.append((lvl, pos))
-    if not pairs:
-        return None, []
-    return _stack_sparse(pairs, ax.D**3), cubes
+def _block_offset(keys: np.ndarray) -> np.ndarray:
+    """Per row of slot keys, the flat C-order offset of its descendant
+    indices in a block of shape (2^d1, 2^d2, 2^d3)."""
+    d, idx = keys[:, 2:5], keys[:, 6:9]
+    return (idx[:, 0] << (d[:, 1] + d[:, 2])) | (idx[:, 1] << d[:, 2]) | idx[:, 2]
 
 
 def decompose(tensor: KernelTensor, om: GridShift, **kwargs) -> Decomposition:
     return Decomposition(tensor, om, **kwargs)
+
+
+def _gated_total(ax: AxisDecomposition) -> sp.csr_matrix:
+    """Sum of the gated matrices: each term weighted by the inverse goodness
+    probability of its smallest cube's level, and kept only when that cube
+    is good."""
+    w = ax.gated_weights()
+    return sum(ax.matrix(b, c, w[ax.smallest_cubes(b, c)]) for b in BRANCHES for c in CELLS)
 
 
 def averaged_reconstruction(
@@ -1043,14 +1028,14 @@ def averaged_reconstruction(
         rng = np.random.default_rng(seed)
         shifts = [sample_shift(grid, rng) for _ in range(sample_count)]
     acc = np.zeros_like(tensor.data)
+    totals: dict[AxisDecomposition, sp.csr_matrix] = {}  # gated, per axis shift
     for om in shifts:
-        dec = Decomposition(tensor, om, r=r, gamma=gamma, gated=False)
+        dec = Decomposition(tensor, om, r=r, gamma=gamma)
         if gated:
-            w1 = dec.ax1.goodness_weights()
-            w2 = dec.ax2.goodness_weights()
-            M1 = sum(dec.ax1.matrix(b, c, gate=True, weights=w1) for b in BRANCHES for c in CELLS)
-            M2 = sum(dec.ax2.matrix(b, c, gate=True, weights=w2) for b in BRANCHES for c in CELLS)
-            hat = np.asarray(M1 @ dec.lam_hat @ M2.T)
+            for ax in (dec.ax1, dec.ax2):
+                if ax not in totals:
+                    totals[ax] = _gated_total(ax)
+            hat = np.asarray(totals[dec.ax1] @ dec.lam_hat @ totals[dec.ax2].T)
         else:
             hat = dec.reconstructed_hat()
         acc += _lambda_hat_to_cells(hat, grid, om)

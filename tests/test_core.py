@@ -26,7 +26,6 @@ from dyadlab.core import (
     haar_evaluate,
     martingale_block,
     martingale_difference,
-    martingale_difference_rect,
     sample_shift,
     truncated_projection,
 )
@@ -365,7 +364,7 @@ def test_rectangle_measure_and_membership():
     )
     assert abs(r.measure - 0.5 * 0.25) < TOL
     idx = r.index()
-    assert r.contains_cell(int(idx[0][0, 0]), int(idx[1][0, 0]))
+    assert idx[0][0, 0] in r.cube1.cells() and idx[1][0, 0] in r.cube2.cells()
 
 
 def test_cube_cells_come_from_one_read_only_table():

@@ -14,7 +14,7 @@ from dyadlab.core import (
     TorusGrid,
     all_rectangles,
 )
-from dyadlab.kernels import cell_centers, get_kernel, sign_kernel, tensor_riesz
+from dyadlab.kernels import cell_centers, get_kernel, sign_kernel, tensor_riesz, torus_delta
 from dyadlab.lower_bounds import (
     BilinearKernel,
     bmo_lower_bound,
@@ -69,7 +69,16 @@ def test_kernel_registry():
 
 
 def test_size_bound_sampled():
-    assert RIEZ.size_bound_ratio() < 8.0
+    # largest |K| times the size envelope over random off-diagonal triples
+    rng = np.random.default_rng(0)
+    x, y, z = (rng.integers(0, GRID.shape[0] * GRID.shape[1], 512) for _ in range(3))
+    (x1, x2), (y1, y2), (z1, z2) = (RIEZ._coords(c) for c in (x, y, z))
+    d1 = np.abs(torus_delta(x1, y1)) + np.abs(torus_delta(x1, z1))
+    d2 = np.abs(torus_delta(x2, y2)) + np.abs(torus_delta(x2, z2))
+    vals = np.abs(RIEZ.eval_cells(x, y, z))
+    mask = (d1 > 0) & (d2 > 0)
+    assert mask.any()
+    assert (vals[mask] * d1[mask] ** 2 * d2[mask] ** 2).max() < 8.0
 
 
 def test_partner_found_at_fine_scale():

@@ -26,7 +26,6 @@ from dyadlab.core import (
     sample_shift,
 )
 from dyadlab.measures import (
-    NormReport,
     Weight,
     ainfty_characteristic,
     ap_characteristic,
@@ -164,12 +163,6 @@ def test_triangle_inequality_banach_range(seed, p):
 def test_r_triangle_inequality_quasi_range(seed, r):
     f, g = rand_f(seed), rand_f(seed + 1)
     assert lp_norm(f + g, r) ** r <= lp_norm(f, r) ** r + lp_norm(g, r) ** r + 1e-10
-
-
-def test_norm_report_csv_row():
-    rep = NormReport("lp", (2.0,), 1.25, "L3", "w0", 7)
-    assert rep.csv_row().startswith("lp,2,")
-    assert NormReport.csv_header().count(",") == rep.csv_row().count(",")
 
 
 # -- BMO family -------------------------------------------------------------------

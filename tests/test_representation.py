@@ -2,10 +2,12 @@
 
 import io
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from dyadlab.core import (
     Axis,
@@ -13,9 +15,13 @@ from dyadlab.core import (
     ConfigError,
     DyadicCube,
     GridShift,
+    HaarFunction,
     ResolutionError,
     TorusGrid,
+    axis_haar_vector,
+    classify_goodness,
     goodness_fraction,
+    sample_axis_shift,
     sample_shift,
 )
 from dyadlab.kernels import tensor_riesz
@@ -29,11 +35,18 @@ from dyadlab.model_ops import (
 from dyadlab import representation
 from dyadlab.representation import (
     BRANCHES,
+    CELLS,
+    DIAG,
+    NES,
+    ROUTES,
+    SEP,
+    SMALLEST_SLOT,
+    TUPLE_FIELDS,
     AxisDecomposition,
-    Decomposition,
     KernelFormatError,
     KernelTensor,
     averaged_reconstruction,
+    axis_decomposition,
     check_decomposer_size,
     common_ancestor,
     decompose,
@@ -48,6 +61,252 @@ def rand_tensor(seed=0, grid=GRID):
     return KernelTensor.random(grid, np.random.default_rng(seed))
 
 
+# -- the per-tuple reference builder ---------------------------------------------
+# One read and one write vector per tuple, summed term by term: the builder
+# the decomposer's index arithmetic replaced, kept as the oracle its
+# matrices, row certificates and slot keys are checked against.
+
+class AxisTuple(NamedTuple):
+    route: tuple
+    lvl_m: int
+    pos_m: int
+    kind_m: int  # 0 cancellative, 1 top average
+    lvl_s: int
+    pos_s: int
+    kind_s: int
+    pos_o: int
+    cls: int
+    anc_level: int
+    anc_pos: int
+
+
+class PerTupleReference:
+    def __init__(self, ad: AxisDecomposition):
+        self.ad = ad
+        self.axis, self.shift, self.D, self.ops = ad.axis, ad.shift, ad.D, ad.ops
+        self.tuples = {
+            br: [AxisTuple(ROUTES[br][row["route"]], *(int(row[f]) for f in TUPLE_FIELDS[1:]))
+                 for row in ad.tuples[br]]
+            for br in BRANCHES
+        }
+
+    def _cube(self, level, pos):
+        return DyadicCube(self.axis, level, (pos,), self.shift)
+
+    def good(self, level, pos):
+        return classify_goodness(self._cube(level, pos), r=self.ad.r, gamma=self.ad.gamma,
+                                 alpha=self.ad.alpha)
+
+    # -- decay certificates and slot keys -----------------------------------
+    def nested_inside(self, t):
+        cstar = self._chain_child(t)
+        cs = self._cube(t.lvl_s, t.pos_s)
+        rel = (cs.start_cells()[0] - cstar.start_cells()[0]) % self.axis.n_side
+        return min(rel, cstar.width_cells - rel - cs.width_cells) > 0
+
+    def well_separated(self, t):
+        n, L = self.axis.n_side, self.axis.levels
+        delta = t.route[3]
+        off = [self.shift.offset_cells(j)[0] for j in range(L + 1)]
+        w = [1 << (L - j) for j in range(L + 1)]
+        sm = (t.pos_m * w[t.lvl_m] + off[t.lvl_m]) % n
+        so = (t.pos_o * w[t.lvl_m + delta] + off[t.lvl_m + delta]) % n
+        ss = (t.pos_s * w[t.lvl_s] + off[t.lvl_s]) % n
+        d = max(_interval_distance(sm, w[t.lvl_m], ss, w[t.lvl_s], n),
+                _interval_distance(so, w[t.lvl_m + delta], ss, w[t.lvl_s], n))
+        return d >= w[t.lvl_s]
+
+    def slot_key(self, t):
+        """(anchor, per-slot depths, averaged slot, per-slot descendant index)."""
+        s_slot, m_slot, o_slot, delta, _, _ = t.route
+        levels, pos = [0, 0, 0], [0, 0, 0]
+        levels[m_slot - 1], pos[m_slot - 1] = t.lvl_m, t.pos_m
+        levels[o_slot - 1], pos[o_slot - 1] = t.lvl_m + delta, t.pos_o
+        levels[s_slot - 1], pos[s_slot - 1] = t.lvl_s, t.pos_s
+        k = tuple(lv - t.anc_level for lv in levels)
+        d = [self.ops.descendant_positions(t.anc_level, t.anc_pos, kk) for kk in k]
+        idx = tuple(int(np.where(d[s] == pos[s])[0][0]) for s in range(3))
+        return (t.anc_level, t.anc_pos), k, o_slot, idx
+
+    def cap(self, t):
+        """Structural cap times complexity decay (the chain parent is the
+        common ancestor of a nested tuple, so one formula covers every class)."""
+        s_slot, m_slot, o_slot, delta, _, _ = t.route
+        levels = [0, 0, 0]
+        levels[m_slot - 1] = t.lvl_m
+        levels[o_slot - 1] = t.lvl_m + delta
+        levels[s_slot - 1] = t.lvl_s
+        size_cap = 2.0 ** (-(sum(levels)) / 2.0 + 2 * t.anc_level)
+        kmax = max(lv - t.anc_level for lv in levels)
+        return size_cap * 2.0 ** (-self.ad.alpha * kmax / 2.0)
+
+    # -- per-tuple read/write vectors ---------------------------------------
+    def _hot_index(self, kind, level, pos):
+        return 0 if kind == 1 else 1 + self.ops.canc_index(level, pos)
+
+    def _one_hot(self, kind, level, pos):
+        return np.array([self._hot_index(kind, level, pos)]), np.array([1.0])
+
+    def _dense_to_sparse(self, vec):
+        vec = np.asarray(vec)
+        mask = np.abs(vec) > 1e-13 * max(1.0, np.abs(vec).max())
+        return np.nonzero(mask)[0], vec[mask]
+
+    def _triple(self, slots):
+        (i1, v1), (i2, v2), (i3, v3) = slots
+        D = self.D
+        idx = (i1[:, None, None] * D * D + i2[None, :, None] * D + i3[None, None, :]).ravel()
+        val = (v1[:, None, None] * v2[None, :, None] * v3[None, None, :]).ravel()
+        return idx, val
+
+    def write_vector(self, t):
+        s_slot, m_slot, o_slot, delta, _, _ = t.route
+        out = [None, None, None]
+        out[m_slot - 1] = self._one_hot(t.kind_m, t.lvl_m, t.pos_m)
+        out[s_slot - 1] = self._one_hot(t.kind_s, t.lvl_s, t.pos_s)
+        oi = self.ops.cube_index(t.lvl_m + delta, t.pos_o)
+        out[o_slot - 1] = self._dense_to_sparse(self.ad.unit_exp[:, oi])
+        return self._triple(out)
+
+    def _chain_child(self, t):
+        if t.route[3] == 1:
+            return self._cube(t.lvl_m + 1, t.pos_o)
+        return self._cube(t.lvl_s, t.pos_s).ancestor(t.lvl_s - t.lvl_m - 1)
+
+    def read_vector_nested_C(self, t):
+        s_slot, m_slot, o_slot, delta, _, _ = t.route
+        n = self.axis.n_cells
+        cstar = self._chain_child(t)
+        o_cube = self._cube(t.lvl_m + delta, t.pos_o)
+        hP = axis_haar_vector(HaarFunction(self._cube(t.lvl_m, t.pos_m), (t.kind_m ^ 1,)))
+        scale = o_cube.measure**-0.5
+        ind_c = np.ones(n)
+        ind_c[o_cube.cells()] = 0.0
+        out_star = np.ones(n)
+        out_star[cstar.cells()] = 0.0
+        mean_on_child = hP[cstar.cells()].mean()
+        s_split = out_star * (hP - mean_on_child)
+        tr = self.ad.basis.transform()
+        svec = self._dense_to_sparse(tr @ (scale * s_split))
+        ones = self._dense_to_sparse(self.ad.ones_exp)
+        hvec = self._dense_to_sparse(tr @ (scale * hP))
+        comp = self._dense_to_sparse(tr @ ind_c)
+        s_hot = self._one_hot(t.kind_s, t.lvl_s, t.pos_s)
+        term1 = [None, None, None]
+        term1[m_slot - 1] = svec
+        term1[o_slot - 1] = ones
+        term1[s_slot - 1] = s_hot
+        term2 = [None, None, None]
+        term2[m_slot - 1] = hvec
+        term2[o_slot - 1] = comp
+        term2[s_slot - 1] = s_hot
+        i1, v1 = self._triple(term1)
+        i2, v2 = self._triple(term2)
+        return np.concatenate([i1, i2]), np.concatenate([v1, -v2])
+
+    def para_vectors(self, branch, lvl_s, pos_s):
+        s_slot = SMALLEST_SLOT[branch]
+        ci = self.ops.cube_index(lvl_s, pos_s)
+        avg = self._dense_to_sparse(self.ad.avg_exp[:, ci])
+        ones = self._dense_to_sparse(self.ad.ones_exp)
+        s_hot = self._one_hot(0, lvl_s, pos_s)
+        write = [avg, avg, avg]
+        read = [ones, ones, ones]
+        write[s_slot - 1] = s_hot
+        read[s_slot - 1] = s_hot
+        return self._triple(write), self._triple(read)
+
+    # -- matrices -----------------------------------------------------------
+    def matrix(self, branch, cell, gate=False, weights=None, keep=None):
+        D3 = self.D**3
+        rows, cols, vals = [], [], []
+
+        def add(widx, wval, ridx, rval, scale=1.0):
+            for i, a in zip(widx, wval):
+                rows.extend([i] * len(ridx))
+                cols.extend(ridx.tolist())
+                vals.extend((scale * a * rval).tolist())
+
+        def s_scale(lvl_s, pos_s):
+            if gate and not self.good(lvl_s, pos_s):
+                return 0.0
+            return weights.get(lvl_s, 1.0) if weights else 1.0
+
+        if cell == "nesP":
+            for lvl_s in range(1, self.axis.levels):
+                for pos_s in range(1 << lvl_s):
+                    sc = s_scale(lvl_s, pos_s)
+                    if sc != 0.0:
+                        (widx, wval), (ridx, rval) = self.para_vectors(branch, lvl_s, pos_s)
+                        add(widx, wval, ridx, rval, sc)
+        else:
+            want = {"sep": SEP, "diag": DIAG, "nesC": NES}[cell]
+            for t in self.tuples[branch]:
+                if t.cls != want or (keep is not None and not keep(t)):
+                    continue
+                sc = s_scale(t.lvl_s, t.pos_s)
+                if sc != 0.0:
+                    widx, wval = self.write_vector(t)
+                    ridx, rval = self.read_vector_nested_C(t) if cell == "nesC" else (widx, wval)
+                    add(widx, wval, ridx, rval, sc)
+        return sp.coo_matrix((vals, (rows, cols)), shape=(D3, D3)).tocsr()
+
+    def total_matrix(self):
+        return sum(self.matrix(b, c) for b in BRANCHES for c in CELLS)
+
+    def raw_tiling_matrix(self):
+        """Pre-split tiling: every tuple contributes its own read=write term."""
+        D3 = self.D**3
+        rows, cols, vals = [], [], []
+        for branch in BRANCHES:
+            for t in self.tuples[branch]:
+                widx, wval = self.write_vector(t)
+                for i, a in zip(widx, wval):
+                    rows.extend([i] * len(widx))
+                    cols.extend(widx.tolist())
+                    vals.extend((a * wval).tolist())
+        return sp.coo_matrix((vals, (rows, cols)), shape=(D3, D3)).tocsr()
+
+
+def _interval_distance(a0, wa, b0, wb, n):
+    if (b0 - a0) % n < wa or (a0 - b0) % n < wb:
+        return 0
+    return min((b0 - (a0 + wa)) % n, (a0 - (b0 + wb)) % n)
+
+
+def term_form(dec, br1, cell1, br2, cell2, f1, f2, f3):
+    """The form of one (branch, cell) pair of the reconstruction."""
+    hat = np.asarray(dec.ax1.matrix(br1, cell1) @ dec.lam_hat @ dec.ax2.matrix(br2, cell2).T)
+    return dec._eval_hat(hat, f1, f2, f3)
+
+
+def assert_same_matrix(fast, ref, label="", tol=1e-15):
+    """Same stored pattern once explicit zeros are dropped, values within tol."""
+    fast, ref = fast.copy(), ref.copy()
+    for m in (fast, ref):
+        m.eliminate_zeros()
+        m.sort_indices()
+    assert np.array_equal(fast.indptr, ref.indptr) and np.array_equal(fast.indices, ref.indices), label
+    assert np.abs(fast.data - ref.data).max(initial=0.0) <= tol, label
+
+
+def fast_and_reference(ad, ref, mode):
+    """Every (branch, cell) matrix of one weighting mode, fast and per tuple.
+    The gated mode weights the good smallest cubes of level l by 1 + l/7."""
+    level_w = {lvl: 1.0 + lvl / 7 for lvl in range(ad.axis.levels)}
+    cube_w = np.array([level_w.get(c.level, 0.0) * g for c, g in zip(ad.ops.cubes, ad.good)])
+    for b in BRANCHES:
+        for c in CELLS:
+            if mode == "gated":
+                yield (b, c), ad.matrix(b, c, cube_w[ad.smallest_cubes(b, c)]), \
+                    ref.matrix(b, c, gate=True, weights=level_w)
+            elif mode == "exportable" and c != "nesP":
+                yield (b, c), ad.matrix(b, c, ad.exportable(b)), \
+                    ref.matrix(b, c, keep=lambda t: t.kind_m == 0 and t.kind_s == 0)
+            else:
+                yield (b, c), ad.matrix(b, c), ref.matrix(b, c)
+
+
 # -- the per-axis identities -------------------------------------------------
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -56,7 +315,7 @@ def test_axis_tiling_is_identity(L):
     # and route enumeration (symmetry completeness)
     ax = Axis(1, L)
     ad = AxisDecomposition(ax, AxisShift.zero(ax))
-    err = abs(ad.raw_tiling_matrix() - sp.identity(ad.D**3)).max()
+    err = abs(PerTupleReference(ad).raw_tiling_matrix() - sp.identity(ad.D**3)).max()
     assert err < 1e-12
 
 
@@ -64,19 +323,72 @@ def test_axis_tiling_is_identity(L):
 def test_axis_split_identity(L):
     # the cancellative/averaging split and the chain telescoping are exact
     ax = Axis(1, L)
-    from dyadlab.core import sample_axis_shift
-
     for shift in (AxisShift.zero(ax), sample_axis_shift(ax, np.random.default_rng(L))):
         ad = AxisDecomposition(ax, shift)
-        err = abs(ad.total_matrix() - sp.identity(ad.D**3)).max()
-        assert err < 1e-12
+        total = sum(ad.matrix(b, c) for b in BRANCHES for c in CELLS)
+        assert abs(total - sp.identity(ad.D**3)).max() < 1e-12
 
 
 def test_axis_class_partition():
     ad = AxisDecomposition(Axis(1, 3), AxisShift.zero(Axis(1, 3)))
     for br in BRANCHES:
-        for t in ad.tuples[br]:
-            assert t.cls in (0, 1, 2)
+        assert np.isin(ad.tuples[br]["cls"], (SEP, DIAG, NES)).all()
+        assert not ad.tuples[br].flags.writeable
+
+
+def test_axis_decompositions_shared_and_matrices_built_on_use():
+    T = rand_tensor(2)
+    om = sample_shift(GRID, np.random.default_rng(4))
+    dec = decompose(T, om)
+    assert dec.ax1 is axis_decomposition(GRID.axes[0], om.shift1, 2, None, 1.0)
+    assert decompose(T, om).ax2 is dec.ax2
+    assert "_m1" not in vars(dec) and "_m2" not in vars(dec)
+    dec.residual_on_haar_triples()
+    assert len(dec._m1) == len(dec._m2) == 12
+
+
+@settings(max_examples=12, deadline=None)
+@given(L=st.integers(2, 5), bits=st.lists(st.integers(0, 1), min_size=5, max_size=5),
+       r=st.integers(1, 2))
+@example(L=2, bits=[0] * 5, r=2).via("zero shift")
+@example(L=3, bits=[0] * 5, r=1).via("zero shift")
+@example(L=4, bits=[0] * 5, r=2).via("zero shift")
+def test_fast_matrices_match_per_tuple_reference(L, bits, r):
+    # the twelve matrices sum to the identity; up to level 4 every matrix,
+    # unweighted, gated-weighted and exportable-masked, equals the per-tuple
+    # builder's
+    ax = Axis(1, L)
+    ad = AxisDecomposition(ax, AxisShift(ax, tuple((b,) for b in bits[:L])), r=r)
+    total = sum(ad.matrix(b, c) for b in BRANCHES for c in CELLS)
+    assert abs(total - sp.identity(ad.D**3)).max() < 1e-12
+    if L > 4:
+        return
+    ref = PerTupleReference(ad)
+    for mode in ("plain", "gated", "exportable"):
+        for key, fast, slow in fast_and_reference(ad, ref, mode):
+            assert_same_matrix(fast, slow, (mode, key))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_row_certificates_and_slot_keys_match_per_tuple_reference(L):
+    ax = Axis(1, L)
+    for shift in (AxisShift.zero(ax), sample_axis_shift(ax, np.random.default_rng(L + 10))):
+        ad = AxisDecomposition(ax, shift)
+        ref = PerTupleReference(ad)
+        for br in BRANCHES:
+            rows = ref.tuples[br]
+            assert ad.well_separated(br).tolist() == [ref.well_separated(t) for t in rows]
+            nes = ad.tuples[br]["cls"] == NES
+            assert ad.nested_inside(br)[nes].tolist() == [ref.nested_inside(t) for t in rows if t.cls == NES]
+            assert ad.caps(br).tolist() == [ref.cap(t) for t in rows]
+            keys = ad.slot_keys(br, ad.tuples[br]).tolist()
+            assert keys == [[*anc, *k, o, *idx] for anc, k, o, idx in map(ref.slot_key, rows)]
+            reads = [ref.read_vector_nested_C(t) if t.cls == NES else ref.write_vector(t) for t in rows]
+            row_of = np.repeat(np.arange(len(rows)), [len(idx) for idx, _ in reads])
+            want = sp.coo_matrix((np.concatenate([val for _, val in reads]),
+                                  (row_of, np.concatenate([idx for idx, _ in reads]))),
+                                 shape=(len(rows), ad.D**3)).tocsr()
+            assert_same_matrix(ad.reads(br), want)
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -181,27 +493,25 @@ def test_chain_collapse_identity_term_by_term():
     # the plain averages at the smallest cube
     ax = Axis(1, 3)
     ad = AxisDecomposition(ax, AxisShift.zero(ax))
+    ref = PerTupleReference(ad)
     D3 = ad.D**3
     for br in BRANCHES:
         para = ad.matrix(br, "nesP").toarray()
         target = np.zeros((D3, D3))
-        from dyadlab.core import HaarFunction, axis_haar_vector
-        from dyadlab.representation import NES
-
-        for t in ad.tuples[br]:
+        for t in ref.tuples[br]:
             if t.cls != NES:
                 continue
             s_slot, m_slot, o_slot, delta, _, _ = t.route
-            cstar = ad._chain_child(t)
-            hP = axis_haar_vector(HaarFunction(ad._cube(t.lvl_m, t.pos_m), (t.kind_m ^ 1,)))
+            cstar = ref._chain_child(t)
+            hP = axis_haar_vector(HaarFunction(ref._cube(t.lvl_m, t.pos_m), (t.kind_m ^ 1,)))
             pc = hP[cstar.cells()].mean()
             scale = (2.0 ** -(t.lvl_m + delta)) ** -0.5
             slots = [None, None, None]
-            slots[m_slot - 1] = ad._dense_to_sparse(ad.ones_exp)
-            slots[o_slot - 1] = ad._dense_to_sparse(ad.ones_exp)
-            slots[s_slot - 1] = ad._one_hot(t.kind_s, t.lvl_s, t.pos_s)
-            ridx, rval = ad._triple(slots)
-            widx, wval = ad.write_vector(t)
+            slots[m_slot - 1] = ref._dense_to_sparse(ad.ones_exp)
+            slots[o_slot - 1] = ref._dense_to_sparse(ad.ones_exp)
+            slots[s_slot - 1] = ref._one_hot(t.kind_s, t.lvl_s, t.pos_s)
+            ridx, rval = ref._triple(slots)
+            widx, wval = ref.write_vector(t)
             for i, a in zip(widx, wval):
                 target[i, ridx] += pc * scale * a * rval
         assert np.abs(para - target).max() < 1e-12
@@ -377,8 +687,6 @@ def test_object_level_emission_matches_matrix_subset():
     # every emitted family instantiates a builder-validated operator after
     # rescaling, and the weighted object forms reproduce the matrix value of
     # the exportable cells exactly
-    from dyadlab.representation import CELLS
-
     grid = TorusGrid.make(2)
     T = KernelTensor.random(grid, np.random.default_rng(8))
     om = sample_shift(grid, np.random.default_rng(9))
@@ -392,17 +700,7 @@ def test_object_level_emission_matches_matrix_subset():
     total += sum(rec["size"] * rec["operator"].form(f1, f2, f3) for rec in partials)
     total += sum(sz * op.form(f1, f2, f3) for _, op, sz in fulls)
 
-    def subset(ax):
-        out = None
-        for br in BRANCHES:
-            for cell in CELLS:
-                keep = dec._exportable if cell != "nesP" else None
-                m = ax.matrix(br, cell, keep=keep)
-                out = m if out is None else out + m
-        return out
-
-    hat = np.asarray(subset(dec.ax1) @ dec.lam_hat @ subset(dec.ax2).T)
-    want = dec._eval_hat(hat, f1, f2, f3)
+    want = dec._eval_hat(dec.exportable_hat(), f1, f2, f3)
     assert abs(total - want) < 1e-10 * max(1.0, abs(want))
     # object family + excluded top-scale remainder reproduces the source form
     remainder = dec.total_form(f1, f2, f3) - want
@@ -411,8 +709,6 @@ def test_object_level_emission_matches_matrix_subset():
 
 def test_term_form_partition_sums_to_total():
     # the 9 x (cell pair) term forms add up to the full reconstruction
-    from dyadlab.representation import CELLS
-
     grid = TorusGrid.make(2)
     T = KernelTensor.random(grid, np.random.default_rng(12))
     dec = decompose(T, GridShift.zero(grid))
@@ -422,5 +718,5 @@ def test_term_form_partition_sums_to_total():
         for c1 in CELLS:
             for br2 in BRANCHES:
                 for c2 in CELLS:
-                    total += dec.term_form(br1, c1, br2, c2, *fs)
+                    total += term_form(dec, br1, c1, br2, c2, *fs)
     assert abs(total - T.form(*fs)) < 1e-10
