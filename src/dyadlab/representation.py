@@ -886,9 +886,10 @@ class Decomposition:
                         i, j = nz // C.shape[1], nz % C.shape[1]
                         # one block per pair of (anchor, depths, averaged slot)
                         # groups, numbered in the order their first entries come
-                        g2 = _group_codes(keys2[:, :6])
-                        pair = _group_codes(keys1[:, :6])[i] * (g2.max() + 1) + g2[j]
-                        first = np.full(pair.max() + 1, len(pair))
+                        g1, n1 = _dense_ranks(_group_codes(keys1[:, :6]))
+                        g2, n2 = _dense_ranks(_group_codes(keys2[:, :6]))
+                        pair = g1[i] * n2 + g2[j]
+                        first = np.full(n1 * n2, len(pair))
                         np.minimum.at(first, pair, np.arange(len(pair)))
                         head = np.zeros(len(pair), dtype=bool)
                         head[first[first < len(pair)]] = True
@@ -985,6 +986,12 @@ def _group_codes(cols: np.ndarray) -> np.ndarray:
     """One integer per row of a nonnegative int array, ordered as the rows
     sort."""
     return np.ravel_multi_index(tuple(cols.T), tuple(cols.max(axis=0) + 1))
+
+
+def _dense_ranks(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Codes renumbered 0..n-1 in the same order, and their number n."""
+    rank = np.cumsum(np.bincount(codes) > 0) - 1
+    return rank[codes], int(rank[-1]) + 1
 
 
 def _block_offset(keys: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -705,6 +706,24 @@ def test_object_level_emission_matches_matrix_subset():
     # object family + excluded top-scale remainder reproduces the source form
     remainder = dec.total_form(f1, f2, f3) - want
     assert abs(total + remainder - T.form(f1, f2, f3)) < 1e-10
+
+
+def test_shift_family_export_memory_peak():
+    # the regrouping numbers its blocks by pairs of compacted group codes, so
+    # its working memory follows the dense coefficient tables (10.5 MiB
+    # here); a table indexed by pairs of raw group codes peaks at 21 MiB
+    # here and takes about 1.1 GB at L=4
+    grid = TorusGrid.make(3)
+    T = KernelTensor.random(grid, np.random.default_rng(5))
+    dec = decompose(T, sample_shift(grid, np.random.default_rng(6)))
+    tracemalloc.start()
+    try:
+        fams = dec.extracted_shift_families()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fams) == 900
+    assert peak <= 12 << 20
 
 
 def test_term_form_partition_sums_to_total():
