@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -18,27 +17,24 @@ from .core import (
     DyadicCube,
     DyadicRectangle,
     GridShift,
+    HaarFunction,
     TorusGrid,
     all_rectangles,
     axis_average,
+    axis_haar_vector,
     block_index,
     cell_tables,
     enumerate_axis_shifts,
     martingale_block,
-    sample_shift,
+    sample_axis_shift,
 )
 from .measures import (
-    axis_profile_strong_max,
+    bmo_norm,
     maximal_function,
     phi_function,
     sequence_product_bmo,
 )
-from .model_ops import (
-    FullParaproduct,
-    PartialParaproduct,
-    ShiftOperator,
-    axis_ops,
-)
+from .model_ops import axis_ops, pairing_table, row_pair, slot_tables
 
 __all__ = [
     "paraproduct_bifactor",
@@ -54,7 +50,6 @@ __all__ = [
     "commutator_form_decomposed",
     "iterated_form_direct",
     "iterated_form_decomposed",
-    "atomic_terms",
     "coefficient_duality_check",
     "weak_type_sets",
     "aux_phi1",
@@ -66,20 +61,6 @@ __all__ = [
 # the eight bi-parameter and four one-parameter paraproduct operators
 # ---------------------------------------------------------------------------
 
-def _avg1(f: DiscreteFunction, cube: DyadicCube) -> DiscreteFunction:
-    out = np.zeros_like(f.values)
-    cells = cube.cells()
-    out[cells, :] = f.values[cells, :].mean(axis=0)[None, :]
-    return DiscreteFunction(f.grid, out)
-
-
-def _avg2(f: DiscreteFunction, cube: DyadicCube) -> DiscreteFunction:
-    out = np.zeros_like(f.values)
-    cells = cube.cells()
-    out[:, cells] = f.values[:, cells].mean(axis=1)[:, None]
-    return DiscreteFunction(f.grid, out)
-
-
 # per kind, the rows the symbol and the input pair with on (axis 1, axis 2):
 # 'h' the cancellative Haar rows, 'a' the averaging rows of the same cubes
 _BIFACTOR_ROWS = {1: ("hh", "hh"), 2: ("hh", "ah"), 3: ("hh", "ha"), 4: ("hh", "aa"),
@@ -89,7 +70,7 @@ _BIFACTOR_ROWS = {1: ("hh", "hh"), 2: ("hh", "ah"), 3: ("hh", "ha"), 4: ("hh", "
 def _canc_rows(o) -> dict[str, np.ndarray]:
     """Haar and averaging rows of the cancellative cubes of one axis: the
     cubes of levels 0..L-1, which come first in the cube order."""
-    return {"h": o.haar, "a": o.avg[: o.cube_offset[o.axis.levels]]}
+    return {"h": o.haar, "a": o.canc_avg}
 
 
 def paraproduct_bifactor(kind: int, b: DiscreteFunction, f: DiscreteFunction,
@@ -151,8 +132,6 @@ def expand_bipar(b: DiscreteFunction, f: DiscreteFunction, c1: DyadicCube,
     rectangle-average remainder reproduce <bf, h x h> exactly."""
     grid = b.grid
     om = shift if shift is not None else GridShift.zero(grid)
-    from .core import HaarFunction, axis_haar_vector
-
     h1 = axis_haar_vector(HaarFunction(c1, (1,)))
     h2 = axis_haar_vector(HaarFunction(c2, (1,)))
     test = DiscreteFunction(grid, np.outer(h1, h2))
@@ -173,8 +152,6 @@ def expand_onepar(b: DiscreteFunction, f: DiscreteFunction, c1: DyadicCube,
     two one-variable terms plus a boundary average and the remainder."""
     grid = b.grid
     om = shift if shift is not None else GridShift.zero(grid)
-    from .core import HaarFunction, axis_haar_vector
-
     if haar_axis == 0:
         h = axis_haar_vector(HaarFunction(c1, (1,)))
         ind = np.zeros(grid.shape[1])
@@ -192,13 +169,13 @@ def expand_onepar(b: DiscreteFunction, f: DiscreteFunction, c1: DyadicCube,
     # boundary term: the gap between the one-variable and rectangle averages
     # of the symbol, paired with the one-variable Haar coefficient of f
     if haar_axis == 0:
-        bav = _avg1(b, c1).values[c1.cells()[0], :]  # profile in x2
+        bav = axis_average(b, c1, 0)  # profile in x2
         coeff = f.pair_axis(h, 0)  # profile in x2
         cells2 = c2.cells()
         gap = (bav[cells2] - _rect_avg(b, c1, c2)) * coeff[cells2]
         boundary = float(gap.mean())
     else:
-        bav = _avg2(b, c2).values[:, c2.cells()[0]]
+        bav = axis_average(b, c2, 1)
         coeff = f.pair_axis(h, 1)
         cells1 = c1.cells()
         gap = (bav[cells1] - _rect_avg(b, c1, c2)) * coeff[cells1]
@@ -370,8 +347,6 @@ def _nested_cubes(axis: Axis, shift: AxisShift):
 def average_oscillation_bound(b: DiscreteFunction, shift: GridShift | None = None) -> float:
     """Largest |<b>_{QxR} - <b>_{IxJ}| / max(i, j, q, r) over nested pairs
     sharing their ancestors, for a unit little-oscillation symbol."""
-    from .measures import bmo_norm
-
     grid = b.grid
     om = shift if shift is not None else GridShift.zero(grid)
     norm = bmo_norm(b, "little", om)
@@ -399,171 +374,6 @@ def average_oscillation_bound(b: DiscreteFunction, shift: GridShift | None = Non
 # ---------------------------------------------------------------------------
 # commutators of model operators
 # ---------------------------------------------------------------------------
-
-def atomic_terms(U) -> Iterable[tuple[float, list[tuple[DyadicCube, str, DyadicCube, str]]]]:
-    """Flatten a model operator into scalar-weighted pairing atoms.
-
-    Yields (coefficient, [(cube1, kind1, cube2, kind2)] per slot) where kind
-    'h' pairs with the Haar function and 'a' with the averaging profile
-    1_Q/|Q| (normalisation absorbed into the coefficient)."""
-    grid = U.grid
-    o1 = axis_ops(grid.axes[0], U.shift.shift1)
-    o2 = axis_ops(grid.axes[1], U.shift.shift2)
-    if isinstance(U, ShiftOperator):
-        for (kk, vv), block in U.coeffs.items():
-            qs1 = [o1.descendant_positions(kk[0], kk[1], d) for d in U.k]
-            qs2 = [o2.descendant_positions(vv[0], vv[1], d) for d in U.v]
-            it = np.ndindex(*block.shape)
-            for idx in it:
-                coef = block[idx]
-                if coef == 0.0:
-                    continue
-                specs = []
-                scale = 1.0
-                for s in range(3):
-                    lvl1 = kk[0] + U.k[s]
-                    lvl2 = vv[0] + U.v[s]
-                    c1 = DyadicCube(grid.axes[0], lvl1, (int(qs1[s][idx[s]]),), U.shift.shift1)
-                    c2 = DyadicCube(grid.axes[1], lvl2, (int(qs2[s][idx[3 + s]]),), U.shift.shift2)
-                    k1 = "a" if U.pattern[0] == s + 1 else "h"
-                    k2 = "a" if U.pattern[1] == s + 1 else "h"
-                    if k1 == "a":
-                        scale *= c1.measure**0.5
-                    if k2 == "a":
-                        scale *= c2.measure**0.5
-                    specs.append((c1, k1, c2, k2))
-                yield coef * scale, specs
-    elif isinstance(U, FullParaproduct):
-        for i, cK in enumerate(o1.canc_cubes):
-            for j, cV in enumerate(o2.canc_cubes):
-                coef = U.lam[i, j]
-                if coef == 0.0:
-                    continue
-                specs = []
-                for s in (1, 2, 3):
-                    k1 = "h" if U.pattern[0] == s else "a"
-                    k2 = "h" if U.pattern[1] == s else "a"
-                    specs.append((cK, k1, cV, k2))
-                yield coef, specs
-    elif isinstance(U, PartialParaproduct):
-        sops = o1 if U.shift_axis == 0 else o2
-        pops = o2 if U.shift_axis == 0 else o1
-        paxis = grid.axes[U.para_axis]
-        psh = U.shift.shift2 if U.shift_axis == 0 else U.shift.shift1
-        vol = paxis.cell_volume
-        for (kk, idx), prof in U.symbols.items():
-            qs = [sops.descendant_positions(kk[0], kk[1], d) for d in U.k]
-            shift_cubes = []
-            scale0 = 1.0
-            for s in range(3):
-                lvl = kk[0] + U.k[s]
-                c = DyadicCube(grid.axes[U.shift_axis], lvl, (int(qs[s][idx[s]]),),
-                               U.shift.shift1 if U.shift_axis == 0 else U.shift.shift2)
-                kind = "a" if U.h0_slot == s + 1 else "h"
-                if kind == "a":
-                    scale0 *= c.measure**0.5
-                shift_cubes.append((c, kind))
-            bb = (pops.haar * vol) @ prof
-            for vi, cV in enumerate(pops.canc_cubes):
-                coef = bb[vi]
-                if coef == 0.0:
-                    continue
-                specs = []
-                for s in (1, 2, 3):
-                    kp = "h" if U.ptype == s else "a"
-                    cs, ks = shift_cubes[s - 1]
-                    if U.shift_axis == 0:
-                        specs.append((cs, ks, cV, kp))
-                    else:
-                        specs.append((cV, kp, cs, ks))
-                yield coef * scale0, specs
-    else:
-        raise TypeError(f"no atomic expansion for {type(U).__name__}")
-
-
-def _pair_spec(f: DiscreteFunction, spec) -> float:
-    c1, k1, c2, k2 = spec
-    from .core import HaarFunction, axis_haar_vector
-
-    v1 = axis_haar_vector(HaarFunction(c1, (1,))) if k1 == "h" else _norm_ind(c1)
-    v2 = axis_haar_vector(HaarFunction(c2, (1,))) if k2 == "h" else _norm_ind(c2)
-    return float(f.pair(DiscreteFunction(f.grid, np.outer(v1, v2))))
-
-
-def _norm_ind(cube: DyadicCube) -> np.ndarray:
-    v = np.zeros(cube.axis.n_cells)
-    v[cube.cells()] = 1.0 / cube.measure
-    return v
-
-
-class ExpansionContext:
-    """Precomputed pair tables for the product expansions of one (b, f) pair.
-
-    After construction, the expansion of <b f, phi1 x phi2> for any cube pair
-    and cancellative/averaged kind combination is a table lookup, which makes
-    the decomposed commutator evaluation linear in the atom count."""
-
-    def __init__(self, b: DiscreteFunction, f: DiscreteFunction, om: GridShift):
-        grid = f.grid
-        self.grid = grid
-        self.om = om
-        o1 = axis_ops(grid.axes[0], om.shift1)
-        o2 = axis_ops(grid.axes[1], om.shift2)
-        self.o1, self.o2 = o1, o2
-        n1c = o1.haar.shape[0]
-        n2c = o2.haar.shape[0]
-        tables = lambda g: _PairOnly(g, om).t
-
-        sumA = grid.zeros()
-        for kind in range(1, 9):
-            sumA = sumA + paraproduct_bifactor(kind, b, f, om)
-        sum_a1 = paraproduct_onefactor(1, 0, b, f, om) + paraproduct_onefactor(2, 0, b, f, om)
-        sum_a2 = paraproduct_onefactor(1, 1, b, f, om) + paraproduct_onefactor(2, 1, b, f, om)
-        self.t_A = tables(sumA)
-        self.t_a1 = tables(sum_a1)
-        self.t_a2 = tables(sum_a2)
-        self.t_b = tables(b)
-        self.t_f = tables(f)
-        self.t_bf = tables(b * f)
-        # boundary matrices: slice-average gap of the symbol against the
-        # one-variable Haar coefficients, averaged over the other cube
-        vol1 = grid.axes[0].cell_volume
-        vol2 = grid.axes[1].cell_volume
-        self.bnd1 = np.zeros((n1c, o2.avg.shape[0]))
-        for i, cube in enumerate(o1.canc_cubes):
-            coeff = (o1.haar[i] * vol1) @ f.values
-            self.bnd1[i] = (o2.avg * vol2) @ (axis_average(b, cube, 0) * coeff)
-        self.bnd2 = np.zeros((o1.avg.shape[0], n2c))
-        for j, cube in enumerate(o2.canc_cubes):
-            coeff = f.values @ (o2.haar[j] * vol2)
-            self.bnd2[:, j] = (o1.avg * vol1) @ (axis_average(b, cube, 1) * coeff)
-
-    def _indices(self, spec):
-        c1, k1, c2, k2 = spec
-        i = self.o1.canc_index(c1.level, c1.pos[0]) if k1 == "h" else self.o1.cube_index(c1.level, c1.pos[0])
-        j = self.o2.canc_index(c2.level, c2.pos[0]) if k2 == "h" else self.o2.cube_index(c2.level, c2.pos[0])
-        return i, j
-
-    def expand(self, spec) -> tuple[float, float, float]:
-        """(structured terms sum, rectangle symbol average, plain pairing)."""
-        c1, k1, c2, k2 = spec
-        i, j = self._indices(spec)
-        ia = self.o1.cube_index(c1.level, c1.pos[0])
-        ja = self.o2.cube_index(c2.level, c2.pos[0])
-        avg_coef = self.t_b[("a", "a")][ia, ja]
-        base = self.t_f[(k1, k2)][i, j]
-        if k1 == "h" and k2 == "h":
-            terms = self.t_A[("h", "h")][i, j]
-        elif k1 == "h" and k2 == "a":
-            terms = self.t_a1[("h", "a")][i, j] + self.bnd1[i, ja] - avg_coef * base
-            # the boundary matrix carries the raw slice pairing; subtracting
-            # the rectangle average leaves the gap term of the expansion
-        elif k1 == "a" and k2 == "h":
-            terms = self.t_a2[("a", "h")][i, j] + self.bnd2[ia, j] - avg_coef * base
-        else:
-            terms = self.t_bf[("a", "a")][ia, ja] - avg_coef * base
-        return float(terms), float(avg_coef), float(base)
-
 
 def commutator_apply(b: DiscreteFunction, U, slot: int,
                      f1: DiscreteFunction, f2: DiscreteFunction) -> DiscreteFunction:
@@ -593,54 +403,49 @@ def commutator_form_direct(b: DiscreteFunction, U, slot: int,
     raise ValueError("slot is 1 or 2")
 
 
+def _expanded_table(b: DiscreteFunction, f: DiscreteFunction, shift: GridShift,
+                    kinds: tuple[str, str]) -> np.ndarray:
+    """<b f, phi1 x phi2> over the rows `kinds` (as in `pairing_table`),
+    assembled through the product expansion of its case.  Haar rows on both
+    axes take the eight bi-parameter terms plus the rectangle average of b
+    times <f, h x h>.  Haar rows on one axis take the two one-variable terms
+    plus the boundary term: the slice averages of b times the one-variable
+    Haar coefficients of f, paired with the other axis's rows.  Averaging
+    rows on both axes leave <b f> itself."""
+    grid = f.grid
+    vol1, vol2 = (ax.cell_volume for ax in grid.axes)
+    (h1, h2), (a1, a2), (r1, r2) = (row_pair(grid, shift, k)
+                                    for k in (("haar", "haar"), ("canc_avg", "canc_avg"), kinds))
+    pair = lambda g: pairing_table(g, shift, kinds)
+    if kinds == ("haar", "haar"):
+        terms = sum(paraproduct_bifactor(kind, b, f, shift).values for kind in range(1, 9))
+        rect_avg = (a1 * vol1) @ b.values @ (a2 * vol2).T
+        return pair(DiscreteFunction(grid, terms)) + rect_avg * pair(f)
+    if kinds[0] == "haar":
+        terms = paraproduct_onefactor(1, 0, b, f, shift) + paraproduct_onefactor(2, 0, b, f, shift)
+        return pair(terms) + (((a1 * vol1) @ b.values) * ((h1 * vol1) @ f.values)) @ (r2 * vol2).T
+    if kinds[1] == "haar":
+        terms = paraproduct_onefactor(1, 1, b, f, shift) + paraproduct_onefactor(2, 1, b, f, shift)
+        return pair(terms) + (r1 * vol1) @ ((b.values @ (a2 * vol2).T) * (f.values @ (h2 * vol2).T))
+    return pair(b * f)
+
+
 def commutator_form_decomposed(b: DiscreteFunction, U, slot: int,
                                f1: DiscreteFunction, f2: DiscreteFunction,
                                f3: DiscreteFunction) -> float:
-    """Same value assembled through the product expansions per pairing atom;
-    the two remainder averages combine into an ancestor-gap factor."""
-    om = U.shift
+    """Same value assembled through the product expansions.  With P_s the
+    pairing table of f_s over U's slot-s rows and Q_s that of b f_s through
+    the expansions, it is U contracted with (P1, P2, Q3) minus U contracted
+    with Q_slot in place of P_slot; each contraction gathers the tables
+    through U's plan."""
+    if slot not in (1, 2):
+        raise ValueError("slot is 1 or 2")
     fs = (f1, f2, f3)
-    ctx3 = ExpansionContext(b, f3, om)
-    ctxj = ExpansionContext(b, fs[slot - 1], om)
-    other = 1 if slot == 1 else 0
-    ctx_other = _PairOnly(fs[other], om)
-    total = 0.0
-    for coef, specs in atomic_terms(U):
-        p = [0.0, 0.0, 0.0]
-        p[other] = ctx_other.pair(specs[other])
-        p[slot - 1] = ctxj.expand(specs[slot - 1])[2]
-        p[2] = ctx3.expand(specs[2])[2]
-        t3, c3, _ = ctx3.expand(specs[2])
-        tj, cj, _ = ctxj.expand(specs[slot - 1])
-        if slot == 1:
-            total += coef * (p[0] * p[1] * t3 - tj * p[1] * p[2]
-                             + (c3 - cj) * p[0] * p[1] * p[2])
-        else:
-            total += coef * (p[0] * p[1] * t3 - p[0] * tj * p[2]
-                             + (c3 - cj) * p[0] * p[1] * p[2])
-    return total
-
-
-class _PairOnly:
-    """Pairing tables of one function against every cube/kind pair."""
-
-    def __init__(self, f: DiscreteFunction, om: GridShift):
-        grid = f.grid
-        self.o1 = axis_ops(grid.axes[0], om.shift1)
-        self.o2 = axis_ops(grid.axes[1], om.shift2)
-        rows1 = {"h": self.o1.haar, "a": self.o1.avg}
-        rows2 = {"h": self.o2.haar, "a": self.o2.avg}
-        self.t = {
-            (k1, k2): (rows1[k1] * grid.axes[0].cell_volume) @ f.values
-            @ (rows2[k2] * grid.axes[1].cell_volume).T
-            for k1 in ("h", "a") for k2 in ("h", "a")
-        }
-
-    def pair(self, spec) -> float:
-        c1, k1, c2, k2 = spec
-        i = self.o1.canc_index(c1.level, c1.pos[0]) if k1 == "h" else self.o1.cube_index(c1.level, c1.pos[0])
-        j = self.o2.canc_index(c2.level, c2.pos[0]) if k2 == "h" else self.o2.cube_index(c2.level, c2.pos[0])
-        return float(self.t[(k1, k2)][i, j])
+    P = slot_tables(U, fs)
+    Q = lambda s: _expanded_table(b, fs[s - 1], U.shift, U._slot_rows(s))
+    moved = list(P)
+    moved[slot - 1] = Q(slot)
+    return U._contract([P[0], P[1], Q(3)], False) - U._contract(moved, False)
 
 
 def iterated_form_direct(b2: DiscreteFunction, b1: DiscreteFunction, U,
@@ -658,43 +463,16 @@ def iterated_form_direct(b2: DiscreteFunction, b1: DiscreteFunction, U,
 def iterated_form_decomposed(b2: DiscreteFunction, b1: DiscreteFunction, U,
                              f1: DiscreteFunction, f2: DiscreteFunction,
                              f3: DiscreteFunction) -> float:
-    """Iterated commutator through nested product expansions: the first
-    symbol expands against slots 1/3, the second against slots 2/3, with the
-    remainder averages recombined at each stage."""
-    om = U.shift
-    cx_11 = ExpansionContext(b1, f1, om)
-    cx_13 = ExpansionContext(b1, f3, om)
-    cx_22 = ExpansionContext(b2, f2, om)
-    cx_23 = ExpansionContext(b2, f3, om)
-    cx_123 = ExpansionContext(b1, b2 * f3, om)
-    tb1 = _PairOnly(f1, om)
-    tb2 = _PairOnly(f2, om)
-    tb3 = _PairOnly(f3, om)
-    total = 0.0
-    for coef, specs in atomic_terms(U):
-        p1 = tb1.pair(specs[0])
-        p2 = tb2.pair(specs[1])
-        p3 = tb3.pair(specs[2])
-        # stage one: b1 against slot 1 and slot 3
-        t1_b1, c1_b1, _ = cx_11.expand(specs[0])
-        t3_b1, c3_b1, _ = cx_13.expand(specs[2])
-        # stage two: b2 against slot 2 and slot 3, applied to each stage-one
-        # piece; products of symbols expand through the inner function
-        t2_b2, c2_b2, _ = cx_22.expand(specs[1])
-        t3_b2, c3_b2, _ = cx_23.expand(specs[2])
-        t3_b1b2, c3_b1b2, _ = cx_123.expand(specs[2])
-        # direct assembly of the four defining pairings via expansions
-        q3_b2 = t3_b2 + c3_b2 * p3                      # <b2 f3, phi3>
-        q3_b1b2 = t3_b1b2 + c3_b1b2 * q3_b2             # <b1 b2 f3, phi3>
-        q1_b1 = t1_b1 + c1_b1 * p1                      # <b1 f1, phi1>
-        q2_b2 = t2_b2 + c2_b2 * p2                      # <b2 f2, phi2>
-        total += coef * (
-            p1 * p2 * q3_b1b2
-            - q1_b1 * p2 * q3_b2
-            - p1 * q2_b2 * (t3_b1 + c3_b1 * p3)
-            + q1_b1 * q2_b2 * p3
-        )
-    return total
+    """Iterated commutator through nested product expansions: b1 expands
+    against slots 1 and 3, b2 against slots 2 and 3, and b1 against b2 f3 in
+    slot 3; the four defining pairings are four contractions of U, as in
+    `commutator_form_decomposed`."""
+    P1, P2, P3 = slot_tables(U, (f1, f2, f3))
+    Q = lambda b, f, s: _expanded_table(b, f, U.shift, U._slot_rows(s))
+    Q1, Q2 = Q(b1, f1, 1), Q(b2, f2, 2)
+    form = lambda *tables: U._contract(tables, False)
+    return (form(P1, P2, Q(b1, b2 * f3, 3)) - form(Q1, P2, Q(b2, f3, 3))
+            - form(P1, Q2, Q(b1, f3, 3)) + form(Q1, Q2, P3))
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +532,6 @@ def aux_phi1(b: DiscreteFunction, f: DiscreteFunction, samples: int | None = Non
     shifts = list(enumerate_axis_shifts(axis2)) if samples is None else None
     if shifts is None:
         rng = np.random.default_rng(seed)
-        from .core import sample_axis_shift
-
         shifts = [sample_axis_shift(axis2, rng) for _ in range(samples)]
     acc = np.zeros(grid.shape)
     for sh2 in shifts:
@@ -785,8 +561,6 @@ def aux_phi2(f: DiscreteFunction, depth: int, samples: int | None = None,
     if samples is None:
         shifts = list(enumerate_axis_shifts(axis1))
     else:
-        from .core import sample_axis_shift
-
         rng = np.random.default_rng(seed)
         shifts = [sample_axis_shift(axis1, rng) for _ in range(samples)]
     acc = {}

@@ -70,7 +70,9 @@ class AxisOps:
 
     Row conventions: `haar` rows are cancellative Haar profiles (levels
     0..L-1), `unit` rows are the normalised indicators |I|^(-1/2) 1_I
-    (levels 0..L), `avg` rows are the plain averaging profiles 1_I/|I|.
+    (levels 0..L), `avg` rows are the plain averaging profiles 1_I/|I|, and
+    `canc_avg` their first rows, those of the cancellative cubes.  Below
+    level L a cube's Haar row and its cube row have the same index.
     Restricted to one-dimensional factors.
     """
 
@@ -105,6 +107,7 @@ class AxisOps:
         # avg rows are plain averaging profiles 1_I/|I| = |I|^(-1/2) unit rows
         scale = np.array([c.measure**-0.5 for c in self.cubes])
         self.avg = self.unit * scale[:, None]
+        self.canc_avg = self.avg[: len(self.haar)]
 
     # -- index helpers -------------------------------------------------------
     def canc_index(self, level: int, pos: int) -> int:
@@ -138,12 +141,33 @@ class AxisOps:
         return first[..., None] + self.descendant_positions(level, pos, depth)
 
     def rows(self, kind: str) -> np.ndarray:
-        return {"haar": self.haar, "unit": self.unit, "avg": self.avg}[kind]
+        return {"haar": self.haar, "unit": self.unit, "avg": self.avg, "canc_avg": self.canc_avg}[kind]
 
 
 @lru_cache(maxsize=256)
 def axis_ops(axis: Axis, shift: AxisShift) -> AxisOps:
     return AxisOps(axis, shift)
+
+
+def row_pair(grid: TorusGrid, shift: GridShift, kinds: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of kinds[0] on axis 1 and of kinds[1] on axis 2 (names as in
+    `AxisOps.rows`)."""
+    shifts = (shift.shift1, shift.shift2)
+    return tuple(axis_ops(ax, sh).rows(k) for ax, sh, k in zip(grid.axes, shifts, kinds))
+
+
+def pairing_table(g: DiscreteFunction, shift: GridShift, kinds: tuple[str, str]) -> np.ndarray:
+    """<g, phi1 x phi2> for every row phi1 of kinds[0] on axis 1 and phi2 of
+    kinds[1] on axis 2; a stack of functions gives one table per sample."""
+    r1, r2 = row_pair(g.grid, shift, kinds)
+    vol1, vol2 = (ax.cell_volume for ax in g.grid.axes)
+    return (r1 * vol1) @ g.values @ (r2 * vol2).T
+
+
+def slot_tables(op, fs) -> list[np.ndarray]:
+    """Per slot s of a model operator, the pairing table of fs[s-1] over the
+    rows the operator pairs slot s with (its `_slot_rows(s)`)."""
+    return [pairing_table(f, op.shift, op._slot_rows(s)) for s, f in enumerate(fs, start=1)]
 
 
 def axis_profile_bmo(vec: np.ndarray, axis: Axis, over_all_shifts: bool = True) -> float | np.ndarray:
@@ -229,13 +253,10 @@ class ShiftOperator:
                 raise NormalizationError("shift coefficient exceeds the size cap")
 
     # -- evaluation -----------------------------------------------------------
-    def _slot_kind(self, slot: int, axis: int) -> str:
-        return "unit" if self.pattern[axis] == slot else "haar"
-
-    def _slot_rows(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
-        o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
-        return o1.rows(self._slot_kind(slot, 0)), o2.rows(self._slot_kind(slot, 1))
+    def _slot_rows(self, slot: int) -> tuple[str, str]:
+        """The rows slot `slot` pairs with on each axis: unit rows in the
+        averaged slot, Haar rows in the others."""
+        return tuple("unit" if p == slot else "haar" for p in self.pattern)
 
     @cached_property
     def _plan(self) -> _Plan:
@@ -247,38 +268,39 @@ class ShiftOperator:
         blocks = np.array(list(self.coeffs.values())).reshape((len(self.coeffs),) + shape)
         # K level, K position, V level, V position of every key
         keys = np.array(list(self.coeffs), dtype=int).reshape(-1, 4).T
+        kinds = [self._slot_rows(s) for s in (1, 2, 3)]
         rows = tuple(
-            (o1.descendant_rows(self._slot_kind(s, 0), keys[0], keys[1], self.k[s - 1]),
-             o2.descendant_rows(self._slot_kind(s, 1), keys[2], keys[3], self.v[s - 1]))
-            for s in (1, 2, 3)
+            (o1.descendant_rows(k1, keys[0], keys[1], self.k[s]),
+             o2.descendant_rows(k2, keys[2], keys[3], self.v[s]))
+            for s, (k1, k2) in enumerate(kinds)
         )
         return _Plan.frozen(blocks, rows)
 
-    def _slot_blocks(self, fs) -> list[np.ndarray]:
-        """Per input slot, the (keys, 2^k, 2^v) pairings of f with the rows
-        of every key: one table per slot, one gather."""
-        vol1, vol2 = (ax.cell_volume for ax in self.grid.axes)
-        out = []
-        for s, f in enumerate(fs):
-            r1, r2 = self._slot_rows(s + 1)
-            i1, i2 = self._plan.rows[s]
-            table = (r1 * vol1) @ f.values @ (r2 * vol2).T
-            out.append(table[..., i1[:, :, None], i2[:, None, :]])
-        return out
+    def _gather(self, tables) -> list[np.ndarray]:
+        """Per slot, the (keys, 2^k, 2^v) entries of its table (over its
+        `_slot_rows`) that the keys pair with: one gather each."""
+        return [t[..., i1[:, :, None], i2[:, None, :]] for t, (i1, i2) in zip(tables, self._plan.rows)]
+
+    def _contract(self, tables, absolute: bool) -> float:
+        """The form with slot s read off tables[s-1]: the coefficients
+        contracted with the gathered entries, all in absolute value when
+        `absolute`."""
+        c, us = self._plan.coeffs, self._gather(tables)
+        if absolute:
+            c, us = np.abs(c), [np.abs(u) for u in us]
+        return float(np.einsum("nabcdef,nad,nbe,ncf->", c, *us))
 
     def form(self, f1: DiscreteFunction, f2: DiscreteFunction, f3: DiscreteFunction) -> float:
-        return float(np.einsum("nabcdef,nad,nbe,ncf->", self._plan.coeffs,
-                               *self._slot_blocks((f1, f2, f3))))
+        return self._contract(slot_tables(self, (f1, f2, f3)), False)
 
     def absolute_form(self, f1, f2, f3) -> float:
-        us = [np.abs(u) for u in self._slot_blocks((f1, f2, f3))]
-        return float(np.einsum("nabcdef,nad,nbe,ncf->", np.abs(self._plan.coeffs), *us))
+        return self._contract(slot_tables(self, (f1, f2, f3)), True)
 
     def apply(self, f1: DiscreteFunction, f2: DiscreteFunction) -> DiscreteFunction:
         """U(f1, f2); stacks of functions give one output per sample."""
-        u1, u2 = self._slot_blocks((f1, f2))
+        u1, u2 = self._gather(slot_tables(self, (f1, f2)))
         w3 = np.einsum("nabcdef,...nad,...nbe->...ncf", self._plan.coeffs, u1, u2)
-        r1, r2 = self._slot_rows(3)
+        r1, r2 = row_pair(self.grid, self.shift, self._slot_rows(3))
         i1, i2 = self._plan.rows[2]
         # sum over keys and slot-3 cubes of w3 times the gathered row pairs
         t = w3 @ r2[i2]  # (..., keys, 2^k3, n2)
@@ -290,7 +312,8 @@ class ShiftOperator:
         the trilinear form as an exact integral."""
         blocks, rows = self._plan
         (a1, a2), (b1, b2), (c1, c2) = (
-            tuple(r[i] for r, i in zip(self._slot_rows(s + 1), rows[s])) for s in range(3)
+            tuple(r[i] for r, i in zip(row_pair(self.grid, self.shift, self._slot_rows(s + 1)), rows[s]))
+            for s in range(3)
         )
         n1, n2 = self.grid.shape
         N, K = len(blocks), a1.shape[1] * b1.shape[1] * c1.shape[1]
@@ -389,7 +412,7 @@ def one_param_paraproduct_form(
     """
     vol = ops.axis.cell_volume
     haar = (ops.haar * vol).T
-    avg = (ops.avg[: ops.haar.shape[0]] * vol).T
+    avg = (ops.canc_avg * vol).T
     total = np.asarray(b, dtype=float) @ haar
     for slot, g in enumerate((g1, g2, g3), start=1):
         total = total * (np.asarray(g) @ (haar if ptype == slot else avg))
@@ -407,9 +430,8 @@ def one_param_paraproduct(
 ) -> np.ndarray:
     """Apply the paraproduct; the third slot of the form is left free."""
     vol = ops.axis.cell_volume
-    n_canc = ops.haar.shape[0]
     bb = (ops.haar * vol) @ np.asarray(b, dtype=float)
-    avg = lambda g: (ops.avg[:n_canc] * vol) @ np.asarray(g)
+    avg = lambda g: (ops.canc_avg * vol) @ np.asarray(g)
     par = lambda g: (ops.haar * vol) @ np.asarray(g)
     if ptype == 3:
         w = bb * avg(g1) * avg(g2)
@@ -418,7 +440,7 @@ def one_param_paraproduct(
         w = bb * par(g1) * avg(g2)
     else:
         w = bb * avg(g1) * par(g2)
-    return w @ ops.avg[:n_canc]
+    return w @ ops.canc_avg
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +500,13 @@ class PartialParaproduct:
             axis_ops(self.grid.axes[self.para_axis], s[self.para_axis]),
         )
 
-    def _kind(self, slot: int) -> str:
-        return "unit" if slot == self.h0_slot else "haar"
-
-    def _para_rows(self, slot: int) -> np.ndarray:
-        pops = self._ops()[1]
-        return pops.haar if self.ptype == slot else pops.avg[: len(pops.haar)]
+    def _slot_rows(self, slot: int) -> tuple[str, str]:
+        """The rows slot `slot` pairs with, in grid axis order: on the shift
+        axis unit rows in slot h0_slot and Haar rows in the others, on the
+        paraproduct axis Haar rows in slot ptype and the averaging rows of the
+        cancellative cubes in the others."""
+        kinds = ("unit" if slot == self.h0_slot else "haar", "haar" if slot == self.ptype else "canc_avg")
+        return kinds if self.shift_axis == 0 else kinds[::-1]
 
     @cached_property
     def _plan(self) -> _Plan:
@@ -496,45 +519,54 @@ class PartialParaproduct:
         # K level, K position, then the descendant index of each slot
         keys = np.array([kk + idx for kk, idx in self.symbols], dtype=int).reshape(-1, 5).T
         rows = tuple(
-            (sops.descendant_rows(self._kind(s), keys[0], keys[1], self.k[s - 1])[
+            (sops.descendant_rows(self._slot_rows(s)[self.shift_axis], keys[0], keys[1], self.k[s - 1])[
                 np.arange(len(self.symbols)), keys[1 + s]],)
             for s in (1, 2, 3)
         )
         return _Plan.frozen(coeffs, rows)
 
-    def _slot_tables(self, fs) -> list[np.ndarray]:
-        """Per input slot, the (keys, paraproduct cubes) pairings of f with
-        every key's shift-axis row and the slot's paraproduct-axis rows."""
-        sops, pops = self._ops()
-        out = []
-        for s, f in enumerate(fs):
-            ms = sops.rows(self._kind(s + 1))[self._plan.rows[s][0]] * sops.axis.cell_volume
-            vals = f.values if self.shift_axis == 0 else np.swapaxes(f.values, -1, -2)
-            out.append(ms @ vals @ (self._para_rows(s + 1) * pops.axis.cell_volume).T)
-        return out
+    def _split_rows(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """Slot `slot`'s rows of every key on the shift axis, and its rows on
+        the paraproduct axis."""
+        kinds, (sops, pops) = self._slot_rows(slot), self._ops()
+        key_rows = self._plan.rows[slot - 1][0]
+        return sops.rows(kinds[self.shift_axis])[key_rows], pops.rows(kinds[self.para_axis])
+
+    def _gather(self, tables) -> list[np.ndarray]:
+        """Per slot, the (keys, paraproduct cubes) entries of its table (over
+        its `_slot_rows`) that the keys pair with: each key's shift-axis row
+        against every paraproduct-axis row."""
+        return [(t if self.shift_axis == 0 else np.swapaxes(t, -1, -2))[..., rows, :]
+                for t, (rows,) in zip(tables, self._plan.rows)]
+
+    def _contract(self, tables, absolute: bool) -> float:
+        """The form with slot s read off tables[s-1]: the symbol coefficients
+        contracted with the gathered entries, all in absolute value when
+        `absolute`."""
+        c, gs = self._plan.coeffs, self._gather(tables)
+        if absolute:
+            c, gs = np.abs(c), [np.abs(g) for g in gs]
+        return float(np.einsum("nv,nv,nv,nv->", c, *gs))
 
     def form(self, f1, f2, f3) -> float:
-        gs = self._slot_tables((f1, f2, f3))
-        return float(np.einsum("nv,nv,nv,nv->", self._plan.coeffs, *gs))
+        return self._contract(slot_tables(self, (f1, f2, f3)), False)
 
     def absolute_form(self, f1, f2, f3) -> float:
-        gs = [np.abs(g) for g in self._slot_tables((f1, f2, f3))]
-        return float(np.einsum("nv,nv,nv,nv->", np.abs(self._plan.coeffs), *gs))
+        return self._contract(slot_tables(self, (f1, f2, f3)), True)
 
     def apply(self, f1, f2) -> DiscreteFunction:
         """U(f1, f2); stacks of functions give one output per sample."""
-        g1, g2 = self._slot_tables((f1, f2))
+        g1, g2 = self._gather(slot_tables(self, (f1, f2)))
         # sum over keys of each key's slot-3 row times its paraproduct profile
-        rows3 = self._ops()[0].rows(self._kind(3))[self._plan.rows[2][0]]
-        out = rows3.T @ (self._plan.coeffs * g1 * g2) @ self._para_rows(3)
+        rows3, para3 = self._split_rows(3)
+        out = rows3.T @ (self._plan.coeffs * g1 * g2) @ para3
         return DiscreteFunction(self.grid, out if self.shift_axis == 0 else np.swapaxes(out, -1, -2))
 
     def kernel_density(self) -> np.ndarray:
         sops, pops = self._ops()
-        coeffs, rows = self._plan
+        coeffs = self._plan.coeffs
         na, nb = sops.axis.n_cells, pops.axis.n_cells
-        s1, s2, s3 = (sops.rows(self._kind(s + 1))[rows[s][0]] for s in range(3))
-        p1, p2, p3 = (self._para_rows(s) for s in (1, 2, 3))
+        (s1, p1), (s2, p2), (s3, p3) = (self._split_rows(s) for s in (1, 2, 3))
         # shift-axis density per paraproduct cube, then the sum over those cubes
         sdens = np.einsum("nv,nX,nY,nZ->vXYZ", coeffs, s3, s1, s2).reshape(len(p1), -1)
         pdens = np.einsum("vP,vQ,vR->vPQR", p3, p1, p2).reshape(len(p1), -1)
@@ -621,43 +653,37 @@ class FullParaproduct:
                 coeffs[DyadicRectangle(c1, c2)] = self.lam[i, j]
         return sequence_product_bmo(self.grid, coeffs, self.shift)
 
-    def _tables(self, f: DiscreteFunction, slot: int):
-        o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
-        o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
-        n1, n2 = o1.haar.shape[0], o2.haar.shape[0]
-        m1 = o1.haar if self.pattern[0] == slot else o1.avg[:n1]
-        m2 = o2.haar if self.pattern[1] == slot else o2.avg[:n2]
-        return (m1 * o1.axis.cell_volume) @ f.values @ (m2 * o2.axis.cell_volume).T
+    def _slot_rows(self, slot: int) -> tuple[str, str]:
+        """The rows slot `slot` pairs with on each axis: Haar rows in the
+        pattern's slot, the averaging rows of the cancellative cubes in the
+        others.  Both are indexed by the cancellative cubes, as lam is."""
+        return tuple("haar" if p == slot else "canc_avg" for p in self.pattern)
+
+    def _contract(self, tables, absolute: bool) -> float:
+        """The form with slot s read off tables[s-1], all in absolute value
+        when `absolute`; the keys are every cancellative cube pair, so the
+        tables are used whole."""
+        lam, (t1, t2, t3) = self.lam, tables
+        if absolute:
+            lam, t1, t2, t3 = (np.abs(a) for a in (lam, t1, t2, t3))
+        return float((lam * t1 * t2 * t3).sum())
 
     def form(self, f1, f2, f3) -> float:
-        t = [self._tables(f, s + 1) for s, f in enumerate((f1, f2, f3))]
-        return float((self.lam * t[0] * t[1] * t[2]).sum())
+        return self._contract(slot_tables(self, (f1, f2, f3)), False)
 
     def absolute_form(self, f1, f2, f3) -> float:
-        t = [np.abs(self._tables(f, s + 1)) for s, f in enumerate((f1, f2, f3))]
-        return float((np.abs(self.lam) * t[0] * t[1] * t[2]).sum())
+        return self._contract(slot_tables(self, (f1, f2, f3)), True)
 
     def apply(self, f1, f2) -> DiscreteFunction:
         """U(f1, f2); stacks of functions give one output per sample."""
-        o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
-        o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
-        n1, n2 = o1.haar.shape[0], o2.haar.shape[0]
-        t = [self._tables(f, s + 1) for s, f in enumerate((f1, f2))]
-        w = self.lam * t[0] * t[1]
-        m1 = o1.haar if self.pattern[0] == 3 else o1.avg[:n1]
-        m2 = o2.haar if self.pattern[1] == 3 else o2.avg[:n2]
-        return DiscreteFunction(self.grid, m1.T @ w @ m2)
+        t1, t2 = slot_tables(self, (f1, f2))
+        m1, m2 = row_pair(self.grid, self.shift, self._slot_rows(3))
+        return DiscreteFunction(self.grid, m1.T @ (self.lam * t1 * t2) @ m2)
 
     def kernel_density(self) -> np.ndarray:
-        o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
-        o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
-        n1, n2 = o1.haar.shape[0], o2.haar.shape[0]
-        r1 = [o1.haar if self.pattern[0] == s else o1.avg[:n1] for s in (1, 2, 3)]
-        r2 = [o2.haar if self.pattern[1] == s else o2.avg[:n2] for s in (1, 2, 3)]
-        dens = np.einsum(
-            "kv,kX,vP,kY,vQ,kZ,vR->XPYQZR",
-            self.lam, r1[2], r2[2], r1[0], r2[0], r1[1], r2[1], optimize=True,
-        )
+        (a1, a2), (b1, b2), (c1, c2) = (
+            row_pair(self.grid, self.shift, self._slot_rows(s)) for s in (1, 2, 3))
+        dens = np.einsum("kv,kX,vP,kY,vQ,kZ,vR->XPYQZR", self.lam, c1, c2, a1, a2, b1, b2, optimize=True)
         C = self.grid.shape[0] * self.grid.shape[1]
         return dens.reshape(C, C, C)
 

@@ -20,9 +20,7 @@ from dyadlab.core import (
 )
 from dyadlab.commutators import (
     AdaptedMaximal,
-    ExpansionContext,
     adapted_phi,
-    atomic_terms,
     aux_phi1,
     aux_phi2,
     average_oscillation_bound,
@@ -40,6 +38,10 @@ from dyadlab.commutators import (
     weak_type_sets,
 )
 from dyadlab.model_ops import (
+    FullParaproduct,
+    PartialParaproduct,
+    ShiftOperator,
+    axis_ops,
     random_full_paraproduct,
     random_partial_paraproduct,
     random_shift_operator,
@@ -295,30 +297,40 @@ def test_average_oscillation_constant_small():
 # -- commutators of model operators ---------------------------------------------------
 
 ALL_PATTERNS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+# the zero shift and one random shift of the lattices
+SHIFTS = (ZERO, sample_shift(GRID, np.random.default_rng(77)))
 
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS)
 def test_commutator_decomposition_all_shift_patterns(pattern):
     b = fn(10)
     f1, f2, f3 = fn(11), fn(12), fn(13)
-    S = random_shift_operator(GRID, ZERO, (0, 1, 0), (1, 0, 0), pattern,
-                              np.random.default_rng(sum(pattern)))
-    for slot in (1, 2):
-        d = commutator_form_direct(b, S, slot, f1, f2, f3)
-        e = commutator_form_decomposed(b, S, slot, f1, f2, f3)
-        assert abs(d - e) <= 1e-10 * max(1.0, abs(d))
+    for om in SHIFTS:
+        S = random_shift_operator(GRID, om, (0, 1, 0), (1, 0, 0), pattern,
+                                  np.random.default_rng(sum(pattern)))
+        for slot in (1, 2):
+            d = commutator_form_direct(b, S, slot, f1, f2, f3)
+            e = commutator_form_decomposed(b, S, slot, f1, f2, f3)
+            assert abs(d - e) <= 1e-10 * max(1.0, abs(d))
+        for slot in (0, 3):
+            for form in (commutator_form_direct, commutator_form_decomposed):
+                with pytest.raises(ValueError, match="slot is 1 or 2"):
+                    form(b, S, slot, f1, f2, f3)
 
 
 def test_commutator_decomposition_paraproduct_families():
     b = fn(14)
     f1, f2, f3 = fn(15), fn(16), fn(17)
-    P = random_partial_paraproduct(GRID, ZERO, (1, 0, 0), rng=np.random.default_rng(1))
-    F = random_full_paraproduct(GRID, ZERO, (3, 3), np.random.default_rng(2))
-    for U in (P, F):
-        for slot in (1, 2):
-            d = commutator_form_direct(b, U, slot, f1, f2, f3)
-            e = commutator_form_decomposed(b, U, slot, f1, f2, f3)
-            assert abs(d - e) <= 1e-10 * max(1.0, abs(d))
+    rng = np.random.default_rng(1)
+    for om in SHIFTS:
+        ops = [random_partial_paraproduct(GRID, om, (1, 0, 0), axis, h0, pt, rng)
+               for axis, h0, pt in ((0, 3, 3), (1, 3, 3), (0, 1, 2), (1, 1, 3), (1, 3, 2))]
+        ops += [random_full_paraproduct(GRID, om, pattern, rng) for pattern in ((3, 3), (1, 2), (2, 1))]
+        for U in ops:
+            for slot in (1, 2):
+                d = commutator_form_direct(b, U, slot, f1, f2, f3)
+                e = commutator_form_decomposed(b, U, slot, f1, f2, f3)
+                assert abs(d - e) <= 1e-10 * max(1.0, abs(d))
 
 
 def test_commutator_constant_symbol_vanishes():
@@ -367,22 +379,95 @@ def test_single_key_commutator_hand_expansion():
 def test_iterated_commutator_decomposition():
     b1, b2 = fn(27), fn(28)
     f1, f2, f3 = fn(29), fn(30), fn(31)
-    for pattern in ((3, 3), (1, 2)):
-        S = random_shift_operator(GRID, ZERO, (0, 1, 0), (0, 0, 1), pattern,
-                                  np.random.default_rng(5))
-        d = iterated_form_direct(b2, b1, S, f1, f2, f3)
-        e = iterated_form_decomposed(b2, b1, S, f1, f2, f3)
-        assert abs(d - e) <= 1e-10 * max(1.0, abs(d))
+    for om in SHIFTS:
+        for pattern in ((3, 3), (1, 2)):
+            S = random_shift_operator(GRID, om, (0, 1, 0), (0, 0, 1), pattern,
+                                      np.random.default_rng(5))
+            d = iterated_form_direct(b2, b1, S, f1, f2, f3)
+            e = iterated_form_decomposed(b2, b1, S, f1, f2, f3)
+            assert abs(d - e) <= 1e-10 * max(1.0, abs(d))
+
+
+# -- per-atom reference ------------------------------------------------------------
+# A model operator flattened into scalar-weighted atoms, one cube object per
+# slot and axis, each paired with its own test function; independent of the
+# operators' gather plans and of the table contractions.
+
+def atomic_terms(U):
+    """Yield (coefficient, [(cube1, kind1, cube2, kind2)] per slot) where
+    kind 'h' pairs with the Haar function and 'a' with the averaging profile
+    1_Q/|Q| (normalisation absorbed into the coefficient)."""
+    grid = U.grid
+    o1 = axis_ops(grid.axes[0], U.shift.shift1)
+    o2 = axis_ops(grid.axes[1], U.shift.shift2)
+    if isinstance(U, ShiftOperator):
+        for (kk, vv), block in U.coeffs.items():
+            qs1 = [o1.descendant_positions(kk[0], kk[1], d) for d in U.k]
+            qs2 = [o2.descendant_positions(vv[0], vv[1], d) for d in U.v]
+            for idx in np.ndindex(*block.shape):
+                if block[idx] == 0.0:
+                    continue
+                specs, scale = [], 1.0
+                for s in range(3):
+                    c1 = DyadicCube(grid.axes[0], kk[0] + U.k[s], (int(qs1[s][idx[s]]),), U.shift.shift1)
+                    c2 = DyadicCube(grid.axes[1], vv[0] + U.v[s], (int(qs2[s][idx[3 + s]]),), U.shift.shift2)
+                    k1 = "a" if U.pattern[0] == s + 1 else "h"
+                    k2 = "a" if U.pattern[1] == s + 1 else "h"
+                    scale *= (c1.measure**0.5 if k1 == "a" else 1.0) * (c2.measure**0.5 if k2 == "a" else 1.0)
+                    specs.append((c1, k1, c2, k2))
+                yield block[idx] * scale, specs
+    elif isinstance(U, FullParaproduct):
+        for i, cK in enumerate(o1.canc_cubes):
+            for j, cV in enumerate(o2.canc_cubes):
+                if U.lam[i, j] != 0.0:
+                    yield U.lam[i, j], [(cK, "h" if U.pattern[0] == s else "a",
+                                         cV, "h" if U.pattern[1] == s else "a") for s in (1, 2, 3)]
+    elif isinstance(U, PartialParaproduct):
+        sops, pops = (o1, o2) if U.shift_axis == 0 else (o2, o1)
+        vol = grid.axes[U.para_axis].cell_volume
+        for (kk, idx), prof in U.symbols.items():
+            qs = [sops.descendant_positions(kk[0], kk[1], d) for d in U.k]
+            shift_cubes, scale = [], 1.0
+            for s in range(3):
+                c = DyadicCube(grid.axes[U.shift_axis], kk[0] + U.k[s], (int(qs[s][idx[s]]),),
+                               U.shift[U.shift_axis])
+                kind = "a" if U.h0_slot == s + 1 else "h"
+                scale *= c.measure**0.5 if kind == "a" else 1.0
+                shift_cubes.append((c, kind))
+            bb = (pops.haar * vol) @ prof
+            for vi, cV in enumerate(pops.canc_cubes):
+                if bb[vi] == 0.0:
+                    continue
+                specs = []
+                for s in (1, 2, 3):
+                    kp = "h" if U.ptype == s else "a"
+                    cs, ks = shift_cubes[s - 1]
+                    specs.append((cs, ks, cV, kp) if U.shift_axis == 0 else (cV, kp, cs, ks))
+                yield bb[vi] * scale, specs
+    else:
+        raise TypeError(f"no atomic expansion for {type(U).__name__}")
+
+
+def _pair_spec(f, spec):
+    """<f, phi1 x phi2> for one atom slot, with its test function built from the cubes."""
+    def profile(cube, kind):
+        if kind == "h":
+            return axis_haar_vector(HaarFunction(cube, (1,)))
+        v = np.zeros(cube.axis.n_cells)
+        v[cube.cells()] = 1.0 / cube.measure
+        return v
+
+    c1, k1, c2, k2 = spec
+    return float(f.pair(DiscreteFunction(f.grid, np.outer(profile(c1, k1), profile(c2, k2)))))
 
 
 def test_atomic_terms_reproduce_forms():
     f1, f2, f3 = fn(32), fn(33), fn(34)
-    from dyadlab.commutators import _pair_spec
-
     for U in (
         random_shift_operator(GRID, ZERO, (1, 0, 0), (0, 1, 0), (2, 1),
                               np.random.default_rng(6)),
         random_partial_paraproduct(GRID, ZERO, (0, 1, 0), rng=np.random.default_rng(7)),
+        random_partial_paraproduct(GRID, SHIFTS[1], (1, 0, 0), 1, 1, 2, np.random.default_rng(7)),
         random_full_paraproduct(GRID, ZERO, (2, 3), np.random.default_rng(8)),
     ):
         total = sum(
