@@ -55,13 +55,6 @@ from .model_ops import (
     random_shift_operator,
     sparse_dominate_paraproduct,
 )
-from .representation import (
-    Decomposition,
-    KernelTensor,
-    averaged_reconstruction,
-    common_ancestor,
-    decompose,
-)
 from .commutators import (
     AdaptedMaximal,
     commutator_apply,
@@ -84,3 +77,16 @@ from .lower_bounds import (
 from .harness import ExperimentConfig, Report, run_suite
 
 __version__ = "0.1.0"
+
+# The decomposer needs scipy.sparse, which takes longer to import than the
+# rest of the package; its names load it on first use (PEP 562).
+_REPRESENTATION = ("Decomposition", "KernelTensor", "averaged_reconstruction",
+                   "common_ancestor", "decompose")
+
+
+def __getattr__(name: str):
+    if name in _REPRESENTATION:
+        from . import representation
+
+        return getattr(representation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

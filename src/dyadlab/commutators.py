@@ -103,6 +103,10 @@ def paraproduct_onefactor(kind: int, axis_idx: int, b: DiscreteFunction,
     """One-variable expansion operators: kind 1 pairs differences with
     differences, kind 2 differences with averages.  b and f may be stacks
     of functions, giving one output per sample."""
+    if kind not in (1, 2):
+        raise ValueError("kind must be 1 or 2")
+    if axis_idx not in (0, 1):
+        raise ValueError("axis_idx must be 0 or 1")
     grid = b.grid
     om = shift if shift is not None else GridShift.zero(grid)
     sh = om.shift1 if axis_idx == 0 else om.shift2
@@ -150,6 +154,8 @@ def expand_onepar(b: DiscreteFunction, f: DiscreteFunction, c1: DyadicCube,
                   shift: GridShift | None = None) -> dict:
     """Cancellative Haar on one factor, a normalised average on the other:
     two one-variable terms plus a boundary average and the remainder."""
+    if haar_axis not in (0, 1):
+        raise ValueError("haar_axis must be 0 or 1")
     grid = b.grid
     om = shift if shift is not None else GridShift.zero(grid)
     if haar_axis == 0:

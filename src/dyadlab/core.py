@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 would load it on the first draw, inside the first computation)
 
 __all__ = [
     "Axis",

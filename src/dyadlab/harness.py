@@ -50,12 +50,6 @@ from .model_ops import (
     random_shift_operator,
     sparse_dominate_paraproduct,
 )
-from .representation import (
-    Decomposition,
-    KernelTensor,
-    averaged_reconstruction,
-    decompose,
-)
 
 __all__ = [
     "ExperimentConfig",
@@ -398,6 +392,8 @@ def identity_suite(config: ExperimentConfig) -> Report:
 def representation_suite(config: ExperimentConfig, n_tensors: int = 50) -> Report:
     """Reconstruction of random and kernel-generated forms, the averaged
     identity, round trips and paraproduct extraction consistency."""
+    from .representation import KernelTensor, averaged_reconstruction, decompose
+
     grid = config.grid()
     rep = Report("representation", config.seed)
     tol = config.tolerance
@@ -448,6 +444,8 @@ def representation_suite(config: ExperimentConfig, n_tensors: int = 50) -> Repor
 
 def coefficient_suite(config: ExperimentConfig) -> Report:
     """Decay-certified coefficient caps across resolutions for smooth kernels."""
+    from .representation import KernelTensor, decompose
+
     goldens = load_goldens()
     rep = Report("coefficients", config.seed)
     for L in (2, 3, min(4, config.level + 1)):

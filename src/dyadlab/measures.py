@@ -287,6 +287,13 @@ def _slice_bmo(b: DiscreteFunction, axis_idx: int, shift: GridShift,
     return best
 
 
+def _lower_levels(values: np.ndarray) -> np.ndarray:
+    """The distinct values but the largest, ascending: np.unique(values)[:-1]
+    without the numpy.ma import np.unique makes on its first call."""
+    s = np.sort(values)
+    return s[:-1][s[1:] != s[:-1]]
+
+
 def _product_bmo(grid: TorusGrid, masks: np.ndarray, c2: np.ndarray,
                  pool: int, union: int, seed: int) -> ProductBmoReport:
     """The open-set search behind both product-oscillation reports.
@@ -309,7 +316,7 @@ def _product_bmo(grid: TorusGrid, masks: np.ndarray, c2: np.ndarray,
     unions = [masks[np.fromiter(itertools.chain.from_iterable(itertools.combinations(pool_idx, k)),
                                 dtype=np.intp).reshape(-1, k)].any(axis=1)
               for k in range(2, union + 1)]
-    levels = np.unique(sq)[:-1]
+    levels = _lower_levels(sq)
     sets = np.vstack([masks, *unions, sq[None, :] > levels[:, None]])
     inside = ~((~sets) @ masks.T)
     # one rectangle at a time: an (R x sets) float temporary would set the

@@ -218,6 +218,23 @@ def test_onefactor_constant_symbol_is_zero():
     assert np.abs(out.values).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", [0, 3, 7])
+def test_onefactor_rejects_bad_kind(kind):
+    with pytest.raises(ValueError, match="kind must be 1 or 2"):
+        paraproduct_onefactor(kind, 0, fn(1), fn(2))
+
+
+@pytest.mark.parametrize("axis_idx", [-1, 2])
+def test_onefactor_rejects_bad_axis(axis_idx):
+    with pytest.raises(ValueError, match="axis_idx must be 0 or 1"):
+        paraproduct_onefactor(1, axis_idx, fn(1), fn(2))
+
+
+def test_expand_onepar_rejects_bad_haar_axis():
+    with pytest.raises(ValueError, match="haar_axis must be 0 or 1"):
+        expand_onepar(fn(1), fn(2), cube(0, 1, 0), cube(1, 1, 0), haar_axis=5)
+
+
 # -- adapted maximal functions ----------------------------------------------------
 
 def test_adapted_maximal_constant_symbol():

@@ -27,6 +27,7 @@ from dyadlab.core import (
 )
 from dyadlab.measures import (
     Weight,
+    _lower_levels,
     ainfty_characteristic,
     ap_characteristic,
     bmo_norm,
@@ -253,6 +254,16 @@ def test_product_search_matches_per_set_containment(grid):
 def test_product_search_empty_family():
     rep = sequence_product_bmo(GRID, {}, GridShift.zero(GRID))
     assert (rep.family_value, rep.single_rectangle, rep.n_sets) == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+def test_level_values_match_unique(n):
+    # the upper-level sets of the product search: ties collapse, the largest goes
+    rng = np.random.default_rng(n)
+    for values in (rng.integers(0, 4, n) / 3.0, rng.standard_normal(n), np.full(n, 0.25)):
+        want = np.unique(values)[:-1]
+        got = _lower_levels(values)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # -- sups over every shift: the window tables against shift enumeration -------------
