@@ -11,25 +11,25 @@ import numpy as np
 
 from .core import (
     Axis,
-    AxisBasis,
     AxisShift,
     DiscreteFunction,
     DyadicCube,
-    DyadicRectangle,
     GridShift,
     HaarFunction,
     TorusGrid,
-    all_rectangles,
     axis_average,
     axis_haar_vector,
     block_index,
     cell_tables,
     enumerate_axis_shifts,
     martingale_block,
+    rect_table,
     sample_axis_shift,
 )
 from .measures import (
     bmo_norm,
+    haar_outer,
+    haar_profiles,
     maximal_function,
     phi_function,
     sequence_product_bmo,
@@ -229,7 +229,8 @@ class AdaptedMaximal:
         # per factor the window levels, or None to keep the factor whole
         levels1 = [None] if self.kind == "axis2" else range(ax1.levels + 1)
         levels2 = [None] if self.kind == "axis1" else range(ax2.levels + 1)
-        tabs1, tabs2 = cell_tables(ax1, None), cell_tables(ax2, None)
+        # every window of full width is the whole factor: level 0 keeps one
+        tabs1, tabs2 = ([ts[0][:1], *ts[1:]] for ts in (cell_tables(ax1, None), cell_tables(ax2, None)))
         out = np.zeros(np.broadcast_shapes(self.b.values.shape, af.shape))
         bv = np.broadcast_to(self.b.values, out.shape)
         for j1 in levels1:
@@ -241,10 +242,11 @@ class AdaptedMaximal:
                 np.abs(blk, out=blk)
                 blk *= af[idx]
                 osc = blk.mean(axis=cells)
-                # osc holds one value per window, indexed by its start cell
-                if j1 is not None:
+                # osc holds one value per window, indexed by its start cell;
+                # the one level-0 window covers every cell by broadcasting
+                if j1:
                     osc = _window_cover(osc, ax1, ax1.n_side >> j1, -2)
-                if j2 is not None:
+                if j2:
                     osc = _window_cover(osc, ax2, ax2.n_side >> j2, -1)
                 np.maximum(out, osc, out=out)
         return DiscreteFunction(grid, out)
@@ -286,17 +288,11 @@ def adapted_phi(b: DiscreteFunction, f: DiscreteFunction, axis_idx: int,
     in the other variable."""
     grid = f.grid
     om = shift if shift is not None else GridShift.zero(grid)
-    axis = grid.axes[axis_idx]
     other = grid.axes[1 - axis_idx]
-    sh = om.shift1 if axis_idx == 0 else om.shift2
-    basis = AxisBasis(axis, sh)
     out = np.zeros(grid.shape)
-    for k, h in enumerate(basis.entries):
-        if not h.cancellative:
-            continue
-        b_slice = axis_average(b, h.cube, axis_idx)
-        m = profile_adapted_max(b_slice, f.pair_axis(basis.matrix[k], axis_idx), other)
-        out += np.outer(m, basis.matrix[k]) if axis_idx == 1 else np.outer(basis.matrix[k], m)
+    for h, cube, coeff in haar_profiles(f, axis_idx, om):
+        m = profile_adapted_max(axis_average(b, cube, axis_idx), coeff, other)
+        out += haar_outer(h, m, axis_idx)
     return DiscreteFunction(grid, out)
 
 
@@ -487,9 +483,9 @@ def iterated_form_decomposed(b2: DiscreteFunction, b1: DiscreteFunction, U,
 
 def coefficient_duality_check(
     F_mask: np.ndarray,
-    collection: list[DyadicRectangle],
-    a_coeffs: dict,
-    b_coeffs: dict,
+    ids: np.ndarray,
+    a_coeffs: np.ndarray,
+    b_coeffs: np.ndarray,
     om: GridShift,
     grid: TorusGrid,
     density: float = 0.99,
@@ -497,28 +493,23 @@ def coefficient_duality_check(
     """Coefficient-sum bound: sum |a_R b_R| against the oscillation report of
     the shifted coefficients times the square-sum mass of b inside F.
 
-    Rectangles must own at least the stated fraction of their measure inside
-    F; the oscillation side uses the certified lower-bound report, so a pass
+    The collection is given by distinct rectangle ids of the unshifted
+    lattice (`RectTable`), with a_coeffs[k] and b_coeffs[k] on rectangle
+    ids[k]; F_mask is a boolean mask of the grid cells.  Rectangles must
+    own at least the stated fraction of their measure inside F; the
+    oscillation side uses the certified lower-bound report, so a pass
     verifies a stronger inequality than the target."""
-    for rect in collection:
-        idx = rect.index()
-        frac = F_mask[idx].mean()
-        if frac < density - 1e-12:
-            raise ValueError("collection violates the density precondition")
-    lhs = sum(abs(a_coeffs[r] * b_coeffs[r]) for r in collection)
-    # shifted copies of the rectangles carry the a-coefficients
-    shifted = {}
-    for rect in collection:
-        r1 = DyadicCube(rect.cube1.axis, rect.cube1.level, rect.cube1.pos, om.shift1)
-        r2 = DyadicCube(rect.cube2.axis, rect.cube2.level, rect.cube2.pos, om.shift2)
-        key = DyadicRectangle(r1, r2)
-        shifted[key] = shifted.get(key, 0.0) + a_coeffs[rect]
-    rep = sequence_product_bmo(grid, shifted, om)
-    sq = np.zeros(grid.shape)
-    for rect in collection:
-        idx = rect.index()
-        sq[idx] += abs(b_coeffs[rect]) ** 2 / rect.measure
-    integrand = np.sqrt(sq) * F_mask
+    masks = rect_table(grid, GridShift.zero(grid)).masks(ids)
+    sizes = masks.sum(axis=1)
+    if np.any(np.count_nonzero(masks & F_mask.reshape(-1), axis=1) / sizes < density - 1e-12):
+        raise ValueError("collection violates the density precondition")
+    lhs = sum(np.abs(a_coeffs * b_coeffs).tolist())
+    # the shifted copies of the rectangles carry the a-coefficients; a copy
+    # keeps its rectangle's id
+    rep = sequence_product_bmo(grid, ids, a_coeffs, om)
+    # libm pow as in the report, and the rectangles summed one at a time, in order
+    sq = (np.float_power(np.abs(b_coeffs), 2) / (sizes * grid.cell_volume))[:, None] * masks
+    integrand = np.sqrt(sq.sum(axis=0)).reshape(grid.shape) * F_mask
     integral = float(integrand.sum() * grid.cell_volume)
     rhs = rep.family_value * integral
     return {"lhs": lhs, "rhs": rhs, "bmo_report": rep.family_value,
@@ -543,16 +534,11 @@ def aux_phi1(b: DiscreteFunction, f: DiscreteFunction, samples: int | None = Non
     for sh2 in shifts:
         om = GridShift(AxisShift.zero(grid.axes[0]), sh2)
         phi = adapted_phi(b, f, 1, om)
-        basis = AxisBasis(axis2, sh2)
         sq = np.zeros(grid.shape)
-        for k, h in enumerate(basis.entries):
-            if not h.cancellative:
-                continue
-            coeff = phi.pair_axis(basis.matrix[k], 1)
-            base = h.cube
+        for _, cube, coeff in haar_profiles(phi, 1, om):
             ind = np.zeros(axis2.n_cells)
-            ind[DyadicCube(axis2, base.level, base.pos, AxisShift.zero(axis2)).cells()] = 1.0
-            sq += np.outer(coeff**2, ind / base.measure)
+            ind[DyadicCube(axis2, cube.level, cube.pos, AxisShift.zero(axis2)).cells()] = 1.0
+            sq += np.outer(coeff**2, ind / cube.measure)
         m = maximal_function(DiscreteFunction(grid, np.sqrt(sq)), "axis1")
         acc += m.values
     return DiscreteFunction(grid, acc / len(shifts))
@@ -593,19 +579,19 @@ def weak_type_sets(
     u_max: int = 6,
 ) -> dict:
     """Threshold sets, their maximal enlargements, and the rectangle
-    collections owning a fixed fraction of each set."""
+    collections owning a fixed fraction of each set, as ids of the unshifted
+    lattice (`RectTable`)."""
     grid = level_fn.grid
     out = {"omega": [], "omega_tilde": [], "collections": []}
     prev = None
-    base = GridShift.zero(grid)
-    rects = list(all_rectangles(grid, base))
+    table = rect_table(grid, GridShift.zero(grid))
     for u in range(u_max + 1):
         thr = C * 2.0**-u * E_measure ** (-1.0 / r)
         omega = level_fn.values > thr
         tilde = maximal_function(
             DiscreteFunction(grid, omega.astype(float)), "strong"
         ).values > c_small
-        coll = [rect for rect in rects if omega[rect.index()].mean() >= 1.0 / 100]
+        coll = np.flatnonzero(table.densities(omega) >= 1.0 / 100)
         out["omega"].append(omega)
         out["omega_tilde"].append(tilde)
         out["collections"].append(coll)

@@ -14,9 +14,9 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 would load it on the first draw, inside the first computation)
@@ -48,7 +48,6 @@ __all__ = [
     "expectation_over_shifts",
     "AxisBasis",
     "haar_coefficients",
-    "from_haar_coefficients",
 ]
 
 
@@ -425,6 +424,50 @@ def all_rectangles(grid: TorusGrid, shift: GridShift,
             yield DyadicRectangle(c1, c2)
 
 
+@lru_cache(maxsize=None)
+def cube_masks(axis: Axis, shift: AxisShift) -> np.ndarray:
+    """Read-only boolean cell mask of every cube of the shifted lattice, one
+    row per cube in `all_axis_cubes` order."""
+    eye = np.eye(axis.n_cells, dtype=bool)
+    out = np.concatenate([eye[tab].any(axis=1) for tab in cell_tables(axis, shift)])
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class RectTable:
+    """The rectangles of one shifted lattice as integer ids.
+
+    Id i1 * n2 + i2 pairs cube i1 of factor 1 with cube i2 of factor 2 (n2
+    cubes in factor 2, each factor's cubes in `all_axis_cubes` order), so ids
+    run in `all_rectangles` order and a rectangle's copy in another lattice
+    keeps its id.  A measure is a cell count times the cell volume: exact.
+    """
+
+    masks1: np.ndarray  # (cubes of factor 1, cells of factor 1), bool
+    masks2: np.ndarray
+
+    def ids(self, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+        """Ids of every pair of the given cube indices, factor 1 outer."""
+        return (np.asarray(i1)[:, None] * len(self.masks2) + np.asarray(i2)).ravel()
+
+    def masks(self, ids) -> np.ndarray:
+        """(len(ids), cells) boolean cell masks, grid cells flattened."""
+        i1, i2 = np.divmod(np.asarray(ids, dtype=np.intp), len(self.masks2))
+        cells = self.masks1.shape[1] * self.masks2.shape[1]
+        return (self.masks1[i1, :, None] & self.masks2[i2, None, :]).reshape(len(i1), cells)
+
+    def densities(self, F: np.ndarray) -> np.ndarray:
+        """Mean of the boolean mask F over every rectangle, by id: exact
+        counts over exact sizes, as a mean of the gathered block is."""
+        counts = self.masks1 @ F.astype(float) @ self.masks2.T
+        return (counts / np.outer(self.masks1.sum(axis=1), self.masks2.sum(axis=1))).ravel()
+
+
+def rect_table(grid: TorusGrid, shift: GridShift) -> RectTable:
+    return RectTable(cube_masks(grid.axes[0], shift.shift1), cube_masks(grid.axes[1], shift.shift2))
+
+
 # ---------------------------------------------------------------------------
 # discrete functions
 # ---------------------------------------------------------------------------
@@ -482,11 +525,6 @@ class DiscreteFunction:
     def pair(self, other: "DiscreteFunction") -> float | complex:
         s = (self.values * other.values).sum() * self.grid.cell_volume
         return complex(s) if (np.iscomplexobj(self.values) or np.iscomplexobj(other.values)) else float(s)
-
-    def average(self, rect: DyadicRectangle) -> float | complex:
-        block = self.values[rect.index()]
-        m = block.mean()
-        return complex(m) if np.iscomplexobj(block) else float(m)
 
     def pair_axis(self, vec: np.ndarray, axis: int) -> np.ndarray:
         """One-variable pairing against an axis function; returns the slice profile.
@@ -756,9 +794,3 @@ def haar_coefficients(f: DiscreteFunction, shift: GridShift) -> np.ndarray:
     b1 = AxisBasis(f.grid.axes[0], shift.shift1)
     b2 = AxisBasis(f.grid.axes[1], shift.shift2)
     return b1.transform() @ f.values @ b2.transform().T
-
-
-def from_haar_coefficients(grid: TorusGrid, coeffs: np.ndarray, shift: GridShift) -> DiscreteFunction:
-    b1 = AxisBasis(grid.axes[0], shift.shift1)
-    b2 = AxisBasis(grid.axes[1], shift.shift2)
-    return DiscreteFunction(grid, b1.matrix.T @ coeffs @ b2.matrix)

@@ -8,9 +8,7 @@ factor.  Every random draw is keyed by (master seed, cell labels), so a
 
 from __future__ import annotations
 
-import io
 import json
-import math
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -27,10 +25,8 @@ from .core import (
     DyadicRectangle,
     GridShift,
     TorusGrid,
-    all_rectangles,
-    block_index,
-    cell_tables,
     haar_coefficients,
+    rect_table,
     sample_shift,
     truncated_projection,
 )
@@ -42,8 +38,6 @@ from .lower_bounds import (
 )
 from .model_ops import (
     FullParaproduct,
-    axis_ops,
-    dmo_absolute_form_check,
     paraproduct_freeness_probe,
     random_full_paraproduct,
     random_partial_paraproduct,
@@ -566,16 +560,6 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
     return rep
 
 
-def _rect_densities(F: np.ndarray, om: GridShift) -> np.ndarray:
-    """Mean of the mask F over every rectangle of the lattice, in
-    all_rectangles order (cube 1 outer, both over levels then positions)."""
-    t2s = cell_tables(om.shift2.axis, om.shift2)
-    return np.concatenate([
-        np.concatenate([F[block_index(t1, t2)].mean(axis=(2, 3)) for t2 in t2s], axis=1).ravel()
-        for t1 in cell_tables(om.shift1.axis, om.shift1)
-    ])
-
-
 def duality_suite(config: ExperimentConfig, instances: int = 1000) -> Report:
     """Coefficient duality bound over a seeded family with the density
     precondition; one frozen constant."""
@@ -583,8 +567,7 @@ def duality_suite(config: ExperimentConfig, instances: int = 1000) -> Report:
     goldens = load_goldens()
     rep = Report("duality", config.seed)
     rng = _rng(config.seed, "duality")
-    zero = GridShift.zero(grid)
-    rects = list(all_rectangles(grid, zero))
+    table = rect_table(grid, GridShift.zero(grid))
     worst = 0.0
     for s in range(instances):
         F = np.ones(grid.shape, dtype=bool)
@@ -593,11 +576,11 @@ def duality_suite(config: ExperimentConfig, instances: int = 1000) -> Report:
         elif s % 3 == 2:
             F[:, int(rng.integers(0, grid.shape[1]))] = False
         om = sample_shift(grid, rng)
-        pool = [r for r, d in zip(rects, _rect_densities(F, zero)) if d >= 0.99]
+        pool = np.flatnonzero(table.densities(F) >= 0.99)
         k = min(10, len(pool))
-        sel = [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
-        a = {r: float(rng.standard_normal()) for r in sel}
-        b = {r: float(rng.standard_normal()) for r in sel}
+        sel = pool[rng.choice(len(pool), size=k, replace=False)]
+        a = rng.standard_normal(k)
+        b = rng.standard_normal(k)
         out = com.coefficient_duality_check(F, sel, a, b, om, grid, density=0.99)
         if out["rhs"] > 0:
             worst = max(worst, out["ratio"])

@@ -8,7 +8,6 @@ Riesz-type kernels, a sign kernel, and user tensors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 

@@ -5,20 +5,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .core import (
-    AxisShift,
     DiscreteFunction,
-    DyadicCube,
     DyadicRectangle,
     GridShift,
     TorusGrid,
     all_rectangles,
 )
-from .kernels import KernelSpec, cell_centers, get_kernel, tensor_riesz
+from .kernels import KernelSpec, cell_centers
 
 __all__ = [
     "BilinearKernel",

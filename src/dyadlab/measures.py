@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .core import (
     martingale_block,
     per_sample,
     rect_blocks,
+    rect_table,
     sample_shift,
     slice_blocks,
 )
@@ -265,14 +267,12 @@ def bmo_norm(
         b1 = AxisBasis(grid.axes[0], om.shift1)
         b2 = AxisBasis(grid.axes[1], om.shift2)
         C = b1.transform() @ b.values @ b2.transform().T
-        canc1 = [i for i, h in enumerate(b1.entries) if h.cancellative]
-        canc2 = [j for j, h in enumerate(b2.entries) if h.cancellative]
-        # a cancellative Haar function is nonzero on every cell of its cube;
-        # with dim >= 2 one cube carries several signatures, so rows repeat
-        on1, on2 = b1.matrix[canc1] != 0, b2.matrix[canc2] != 0
-        masks = (on1[:, None, :, None] & on2[None, :, None, :]).reshape(len(canc1) * len(canc2), -1)
-        c2 = np.array([abs(c) ** 2 for c in C[np.ix_(canc1, canc2)].ravel()])
-        return _product_bmo(grid, masks, c2, omega_pool, omega_union, seed)
+        # entry 0 is the one non-cancellative function; a cancellative one is
+        # nonzero on every cell of its cube, and with dim >= 2 one cube
+        # carries several signatures, so rows repeat
+        on1, on2 = b1.matrix[1:] != 0, b2.matrix[1:] != 0
+        masks = (on1[:, None, :, None] & on2[None, :, None, :]).reshape(len(on1) * len(on2), -1)
+        return _product_bmo(grid, masks, C[1:, 1:].ravel(), omega_pool, omega_union, seed)
     raise ValueError(f"unknown bmo kind {kind!r}")
 
 
@@ -294,59 +294,85 @@ def _lower_levels(values: np.ndarray) -> np.ndarray:
     return s[:-1][s[1:] != s[:-1]]
 
 
-def _product_bmo(grid: TorusGrid, masks: np.ndarray, c2: np.ndarray,
+@lru_cache(maxsize=64)
+def _union_members(n_rect: int, pool: int, union: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Per union size k = 2..`union`, the members of every k-union from a
+    seeded pool of `pool` of the n_rect rectangles, one row each in
+    itertools.combinations order (read-only: the draw is cached)."""
+    rng = np.random.default_rng(seed)
+    pool_idx = rng.choice(n_rect, size=min(pool, n_rect), replace=False).tolist()
+    out = tuple(np.fromiter(itertools.chain.from_iterable(itertools.combinations(pool_idx, k)),
+                            dtype=np.intp).reshape(-1, k) for k in range(2, union + 1))
+    for members in out:
+        members.setflags(write=False)
+    return out
+
+
+def _bit_rows(masks: np.ndarray) -> np.ndarray:
+    """Boolean rows packed into uint64 words, zero-padded to whole words."""
+    packed = np.packbits(masks, axis=1)
+    pad = np.zeros((len(masks), -packed.shape[1] % 8), dtype=np.uint8)
+    return np.concatenate([packed, pad], axis=1).view(np.uint64)
+
+
+def _bit_containment(sets: np.ndarray, rects: np.ndarray) -> np.ndarray:
+    """inside[r, s]: whether bit row rects[r] lies inside bit row sets[s],
+    one rectangle at a time: (S & R) == R in every word."""
+    inside = np.empty((len(rects), len(sets)), dtype=bool)
+    for r, row in enumerate(rects):
+        np.logical_and.reduce((sets & row) == row, axis=1, out=inside[r])
+    return inside
+
+
+def _product_bmo(grid: TorusGrid, masks: np.ndarray, coeffs: np.ndarray,
                  pool: int, union: int, seed: int) -> ProductBmoReport:
     """The open-set search behind both product-oscillation reports.
 
-    masks (R x cells) marks the cells of each rectangle and c2 holds its
-    squared coefficient.  A candidate set S scores sqrt(sum of c2 over the
+    masks (R x cells) marks the cells of each rectangle and coeffs holds its
+    coefficient c_R.  A candidate set S scores sqrt(sum of |c_R|^2 over the
     rectangles inside S / |S|); the candidates are the single rectangles,
     unions of 2..`union` rectangles from a seeded pool of `pool`, and the
-    upper-level sets of sum_R c2_R / |R| 1_R.  Containment of every
-    rectangle in every candidate is one boolean matrix product.
+    upper-level sets of sum_R |c_R|^2 / |R| 1_R.  Candidates are packed bit
+    rows: a union is an OR of rows, a set's size its bit count, and
+    containment is tested one rectangle at a time.
     """
     n_rect = len(masks)
+    # libm pow, as Python's float ** takes it: c * c can differ in the last bit
+    c2 = np.float_power(np.abs(coeffs), 2)
     # sequential sums over the rectangles, in order (the level sets depend
     # on exact ties in the density)
     sq = (c2 / (masks.sum(axis=1) * grid.cell_volume))[:, None] * masks
     sq = sq.sum(axis=0)
-    rng = np.random.default_rng(seed)
-    pool_idx = rng.choice(n_rect, size=min(pool, n_rect), replace=False).tolist()
-    # one gather per union size, the unions in itertools.combinations order
-    unions = [masks[np.fromiter(itertools.chain.from_iterable(itertools.combinations(pool_idx, k)),
-                                dtype=np.intp).reshape(-1, k)].any(axis=1)
-              for k in range(2, union + 1)]
+    rows = _bit_rows(masks)
+    unions = [np.bitwise_or.reduce(rows[m], axis=1) for m in _union_members(n_rect, pool, union, seed)]
     levels = _lower_levels(sq)
-    sets = np.vstack([masks, *unions, sq[None, :] > levels[:, None]])
-    inside = ~((~sets) @ masks.T)
-    # one rectangle at a time: an (R x sets) float temporary would set the
-    # peak memory of a whole suite
+    sets = np.vstack([rows, *unions, _bit_rows(sq[None, :] > levels[:, None])])
+    inside = _bit_containment(sets, rows)
+    # one rectangle at a time: an (R x sets) float temporary would set a suite's peak memory
     total = np.zeros(len(sets))
     for r in range(n_rect):
-        total += c2[r] * inside[:, r]
-    values = np.sqrt(total / (sets.sum(axis=1) * grid.cell_volume))
+        total += c2[r] * inside[r]
+    values = np.sqrt(total / (np.bitwise_count(sets).sum(axis=1) * grid.cell_volume))
     return ProductBmoReport(float(values.max(initial=0.0)), float(values[:n_rect].max(initial=0.0)),
                             len(sets))
 
 
 def sequence_product_bmo(
     grid: TorusGrid,
-    coeffs: dict,
+    ids: np.ndarray,
+    coeffs: np.ndarray,
     om: GridShift,
     omega_union: int = 3,
     pool: int = 24,
     seed: int = 0,
 ) -> ProductBmoReport:
-    """Lower-bound oscillation norm for a scalar family keyed by rectangles.
+    """Lower-bound oscillation norm for a scalar family on rectangles.
 
-    coeffs maps DyadicRectangle -> scalar; the same open-set family as the
-    function version is used on the given coefficients.
+    coeffs[k] sits on the rectangle ids[k] of om's lattice (`RectTable`);
+    the same open-set family as the function version is used on the given
+    coefficients.
     """
-    masks = np.zeros((len(coeffs), grid.shape[0] * grid.shape[1]), dtype=bool)
-    for m, rect in zip(masks, coeffs):
-        m.reshape(grid.shape)[rect.index()] = True
-    c2 = np.array([abs(c) ** 2 for c in coeffs.values()], dtype=float)
-    return _product_bmo(grid, masks, c2, pool, omega_union, seed)
+    return _product_bmo(grid, rect_table(grid, om).masks(ids), coeffs, pool, omega_union, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -481,26 +507,28 @@ def _sf_axis(f: DiscreteFunction, om: GridShift, axis_idx: int) -> DiscreteFunct
     return DiscreteFunction(grid, np.sqrt(acc))
 
 
+def haar_profiles(f: DiscreteFunction, axis_idx: int, om: GridShift):
+    """(Haar row h, its cube, coefficient profile <f, h>_axis) of every
+    cancellative Haar function of one factor of the shifted lattice."""
+    basis = AxisBasis(f.grid.axes[axis_idx], om[axis_idx])
+    for k, h in enumerate(basis.entries):
+        if h.cancellative:
+            yield basis.matrix[k], h.cube, f.pair_axis(basis.matrix[k], axis_idx)
+
+
+def haar_outer(row: np.ndarray, prof: np.ndarray, axis_idx: int) -> np.ndarray:
+    """row on factor axis_idx times prof on the other factor."""
+    return np.outer(row, prof) if axis_idx == 0 else np.outer(prof, row)
+
+
 def _sf_phi(f: DiscreteFunction, om: GridShift, axis_idx: int) -> DiscreteFunction:
     # smoothed version: Haar coefficient profiles run through the strong
     # one-dimensional maximal operator on the other axis
-    grid = f.grid
-    axis = grid.axes[axis_idx]
-    other = grid.axes[1 - axis_idx]
-    shift = om.shift1 if axis_idx == 0 else om.shift2
-    basis = AxisBasis(axis, shift)
-    acc = np.zeros(grid.shape)
-    for i, h in enumerate(basis.entries):
-        if not h.cancellative:
-            continue
-        coeff = f.pair_axis(basis.matrix[i], axis_idx)
-        m = axis_profile_strong_max(coeff, other)
-        prof = basis.matrix[i] ** 2
-        if axis_idx == 0:
-            acc += np.outer(prof, m**2)
-        else:
-            acc += np.outer(m**2, prof)
-    return DiscreteFunction(grid, np.sqrt(acc))
+    other = f.grid.axes[1 - axis_idx]
+    acc = np.zeros(f.grid.shape)
+    for h, _, coeff in haar_profiles(f, axis_idx, om):
+        acc += haar_outer(h**2, axis_profile_strong_max(coeff, other) ** 2, axis_idx)
+    return DiscreteFunction(f.grid, np.sqrt(acc))
 
 
 def _sf_block(f, kind, depths, shift_samples, seed, family):
@@ -547,22 +575,12 @@ def phi_function(
     coefficient profiles (the adapted-symbol variants pass their own)."""
     grid = f.grid
     om = shift if shift is not None else GridShift.zero(grid)
-    axis = grid.axes[axis_idx]
     other = grid.axes[1 - axis_idx]
-    sh = om.shift1 if axis_idx == 0 else om.shift2
-    basis = AxisBasis(axis, sh)
     if profile_op is None:
         profile_op = lambda vec: axis_profile_strong_max(vec, other)
     out = np.zeros(grid.shape)
-    for k, h in enumerate(basis.entries):
-        if not h.cancellative:
-            continue
-        coeff = f.pair_axis(basis.matrix[k], axis_idx)
-        m = profile_op(coeff)
-        if axis_idx == 0:
-            out += np.outer(basis.matrix[k], m)
-        else:
-            out += np.outer(m, basis.matrix[k])
+    for h, _, coeff in haar_profiles(f, axis_idx, om):
+        out += haar_outer(h, profile_op(coeff), axis_idx)
     return DiscreteFunction(grid, out)
 
 

@@ -27,14 +27,16 @@ from .core import (
     AxisShift,
     DiscreteFunction,
     DyadicCube,
-    DyadicRectangle,
     GridShift,
     HaarFunction,
     TorusGrid,
+    all_axis_cubes,
     axis_haar_vector,
     cell_tables,
+    cube_masks,
     enumerate_axis_shifts,
     per_sample,
+    rect_table,
 )
 from .measures import sequence_product_bmo
 
@@ -82,30 +84,15 @@ class AxisOps:
         self.axis = axis
         self.shift = shift
         L = axis.levels
-        n = axis.n_side
         self.canc_offset = np.cumsum([0] + [1 << l for l in range(L)])
         self.cube_offset = np.cumsum([0] + [1 << l for l in range(L + 1)])
         self.offsets = np.array([shift.offset_cells(l)[0] for l in range(L + 1)])
-        haar_rows = []
-        self.canc_cubes: list[DyadicCube] = []
-        for level in range(L):
-            for pos in range(1 << level):
-                cube = DyadicCube(axis, level, (pos,), shift)
-                self.canc_cubes.append(cube)
-                haar_rows.append(axis_haar_vector(HaarFunction(cube, (1,))))
-        unit_rows = []
-        self.cubes: list[DyadicCube] = []
-        for level in range(L + 1):
-            for pos in range(1 << level):
-                cube = DyadicCube(axis, level, (pos,), shift)
-                self.cubes.append(cube)
-                ind = np.zeros(n)
-                ind[cube.cells()] = 1.0
-                unit_rows.append(ind * cube.measure**-0.5)
-        self.haar = np.stack(haar_rows)
-        self.unit = np.stack(unit_rows)
-        # avg rows are plain averaging profiles 1_I/|I| = |I|^(-1/2) unit rows
+        self.cubes: list[DyadicCube] = list(all_axis_cubes(axis, shift))
+        self.canc_cubes = self.cubes[: self.canc_offset[-1]]
+        self.haar = np.stack([axis_haar_vector(HaarFunction(c, (1,))) for c in self.canc_cubes])
         scale = np.array([c.measure**-0.5 for c in self.cubes])
+        self.unit = cube_masks(axis, shift) * scale[:, None]
+        # avg rows are plain averaging profiles 1_I/|I| = |I|^(-1/2) unit rows
         self.avg = self.unit * scale[:, None]
         self.canc_avg = self.avg[: len(self.haar)]
 
@@ -645,13 +632,10 @@ class FullParaproduct:
         return FullParaproduct(b.grid, shift, pattern, lam)
 
     def coefficient_report(self):
-        o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
-        o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
-        coeffs = {}
-        for i, c1 in enumerate(o1.canc_cubes):
-            for j, c2 in enumerate(o2.canc_cubes):
-                coeffs[DyadicRectangle(c1, c2)] = self.lam[i, j]
-        return sequence_product_bmo(self.grid, coeffs, self.shift)
+        # the cancellative cubes come first in each factor's cube order
+        n1, n2 = self.lam.shape
+        ids = rect_table(self.grid, self.shift).ids(np.arange(n1), np.arange(n2))
+        return sequence_product_bmo(self.grid, ids, self.lam.ravel(), self.shift)
 
     def _slot_rows(self, slot: int) -> tuple[str, str]:
         """The rows slot `slot` pairs with on each axis: Haar rows in the

@@ -102,7 +102,7 @@ def test_criterion_6_duality_constant():
     elapsed = time.time() - t0
     ok = _verdict(6, "duality constant", rep, f", {elapsed:.1f}s")
     assert ok
-    assert elapsed < 30.0
+    assert elapsed < 3.0
 
 
 def test_criterion_7_commutator_complexity_growth():

@@ -1,5 +1,7 @@
 """Product expansions, adapted maximal functions, commutator identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -496,15 +498,83 @@ def test_atomic_terms_reproduce_forms():
 
 # -- duality estimate -------------------------------------------------------------------
 
+def _sequence_product_bmo_reference(grid, coeffs, om):
+    """The dict-keyed report: coeffs maps DyadicRectangle -> scalar, masks
+    built from each rectangle's cell index."""
+    from dyadlab.measures import _product_bmo
+
+    masks = np.zeros((len(coeffs), grid.shape[0] * grid.shape[1]), dtype=bool)
+    for m, rect in zip(masks, coeffs):
+        m.reshape(grid.shape)[rect.index()] = True
+    return _product_bmo(grid, masks, np.array(list(coeffs.values()), dtype=float), 24, 3, 0)
+
+
+def _duality_check_reference(F_mask, collection, a_coeffs, b_coeffs, om, grid, density=0.99):
+    """The dict-keyed duality check: rectangles as objects, coefficients in
+    dicts keyed by them, the shifted copies rebuilt cube by cube."""
+    for rect in collection:
+        if F_mask[rect.index()].mean() < density - 1e-12:
+            raise ValueError("collection violates the density precondition")
+    lhs = sum(abs(a_coeffs[r] * b_coeffs[r]) for r in collection)
+    shifted = {}
+    for rect in collection:
+        r1 = DyadicCube(rect.cube1.axis, rect.cube1.level, rect.cube1.pos, om.shift1)
+        r2 = DyadicCube(rect.cube2.axis, rect.cube2.level, rect.cube2.pos, om.shift2)
+        key = DyadicRectangle(r1, r2)
+        shifted[key] = shifted.get(key, 0.0) + a_coeffs[rect]
+    rep = _sequence_product_bmo_reference(grid, shifted, om)
+    sq = np.zeros(grid.shape)
+    for rect in collection:
+        sq[rect.index()] += abs(b_coeffs[rect]) ** 2 / rect.measure
+    integral = float((np.sqrt(sq) * F_mask).sum() * grid.cell_volume)
+    rhs = rep.family_value * integral
+    return {"lhs": lhs, "rhs": rhs, "bmo_report": rep.family_value, "integral": integral,
+            "ratio": lhs / rhs if rhs > 0 else (math.inf if lhs > 0 else 0.0)}
+
+
+def _duality_suite_reference(grid, seed, instances):
+    """duality_suite's loop over dict-keyed rectangles: the worst ratio, and
+    every instance's (ids, a, b, F, shift, dict-keyed output)."""
+    from dyadlab.harness import _rng
+
+    rng = _rng(seed, "duality")
+    rects = list(all_rectangles(grid, GridShift.zero(grid)))
+    worst, instances_out = 0.0, []
+    for s in range(instances):
+        F = np.ones(grid.shape, dtype=bool)
+        if s % 3 == 1:
+            F[int(rng.integers(0, grid.shape[0])), :] = False
+        elif s % 3 == 2:
+            F[:, int(rng.integers(0, grid.shape[1]))] = False
+        om = sample_shift(grid, rng)
+        pool = [i for i, r in enumerate(rects) if F[r.index()].mean() >= 0.99]
+        ids = [pool[i] for i in rng.choice(len(pool), size=min(10, len(pool)), replace=False)]
+        sel = [rects[i] for i in ids]
+        a = {r: float(rng.standard_normal()) for r in sel}
+        b = {r: float(rng.standard_normal()) for r in sel}
+        out = _duality_check_reference(F, sel, a, b, om, grid)
+        if out["rhs"] > 0:
+            worst = max(worst, out["ratio"])
+        instances_out.append((np.array(ids, dtype=np.intp), np.array(list(a.values())), np.array(list(b.values())),
+                              F, om, out))
+    return worst, instances_out
+
+
+def _rect_id(grid, rect):
+    return list(all_rectangles(grid, GridShift.zero(grid))).index(rect)
+
+
 def test_duality_empty_collection():
-    out = coefficient_duality_check(np.ones(GRID.shape, dtype=bool), [], {}, {}, ZERO, GRID)
+    none = np.array([], dtype=int)
+    out = coefficient_duality_check(np.ones(GRID.shape, dtype=bool), none, np.array([]), np.array([]),
+                                    ZERO, GRID)
     assert out["lhs"] == 0.0 and out["ratio"] == 0.0
 
 
 def test_duality_single_rectangle_closed_value():
-    r = DyadicRectangle(cube(0, 1, 0), cube(1, 1, 1))
+    ids = np.array([_rect_id(GRID, DyadicRectangle(cube(0, 1, 0), cube(1, 1, 1)))])
     F = np.ones(GRID.shape, dtype=bool)
-    out = coefficient_duality_check(F, [r], {r: 1.0}, {r: 1.0}, ZERO, GRID)
+    out = coefficient_duality_check(F, ids, np.ones(1), np.ones(1), ZERO, GRID)
     assert abs(out["lhs"] - 1.0) < 1e-12
     # report side: single-coefficient family has norm |R|^{-1/2}, and the
     # square-sum mass integrates to |R|^{1/2}
@@ -512,10 +582,10 @@ def test_duality_single_rectangle_closed_value():
 
 
 def test_duality_density_precondition_rejected():
-    r = DyadicRectangle(cube(0, 1, 0), cube(1, 1, 1))
+    ids = np.array([_rect_id(GRID, DyadicRectangle(cube(0, 1, 0), cube(1, 1, 1)))])
     F = np.zeros(GRID.shape, dtype=bool)
     with pytest.raises(ValueError):
-        coefficient_duality_check(F, [r], {r: 1.0}, {r: 1.0}, ZERO, GRID)
+        coefficient_duality_check(F, ids, np.ones(1), np.ones(1), ZERO, GRID)
 
 
 def test_duality_fuzz_family_uniform_constant():
@@ -527,14 +597,32 @@ def test_duality_fuzz_family_uniform_constant():
         F = np.ones(GRID.shape, dtype=bool)
         if trial % 2:
             F[rng.integers(0, GRID.shape[0]), :] = False
-        pool = [r for r in rects if F[r.index()].mean() >= 0.99]
-        sel = [pool[i] for i in rng.choice(len(pool), size=min(12, len(pool)), replace=False)]
-        a = {r: float(rng.standard_normal()) for r in sel}
-        b = {r: float(rng.standard_normal()) for r in sel}
+        pool = np.array([i for i, r in enumerate(rects) if F[r.index()].mean() >= 0.99])
+        sel = pool[rng.choice(len(pool), size=min(12, len(pool)), replace=False)]
+        a = rng.standard_normal(len(sel))
+        b = rng.standard_normal(len(sel))
         out = coefficient_duality_check(F, sel, a, b, ZERO, GRID, density=0.99)
         if out["rhs"] > 0:
             worst = max(worst, out["ratio"])
     assert worst < 3.0
+
+
+DUALITY_GRIDS = [(3, (1, 1), range(1, 21), 12), (2, (1, 1), range(1, 6), 30),
+                 (4, (1, 1), range(1, 4), 12), (2, (2, 1), range(1, 6), 30)]
+
+
+@pytest.mark.parametrize("level,dims,seeds,instances", DUALITY_GRIDS,
+                         ids=["L3", "L2", "L4", "L2-dims21"])
+def test_duality_arrays_match_dict_keyed_oracle_bit_for_bit(level, dims, seeds, instances):
+    from dyadlab.harness import ExperimentConfig, duality_suite
+
+    grid = TorusGrid.make(level, dims)
+    for seed in seeds:
+        worst, cases = _duality_suite_reference(grid, seed, instances)
+        for ids, a, b, F, om, want in cases:
+            assert coefficient_duality_check(F, ids, a, b, om, grid) == want
+        cfg = ExperimentConfig(seed=seed, level=level, dims=list(dims), suite="duality")
+        assert duality_suite(cfg, instances=instances).rows[0].value == worst
 
 
 # -- weak type machinery -----------------------------------------------------------------

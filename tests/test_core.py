@@ -380,6 +380,33 @@ def test_cube_cells_come_from_one_read_only_table():
     assert a.cells().base is b.cells().base
 
 
+@pytest.mark.parametrize("levels, dims", [(2, (1, 1)), (3, (1, 1)), (2, (2, 1))])
+def test_rectangle_ids_follow_all_rectangles(levels, dims):
+    # id k is the k-th rectangle of all_rectangles: same cells, same measure,
+    # and a shifted copy keeps its id
+    from dyadlab.core import all_axis_cubes, all_rectangles, rect_table
+
+    grid = TorusGrid.make(levels, dims)
+    rng = np.random.default_rng(levels)
+    for om in (GridShift.zero(grid), sample_shift(grid, rng)):
+        table = rect_table(grid, om)
+        rects = list(all_rectangles(grid, om))
+        assert len(table.masks1) * len(table.masks2) == len(rects)
+        masks = table.masks(np.arange(len(rects)))
+        for mask, rect in zip(masks, rects):
+            want = np.zeros(grid.shape, dtype=bool)
+            want[rect.index()] = True
+            assert np.array_equal(mask.reshape(grid.shape), want)
+            assert mask.sum() * grid.cell_volume == rect.measure
+        cubes1 = list(all_axis_cubes(grid.axes[0], om.shift1))
+        cubes2 = list(all_axis_cubes(grid.axes[1], om.shift2))
+        i1, i2 = np.array([0, 2, 3]), np.array([1, len(cubes2) - 1])
+        want = [DyadicRectangle(cubes1[a], cubes2[b]) for a in i1 for b in i2]
+        assert [rects[k] for k in table.ids(i1, i2)] == want
+    with pytest.raises(ValueError):
+        table.masks1[0, 0] = False
+
+
 @pytest.mark.parametrize("dim, levels", [(1, 3), (2, 2)])
 def test_window_tables_are_the_cubes_of_all_shifts(dim, levels):
     from dyadlab.core import cell_tables

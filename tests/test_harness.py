@@ -18,7 +18,6 @@ from dyadlab.harness import (
     ConfigError,
     ExperimentConfig,
     Report,
-    _rect_densities,
     duality_suite,
     emit_plotdata,
     identity_suite,
@@ -26,7 +25,7 @@ from dyadlab.harness import (
     run_suite,
     weight_catalog,
 )
-from dyadlab.core import GridShift, TorusGrid, all_rectangles, sample_shift
+from dyadlab.core import GridShift, TorusGrid, all_rectangles, rect_table, sample_shift
 from dyadlab.measures import ap_characteristic
 from dyadlab.representation import KernelTensor
 
@@ -258,13 +257,13 @@ def test_config_dims_by_suite():
 
 
 def test_rect_densities_match_per_rectangle_means():
-    # the duality pool: one gather per level pair, in all_rectangles order
+    # the duality pool: one density per rectangle id, in all_rectangles order
     rng = np.random.default_rng(4)
     for grid in (TorusGrid.make(2), TorusGrid.make(3), TorusGrid.make(3, (2, 1))):
         for om in (GridShift.zero(grid), sample_shift(grid, rng)):
             F = rng.random(grid.shape) > 0.2
             want = [F[r.index()].mean() for r in all_rectangles(grid, om)]
-            assert np.array_equal(_rect_densities(F, om), want)
+            assert np.array_equal(rect_table(grid, om).densities(F), want)
 
 
 def test_cli_runs_as_package_module(tmp_path):

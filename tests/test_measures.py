@@ -23,10 +23,13 @@ from dyadlab.core import (
     enumerate_axis_shifts,
     enumerate_shifts,
     outer,
+    rect_table,
     sample_shift,
 )
 from dyadlab.measures import (
     Weight,
+    _bit_containment,
+    _bit_rows,
     _lower_levels,
     ainfty_characteristic,
     ap_characteristic,
@@ -234,8 +237,8 @@ def test_product_search_matches_per_set_containment(grid):
         om = sample_shift(grid, rng)
         rects = list(all_rectangles(grid, om))
         pick = rng.choice(len(rects), size=min(30, len(rects)), replace=False)
-        coeffs = {rects[i]: float(rng.standard_normal()) for i in pick}
-        reps = [(sequence_product_bmo(grid, coeffs, om), list(coeffs.items()))]
+        coeffs = rng.standard_normal(len(pick))
+        reps = [(sequence_product_bmo(grid, pick, coeffs, om), [(rects[i], c) for i, c in zip(pick, coeffs)])]
         # the function version: every cancellative Haar pair, rectangles repeat when dim >= 2
         b = rand_f(trial, grid)
         b1, b2 = AxisBasis(grid.axes[0], om.shift1), AxisBasis(grid.axes[1], om.shift2)
@@ -252,8 +255,38 @@ def test_product_search_matches_per_set_containment(grid):
 
 
 def test_product_search_empty_family():
-    rep = sequence_product_bmo(GRID, {}, GridShift.zero(GRID))
+    rep = sequence_product_bmo(GRID, np.array([], dtype=int), np.array([]), GridShift.zero(GRID))
     assert (rep.family_value, rep.single_rectangle, rep.n_sets) == (0.0, 0.0, 0)
+
+
+BIT_GRIDS = [TorusGrid.make(2), GRID, TorusGrid.make(4), TorusGrid.make(2, (2, 1))]
+
+
+@pytest.mark.parametrize("grid", BIT_GRIDS, ids=["L2", "L3", "L4", "L2-dims21"])
+def test_bit_containment_matches_boolean_product(grid):
+    # every rectangle of a shifted lattice against rectangles, unions and
+    # random sets: (S & R) == R on packed rows is the boolean product
+    rng = np.random.default_rng(23)
+    table = rect_table(grid, sample_shift(grid, rng))
+    masks = table.masks(np.arange(len(table.masks1) * len(table.masks2)))
+    pairs = rng.choice(len(masks), size=(40, 2))
+    sets = np.vstack([masks, masks[pairs[:, 0]] | masks[pairs[:, 1]], rng.random((40, masks.shape[1])) < 0.9])
+    for rects in (masks, masks[:0]):
+        for family in (sets, sets[:0]):
+            want = ~((~family) @ rects.T)
+            assert np.array_equal(_bit_containment(_bit_rows(family), _bit_rows(rects)), want.T)
+    assert np.array_equal(np.bitwise_count(_bit_rows(sets)).sum(axis=1), sets.sum(axis=1))
+
+
+@pytest.mark.parametrize("width", [1, 8, 63, 64, 65, 100, 200])
+def test_bit_rows_pad_to_whole_words(width):
+    rng = np.random.default_rng(width)
+    sets = rng.random((30, width)) < 0.8
+    rects = rng.random((20, width)) < 0.1
+    rows = _bit_rows(sets)
+    assert rows.dtype == np.uint64 and rows.shape == (30, -(-width // 64))
+    assert np.array_equal(np.bitwise_count(rows).sum(axis=1), sets.sum(axis=1))
+    assert np.array_equal(_bit_containment(rows, _bit_rows(rects)), ~((~sets) @ rects.T).T)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
