@@ -167,7 +167,9 @@ class GridShift:
     shift2: AxisShift
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(grid: TorusGrid) -> "GridShift":
+        """The unshifted lattice, built once per grid (the shift is frozen)."""
         return GridShift(AxisShift.zero(grid.axes[0]), AxisShift.zero(grid.axes[1]))
 
     def __getitem__(self, k: int) -> AxisShift:
@@ -175,8 +177,10 @@ class GridShift:
 
 
 def sample_axis_shift(axis: Axis, rng: np.random.Generator) -> AxisShift:
-    bits = tuple(tuple(int(b) for b in rng.integers(0, 2, size=axis.dim)) for _ in range(axis.levels))
-    return AxisShift(axis, bits)
+    # one draw for all levels takes the same values from the stream as one
+    # draw per level: each bit is one 64-bit draw, never rejected
+    bits = rng.integers(0, 2, size=(axis.levels, axis.dim))
+    return AxisShift(axis, tuple(map(tuple, bits.tolist())))
 
 
 def sample_shift(grid: TorusGrid, rng: np.random.Generator) -> GridShift:

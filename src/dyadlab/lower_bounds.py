@@ -84,7 +84,7 @@ def find_nondegenerate_partner(kernel: BilinearKernel, rect: DyadicRectangle,
     st = (1, 1) if stride is None else tuple(stride)
     key = (rect, C0, st)
     if key not in kernel._partners:
-        kernel._partners[key] = _search_partner(kernel, rect, C0, st)
+        [kernel._partners[key]] = _search_partners(kernel, [rect], C0, st)
     found = kernel._partners[key]
     if found is None:
         raise ValueError("no separated partner exists at this scale")
@@ -96,60 +96,102 @@ def find_nondegenerate_partner(kernel: BilinearKernel, rect: DyadicRectangle,
 _POOL_POINTS = 1 << 16
 
 
-def _search_partner(kernel: BilinearKernel, rect: DyadicRectangle, C0: float,
-                    stride: tuple[int, int]) -> dict | None:
-    c1, c2 = rect.cube1, rect.cube2
-    if c1.axis.dim != 1 or c2.axis.dim != 1:
+def _search_partners(kernel: BilinearKernel, rects: list[DyadicRectangle], C0: float,
+                     stride: tuple[int, int]) -> list[dict | None]:
+    """The partner of every rectangle, as `find_nondegenerate_partner`
+    describes it, or None where no separated candidate exists.
+
+    Rectangles with the same widths and the same number of candidate starts
+    per axis share one candidate table: one kernel call scores all their
+    candidates, one sort orders them, and the first-eight and all-candidate
+    passes each run over the whole group, in batches of `_POOL_POINTS`."""
+    if any(r.cube1.axis.dim != 1 or r.cube2.axis.dim != 1 for r in rects):
         # candidates are runs of cells along one coordinate
         raise NotImplementedError("the partner search runs on 1-d factors")
-    n1s, n2s = c1.axis.n_side, c2.axis.n_side
-    w1, w2 = c1.width_cells, c2.width_cells
-    need1 = int(math.ceil(C0 * w1))
-    need2 = int(math.ceil(C0 * w2))
-    if 2 * need1 + 2 * w1 > n1s or 2 * need2 + 2 * w2 > n2s:
-        return None
+    out: list[dict | None] = [None] * len(rects)
+    n1s, n2s = (axis.n_side for axis in kernel.grid.axes)
+    w = np.array([(r.cube1.width_cells, r.cube2.width_cells) for r in rects]).reshape(-1, 2)
+    need = np.ceil(C0 * w).astype(int)
+    fit = np.flatnonzero((2 * need + 2 * w <= (n1s, n2s)).all(axis=1))
+    w, need = w[fit], need[fit]
+    cells1 = [rects[i].cube1.cells() for i in fit]
+    cells2 = [rects[i].cube2.cells() for i in fit]
+    # a 1-d cube's cells are a wrapped run from its start cell
+    s = np.array([(a[0], b[0]) for a, b in zip(cells1, cells2)]).reshape(-1, 2)
 
-    def starts(n, st, s, w, need):
-        o = np.arange(0, n, st)
-        gap = np.minimum((o - (s + w)) % n, (s - (o + w)) % n)
-        return o[gap >= need]
+    def starts(t, n):
+        # the candidate starts on axis t, and which of them each rectangle may use
+        o = np.arange(0, n, stride[t])
+        gap = np.minimum((o - (s[:, t, None] + w[:, t, None])) % n,
+                         (s[:, t, None] - (o + w[:, t, None])) % n)
+        return o, gap >= need[:, t, None]
 
-    o1 = starts(n1s, stride[0], c1.start_cells()[0], w1, need1)
-    o2 = starts(n2s, stride[1], c2.start_cells()[0], w2, need2)
-    if not len(o1) or not len(o2):
-        return None
-    o1, o2 = (o.ravel() for o in np.meshgrid(o1, o2, indexing="ij"))
-    y = np.add.outer(c1.cells() * kernel.n2, c2.cells()).ravel()
-    ymid = y[len(y) // 2]
-    mid = ((o1 + w1 // 2) % n1s) * kernel.n2 + (o2 + w2 // 2) % n2s
-    cval = kernel.eval_cells(mid, ymid, ymid)
-    # descending (|c|, c, o1, o2), as sorting those tuples in reverse
-    order = np.lexsort((o2, o1, cval, np.abs(cval)))[::-1]
+    (o1, ok1), (o2, ok2) = starts(0, n1s), starts(1, n2s)
+    m1, m2 = ok1.sum(axis=1), ok2.sum(axis=1)
+    groups: dict[tuple, list[int]] = {}
+    for j in np.flatnonzero((m1 > 0) & (m2 > 0)).tolist():
+        groups.setdefault((*w[j].tolist(), int(m1[j]), int(m2[j])), []).append(j)
+    for (w1, w2, k1, k2), js in groups.items():
+        g1 = o1[np.nonzero(ok1[js])[1]].reshape(len(js), k1)
+        g2 = o2[np.nonzero(ok2[js])[1]].reshape(len(js), k2)
+        y = np.add(np.stack([cells1[j] for j in js])[:, :, None] * kernel.n2,
+                   np.stack([cells2[j] for j in js])[:, None, :]).reshape(len(js), -1)
+        found = _search_group(kernel, [rects[fit[j]] for j in js], y, g1, g2, w1, w2)
+        for j, partner in zip(js, found):
+            out[fit[j]] = partner
+    return out
+
+
+def _search_group(kernel, rects, y, g1, g2, w1, w2):
+    """Partners of rectangles of widths (w1, w2) with flat cells y (R, w1 w2)
+    and candidate starts g1 (R, k1) and g2 (R, k2) per axis, rectangle by row."""
+    n1s, n2s = (axis.n_side for axis in kernel.grid.axes)
+    n2 = kernel.n2
+    R, k1, k2 = len(rects), g1.shape[1], g2.shape[1]
+    m = k1 * k2
+    # every rectangle's candidates as the rows of a (R, m) table, o1-major
+    o1 = np.repeat(g1, k2, axis=1).ravel()
+    o2 = np.tile(g2, (1, k1)).ravel()
+    ymid = y[:, y.shape[1] // 2, None]
+    mid = (((o1 + w1 // 2) % n1s) * n2 + (o2 + w2 // 2) % n2s).reshape(R, m)
+    cval = kernel.eval_cells(mid, ymid, ymid).ravel()
+    row = np.repeat(np.arange(R), m)
+    # per rectangle, descending (|c|, c, o1, o2), as sorting those tuples in reverse
+    order = np.lexsort((o2, o1, cval, np.abs(cval), row)).reshape(R, m)[:, ::-1]
     sigma = np.where(cval >= 0, 1.0, -1.0)
 
     def cells(o, w, n):
         return (o[..., None] + np.arange(w)) % n
 
-    def min_values(pool):
-        x = np.add(cells(o1[pool], w1, n1s)[:, :, None] * kernel.n2,
-                   cells(o2[pool], w2, n2s)[:, None, :]).reshape(len(pool), -1, 1)
-        vals = kernel.eval_cells(x, y, y)
-        return (sigma[pool, None, None] * vals).min(axis=(1, 2))
+    def min_values(cand):
+        # the worst signed kernel value of every candidate, by flat index
+        # into the (R, m) table
+        x = np.add(cells(o1[cand], w1, n1s)[:, :, None] * n2,
+                   cells(o2[cand], w2, n2s)[:, None, :]).reshape(len(cand), -1, 1)
+        yc = y[cand // m][:, None, :]
+        vals = kernel.eval_cells(x, yc, yc)
+        return (sigma[cand, None, None] * vals).min(axis=(1, 2))
 
     def full_eval(pool):
-        per = max(1, _POOL_POINTS // (w1 * w2 * len(y)))
-        lo = np.concatenate([min_values(pool[i:i + per]) for i in range(0, len(pool), per)])
-        b = int(np.argmax(lo))
-        return pool[b], float(lo[b])
+        # the first best candidate of every row of pool (rectangles x candidates)
+        flat = pool.ravel()
+        per = max(1, _POOL_POINTS // (w1 * w2 * y.shape[1]))
+        lo = np.concatenate([min_values(flat[i:i + per])
+                             for i in range(0, len(flat), per)]).reshape(pool.shape)
+        b = np.argmax(lo, axis=1)
+        at = np.arange(len(pool))
+        return pool[at, b], lo[at, b]
 
-    b, lo = full_eval(order[:8])
-    if lo <= 0 and len(order) > 8:
-        b, lo = full_eval(order)
-    cells1, cells2 = cells(o1[b], w1, n1s), cells(o2[b], w2, n2s)
+    best, lo = full_eval(order[:, :8])
+    redo = np.flatnonzero(lo <= 0)
+    if m > 8 and len(redo):
+        best[redo], lo[redo] = full_eval(order[redo])
+    cells1, cells2 = cells(o1[best], w1, n1s), cells(o2[best], w2, n2s)
     cells1.setflags(write=False)
     cells2.setflags(write=False)
-    return {"cells1": cells1, "cells2": cells2, "sigma": float(sigma[b]), "min_value": lo,
-            "lower_bound_constant": lo * rect.measure**2}
+    return [{"cells1": c1, "cells2": c2, "sigma": float(sg), "min_value": v,
+             "lower_bound_constant": v * r.measure**2}
+            for r, c1, c2, sg, v in zip(rects, cells1, cells2, sigma[best], lo.tolist())]
 
 
 def weighted_median(values: np.ndarray) -> float:
@@ -196,8 +238,14 @@ def _pair_groups(kernel: BilinearKernel, C0: float, max_rect_cells: int | None):
 
 
 def _build_pair_groups(kernel: BilinearKernel, C0: float, max_rect_cells: int | None):
+    rects = list(_base_rectangles(kernel.grid, max_rect_cells))
+    # one batched search for every partner not yet memoised; the loop below
+    # then reads each one from the memo
+    missing = [rect for rect in rects if (rect, C0, (1, 1)) not in kernel._partners]
+    for rect, found in zip(missing, _search_partners(kernel, missing, C0, (1, 1))):
+        kernel._partners[(rect, C0, (1, 1))] = found
     pairs = []
-    for rect in _base_rectangles(kernel.grid, max_rect_cells):
+    for rect in rects:
         try:
             pairs.append((rect, find_nondegenerate_partner(kernel, rect, C0)))
         except ValueError:

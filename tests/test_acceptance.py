@@ -125,7 +125,7 @@ def test_criterion_8_median_lower_bound():
     bands = [r for r in rep.rows if r.experiment == "gamma-band-drift"]
     assert bands
     assert ok
-    assert elapsed < 30.0
+    assert elapsed < 3.0
 
 
 def test_criterion_9_mixed_norm_consistency():

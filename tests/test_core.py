@@ -26,6 +26,7 @@ from dyadlab.core import (
     haar_evaluate,
     martingale_block,
     martingale_difference,
+    sample_axis_shift,
     sample_shift,
     truncated_projection,
 )
@@ -322,6 +323,26 @@ def test_expectation_reproducible():
     s1 = [sample_shift(grid, rng1) for _ in range(5)]
     s2 = [sample_shift(grid, rng2) for _ in range(5)]
     assert s1 == s2
+
+
+@pytest.mark.parametrize("levels, dim", [(3, 1), (4, 1), (5, 2), (2, 2), (7, 1)])
+def test_sample_axis_shift_matches_per_level_draws(levels, dim):
+    # one draw for all levels takes the same bits from the stream as one
+    # draw per level, and leaves the generator in the same state
+    axis = Axis(dim, levels)
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = tuple(tuple(int(b) for b in ref.integers(0, 2, size=dim)) for _ in range(levels))
+        assert sample_axis_shift(axis, rng).bits == want
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_zero_shift_built_once_per_grid():
+    for grid in (_grid(2), _grid(3), TorusGrid.make(3, (2, 1))):
+        zero = GridShift.zero(grid)
+        assert zero == GridShift(AxisShift.zero(grid.axes[0]), AxisShift.zero(grid.axes[1]))
+        assert GridShift.zero(TorusGrid(grid.axes)) is zero  # an equal grid shares it
+    assert GridShift.zero(_grid(2)) != GridShift.zero(_grid(3))
 
 
 def test_goodness_indicator_expectation_matches_enumeration():

@@ -163,28 +163,82 @@ def _partner_scan(kernel, rect, C0, stride):
 @pytest.mark.parametrize("L, every, specs, pool_points",
                          [(3, 1, ((1, 1), (2, 1)), 16), (4, 9, ((1, 2),), None)])
 def test_partner_search_matches_scan(L, every, specs, pool_points, monkeypatch):
-    if pool_points is not None:  # split every candidate pool into several batches
+    # every rectangle's partner three ways: one search per rectangle, one
+    # batched search over all of them, and the pair groups of all base
+    # rectangles.  On level 3, batches of 16 kernel points split the
+    # candidate pools of large rectangles, and batches of small rectangles'
+    # candidates span several rectangles.
+    if pool_points is not None:
         monkeypatch.setattr(lower_bounds, "_POOL_POINTS", pool_points)
     grid = TorusGrid.make(L)
-    rects = [r for r in all_rectangles(grid, GridShift.zero(grid))
-             if r.cube1.level and r.cube2.level][::every]
+    rects = list(lower_bounds._base_rectangles(grid))[::every]
     outcomes = set()
     for spec in (tensor_riesz(i, j) for i, j in specs):
-        K = BilinearKernel(grid, spec)
         for C0 in (1.0, 2.0):
+            pairs = dict(lower_bounds._pair_groups(BilinearKernel(grid, spec), C0, None)[0])
             for stride in ((1, 1), (2, 2)):
-                for r in rects:
+                K = BilinearKernel(grid, spec)
+                batched = lower_bounds._search_partners(BilinearKernel(grid, spec), rects, C0,
+                                                        stride)
+                for r, in_batch in zip(rects, batched):
                     want = _partner_scan(K, r, C0, stride)
                     outcomes.add(want is None)
                     if want is None:
+                        assert in_batch is None
+                        assert stride != (1, 1) or r not in pairs
                         with pytest.raises(ValueError):
                             find_nondegenerate_partner(K, r, C0, stride)
                         continue
-                    got = find_nondegenerate_partner(K, r, C0, stride)
-                    assert got.keys() == want.keys()
-                    for key, val in want.items():
-                        assert np.array_equal(got[key], val), (r, C0, stride, key)
+                    got = [find_nondegenerate_partner(K, r, C0, stride), in_batch]
+                    if stride == (1, 1):
+                        got.append(pairs[r])
+                    for partner in got:
+                        assert partner.keys() == want.keys()
+                        for key, val in want.items():
+                            assert np.array_equal(partner[key], val), (r, C0, stride, key)
     assert outcomes == {True, False}  # both found and missing partners were checked
+
+
+def test_batched_partner_search_independent_of_batch_size(monkeypatch):
+    # level 4 in batches of 16 kernel points against one batch per pass
+    grid = TorusGrid.make(4)
+    K = BilinearKernel(grid, tensor_riesz(2, 1))
+    rects = list(lower_bounds._base_rectangles(grid))[::7]
+    cases = [(C0, stride) for C0 in (1.0, 2.0) for stride in ((1, 1), (2, 2))]
+    whole = [lower_bounds._search_partners(K, rects, C0, stride) for C0, stride in cases]
+    monkeypatch.setattr(lower_bounds, "_POOL_POINTS", 16)
+    for (C0, stride), want in zip(cases, whole):
+        got = lower_bounds._search_partners(K, rects, C0, stride)
+        assert [p is None for p in got] == [p is None for p in want]
+        for g, w in zip(got, want):
+            assert w is None or all(np.array_equal(g[key], val) for key, val in w.items())
+    assert any(p is None for p in whole[-1]) and any(p is not None for p in whole[-1])
+
+
+def test_pair_groups_search_each_partner_once(monkeypatch):
+    # one batched search fills the memo with every base rectangle under the
+    # cap; a larger cap searches only the rectangles it adds, and the chain
+    # check reads the memo
+    batches = []
+
+    def search(kernel, rects, C0, stride):
+        batches.append(len(rects))
+        return _search_partners(kernel, rects, C0, stride)
+
+    _search_partners = lower_bounds._search_partners
+    monkeypatch.setattr(lower_bounds, "_search_partners", search)
+    K = BilinearKernel(GRID, tensor_riesz(1, 1))
+    b = log_symbol(GRID)
+    bmo_lower_bound(K, b, 1, 1.0, 1, 0, 1.0, max_rect_cells=8, seed=2)
+    small = list(lower_bounds._base_rectangles(GRID, 8))
+    assert set(K._partners) == {(r, 1.0, (1, 1)) for r in small}
+    assert batches == [len(small)]
+    pointwise_chain_check(K, b, rect(3, 5, 3, 2), 1.0, 1, 1, 0)
+    assert len(K._partners) == len(small) and len(batches) == 1
+    bmo_lower_bound(K, b, 1, 1.0, 1, 0, 1.0, max_rect_cells=16, seed=2)
+    large = list(lower_bounds._base_rectangles(GRID, 16))
+    assert set(K._partners) == {(r, 1.0, (1, 1)) for r in large}
+    assert batches == [len(small), len(large) - len(small)]
 
 
 def test_partner_memo_returns_fresh_read_only_copies():
