@@ -42,8 +42,12 @@ def _run_named(args, suites: list[str]) -> int:
         cfg = _base_config(args, name)
         report = run_suite(cfg)
         path = report.write(cfg.out_dir, cfg.fmt)
-        n_fail = sum(not r.passed for r in report.rows)
-        print(f"{name}: {len(report.rows)} rows, {n_fail} failures -> {path}")
+        failed = [r for r in report.rows if not r.passed]
+        print(f"{name}: {len(report.rows)} rows, {len(failed)} failures -> {path}")
+        for r in failed:
+            margin = f" (value/bound {r.value / r.bound:.4g})" if r.bound else ""
+            print(f"{name}: FAILED {r.experiment} {r.cell}: value {r.value!r}, bound {r.bound!r}{margin}",
+                  file=sys.stderr)
         ok = ok and report.all_passed
     return 0 if ok else 1
 

@@ -239,17 +239,15 @@ def _pair_groups(kernel: BilinearKernel, C0: float, max_rect_cells: int | None):
 
 def _build_pair_groups(kernel: BilinearKernel, C0: float, max_rect_cells: int | None):
     rects = list(_base_rectangles(kernel.grid, max_rect_cells))
-    # one batched search for every partner not yet memoised; the loop below
-    # then reads each one from the memo
-    missing = [rect for rect in rects if (rect, C0, (1, 1)) not in kernel._partners]
-    for rect, found in zip(missing, _search_partners(kernel, missing, C0, (1, 1))):
-        kernel._partners[(rect, C0, (1, 1))] = found
-    pairs = []
-    for rect in rects:
-        try:
-            pairs.append((rect, find_nondegenerate_partner(kernel, rect, C0)))
-        except ValueError:
-            continue
+    # one lookup per key (its hash walks the rectangle's nested bit tuples):
+    # each partner comes from the memo or from one batched search of the rest
+    keys = [(rect, C0, (1, 1)) for rect in rects]
+    unsearched = object()
+    partners = [kernel._partners.get(key, unsearched) for key in keys]
+    missing = [n for n, found in enumerate(partners) if found is unsearched]
+    for n, found in zip(missing, _search_partners(kernel, [rects[n] for n in missing], C0, (1, 1))):
+        kernel._partners[keys[n]] = partners[n] = found
+    pairs = [(rect, dict(found)) for rect, found in zip(rects, partners) if found is not None]
     rows: dict[int, list] = {}
     for i, (rect, partner) in enumerate(pairs):
         y = np.add.outer(rect.cube1.cells() * kernel.n2, rect.cube2.cells()).ravel()

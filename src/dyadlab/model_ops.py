@@ -1,8 +1,9 @@
 """The three dyadic model operator families and one-parameter paraproducts.
 
-Shifts, partial paraproducts and full paraproducts are stored as explicit
-coefficient maps over common-ancestor keys, with the normalisations enforced
-at build time: shift coefficients are capped by
+Shifts and partial paraproducts are stored as a table of common-ancestor
+keys plus the coefficient blocks or symbol profiles stacked in key order,
+full paraproducts as one coefficient array, with the normalisations
+enforced at build time: shift coefficients are capped by
 (|I1||I2||I3|)^(1/2)/|K|^2 * (|J1||J2||J3|)^(1/2)/|V|^2, partial-paraproduct
 symbols by the same one-axis cap in BMO, and full-paraproduct coefficient
 families by their rectangle-square-sum oscillation report.
@@ -187,6 +188,47 @@ class _Plan(NamedTuple):
         return cls(coeffs, rows)
 
 
+def _frozen_rows(a, dtype, row_shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A read-only C-ordered copy of `a`, one row of shape `row_shape` per
+    key (no rows may also come as an empty list)."""
+    a = np.array(a, dtype=dtype, order="C")
+    if a.size == 0:
+        a = a.reshape((0,) + row_shape)
+    if a.shape[1:] != row_shape:
+        raise ValueError(f"{what} have the wrong shape")
+    a.setflags(write=False)
+    return a
+
+
+def _check_keys(keys: np.ndarray, cubes: list, depths: tuple[int, ...] = ()) -> None:
+    """Raise ValueError unless each key is one (level, position) pair per
+    entry (axis, slot depths, averaged slot) of `cubes`, naming a cube of the
+    axis whose slot cubes stay on it (cancellative slots need children, the
+    averaged one only the cube itself), then one child index per entry of
+    `depths`, in [0, 2^depth), and no key repeats."""
+    n, u = 2 * len(cubes), keys.view(np.uint64)  # negative entries read as huge ones
+    tops = [min(ax.levels - (s != o) - d for s, d in enumerate(ds, start=1)) for ax, ds, o in cubes]
+    if ((u[:, 0:n:2] > np.array(tops)).any() or (u[:, 1:n:2] >> u[:, 0:n:2]).any()
+            or depths and (u[:, n:] >> np.array(depths, dtype=np.uint64)).any()):
+        raise ValueError("a key names a cube outside the lattice, or slot cubes below its resolution")
+    if len(set(map(tuple, keys.tolist()))) < len(keys):
+        raise ValueError("a key repeats")
+
+
+@lru_cache(maxsize=256)
+def _axis_caps(depths: tuple[int, ...]) -> np.ndarray:
+    # every level whose positions fit in an int64
+    return np.array([2.0 ** (-(3 * level + sum(depths)) / 2.0) * 2.0 ** (2 * level) for level in range(64)])
+
+
+def axis_cap(depths: tuple[int, int, int], levels) -> np.ndarray:
+    """(|I1||I2||I3|)^(1/2)/|K|^2 for cubes K at `levels` (an int or an
+    array) with slot cubes depths[s] levels below K: one axis's factor of
+    the shift cap, and the partial-paraproduct cap.  The formula runs per
+    level in Python floats, so a cap has the same bits in any array."""
+    return _axis_caps(tuple(depths))[levels]
+
+
 # ---------------------------------------------------------------------------
 # bilinear bi-parameter shifts
 # ---------------------------------------------------------------------------
@@ -196,10 +238,10 @@ class ShiftOperator:
     """Shift of complexity (k, v) with the non-cancellative slot per axis
     given by `pattern` (one of the nine types).
 
-    coeffs maps ((K_level, K_pos), (V_level, V_pos)) to a dense block of
-    shape (2^k1, 2^k2, 2^k3, 2^v1, 2^v2, 2^v3) indexed by descendant order.
-    The first evaluation caches a gather plan of the coefficients, so they
-    must not change after it.
+    keys holds a row (K level, K position, V level, V position) per block,
+    blocks the blocks in key order, shape (keys, 2^k1, 2^k2, 2^k3, 2^v1,
+    2^v2, 2^v3), each indexed by descendant order; both are read-only
+    copies.  The first evaluation caches the keys' row indices.
     """
 
     grid: TorusGrid
@@ -207,37 +249,30 @@ class ShiftOperator:
     k: tuple[int, int, int]
     v: tuple[int, int, int]
     pattern: tuple[int, int]
-    coeffs: dict
+    keys: np.ndarray
+    blocks: np.ndarray
 
     def __post_init__(self):
         if not (self.pattern[0] in (1, 2, 3) and self.pattern[1] in (1, 2, 3)):
             raise ValueError("pattern names the non-cancellative slot per axis")
+        self.keys = _frozen_rows(self.keys, np.int64, (4,), "keys")
+        self.blocks = _frozen_rows(self.blocks, float, tuple(1 << d for d in self.k + self.v), "blocks")
         self.validate()
 
     # -- structural cap -------------------------------------------------------
-    def cap(self, k_level: int, v_level: int) -> float:
-        s1 = sum(self.k)
-        s2 = sum(self.v)
-        c1 = 2.0 ** (-(3 * k_level + s1) / 2.0) * 2.0 ** (2 * k_level)
-        c2 = 2.0 ** (-(3 * v_level + s2) / 2.0) * 2.0 ** (2 * v_level)
-        return c1 * c2
+    @staticmethod
+    def cap(k: tuple[int, int, int], v: tuple[int, int, int], k_levels, v_levels) -> np.ndarray:
+        """The size cap (|I1||I2||I3|)^(1/2)/|K|^2 * (|J1||J2||J3|)^(1/2)/|V|^2
+        at K levels `k_levels` and V levels `v_levels` (ints or arrays)."""
+        return axis_cap(k, k_levels) * axis_cap(v, v_levels)
 
     def validate(self) -> None:
-        L1, L2 = self.grid.axes[0].levels, self.grid.axes[1].levels
-        for (kk, vv), block in self.coeffs.items():
-            shape = tuple(1 << d for d in self.k) + tuple(1 << d for d in self.v)
-            if block.shape != shape:
-                raise ValueError("coefficient block has the wrong shape")
-            for slot in (1, 2, 3):
-                # cancellative slots need children; the averaged slot only
-                # needs the cube itself
-                room1 = L1 if self.pattern[0] == slot else L1 - 1
-                room2 = L2 if self.pattern[1] == slot else L2 - 1
-                if kk[0] + self.k[slot - 1] > room1 or vv[0] + self.v[slot - 1] > room2:
-                    raise ValueError("slot cubes fall below the resolution")
-            cap = self.cap(kk[0], vv[0])
-            if np.abs(block).max() > cap * (1 + 1e-9):
-                raise NormalizationError("shift coefficient exceeds the size cap")
+        if len(self.keys) != len(self.blocks):
+            raise ValueError("one coefficient block per key")
+        _check_keys(self.keys, list(zip(self.grid.axes, (self.k, self.v), self.pattern)))
+        caps = self.cap(self.k, self.v, self.keys[:, 0], self.keys[:, 2])
+        if (np.abs(self.blocks).max(axis=(1, 2, 3, 4, 5, 6)) > caps * (1 + 1e-9)).any():
+            raise NormalizationError("shift coefficient exceeds the size cap")
 
     # -- evaluation -----------------------------------------------------------
     def _slot_rows(self, slot: int) -> tuple[str, str]:
@@ -247,21 +282,18 @@ class ShiftOperator:
 
     @cached_property
     def _plan(self) -> _Plan:
-        """Built on the first evaluation; the coefficients are fixed from
-        then on.  rows[s] holds each key's (2^k, 2^v) slot-s row indices."""
+        """Built on the first evaluation: the blocks, and rows[s] with each
+        key's (2^k, 2^v) slot-s row indices."""
         o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
         o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
-        shape = tuple(1 << d for d in self.k) + tuple(1 << d for d in self.v)
-        blocks = np.array(list(self.coeffs.values())).reshape((len(self.coeffs),) + shape)
-        # K level, K position, V level, V position of every key
-        keys = np.array(list(self.coeffs), dtype=int).reshape(-1, 4).T
+        keys = self.keys.T
         kinds = [self._slot_rows(s) for s in (1, 2, 3)]
         rows = tuple(
             (o1.descendant_rows(k1, keys[0], keys[1], self.k[s]),
              o2.descendant_rows(k2, keys[2], keys[3], self.v[s]))
             for s, (k1, k2) in enumerate(kinds)
         )
-        return _Plan.frozen(blocks, rows)
+        return _Plan.frozen(self.blocks, rows)
 
     def _gather(self, tables) -> list[np.ndarray]:
         """Per slot, the (keys, 2^k, 2^v) entries of its table (over its
@@ -325,11 +357,8 @@ class ShiftOperator:
         v = tuple(self.v[perm2[i]] for i in range(3))
         p1 = _permute_pattern(self.pattern[0], perm1)
         p2 = _permute_pattern(self.pattern[1], perm2)
-        coeffs = {}
-        for key, block in self.coeffs.items():
-            axes = tuple(perm1[i] for i in range(3)) + tuple(3 + perm2[i] for i in range(3))
-            coeffs[key] = np.transpose(block, axes)
-        return ShiftOperator(self.grid, self.shift, k, v, (p1, p2), coeffs)
+        axes = (0,) + tuple(1 + perm1[i] for i in range(3)) + tuple(4 + perm2[i] for i in range(3))
+        return ShiftOperator(self.grid, self.shift, k, v, (p1, p2), self.keys, np.transpose(self.blocks, axes))
 
     # -- serialization ------------------------------------------------------------
     def to_payload(self) -> dict:
@@ -340,26 +369,17 @@ class ShiftOperator:
             "v": list(self.v),
             "grid": _grid_payload(self.grid),
             "shift": _shift_payload(self.shift),
-            "records": [
-                {"key": [list(kk), list(vv)],
-                 "block": [x.hex() for x in block.ravel().tolist()]}
-                for (kk, vv), block in sorted(self.coeffs.items())
-            ],
+            "records": _records(self.keys, self.blocks, "block"),
         }
 
     @staticmethod
     def from_payload(payload: dict) -> "ShiftOperator":
         grid = _grid_from_payload(payload["grid"])
         om = _shift_from_payload(payload["shift"], grid)
-        k = tuple(payload["k"])
-        v = tuple(payload["v"])
-        shape = tuple(1 << d for d in k) + tuple(1 << d for d in v)
-        coeffs = {}
-        for rec in payload["records"]:
-            kk, vv = rec["key"]
-            block = np.array([float.fromhex(x) for x in rec["block"]]).reshape(shape)
-            coeffs[(tuple(kk), tuple(vv))] = block
-        return ShiftOperator(grid, om, k, v, tuple(payload["pattern"]), coeffs)
+        k, v = tuple(payload["k"]), tuple(payload["v"])
+        keys, blocks = _record_rows(payload["records"], "block")
+        return ShiftOperator(grid, om, k, v, tuple(payload["pattern"]), keys,
+                             np.reshape(blocks, (len(blocks),) + tuple(1 << d for d in k + v)))
 
 
 def _slot_permutation(swap: int | None) -> tuple[int, int, int]:
@@ -438,12 +458,12 @@ def one_param_paraproduct(
 class PartialParaproduct:
     """Shift structure on one axis, paraproduct structure on the other.
 
-    symbols maps ((K_level, K_pos), (i1, i2, i3)) to a profile over the
-    paraproduct axis cells, where i1..i3 index descendants of K at depths
-    k1..k3.  The non-cancellative slot of the shift axis is `h0_slot`; the
+    keys holds a row (K level, K position, i1, i2, i3) per symbol, where
+    i1..i3 index descendants of K at depths k1..k3, profiles the symbols in
+    key order, each over the paraproduct axis cells; both are read-only
+    copies.  The non-cancellative slot of the shift axis is `h0_slot`; the
     paraproduct pairs slot `ptype` with the Haar function.  The first
-    evaluation caches a gather plan of the symbols, so they must not change
-    after it.
+    evaluation caches the keys' row indices.
     """
 
     grid: TorusGrid
@@ -452,33 +472,27 @@ class PartialParaproduct:
     k: tuple[int, int, int]
     h0_slot: int
     ptype: int
-    symbols: dict
+    keys: np.ndarray
+    profiles: np.ndarray
 
     def __post_init__(self):
+        self.keys = _frozen_rows(self.keys, np.int64, (5,), "keys")
+        self.profiles = _frozen_rows(self.profiles, float, (self.grid.axes[self.para_axis].n_cells,), "profiles")
         self.validate()
 
     @property
     def para_axis(self) -> int:
         return 1 - self.shift_axis
 
-    def cap(self, k_level: int) -> float:
-        return 2.0 ** (-(3 * k_level + sum(self.k)) / 2.0) * 2.0 ** (2 * k_level)
+    cap = staticmethod(axis_cap)  # the BMO cap of a symbol: (k, K levels)
 
     def validate(self) -> None:
-        axis = self.grid.axes[self.shift_axis]
-        paxis = self.grid.axes[self.para_axis]
-        for (kk, _), prof in self.symbols.items():
-            for slot in (1, 2, 3):
-                room = axis.levels if slot == self.h0_slot else axis.levels - 1
-                if kk[0] + self.k[slot - 1] > room:
-                    raise ValueError("slot cubes fall below the resolution")
-            if len(prof) != paxis.n_cells:
-                raise ValueError("symbol profile has the wrong length")
-        if self.symbols:
-            bmo = axis_profile_bmo(np.stack(list(self.symbols.values())), paxis)
-            caps = np.array([self.cap(kk[0]) for kk, _ in self.symbols])
-            if (bmo > caps * (1 + 1e-9)).any():
-                raise NormalizationError("partial paraproduct symbol exceeds the BMO cap")
+        if len(self.keys) != len(self.profiles):
+            raise ValueError("one symbol profile per key")
+        _check_keys(self.keys, [(self.grid.axes[self.shift_axis], self.k, self.h0_slot)], self.k)
+        bmo = axis_profile_bmo(self.profiles, self.grid.axes[self.para_axis])
+        if (bmo > self.cap(self.k, self.keys[:, 0]) * (1 + 1e-9)).any():
+            raise NormalizationError("partial paraproduct symbol exceeds the BMO cap")
 
     def _ops(self) -> tuple[AxisOps, AxisOps]:
         s = (self.shift.shift1, self.shift.shift2)
@@ -497,17 +511,15 @@ class PartialParaproduct:
 
     @cached_property
     def _plan(self) -> _Plan:
-        """Built on the first evaluation; the symbols are fixed from then on.
-        coeffs holds the Haar coefficients of each key's symbol and rows[s]
-        each key's slot-s row on the shift axis."""
+        """Built on the first evaluation: coeffs holds each symbol's Haar
+        coefficients and rows[s] each key's slot-s row on the shift axis."""
         sops, pops = self._ops()
-        profs = np.array(list(self.symbols.values())).reshape(len(self.symbols), pops.axis.n_cells)
-        coeffs = profs @ (pops.haar * pops.axis.cell_volume).T
+        coeffs = self.profiles @ (pops.haar * pops.axis.cell_volume).T
         # K level, K position, then the descendant index of each slot
-        keys = np.array([kk + idx for kk, idx in self.symbols], dtype=int).reshape(-1, 5).T
+        keys = self.keys.T
         rows = tuple(
             (sops.descendant_rows(self._slot_rows(s)[self.shift_axis], keys[0], keys[1], self.k[s - 1])[
-                np.arange(len(self.symbols)), keys[1 + s]],)
+                np.arange(len(self.keys)), keys[1 + s]],)
             for s in (1, 2, 3)
         )
         return _Plan.frozen(coeffs, rows)
@@ -570,10 +582,8 @@ class PartialParaproduct:
         k = tuple(self.k[perm[i]] for i in range(3))
         h0 = _permute_pattern(self.h0_slot, perm)
         pt = _permute_pattern(self.ptype, perm)
-        symbols = {}
-        for (kk, idx), prof in self.symbols.items():
-            symbols[(kk, tuple(idx[perm[i]] for i in range(3)))] = prof
-        return PartialParaproduct(self.grid, self.shift, self.shift_axis, k, h0, pt, symbols)
+        keys = self.keys[:, [0, 1, 2 + perm[0], 2 + perm[1], 2 + perm[2]]]
+        return PartialParaproduct(self.grid, self.shift, self.shift_axis, k, h0, pt, keys, self.profiles)
 
     def to_payload(self) -> dict:
         return {
@@ -584,24 +594,15 @@ class PartialParaproduct:
             "ptype": self.ptype,
             "grid": _grid_payload(self.grid),
             "shift": _shift_payload(self.shift),
-            "records": [
-                {"key": [list(kk), list(idx)], "profile": [x.hex() for x in prof.tolist()]}
-                for (kk, idx), prof in sorted(self.symbols.items())
-            ],
+            "records": _records(self.keys, self.profiles, "profile"),
         }
 
     @staticmethod
     def from_payload(payload: dict) -> "PartialParaproduct":
         grid = _grid_from_payload(payload["grid"])
         om = _shift_from_payload(payload["shift"], grid)
-        symbols = {}
-        for rec in payload["records"]:
-            kk, idx = rec["key"]
-            symbols[(tuple(kk), tuple(idx))] = np.array([float.fromhex(x) for x in rec["profile"]])
-        return PartialParaproduct(
-            grid, om, payload["shift_axis"], tuple(payload["k"]),
-            payload["h0_slot"], payload["ptype"], symbols,
-        )
+        return PartialParaproduct(grid, om, payload["shift_axis"], tuple(payload["k"]), payload["h0_slot"],
+                                  payload["ptype"], *_record_rows(payload["records"], "profile"))
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +713,21 @@ def _shift_from_payload(p: dict, grid: TorusGrid) -> GridShift:
     return GridShift(s1, s2)
 
 
+def _records(keys: np.ndarray, rows: np.ndarray, field: str) -> list[dict]:
+    """One record per key, in sorted key order (the keys are distinct, so
+    the rows are never compared): the key as its first cube and the rest,
+    and its coefficients, flattened, as hex floats under `field`."""
+    rows = rows.reshape(len(rows), math.prod(rows.shape[1:])).tolist()
+    return [{"key": [key[:2], key[2:]], field: list(map(float.hex, row))}
+            for key, row in sorted(zip(keys.tolist(), rows))]
+
+
+def _record_rows(records: list[dict], field: str) -> tuple[list, list]:
+    """The keys and the rows of coefficients of `_records` output."""
+    return ([first + rest for first, rest in (rec["key"] for rec in records)],
+            [list(map(float.fromhex, rec[field])) for rec in records])
+
+
 def dmo_to_json(op) -> str:
     return json.dumps(op.to_payload(), sort_keys=True)
 
@@ -739,17 +755,12 @@ def random_shift_operator(
     """Coefficients drawn at the size cap times a random sign (fill scales down)."""
     rng = rng or np.random.default_rng()
     L1, L2 = grid.axes[0].levels, grid.axes[1].levels
-    coeffs = {}
-    shape = tuple(1 << d for d in k) + tuple(1 << d for d in v)
-    dummy = ShiftOperator(grid, om, k, v, pattern, {})
-    for lk in range(L1 - max(k)):
-        for pk in range(1 << lk):
-            for lv in range(L2 - max(v)):
-                for pv in range(1 << lv):
-                    cap = dummy.cap(lk, lv)
-                    block = fill * cap * rng.choice([-1.0, 1.0], size=shape)
-                    coeffs[((lk, pk), (lv, pv))] = block
-    return ShiftOperator(grid, om, k, v, pattern, coeffs)
+    keys = np.array([(lk, pk, lv, pv) for lk in range(L1 - max(k)) for pk in range(1 << lk)
+                     for lv in range(L2 - max(v)) for pv in range(1 << lv)], dtype=np.int64).reshape(-1, 4)
+    caps = ShiftOperator.cap(k, v, keys[:, 0], keys[:, 2])
+    # one draw of every block, in key order, equals the draws block by block
+    signs = rng.choice([-1.0, 1.0], size=(len(keys),) + tuple(1 << d for d in k + v))
+    return ShiftOperator(grid, om, k, v, pattern, keys, (fill * caps).reshape((-1,) + (1,) * 6) * signs)
 
 
 def random_partial_paraproduct(
@@ -764,21 +775,16 @@ def random_partial_paraproduct(
 ) -> PartialParaproduct:
     """Symbols drawn as random profiles scaled onto the BMO cap."""
     rng = rng or np.random.default_rng()
-    axis = grid.axes[shift_axis]
     paxis = grid.axes[1 - shift_axis]
-    dummy = PartialParaproduct(grid, om, shift_axis, k, h0_slot, ptype, {})
-    symbols = {}
-    for lk in range(axis.levels - max(k)):
-        for pk in range(1 << lk):
-            cap = dummy.cap(lk)
-            for idx in itertools.product(*(range(1 << d) for d in k)):
-                prof = rng.standard_normal(paxis.n_cells)
-                prof -= prof.mean()
-                norm = axis_profile_bmo(prof, paxis)
-                if norm > 0:
-                    prof *= fill * cap / norm
-                symbols[((lk, pk), idx)] = prof
-    return PartialParaproduct(grid, om, shift_axis, k, h0_slot, ptype, symbols)
+    keys = np.array([(lk, pk, *idx) for lk in range(grid.axes[shift_axis].levels - max(k)) for pk in range(1 << lk)
+                     for idx in itertools.product(*(range(1 << d) for d in k))], dtype=np.int64).reshape(-1, 5)
+    # one draw of every profile, in key order, equals the draws profile by profile
+    profiles = rng.standard_normal((len(keys), paxis.n_cells))
+    profiles -= profiles.mean(axis=1, keepdims=True)
+    norms = axis_profile_bmo(profiles, paxis)
+    scale = np.divide(fill * PartialParaproduct.cap(k, keys[:, 0]), norms,
+                      out=np.ones(len(keys)), where=norms > 0)
+    return PartialParaproduct(grid, om, shift_axis, k, h0_slot, ptype, keys, profiles * scale[:, None])
 
 
 def random_full_paraproduct(

@@ -874,7 +874,7 @@ class Decomposition:
         families keyed by (complexity, averaged-slot pattern); coefficients
         are rescaled by the family maximum against the structural cap."""
         sets = [{br: self._export_sets(ax, br) for br in BRANCHES} for ax in (self.ax1, self.ax2)]
-        buckets: dict[tuple, dict] = {}
+        buckets: dict[tuple, tuple] = {}
         for br1 in BRANCHES:
             for br2 in BRANCHES:
                 for tag1, (keys1, W1) in sets[0][br1].items():
@@ -886,10 +886,10 @@ class Decomposition:
                         i, j = nz // C.shape[1], nz % C.shape[1]
                         # one block per pair of (anchor, depths, averaged slot)
                         # groups, numbered in the order their first entries come
-                        g1, n1 = _dense_ranks(_group_codes(keys1[:, :6]))
-                        g2, n2 = _dense_ranks(_group_codes(keys2[:, :6]))
-                        pair = g1[i] * n2 + g2[j]
-                        first = np.full(n1 * n2, len(pair))
+                        (_, g1), (_, g2) = (np.unique(_group_codes(keys[:, :6]), return_inverse=True)
+                                            for keys in (keys1, keys2))
+                        pair = g1[i] * (g2.max() + 1) + g2[j]
+                        first = np.full((g1.max() + 1) * (g2.max() + 1), len(pair))
                         np.minimum.at(first, pair, np.arange(len(pair)))
                         head = np.zeros(len(pair), dtype=bool)
                         head[first[first < len(pair)]] = True
@@ -900,23 +900,23 @@ class Decomposition:
                         cell = (_block_offset(keys1[i]) << keys2[j, 2:5].sum(axis=1)) | _block_offset(keys2[j])
                         flat = np.zeros(size.sum())
                         flat[start[block_of] + cell] = C.ravel()[nz]
-                        for (a1, p1, *k, o1, _, _, _), (a2, p2, *v, o2, _, _, _), lo, n in zip(
-                                rep1.tolist(), rep2.tolist(), start.tolist(), size.tolist()):
-                            k, v = tuple(k), tuple(v)
-                            shape = tuple(1 << d for d in k) + tuple(1 << d for d in v)
-                            bucket = buckets.setdefault((k, v, (o1, o2), f"{br1}{br2}", f"{tag1}/{tag2}"), {})
-                            bucket[((a1, p1), (a2, p2))] = flat[lo:lo + n].reshape(shape)
+                        # a family per (depths, averaged slot) pair: its blocks in
+                        # block order, keyed by their anchor pairs
+                        fam = _group_codes(np.column_stack([rep1[:, 2:6], rep2[:, 2:6]]))
+                        anchors = np.column_stack([rep1[:, :2], rep2[:, :2]])
+                        for f in np.flatnonzero(np.bincount(fam)):
+                            rows = np.flatnonzero(fam == f)
+                            (*k, o1), (*v, o2) = rep1[rows[0], 2:6].tolist(), rep2[rows[0], 2:6].tolist()
+                            blocks = flat[start[rows, None] + np.arange(size[rows[0]])]
+                            buckets[(tuple(k), tuple(v), (o1, o2), f"{br1}{br2}", f"{tag1}/{tag2}")] = (
+                                anchors[rows], blocks.reshape((len(rows),) + tuple(1 << d for d in k + v)))
         out = []
-        for (k, v, pattern, sym, cells), coeffs in sorted(buckets.items()):
-            probe = ShiftOperator(self.grid, self.om, k, v, pattern, {})
-            worst = max(
-                (np.abs(block).max() / probe.cap(kk[0], vv[0])
-                 for (kk, vv), block in coeffs.items()),
-                default=0.0,
-            )
+        for k, v, pattern, sym, cells in sorted(buckets):
+            keys, blocks = buckets[k, v, pattern, sym, cells]
+            caps = ShiftOperator.cap(k, v, keys[:, 0], keys[:, 2])
+            worst = (np.abs(blocks).max(axis=(1, 2, 3, 4, 5, 6)) / caps).max()
             scale = max(worst, 1.0)
-            op = ShiftOperator(self.grid, self.om, k, v, pattern,
-                               {key: block / scale for key, block in coeffs.items()})
+            op = ShiftOperator(self.grid, self.om, k, v, pattern, keys, blocks / scale)
             out.append({"symmetry": sym, "cells": cells, "k": k, "v": v,
                         "pattern": pattern, "operator": op, "size": scale})
         return out
@@ -946,16 +946,13 @@ class Decomposition:
                         fam = _group_codes(keys[:, 2:6])
                         for f in np.flatnonzero(np.bincount(fam)):
                             rows = np.flatnonzero(fam == f)
-                            *k, oslot = keys[rows[0], 2:6].tolist()
-                            k = tuple(k)
-                            probe = PartialParaproduct(self.grid, self.om, shift_axis,
-                                                       k, oslot, ptype, {})
-                            caps = np.array([probe.cap(level) for level in keys[rows, 0].tolist()])
+                            k, oslot = tuple(keys[rows[0], 2:5].tolist()), int(keys[rows[0], 5])
+                            caps = PartialParaproduct.cap(k, keys[rows, 0])
                             worst = (axis_profile_bmo(profs[rows], pax.axis) / caps).max()
                             scale = max(worst, 1.0)
-                            symbols = {((a, p), (i1, i2, i3)): profs[r] / scale
-                                       for r, (a, p, *_, i1, i2, i3) in zip(rows, keys[rows].tolist())}
-                            op = PartialParaproduct(self.grid, self.om, shift_axis, k, oslot, ptype, symbols)
+                            # K level, K position and the descendant index per slot
+                            op = PartialParaproduct(self.grid, self.om, shift_axis, k, oslot, ptype,
+                                                    keys[rows][:, [0, 1, 6, 7, 8]], profs[rows] / scale)
                             out.append({"symmetry": f"{br_s}{br_p}", "cells": tag,
                                         "shift_axis": shift_axis, "k": k,
                                         "h0_slot": oslot, "ptype": ptype,
@@ -986,12 +983,6 @@ def _group_codes(cols: np.ndarray) -> np.ndarray:
     """One integer per row of a nonnegative int array, ordered as the rows
     sort."""
     return np.ravel_multi_index(tuple(cols.T), tuple(cols.max(axis=0) + 1))
-
-
-def _dense_ranks(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Codes renumbered 0..n-1 in the same order, and their number n."""
-    rank = np.cumsum(np.bincount(codes) > 0) - 1
-    return rank[codes], int(rank[-1]) + 1
 
 
 def _block_offset(keys: np.ndarray) -> np.ndarray:

@@ -49,6 +49,8 @@ from dyadlab.model_ops import (
     random_shift_operator,
 )
 
+from coeff_maps import coeff_map, shift_from_map
+
 GRID = TorusGrid.make(3)
 ZERO = GridShift.zero(GRID)
 
@@ -375,11 +377,8 @@ def test_single_key_commutator_hand_expansion():
     # single-coefficient shift, symbol a Haar atom: four explicit terms
     k = v = (0, 0, 0)
     key = ((1, 0), (1, 0))
-    from dyadlab.model_ops import ShiftOperator
-
-    S0 = ShiftOperator(GRID, ZERO, k, v, (3, 3), {})
-    cap = S0.cap(1, 1)
-    S = ShiftOperator(GRID, ZERO, k, v, (3, 3), {key: np.full((1,) * 6, cap)})
+    cap = ShiftOperator.cap(k, v, 1, 1)
+    S = shift_from_map(GRID, ZERO, k, v, (3, 3), {key: np.full((1,) * 6, cap)})
     cK, cV = cube(0, 1, 0), cube(1, 1, 0)
     b = outer(GRID, axis_haar_vector(HaarFunction(cK, (1,))),
               axis_haar_vector(HaarFunction(cV, (1,))))
@@ -420,7 +419,7 @@ def atomic_terms(U):
     o1 = axis_ops(grid.axes[0], U.shift.shift1)
     o2 = axis_ops(grid.axes[1], U.shift.shift2)
     if isinstance(U, ShiftOperator):
-        for (kk, vv), block in U.coeffs.items():
+        for (kk, vv), block in coeff_map(U).items():
             qs1 = [o1.descendant_positions(kk[0], kk[1], d) for d in U.k]
             qs2 = [o2.descendant_positions(vv[0], vv[1], d) for d in U.v]
             for idx in np.ndindex(*block.shape):
@@ -444,7 +443,7 @@ def atomic_terms(U):
     elif isinstance(U, PartialParaproduct):
         sops, pops = (o1, o2) if U.shift_axis == 0 else (o2, o1)
         vol = grid.axes[U.para_axis].cell_volume
-        for (kk, idx), prof in U.symbols.items():
+        for (kk, idx), prof in coeff_map(U).items():
             qs = [sops.descendant_positions(kk[0], kk[1], d) for d in U.k]
             shift_cubes, scale = [], 1.0
             for s in range(3):

@@ -274,6 +274,23 @@ def test_cli_runs_as_package_module(tmp_path):
     assert (tmp_path / "empty.csv").exists()
 
 
+def test_cli_names_each_failing_row(tmp_path, capsys):
+    # at level 2 two commutator growth rows exceed their level-3 golden bounds
+    assert cli.main(["--grid-level", "2", "--out", str(tmp_path), "suite", "commutator"]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"commutator: 5 rows, 2 failures -> {tmp_path / 'commutator.csv'}\n"
+    rows = [line.split(",") for line in (tmp_path / "commutator.csv").read_text().splitlines()[2:]]
+    failed = [(exp, cell, float(value), float(bound)) for exp, cell, _, value, bound, ok in rows if ok == "0"]
+    assert [(exp, cell) for exp, cell, *_ in failed] == [("commutator-growth-1", "c0"),
+                                                          ("commutator-growth-2", "c0")]
+    lines = err.splitlines()
+    assert len(lines) == len(failed)
+    for line, (exp, cell, value, bound) in zip(lines, failed):
+        assert line == (f"commutator: FAILED {exp} {cell}: value {value!r}, bound {bound!r} "
+                        f"(value/bound {value / bound:.4g})")
+        assert value / bound > 1.1
+
+
 def test_cli_unknown_kernel_exit_code(tmp_path):
     out = _run_cli("--grid-level", "2", "--out", str(tmp_path),
                    "decompose", "--kernel", "bogus")

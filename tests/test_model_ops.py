@@ -1,5 +1,6 @@
 """Dyadic model operators: structure, duals, normalisation, domination."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -35,6 +36,8 @@ from dyadlab.model_ops import (
     sparse_dominate_paraproduct,
 )
 
+from coeff_maps import coeff_map, partial_from_map, shift_from_map
+
 GRID = TorusGrid.make(3)
 ZERO = GridShift.zero(GRID)
 
@@ -49,7 +52,7 @@ ALL_PATTERNS = list(itertools.product((1, 2, 3), repeat=2))
 # -- shifts -----------------------------------------------------------------
 
 def test_zero_shift_is_zero_operator():
-    S = ShiftOperator(GRID, ZERO, (0, 0, 0), (0, 0, 0), (3, 3), {})
+    S = shift_from_map(GRID, ZERO, (0, 0, 0), (0, 0, 0), (3, 3), {})
     f1, f2, f3 = fns(1, 2, 3)
     assert S.form(f1, f2, f3) == 0.0
     assert np.abs(S.apply(f1, f2).values).max() == 0.0
@@ -59,10 +62,9 @@ def test_single_key_shift_hand_oracle():
     # one key at the cap: the form is a product of three explicit pairings
     k = v = (0, 0, 0)
     key = ((1, 0), (1, 1))
-    S0 = ShiftOperator(GRID, ZERO, k, v, (3, 3), {})
-    cap = S0.cap(1, 1)
+    cap = ShiftOperator.cap(k, v, 1, 1)
     block = np.full((1, 1, 1, 1, 1, 1), cap)
-    S = ShiftOperator(GRID, ZERO, k, v, (3, 3), {key: block})
+    S = shift_from_map(GRID, ZERO, k, v, (3, 3), {key: block})
     f1, f2, f3 = fns(4, 5, 6)
     cK = DyadicCube(GRID.axes[0], 1, (0,), ZERO.shift1)
     cV = DyadicCube(GRID.axes[1], 1, (1,), ZERO.shift2)
@@ -111,18 +113,190 @@ def test_shift_duals_reproduce_form():
 def test_shift_normalization_fuzzer_rejects():
     rng = np.random.default_rng(1)
     S = random_shift_operator(GRID, ZERO, (1, 0, 0), (0, 0, 0), (3, 3), rng)
-    key, block = next(iter(S.coeffs.items()))
-    bad = {k: b.copy() for k, b in S.coeffs.items()}
+    key, block = next(iter(coeff_map(S).items()))
+    bad = {k: b.copy() for k, b in coeff_map(S).items()}
     bad[key] = block * 1.5  # push past the cap
     with pytest.raises(NormalizationError):
-        ShiftOperator(GRID, ZERO, S.k, S.v, S.pattern, bad)
+        shift_from_map(GRID, ZERO, S.k, S.v, S.pattern, bad)
 
 
 def test_shift_serialization_exact_roundtrip():
     S = random_shift_operator(GRID, ZERO, (0, 1, 0), (1, 0, 0), (2, 3), np.random.default_rng(3))
     S2 = dmo_from_json(dmo_to_json(S))
-    for key, block in S.coeffs.items():
-        assert np.array_equal(S2.coeffs[key], block)
+    for key, block in coeff_map(S).items():
+        assert np.array_equal(coeff_map(S2)[key], block)
+
+
+# -- key table and stacked array ------------------------------------------------
+
+def _payload_oracle(U) -> dict:
+    """to_payload as written over a mapping of keys to blocks or profiles:
+    the records in sorted key order."""
+    from dyadlab.model_ops import _grid_payload, _shift_payload
+
+    head = {"grid": _grid_payload(U.grid), "shift": _shift_payload(U.shift), "k": list(U.k)}
+    if isinstance(U, ShiftOperator):
+        head |= {"family": "shift", "pattern": list(U.pattern), "v": list(U.v)}
+        return head | {"records": [
+            {"key": [list(kk), list(vv)], "block": [x.hex() for x in block.ravel().tolist()]}
+            for (kk, vv), block in sorted(coeff_map(U).items())]}
+    head |= {"family": "partial", "shift_axis": U.shift_axis, "h0_slot": U.h0_slot, "ptype": U.ptype}
+    return head | {"records": [
+        {"key": [list(kk), list(idx)], "profile": [x.hex() for x in prof.tolist()]}
+        for (kk, idx), prof in sorted(coeff_map(U).items())]}
+
+
+def _stored(U) -> tuple[np.ndarray, np.ndarray]:
+    return U.keys, U.blocks if isinstance(U, ShiftOperator) else U.profiles
+
+
+def _assert_same_arrays(U, W):
+    for a, b in zip(_stored(U), _stored(W)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _array_storage_cases():
+    """Random shifts and partial paraproducts, each also with its keys in
+    reverse order (the storage keeps the order it is given)."""
+    rng = np.random.default_rng(41)
+    for grid in (TorusGrid.make(2), GRID):
+        for om in (GridShift.zero(grid), sample_shift(grid, rng)):
+            ops = [random_shift_operator(grid, om, k, v, pattern, rng)
+                   for k, v, pattern in (((0, 0, 0), (0, 0, 0), (3, 3)), ((1, 0, 1), (0, 1, 0), (1, 2)),
+                                         ((0, 1, 0), (1, 1, 0), (2, 3)))]
+            ops += [random_partial_paraproduct(grid, om, k, shift_axis, h0_slot, ptype, rng)
+                    for shift_axis in (0, 1) for k, h0_slot, ptype in (((0, 0, 0), 3, 3), ((1, 0, 1), 1, 2))]
+            for U in ops:
+                keys, values = _stored(U)
+                field = "blocks" if isinstance(U, ShiftOperator) else "profiles"
+                yield U
+                yield dataclasses.replace(U, keys=keys[::-1], **{field: values[::-1]})
+
+
+def test_array_payload_matches_sorted_mapping_oracle():
+    for U in _array_storage_cases():
+        assert len(U.keys) > 0
+        payload = U.to_payload()
+        assert payload == _payload_oracle(U)
+        back = type(U).from_payload(payload)
+        order = np.lexsort(U.keys.T[::-1])
+        for a, b in zip(_stored(back), _stored(U)):
+            assert np.array_equal(a, b[order])
+        twice = U.dual(1, 1).dual(1, 1) if isinstance(U, ShiftOperator) else U.dual(1).dual(1)
+        _assert_same_arrays(twice, U)
+
+
+def test_stored_arrays_are_read_only_copies():
+    S = random_shift_operator(GRID, ZERO, (1, 0, 0), (0, 1, 0), (2, 3), np.random.default_rng(6))
+    keys, blocks = S.keys.copy(), S.blocks.copy()
+    S2 = ShiftOperator(GRID, ZERO, S.k, S.v, S.pattern, keys, blocks)
+    blocks[0] = 0.0  # the caller's arrays stay the caller's
+    assert keys.flags.writeable and S2.blocks[0].any()
+    for a in (*_stored(S2), *_stored(random_partial_paraproduct(GRID, ZERO, (0, 1, 0), rng=np.random.default_rng(7)))):
+        assert not a.flags.writeable
+
+
+def _shift_draws_ref(grid, k, v, rng, fill):
+    """The draws block by block, in key order."""
+    L1, L2 = grid.axes[0].levels, grid.axes[1].levels
+    shape = tuple(1 << d for d in k) + tuple(1 << d for d in v)
+    keys, blocks = [], []
+    for lk in range(L1 - max(k)):
+        for pk in range(1 << lk):
+            for lv in range(L2 - max(v)):
+                for pv in range(1 << lv):
+                    cap = float(ShiftOperator.cap(k, v, lk, lv))
+                    blocks.append(fill * cap * rng.choice([-1.0, 1.0], size=shape))
+                    keys.append((lk, pk, lv, pv))
+    return keys, blocks
+
+
+def _partial_draws_ref(grid, k, shift_axis, rng, fill):
+    """The draws profile by profile, in key order."""
+    axis, paxis = grid.axes[shift_axis], grid.axes[1 - shift_axis]
+    keys, profiles = [], []
+    for lk in range(axis.levels - max(k)):
+        for pk in range(1 << lk):
+            cap = float(PartialParaproduct.cap(k, lk))
+            for idx in itertools.product(*(range(1 << d) for d in k)):
+                prof = rng.standard_normal(paxis.n_cells)
+                prof -= prof.mean()
+                norm = axis_profile_bmo(prof, paxis)
+                if norm > 0:
+                    prof *= fill * cap / norm
+                keys.append((lk, pk) + idx)
+                profiles.append(prof)
+    return keys, profiles
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_batched_draws_match_per_block_draws(L):
+    grid = TorusGrid.make(L)
+    om = sample_shift(grid, np.random.default_rng(L))
+    shapes = (((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 1, 1)), ((0, 2, 1), (1, 0, 0)), ((L, 0, 0), (0, 0, 0)))
+    for seed, ((k, v), fill) in enumerate(itertools.product(shapes, (1.0, 0.3))):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        S = random_shift_operator(grid, om, k, v, (1, 3), rng, fill)
+        keys, blocks = _shift_draws_ref(grid, k, v, ref, fill)
+        assert S.keys.tolist() == [list(key) for key in keys]
+        assert np.array_equal(S.blocks, np.reshape(blocks, S.blocks.shape))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    for seed, (k, shift_axis) in enumerate(itertools.product(((0, 0, 0), (1, 0, 1), (0, 2, 0)), (0, 1))):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        P = random_partial_paraproduct(grid, om, k, shift_axis, 2, 1, rng, fill=0.5)
+        keys, profiles = _partial_draws_ref(grid, k, shift_axis, ref, 0.5)
+        assert P.keys.tolist() == [list(key) for key in keys]
+        assert np.array_equal(P.profiles, np.reshape(profiles, P.profiles.shape))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("key", [
+    ((1, 2), (1, 0)),   # K position past the end of its level
+    ((1, 0), (1, 3)),   # V position past the end of its level
+    ((1, -1), (1, 0)),  # negative position
+    ((-1, 0), (1, 0)),  # negative K level
+    ((1, 0), (-1, 0)),  # negative V level
+])
+def test_shift_rejects_keys_outside_the_lattice(key):
+    k = v = (0, 0, 0)
+    cap = ShiftOperator.cap(k, v, 0, 0)  # the caps grow with the levels
+    with pytest.raises(ValueError, match="outside the lattice"):
+        shift_from_map(GRID, ZERO, k, v, (3, 3), {key: np.full((1,) * 6, cap)})
+
+
+@pytest.mark.parametrize("key", [
+    ((1, 2), (0, 0, 0)),   # K position past the end of its level
+    ((-1, 0), (0, 0, 0)),  # negative K level
+    ((1, 0), (-1, 0, 0)),  # negative child index
+    ((1, 0), (2, 0, 0)),   # child index past 2^k1
+    ((1, 0), (0, 0, 1)),   # child index in a slot of depth 0
+])
+def test_partial_rejects_keys_outside_the_lattice(key):
+    cap = PartialParaproduct.cap((1, 0, 0), 0)  # the caps grow with the levels
+    sym = np.zeros(GRID.axes[1].n_cells)
+    sym[0], sym[1] = cap, -cap  # BMO norm cap / 2
+    with pytest.raises(ValueError, match="outside the lattice"):
+        partial_from_map(GRID, ZERO, 0, (1, 0, 0), 3, 3, {key: sym})
+
+
+def test_repeated_keys_are_rejected():
+    S = random_shift_operator(GRID, ZERO, (1, 0, 0), (0, 0, 1), (3, 2), np.random.default_rng(8))
+    P = random_partial_paraproduct(GRID, ZERO, (1, 0, 0), 1, rng=np.random.default_rng(9))
+    for U, rebuild in ((S, lambda keys, arr: ShiftOperator(GRID, ZERO, S.k, S.v, S.pattern, keys, arr)),
+                       (P, lambda keys, arr: PartialParaproduct(GRID, ZERO, 1, P.k, 3, 3, keys, arr))):
+        keys, arr = _stored(U)
+        rebuild(keys, arr)
+        rows = np.r_[np.arange(len(keys)), 2]  # the third key twice
+        with pytest.raises(ValueError, match="repeats"):
+            rebuild(keys[rows], arr[rows])
+
+
+def test_payload_keys_are_checked():
+    S = random_shift_operator(GRID, ZERO, (0, 0, 0), (0, 0, 0), (3, 3), np.random.default_rng(10))
+    payload = S.to_payload()
+    payload["records"][1]["key"] = [[1, 3], [1, 0]]  # aliases [[1, 1], [1, 0]] modulo 2
+    with pytest.raises(ValueError, match="outside the lattice"):
+        ShiftOperator.from_payload(payload)
 
 
 # -- gather plans against the per-key reference loops ----------------------------
@@ -157,7 +331,7 @@ def shift_reference(S, f1, f2, f3=None, absolute=False):
     """Per-key loop: the (absolute) form when f3 is given, else apply."""
     vol1, vol2 = (ax.cell_volume for ax in S.grid.axes)
     total, out = 0.0, np.zeros(S.grid.shape)
-    for (kk, vv), block in S.coeffs.items():
+    for (kk, vv), block in coeff_map(S).items():
         rows = [_shift_slot_ref(S, s, kk, vv) for s in (1, 2, 3)]
         us = [(r1 * vol1) @ f.values @ (r2 * vol2).T
               for (r1, r2), f in zip(rows, (f1, f2, f3 if f3 is not None else f1))]
@@ -174,7 +348,7 @@ def shift_reference(S, f1, f2, f3=None, absolute=False):
 def shift_density_reference(S):
     n1, n2 = S.grid.shape
     dens = np.zeros((n1, n2) * 3)
-    for (kk, vv), block in S.coeffs.items():
+    for (kk, vv), block in coeff_map(S).items():
         (a1, a2), (b1, b2), (c1, c2) = (_shift_slot_ref(S, s, kk, vv) for s in (1, 2, 3))
         dens += np.einsum("abcdef,cX,fP,aY,dQ,bZ,eR->XPYQZR",
                           block, c1, c2, a1, a2, b1, b2, optimize=True)
@@ -193,7 +367,7 @@ def partial_reference(P, f1, f2, f3=None, absolute=False):
     pops = axis_ops(P.grid.axes[1 - sax], P.shift[1 - sax])
     vol, n_canc = pops.axis.cell_volume, len(pops.haar)
     total, out = 0.0, np.zeros(P.grid.shape)
-    for (kk, idx), b in P.symbols.items():
+    for (kk, idx), b in coeff_map(P).items():
         svecs = [_partial_slot_ref(P, s, kk, idx[s - 1]) for s in (1, 2, 3)]
         gs = [f.pair_axis(v, sax) for v, f in zip(svecs, (f1, f2, f3 if f3 is not None else f1))]
         if f3 is None:
@@ -215,7 +389,7 @@ def partial_density_reference(P):
     na, nb = P.grid.axes[sax].n_cells, pops.axis.n_cells
     prows = [pops.haar if P.ptype == s else pops.avg[:len(pops.haar)] for s in (1, 2, 3)]
     dens = np.zeros((na, nb) * 3)
-    for (kk, idx), b in P.symbols.items():
+    for (kk, idx), b in coeff_map(P).items():
         svecs = [_partial_slot_ref(P, s, kk, idx[s - 1]) for s in (1, 2, 3)]
         bb = (pops.haar * pops.axis.cell_volume) @ b
         pdens = np.einsum("v,vP,vQ,vR->PQR", bb, prows[2], prows[0], prows[1])
@@ -248,7 +422,7 @@ def test_shift_plan_matches_per_key_loops(pattern):
         v = tuple(int(x) for x in rng.integers(0, grid.axes[1].levels - 1, 3))
         S = random_shift_operator(grid, om, k, v, pattern, rng)
         fs = tuple(grid.random(rng) for _ in range(3))
-        assert len(S.coeffs) > 1
+        assert len(S.keys) > 1
         for U in (S, S.dual(1, 1), S.dual(2, None), S.dual(None, 1)):
             _assert_matches_reference(U, shift_reference, shift_density_reference, fs)
 
@@ -359,7 +533,7 @@ def test_axis_profile_bmo_over_all_shifts_oracle():
 
 
 def test_partial_paraproduct_zero_symbols():
-    P = PartialParaproduct(GRID, ZERO, 0, (0, 0, 0), 3, 3, {})
+    P = partial_from_map(GRID, ZERO, 0, (0, 0, 0), 3, 3, {})
     f1, f2, f3 = fns(1, 2, 3)
     assert P.form(f1, f2, f3) == 0.0
     assert not P.apply(f1, f2).values.any()
@@ -371,11 +545,10 @@ def test_partial_paraproduct_single_key_oracle():
     ax2 = GRID.axes[1]
     V0 = DyadicCube(ax2, 1, (0,), ZERO.shift2)
     hV = axis_haar_vector(HaarFunction(V0, (1,)))
-    P0 = PartialParaproduct(GRID, ZERO, 0, (0, 0, 0), 3, 3, {})
-    cap = P0.cap(1)
+    cap = PartialParaproduct.cap((0, 0, 0), 1)
     sym = cap / axis_profile_bmo(hV, ax2) * hV
     key = ((1, 1), (0, 0, 0))
-    P = PartialParaproduct(GRID, ZERO, 0, (0, 0, 0), 3, 3, {key: sym})
+    P = partial_from_map(GRID, ZERO, 0, (0, 0, 0), 3, 3, {key: sym})
     f1, f2 = fns(4, 5)
     ops1 = axis_ops(GRID.axes[0], ZERO.shift1)
     ops2 = axis_ops(ax2, ZERO.shift2)
@@ -394,18 +567,18 @@ def test_partial_paraproduct_mirrored_family_swap_oracle():
     P = random_partial_paraproduct(GRID, ZERO, (1, 0, 0), shift_axis=1, h0_slot=2, ptype=1, rng=rng)
     f1, f2, f3 = fns(6, 7, 8)
     swapped = [DiscreteFunction(GRID, f.values.T.copy()) for f in (f1, f2, f3)]
-    Pm = PartialParaproduct(GRID, ZERO, 0, P.k, P.h0_slot, P.ptype, P.symbols)
+    Pm = partial_from_map(GRID, ZERO, 0, P.k, P.h0_slot, P.ptype, coeff_map(P))
     assert abs(P.form(f1, f2, f3) - Pm.form(*swapped)) < 1e-12
 
 
 def test_partial_paraproduct_bmo_cap_enforced():
     rng = np.random.default_rng(2)
     P = random_partial_paraproduct(GRID, ZERO, (0, 0, 0), rng=rng)
-    key, sym = next(iter(P.symbols.items()))
-    bad = dict(P.symbols)
+    key, sym = next(iter(coeff_map(P).items()))
+    bad = coeff_map(P)
     bad[key] = sym * 2.0
     with pytest.raises(NormalizationError):
-        PartialParaproduct(GRID, ZERO, 0, (0, 0, 0), 3, 3, bad)
+        partial_from_map(GRID, ZERO, 0, (0, 0, 0), 3, 3, bad)
 
 
 def test_partial_paraproduct_serialization_roundtrip():
@@ -424,7 +597,7 @@ def test_partial_paraproduct_brute_force_double_loop():
     ops1 = axis_ops(GRID.axes[0], ZERO.shift1)
     ops2 = axis_ops(GRID.axes[1], ZERO.shift2)
     total = 0.0
-    for (kk, idx), sym in P.symbols.items():
+    for (kk, idx), sym in coeff_map(P).items():
         qs = [ops1.descendant_positions(kk[0], kk[1], d) for d in P.k]
         rows = [
             ops1.haar[ops1.canc_index(kk[0] + P.k[0], int(qs[0][idx[0]]))],
@@ -598,7 +771,7 @@ def test_sparse_domination_monte_carlo_sweep():
 # -- absolute-form check ----------------------------------------------------------------
 
 def test_absolute_form_zero_operator():
-    S = ShiftOperator(GRID, ZERO, (0, 0, 0), (0, 0, 0), (3, 3), {})
+    S = shift_from_map(GRID, ZERO, (0, 0, 0), (0, 0, 0), (3, 3), {})
     f1, f2, f3 = fns(1, 2, 3)
     assert dmo_absolute_form_check(S, f1, f2, f3, (2.0, 2.0, 1.0)) == 0.0
 
@@ -606,9 +779,8 @@ def test_absolute_form_zero_operator():
 def test_absolute_form_single_key_hand_value():
     k = v = (0, 0, 0)
     key = ((0, 0), (0, 0))
-    S0 = ShiftOperator(GRID, ZERO, k, v, (3, 3), {})
-    cap = S0.cap(0, 0)
-    S = ShiftOperator(GRID, ZERO, k, v, (3, 3), {key: np.full((1,) * 6, cap)})
+    cap = ShiftOperator.cap(k, v, 0, 0)
+    S = shift_from_map(GRID, ZERO, k, v, (3, 3), {key: np.full((1,) * 6, cap)})
     f1, f2, f3 = fns(4, 5, 6)
     got = S.absolute_form(f1, f2, f3)
     want = abs(S.form(f1, f2, f3))
