@@ -78,8 +78,8 @@ from .harness import ExperimentConfig, Report, run_suite
 
 __version__ = "0.1.0"
 
-# The decomposer needs scipy.sparse, which takes longer to import than the
-# rest of the package; its names load it on first use (PEP 562).
+# The decomposer's names load it on first use (PEP 562), so the suites that
+# never decompose do not import it.
 _REPRESENTATION = ("Decomposition", "KernelTensor", "averaged_reconstruction",
                    "common_ancestor", "decompose")
 

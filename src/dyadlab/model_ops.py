@@ -200,6 +200,13 @@ def _frozen_rows(a, dtype, row_shape: tuple[int, ...], what: str) -> np.ndarray:
     return a
 
 
+def _check_slots(what: str, slots: tuple) -> None:
+    """Raise ValueError unless `slots` is a pair, each entry naming slot 1, 2
+    or 3 of a trilinear form."""
+    if len(slots) != 2 or not all(s in (1, 2, 3) for s in slots):
+        raise ValueError(f"{what} {tuple(slots)!r} must be two of the slots 1, 2, 3")
+
+
 def _check_keys(keys: np.ndarray, cubes: list, depths: tuple[int, ...] = ()) -> None:
     """Raise ValueError unless each key is one (level, position) pair per
     entry (axis, slot depths, averaged slot) of `cubes`, naming a cube of the
@@ -253,8 +260,7 @@ class ShiftOperator:
     blocks: np.ndarray
 
     def __post_init__(self):
-        if not (self.pattern[0] in (1, 2, 3) and self.pattern[1] in (1, 2, 3)):
-            raise ValueError("pattern names the non-cancellative slot per axis")
+        _check_slots("pattern", self.pattern)
         self.keys = _frozen_rows(self.keys, np.int64, (4,), "keys")
         self.blocks = _frozen_rows(self.blocks, float, tuple(1 << d for d in self.k + self.v), "blocks")
         self.validate()
@@ -476,6 +482,9 @@ class PartialParaproduct:
     profiles: np.ndarray
 
     def __post_init__(self):
+        if self.shift_axis not in (0, 1):
+            raise ValueError(f"shift_axis {self.shift_axis!r} must be 0 or 1")
+        _check_slots("h0_slot and ptype", (self.h0_slot, self.ptype))
         self.keys = _frozen_rows(self.keys, np.int64, (5,), "keys")
         self.profiles = _frozen_rows(self.profiles, float, (self.grid.axes[self.para_axis].n_cells,), "profiles")
         self.validate()
@@ -620,6 +629,7 @@ class FullParaproduct:
     lam: np.ndarray  # (n_canc_axis1, n_canc_axis2)
 
     def __post_init__(self):
+        _check_slots("pattern", self.pattern)
         o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
         o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
         if self.lam.shape != (o1.haar.shape[0], o2.haar.shape[0]):

@@ -26,7 +26,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     Axis,
@@ -77,7 +76,8 @@ class KernelFormatError(ValueError):
 
 
 # bytes the decomposer's two dense arrays may take: level 4 needs 0.27 GB
-# (0.7 GB peak RSS measured), level 5 needs 17 GB
+# (`dyadlab --grid-level 4 decompose --random-shift` peaks at 0.56 GB RSS),
+# level 5 needs 17 GB
 DECOMPOSER_BUDGET = 1 << 30
 
 
@@ -238,13 +238,132 @@ class _Rows(NamedTuple):
         return np.repeat(np.arange(len(self.counts)), self.counts)
 
 
-def _stack(parts: list[tuple[np.ndarray, _Rows]], n_rows: int, width: int) -> sp.csr_matrix:
-    """CSR matrix of sparse rows gathered from parts (at, rows): row i of
-    `rows` lands on matrix row at[i], and repeated indices of a row add."""
-    return sp.coo_matrix((np.concatenate([part.val for _, part in parts]),
-                          (np.concatenate([at[part.row_ids()] for at, part in parts]),
-                           np.concatenate([part.idx for _, part in parts]))),
-                         shape=(n_rows, width)).tocsr()
+# a sparse product works over row chunks whose temporaries stay near this size
+_CHUNK_BYTES = 512 << 10
+# rows per strip of a transposed copy: a strip is read down its columns, and
+# with a few dozen rows the pages and cache lines it touches stay cached
+# (4096 x 4096 on a 2-core Xeon VM: 0.06 s in strips of 64 rows, 0.18 s in
+# one copy)
+_STRIP = 64
+
+
+class _Sparse:
+    """A sparse matrix as its entries in (row, col) order, no position
+    repeated: `row`, `col` and `val` arrays, and `ptr`, where each row's
+    entries start (as a CSR index pointer)."""
+
+    def __init__(self, shape: tuple[int, int], row: np.ndarray, col: np.ndarray, val: np.ndarray):
+        self.shape = shape
+        self.row, self.col, self.val = row, col, val
+        self.ptr = np.searchsorted(row, np.arange(shape[0] + 1))
+
+    @staticmethod
+    def build(shape: tuple[int, int], row, col, val) -> "_Sparse":
+        """The matrix of COO triples: the triples at one position add by a
+        compensated sum in input order (`_run_sums`), and the positions whose
+        sum is zero are left out."""
+        n_cols = shape[1]
+        key = np.multiply(row, n_cols, dtype=np.int64)
+        key += col
+        order = np.argsort(key, kind="stable")
+        val = np.asarray(val, dtype=float)[order]
+        key = key[order]
+        del order
+        first = np.ones(len(key), dtype=bool)  # first triple of each position
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        head = np.flatnonzero(first)
+        if len(head) < len(key):
+            key, val = key[head], _run_sums(val, head)
+        keep = val != 0
+        key, val = key[keep], val[keep]
+        return _Sparse(shape, key // n_cols, key % n_cols, val)
+
+    @staticmethod
+    def sum(mats) -> "_Sparse":
+        """Entrywise sum of matrices of one shape."""
+        mats = list(mats)
+        return _Sparse.build(mats[0].shape, *(np.concatenate([getattr(m, name) for m in mats])
+                                              for name in ("row", "col", "val")))
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        """S @ X for a dense 2-d X: each output row is 0 + a_1 x_1 + a_2 x_2
+        + ... over its entries in column order, the float operations of a
+        row-by-row CSR product, so the result equals that product's bit for
+        bit; one pass per entry rank over row chunks of about _CHUNK_BYTES."""
+        if X.ndim != 2 or X.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by an array of shape {X.shape}")
+        out = np.empty((self.shape[0], X.shape[1]), dtype=np.result_type(self.val, X))
+        step = max(1, _CHUNK_BYTES // max(1, out[:1].nbytes))
+        terms = np.empty((min(step, len(out)),) + out.shape[1:], dtype=out.dtype)
+        for r0 in range(0, len(out), step):
+            block = out[r0:r0 + step]
+            start, count = self.ptr[r0:r0 + len(block)], np.diff(self.ptr[r0:r0 + len(block) + 1])
+            block.fill(0.0)
+            for k in range(count.max()):
+                rows = np.flatnonzero(count > k)
+                at = start[rows] + k
+                # mode="clip" gathers straight into `terms` (the columns are in range)
+                t = np.take(X, self.col[at], axis=0, out=terms[:len(rows)], mode="clip")
+                np.multiply(self.val[at, None], t, out=t)
+                block[rows] += t
+        return out
+
+
+def _run_sums(val: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Sum of each run val[head[g]:head[g + 1]] (the last run ends at the
+    end), term by term in order: TwoSum keeps each addition's rounding error
+    exactly, and the errors are added back at the end (Ogita, Rump and
+    Oishi's Sum2).  The result is as accurate as a sum in twice the working
+    precision, rounded once: a run of n terms with exact sum s comes out
+    within 2^-53 |s| + (n 2^-53)^2 sum |terms| of s, so terms that cancel may
+    leave a residue that small.  On the decomposer's matrices up to L=4 every
+    sum equals math.fsum's.  The runs of two or more terms are taken longest
+    first, so the runs a pass adds to are a prefix."""
+    count = np.diff(head, append=len(val))
+    total = val[head]
+    runs = np.flatnonzero(count > 1)
+    runs = runs[np.argsort(-count[runs], kind="stable")]
+    start = head[runs]
+    longer = len(runs) - np.cumsum(np.bincount(count[runs]))  # runs of more than k terms
+    acc, err = total[runs], np.zeros(len(runs))
+    for k in range(1, len(longer) - 1):
+        n = longer[k]
+        a, b = acc[:n], val[start[:n] + k]
+        s = a + b
+        z = s - a
+        err[:n] += (a - (s - z)) + (b - z)
+        acc[:n] = s
+    total[runs] = acc + err
+    return total
+
+
+def _transposed(Y: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of Y.T, made in strips of _STRIP rows of Y."""
+    out = np.empty(Y.shape[::-1], dtype=Y.dtype)
+    for r0 in range(0, len(Y), _STRIP):
+        out[:, r0:r0 + _STRIP] = Y[r0:r0 + _STRIP].T
+    return out
+
+
+def _sandwich(A: _Sparse, X: np.ndarray, B: _Sparse) -> np.ndarray:
+    """A @ X @ B.T, as B @ (A @ X).T on a contiguous copy, transposed back."""
+    return (B @ _transposed(A @ X)).T
+
+
+def _stack(parts: list[tuple[np.ndarray, _Rows]], n_rows: int, width: int) -> _Sparse:
+    """Matrix of sparse rows gathered from parts (at, rows): row i of `rows`
+    lands on matrix row at[i], and repeated indices of a row add."""
+    return _Sparse.build((n_rows, width),
+                         np.concatenate([at[part.row_ids()] for at, part in parts]),
+                         np.concatenate([part.idx for _, part in parts]),
+                         np.concatenate([part.val for _, part in parts]))
+
+
+def _outer(write: _Rows, read: _Rows, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO (row, col, val) triples of the sum over terms t of
+    w[t] write_t (x) read_t."""
+    term, iw, ir = _ragged_pairs(write.counts, read.counts)
+    return write.idx[iw], read.idx[ir], w[term] * write.val[iw] * read.val[ir]
 
 
 def _ragged_pairs(na: np.ndarray, nb: np.ndarray):
@@ -557,9 +676,9 @@ class AxisDecomposition:
         ones = _noise_free(np.broadcast_to(self.ones_exp, (len(cubes), self.D)))
         return _pair(avg, avg, X[p], X[q], base), _pair(ones, ones, X[p], X[q], base)
 
-    def reads(self, branch: str, rows: np.ndarray | None = None) -> sp.csr_matrix:
+    def reads(self, branch: str, rows: np.ndarray | None = None) -> _Sparse:
         """Read vectors of the rows of the branch table (all, or a boolean
-        mask), as a (rows, D^3) CSR matrix: the write vector for separated
+        mask), as a (rows, D^3) `_Sparse` matrix: the write vector for separated
         and diagonal rows, the cancellative nested read for nested rows."""
         tab = self.tuples[branch] if rows is None else self.tuples[branch][rows]
         nes = tab["cls"] == NES
@@ -567,7 +686,7 @@ class AxisDecomposition:
         parts += [(np.flatnonzero(nes), term) for term in self._nested_terms(branch, tab[nes])]
         return _stack(parts, len(tab), self.D**3)
 
-    def averaging_reads(self, branch: str) -> tuple[sp.csr_matrix, list[tuple[int, int]]]:
+    def averaging_reads(self, branch: str) -> tuple[_Sparse, list[tuple[int, int]]]:
         """Read vectors of the averaging part, one row per smallest cube of
         levels 1..L-1, with the (level, position) of each row's cube."""
         cubes = self.smallest_cubes(branch, "nesP")
@@ -576,7 +695,7 @@ class AxisDecomposition:
                 [(c.level, c.pos[0]) for c in (self.ops.cubes[i] for i in cubes)])
 
     # -- matrices -----------------------------------------------------------
-    def matrix(self, branch: str, cell: str, weight: np.ndarray | None = None) -> sp.csr_matrix:
+    def matrix(self, branch: str, cell: str, weight: np.ndarray | None = None) -> _Sparse:
         """Redistribution matrix of one (branch, cell).
 
         `weight` holds one factor per term of the cell, indexed like
@@ -597,18 +716,12 @@ class AxisDecomposition:
         else:
             write = self._plain_rows(branch, terms)
             reads = self._nested_terms(branch, terms) if cell == "nesC" else (write,)
-        # one outer product write (x) read per term and read vector
-        rows, cols, vals = [], [], []
-        for read in reads:
-            row, iw, ir = _ragged_pairs(write.counts, read.counts)
-            rows.append(write.idx[iw])
-            cols.append(read.idx[ir])
-            vals.append(w[row] * write.val[iw] * read.val[ir])
-        D3 = self.D**3
-        m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(D3, D3)).tocsr()
-        m.eliminate_zeros()  # entries whose terms cancel exactly
-        return m
+        # one outer product write (x) read per term and read vector; the
+        # parts are freed before the build, which needs the memory
+        parts = [_outer(write, read, w) for read in reads]
+        triples = [np.concatenate(p) for p in zip(*parts)]
+        del parts
+        return _Sparse.build((self.D**3,) * 2, *triples)
 
 
 @lru_cache(maxsize=16)
@@ -730,9 +843,7 @@ class Decomposition:
 
     # -- reconstruction -------------------------------------------------------
     def reconstructed_hat(self) -> np.ndarray:
-        M1 = sum(self._m1.values())
-        M2 = sum(self._m2.values())
-        return np.asarray(M1 @ self.lam_hat @ M2.T)
+        return _sandwich(_Sparse.sum(self._m1.values()), self.lam_hat, _Sparse.sum(self._m2.values()))
 
     def residual_on_haar_triples(self) -> float:
         R = self.reconstructed_hat() - self.lam_hat
@@ -742,9 +853,9 @@ class Decomposition:
     def exportable_hat(self) -> np.ndarray:
         """Haar coefficients of the part the object-level families emit: the
         terms of the `exportable` rows and the whole averaging part."""
-        M1, M2 = (sum(ax.matrix(b, c, None if c == "nesP" else ax.exportable(b))
-                      for b in BRANCHES for c in CELLS) for ax in (self.ax1, self.ax2))
-        return np.asarray(M1 @ self.lam_hat @ M2.T)
+        M1, M2 = (_Sparse.sum(ax.matrix(b, c, None if c == "nesP" else ax.exportable(b))
+                              for b in BRANCHES for c in CELLS) for ax in (self.ax1, self.ax2))
+        return _sandwich(M1, self.lam_hat, M2)
 
     def total_form(self, f1, f2, f3) -> float:
         return self._eval_hat(self.reconstructed_hat(), f1, f2, f3)
@@ -780,10 +891,14 @@ class Decomposition:
         for br1 in BRANCHES:
             R1, cap1, *sets1 = per_axis[0][br1]
             # (R1 @ lam_hat)^T laid out once for the three right factors
-            left = np.ascontiguousarray((R1 @ self.lam_hat).T)
+            left = _transposed(R1 @ self.lam_hat)
             for br2 in BRANCHES:
                 R2, cap2, *sets2 = per_axis[1][br2]
-                ratios = np.abs((R2 @ left).T) / np.outer(cap1, cap2)
+                # ratios[j, i] for axis-2 row j and axis-1 row i, computed in
+                # the layout the product leaves
+                ratios = R2 @ left
+                np.abs(ratios, out=ratios)
+                ratios /= np.outer(cap2, cap1)
                 for dest, table1, table2 in zip(("by_class", "certified"), sets1, sets2):
                     for n1, sel1 in table1.items():
                         if not sel1.any():
@@ -791,7 +906,7 @@ class Decomposition:
                         for n2, sel2 in table2.items():
                             if not sel2.any():
                                 continue
-                            block = ratios[np.ix_(sel1, sel2)]
+                            block = ratios[np.ix_(sel2, sel1)]
                             if dest == "by_class":
                                 key = tuple(sorted((n1, n2)))
                                 out["by_class"][key] = max(out["by_class"].get(key, 0.0),
@@ -806,9 +921,9 @@ class Decomposition:
         """Symbol oscillation norms of the extracted partial paraproducts
         against the nested-chain shape cap, for the nested x averaged cells."""
         out = {"max_ratio": 0.0, "n_symbols": 0}
-        # lam_hat^T laid out once: a sparse product copies a transposed view
+        # lam_hat^T laid out once: a sparse product gathers rows of its right factor
         for shift_ax, para_ax, lam in ((self.ax1, self.ax2, self.lam_hat),
-                                       (self.ax2, self.ax1, np.ascontiguousarray(self.lam_hat.T))):
+                                       (self.ax2, self.ax1, _transposed(self.lam_hat))):
             for br_s in BRANCHES:
                 tab = shift_ax.tuples[br_s]
                 nes = tab["cls"] == NES
@@ -823,7 +938,7 @@ class Decomposition:
                     if not cubes:
                         continue
                     # tbl[t, j]: coefficient of the symbol of key t on cube j
-                    tbl = np.asarray(W @ lam @ R.T)
+                    tbl = _sandwich(W, lam, R)
                     prof = tbl @ para_ax.ops.haar[[para_ax.ops.canc_index(l, p) for l, p in cubes]]
                     ratio = axis_profile_bmo(prof, para_ax.axis) / shape
                     out["max_ratio"] = max(out["max_ratio"], float(ratio.max()))
@@ -838,7 +953,7 @@ class Decomposition:
             R1, cubes1 = self.ax1.averaging_reads(br1)
             for br2 in BRANCHES:
                 R2, cubes2 = self.ax2.averaging_reads(br2)
-                tbl = np.asarray(R1 @ self.lam_hat @ R2.T)
+                tbl = _sandwich(R1, self.lam_hat, R2)
                 out[(br1, br2)] = {"lam": tbl, "cubes1": cubes1, "cubes2": cubes2,
                                    "pattern": (SMALLEST_SLOT[br1], SMALLEST_SLOT[br2])}
         return out
@@ -879,7 +994,7 @@ class Decomposition:
             for br2 in BRANCHES:
                 for tag1, (keys1, W1) in sets[0][br1].items():
                     for tag2, (keys2, W2) in sets[1][br2].items():
-                        C = np.asarray(W1 @ self.lam_hat @ W2.T)
+                        C = _sandwich(W1, self.lam_hat, W2)
                         nz = np.flatnonzero(C)
                         if not len(nz):
                             continue
@@ -930,7 +1045,7 @@ class Decomposition:
         oscillation cap."""
         out = []
         for shift_axis, sax, pax, lam in ((0, self.ax1, self.ax2, self.lam_hat),
-                                          (1, self.ax2, self.ax1, np.ascontiguousarray(self.lam_hat.T))):
+                                          (1, self.ax2, self.ax1, _transposed(self.lam_hat))):
             for br_s in BRANCHES:
                 sets = self._export_sets(sax, br_s)
                 for br_p in BRANCHES:
@@ -940,7 +1055,7 @@ class Decomposition:
                     hrows = pax.ops.haar[[pax.ops.canc_index(l, p) for l, p in cubes]]
                     ptype = SMALLEST_SLOT[br_p]
                     for tag, (keys, W) in sets.items():
-                        tbl = np.asarray(W @ lam @ R.T)
+                        tbl = _sandwich(W, lam, R)
                         profs = tbl @ hrows
                         # a family per (depths, averaged slot), in sorted order
                         fam = _group_codes(keys[:, 2:6])
@@ -996,12 +1111,12 @@ def decompose(tensor: KernelTensor, om: GridShift, **kwargs) -> Decomposition:
     return Decomposition(tensor, om, **kwargs)
 
 
-def _gated_total(ax: AxisDecomposition) -> sp.csr_matrix:
+def _gated_total(ax: AxisDecomposition) -> _Sparse:
     """Sum of the gated matrices: each term weighted by the inverse goodness
     probability of its smallest cube's level, and kept only when that cube
     is good."""
     w = ax.gated_weights()
-    return sum(ax.matrix(b, c, w[ax.smallest_cubes(b, c)]) for b in BRANCHES for c in CELLS)
+    return _Sparse.sum(ax.matrix(b, c, w[ax.smallest_cubes(b, c)]) for b in BRANCHES for c in CELLS)
 
 
 def averaged_reconstruction(
@@ -1026,14 +1141,14 @@ def averaged_reconstruction(
         rng = np.random.default_rng(seed)
         shifts = [sample_shift(grid, rng) for _ in range(sample_count)]
     acc = np.zeros_like(tensor.data)
-    totals: dict[AxisDecomposition, sp.csr_matrix] = {}  # gated, per axis shift
+    totals: dict[AxisDecomposition, _Sparse] = {}  # gated, per axis shift
     for om in shifts:
         dec = Decomposition(tensor, om, r=r, gamma=gamma)
         if gated:
             for ax in (dec.ax1, dec.ax2):
                 if ax not in totals:
                     totals[ax] = _gated_total(ax)
-            hat = np.asarray(totals[dec.ax1] @ dec.lam_hat @ totals[dec.ax2].T)
+            hat = _sandwich(totals[dec.ax1], dec.lam_hat, totals[dec.ax2])
         else:
             hat = dec.reconstructed_hat()
         acc += _lambda_hat_to_cells(hat, grid, om)

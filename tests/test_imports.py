@@ -1,6 +1,6 @@
-"""What the package imports, and when: the decomposer and scipy load only
-when a decomposition is built, and the suites that never decompose import
-nothing on their first call."""
+"""What the package imports, and when: the decomposer loads only when a
+decomposition is built, scipy never, and the suites that never decompose
+import nothing on their first call."""
 
 import json
 import os
@@ -68,3 +68,15 @@ def test_suites_import_nothing_on_first_call():
         "print(json.dumps(gained))\n")
     assert out == {name: [] for name in
                    ("weighted_suite", "commutator_suite", "duality_suite", "bmo_lower_bound")}
+
+
+def test_cli_decompose_never_imports_scipy(tmp_path):
+    out = _run(
+        "import contextlib, io, json, sys\n"
+        "import dyadlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = dyadlab.cli.main(['--grid-level', '2', '--seed', '3', '--out', {str(tmp_path)!r},\n"
+        "                           'decompose', '--random-shift', '--export-families'])\n"
+        "print(json.dumps({'rc': rc, 'scipy': 'scipy' in sys.modules}))\n")
+    assert out == {"rc": 0, "scipy": False}
+    assert (tmp_path / "shift_families.json").exists() and (tmp_path / "partial_families.json").exists()

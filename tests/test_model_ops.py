@@ -299,6 +299,39 @@ def test_payload_keys_are_checked():
         ShiftOperator.from_payload(payload)
 
 
+# -- axis and slot parameters: refused by the constructor and in payloads ---------
+
+def _assert_refused(U, field, value, match):
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(U, **{field: value})
+    with pytest.raises(ValueError, match=match):
+        type(U).from_payload(U.to_payload() | {field: value})
+
+
+@pytest.mark.parametrize("shift_axis", [5, -1, 2])
+def test_partial_rejects_bad_shift_axis(shift_axis):
+    P = random_partial_paraproduct(GRID, ZERO, (1, 0, 0), rng=np.random.default_rng(13))
+    _assert_refused(P, "shift_axis", shift_axis, "shift_axis")
+
+
+@pytest.mark.parametrize("h0_slot", [0, 4, -1])
+def test_partial_rejects_bad_h0_slot(h0_slot):
+    P = random_partial_paraproduct(GRID, ZERO, (1, 0, 0), rng=np.random.default_rng(14))
+    _assert_refused(P, "h0_slot", h0_slot, "h0_slot")
+
+
+@pytest.mark.parametrize("ptype", [7, 0, -3])
+def test_partial_rejects_bad_ptype(ptype):
+    P = random_partial_paraproduct(GRID, ZERO, (1, 0, 0), rng=np.random.default_rng(15))
+    _assert_refused(P, "ptype", ptype, "ptype")
+
+
+@pytest.mark.parametrize("pattern", [(0, 3), (3, 9), (3,), (1, 2, 3)])
+def test_full_rejects_bad_pattern(pattern):
+    F = random_full_paraproduct(GRID, ZERO, (3, 3), np.random.default_rng(16))
+    _assert_refused(F, "pattern", pattern, "pattern")
+
+
 # -- gather plans against the per-key reference loops ----------------------------
 #
 # The references below are the per-key loops the plans replaced: descendant

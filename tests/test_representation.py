@@ -2,7 +2,9 @@
 
 import io
 import json
+import math
 import tracemalloc
+from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +54,8 @@ from dyadlab.representation import (
     common_ancestor,
     decompose,
     decomposer_bytes,
+    _Sparse,
+    _sandwich,
 )
 
 GRID = TorusGrid.make(3)
@@ -250,7 +254,7 @@ class PerTupleReference:
                     widx, wval = self.write_vector(t)
                     ridx, rval = self.read_vector_nested_C(t) if cell == "nesC" else (widx, wval)
                     add(widx, wval, ridx, rval, sc)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(D3, D3)).tocsr()
+        return exact_csr(rows, cols, vals, (D3, D3))
 
     def total_matrix(self):
         return sum(self.matrix(b, c) for b in BRANCHES for c in CELLS)
@@ -266,7 +270,23 @@ class PerTupleReference:
                     rows.extend([i] * len(widx))
                     cols.extend(widx.tolist())
                     vals.extend((a * wval).tolist())
-        return sp.coo_matrix((vals, (rows, cols)), shape=(D3, D3)).tocsr()
+        return exact_csr(rows, cols, vals, (D3, D3))
+
+
+def exact_csr(rows, cols, vals, shape):
+    """CSR matrix of COO triples whose repeated positions add exactly
+    (math.fsum): scipy adds them in the order of an unstable sort, which can
+    leave a rounding residue where the terms cancel."""
+    terms = defaultdict(list)
+    for key, v in zip(zip(rows, cols), vals):
+        terms[key].append(v)
+    pos = np.array(list(terms), dtype=np.int64).reshape(-1, 2)
+    return sp.csr_matrix(([math.fsum(t) for t in terms.values()], (pos[:, 0], pos[:, 1])), shape=shape)
+
+
+def csr(S: _Sparse):
+    """The scipy CSR matrix with the entries of S."""
+    return sp.csr_matrix((S.val, (S.row, S.col)), shape=S.shape)
 
 
 def _interval_distance(a0, wa, b0, wb, n):
@@ -277,7 +297,7 @@ def _interval_distance(a0, wa, b0, wb, n):
 
 def term_form(dec, br1, cell1, br2, cell2, f1, f2, f3):
     """The form of one (branch, cell) pair of the reconstruction."""
-    hat = np.asarray(dec.ax1.matrix(br1, cell1) @ dec.lam_hat @ dec.ax2.matrix(br2, cell2).T)
+    hat = _sandwich(dec.ax1.matrix(br1, cell1), dec.lam_hat, dec.ax2.matrix(br2, cell2))
     return dec._eval_hat(hat, f1, f2, f3)
 
 
@@ -326,7 +346,7 @@ def test_axis_split_identity(L):
     ax = Axis(1, L)
     for shift in (AxisShift.zero(ax), sample_axis_shift(ax, np.random.default_rng(L))):
         ad = AxisDecomposition(ax, shift)
-        total = sum(ad.matrix(b, c) for b in BRANCHES for c in CELLS)
+        total = csr(_Sparse.sum(ad.matrix(b, c) for b in BRANCHES for c in CELLS))
         assert abs(total - sp.identity(ad.D**3)).max() < 1e-12
 
 
@@ -360,14 +380,14 @@ def test_fast_matrices_match_per_tuple_reference(L, bits, r):
     # builder's
     ax = Axis(1, L)
     ad = AxisDecomposition(ax, AxisShift(ax, tuple((b,) for b in bits[:L])), r=r)
-    total = sum(ad.matrix(b, c) for b in BRANCHES for c in CELLS)
+    total = csr(_Sparse.sum(ad.matrix(b, c) for b in BRANCHES for c in CELLS))
     assert abs(total - sp.identity(ad.D**3)).max() < 1e-12
     if L > 4:
         return
     ref = PerTupleReference(ad)
     for mode in ("plain", "gated", "exportable"):
         for key, fast, slow in fast_and_reference(ad, ref, mode):
-            assert_same_matrix(fast, slow, (mode, key))
+            assert_same_matrix(csr(fast), slow, (mode, key))
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -389,7 +409,96 @@ def test_row_certificates_and_slot_keys_match_per_tuple_reference(L):
             want = sp.coo_matrix((np.concatenate([val for _, val in reads]),
                                   (row_of, np.concatenate([idx for idx, _ in reads]))),
                                  shape=(len(rows), ad.D**3)).tocsr()
-            assert_same_matrix(ad.reads(br), want)
+            want.eliminate_zeros()  # a _Sparse leaves out positions whose sum is zero
+            assert_same_matrix(csr(ad.reads(br)), want)
+
+
+# -- the sparse type against scipy ----------------------------------------------
+
+def _sparse_pair(rng, shape, nnz, empty_rows=()):
+    """A _Sparse and a scipy CSR matrix of the same random COO triples, some
+    at repeated positions.  Values are multiples of 1/16 below 8, so the
+    triples at a position add exactly in any order."""
+    rows = rng.choice(np.setdiff1d(np.arange(shape[0]), empty_rows), nnz)
+    rows = np.r_[rows, rows[:nnz // 4]]
+    cols = np.r_[rng.integers(0, shape[1], nnz), rng.integers(0, shape[1], nnz // 4)]
+    vals = rng.integers(-128, 128, len(rows)) / 16.0
+    return (_Sparse.build(shape, rows, cols, vals),
+            sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr())
+
+
+def assert_same_bits(a, b):
+    """Equal arrays down to the sign of every zero."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("n_vecs", [1, 33, 20000])  # 20000: three rows per chunk
+def test_sparse_products_match_scipy_on_random_matrices(n_vecs):
+    rng = np.random.default_rng(n_vecs)
+    X = rng.standard_normal((12, n_vecs))
+    X[::3, ::2], X[1::3, ::2] = 0.0, -0.0  # products -0.0, which a sum from 0.0 turns into 0.0
+    Y = rng.standard_normal((12, 10))
+    B, ref_b = _sparse_pair(rng, (7, 10), 20, empty_rows=(3,))
+    for empty_rows in ((0, 4, 9), ()):
+        S, ref = _sparse_pair(rng, (10, 12), 30, empty_rows)
+        assert (np.diff(S.ptr)[list(empty_rows)] == 0).all()
+        assert_same_bits(csr(S).toarray(), ref.toarray())
+        assert_same_bits(S @ X, ref @ X)
+        assert_same_bits(_sandwich(S, Y, B), np.asarray(ref @ Y @ ref_b.T))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_sparse_products_match_scipy_on_decomposer_matrices(L):
+    # every read and redistribution matrix, unweighted, gated and exportable:
+    # the product by a dense array equals scipy's CSR product bit for bit
+    ax = Axis(1, L)
+    rng = np.random.default_rng(L)
+    for shift in (AxisShift.zero(ax), sample_axis_shift(ax, rng)):
+        ad = AxisDecomposition(ax, shift, r=1)
+        X = rng.standard_normal((ad.D**3, 5))
+        w = np.array([(1.0 + c.level / 7) * g for c, g in zip(ad.ops.cubes, ad.good)])
+        mats = [m for b in BRANCHES for m in (ad.reads(b), ad.averaging_reads(b)[0])]
+        mats += [ad.matrix(b, c, weight) for b in BRANCHES for c in CELLS
+                 for weight in (None, w[ad.smallest_cubes(b, c)], None if c == "nesP" else ad.exportable(b))]
+        for S in mats:
+            assert_same_bits(S @ X, csr(S) @ X)
+
+
+def test_repeated_entries_cancel_exactly_in_any_order():
+    # the case of matrix('A', 'sep') at L=3, zero shift, r=1, position
+    # (270, 262): four +a and four -a, where a plain sum in input order
+    # leaves 2^-54
+    a = 0.12500000000000003
+    terms = [a] * 4 + [-a] * 4
+    assert sum(terms) == 2.0**-54
+    for order in (terms, terms[::-1], terms[::2] + terms[1::2], [a, -a] * 4):
+        zero = np.zeros(8, dtype=np.int64)
+        assert _Sparse.build((1, 1), zero, zero, order).val.size == 0
+    ax = Axis(1, 3)
+    m = AxisDecomposition(ax, AxisShift.zero(ax), r=1).matrix("A", "sep")
+    at = dict(zip(zip(m.row.tolist(), m.col.tolist()), m.val.tolist()))
+    assert (270, 262) not in at and (262, 270) not in at
+
+
+def test_repeated_entries_keep_sum2_bound_across_magnitudes():
+    # terms of widely different sizes: each sum is within Sum2's bound
+    # 2^-53 |s| + (n 2^-53)^2 sum |terms| of math.fsum's, though not always
+    # equal to it; this run cancels exactly and may leave a residue of 2^-120
+    runs = [[1.0, 2.0**-60, 2.0**-120, -(2.0**-60), -1.0, -(2.0**-120)]]
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        t = rng.standard_normal(n) * 2.0 ** rng.integers(-80, 80, n)
+        runs.append(np.r_[t, -t[: n // 2]][rng.permutation(n + n // 2)].tolist())
+    rows = np.repeat(np.arange(len(runs)), [len(t) for t in runs])
+    S = _Sparse.build((len(runs), 1), rows, np.zeros(len(rows), dtype=np.int64), np.concatenate(runs))
+    got = np.zeros(len(runs))
+    got[S.row] = S.val
+    eps = 2.0**-53
+    for g, t in zip(got.tolist(), runs):
+        s = math.fsum(t)
+        assert abs(g - s) <= eps * abs(s) + (len(t) * eps) ** 2 * math.fsum(map(abs, t))
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -497,7 +606,7 @@ def test_chain_collapse_identity_term_by_term():
     ref = PerTupleReference(ad)
     D3 = ad.D**3
     for br in BRANCHES:
-        para = ad.matrix(br, "nesP").toarray()
+        para = csr(ad.matrix(br, "nesP")).toarray()
         target = np.zeros((D3, D3))
         for t in ref.tuples[br]:
             if t.cls != NES:
@@ -661,7 +770,7 @@ def _header(levels, dims=(1, 1)):
 def test_decomposer_size_model(monkeypatch):
     # the dense kernel tensor and the Haar coefficients, C^3 float64 each
     assert decomposer_bytes(TorusGrid.make(4)) == 2 * 8 * 256**3
-    check_decomposer_size(TorusGrid.make(4))  # 0.27 GB, 0.7 GB peak RSS measured
+    check_decomposer_size(TorusGrid.make(4))  # 0.27 GB, 0.56 GB peak RSS measured
     for grid in (TorusGrid.make(5), TorusGrid.make((5, 4)), TorusGrid.make(3, (2, 2))):
         assert decomposer_bytes(grid) > representation.DECOMPOSER_BUDGET
         with pytest.raises(ConfigError):
