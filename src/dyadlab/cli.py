@@ -104,16 +104,14 @@ def cmd_decompose(args) -> int:
         partials = dec.extracted_partial_paraproducts()
         for fname, fams in (("shift_families.json", shifts),
                             ("partial_families.json", partials)):
-            payload = [
-                {k: v for k, v in rec.items() if k != "operator"}
-                | {"operator": rec["operator"].to_payload()}
-                for rec in fams
-            ]
-            # one record at a time through the C encoder: the output of
-            # json.dump, without its pure-Python encoder or one whole-file string
+            # one record at a time, its payload made as it is written, through
+            # the C encoder: the output of json.dump, without its pure-Python
+            # encoder, a whole-file string or every record's payload at once
             with open(os.path.join(cfg.out_dir, fname), "w") as fp:
                 fp.write("[")
-                for n, rec in enumerate(payload):
+                for n, rec in enumerate(fams):
+                    rec = ({k: v for k, v in rec.items() if k != "operator"}
+                           | {"operator": rec["operator"].to_payload()})
                     fp.write((", " if n else "") + json.dumps(rec, sort_keys=True, default=list))
                 fp.write("]")
         print(f"exported {len(shifts)} shift families, {len(partials)} partial families")

@@ -250,12 +250,14 @@ _STRIP = 64
 class _Sparse:
     """A sparse matrix as its entries in (row, col) order, no position
     repeated: `row`, `col` and `val` arrays, and `ptr`, where each row's
-    entries start (as a CSR index pointer)."""
+    entries start (a CSR index pointer), all read-only since kept matrices are shared."""
 
     def __init__(self, shape: tuple[int, int], row: np.ndarray, col: np.ndarray, val: np.ndarray):
         self.shape = shape
         self.row, self.col, self.val = row, col, val
         self.ptr = np.searchsorted(row, np.arange(shape[0] + 1))
+        for a in (row, col, val, self.ptr):
+            a.setflags(write=False)
 
     @staticmethod
     def build(shape: tuple[int, int], row, col, val) -> "_Sparse":
@@ -284,6 +286,14 @@ class _Sparse:
         mats = list(mats)
         return _Sparse.build(mats[0].shape, *(np.concatenate([getattr(m, name) for m in mats])
                                               for name in ("row", "col", "val")))
+
+    def take(self, rows: np.ndarray) -> "_Sparse":
+        """The matrix of the given distinct rows, in that order: what `build`
+        makes of the triples of those rows alone."""
+        count = self.ptr[rows + 1] - self.ptr[rows]
+        at = np.repeat(self.ptr[rows] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        return _Sparse((len(rows), self.shape[1]), np.repeat(np.arange(len(rows)), count),
+                       self.col[at], self.val[at])
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         """S @ X for a dense 2-d X: each output row is 0 + a_1 x_1 + a_2 x_2
@@ -402,8 +412,10 @@ class AxisDecomposition:
     in CELLS; each matrix maps Haar-coefficient triples (read) to
     emitted-term coefficient triples (write), and the exact per-axis identity
     is sum over branches and cells == identity.  Matrices are built on each
-    request and not kept; `axis_decomposition` shares one instance per
-    (axis, shift, r, gamma, alpha).
+    request and not kept, but the per-branch sparse read tables (`reads`,
+    `averaging_reads`, `export_sets`) are kept from their first use: about
+    110 KB per axis at L=3, 1.1 MB at L=4.  `axis_decomposition` shares one
+    instance per (axis, shift, r, gamma, alpha).
     """
 
     def __init__(self, axis: Axis, shift: AxisShift, r: int = 2,
@@ -430,6 +442,11 @@ class AxisDecomposition:
         self.ones_exp = tr @ np.ones(axis.n_cells)
         self.ops = ops
         self.tuples = {b: self._enumerate(b) for b in BRANCHES}
+        self._kept: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, build):
+        """build(), made on the first request for key and kept."""
+        return self._kept[key] if key in self._kept else self._kept.setdefault(key, build())
 
     # -- enumeration and classification -----------------------------------
     def _starts(self, lvl, pos):
@@ -679,20 +696,38 @@ class AxisDecomposition:
     def reads(self, branch: str, rows: np.ndarray | None = None) -> _Sparse:
         """Read vectors of the rows of the branch table (all, or a boolean
         mask), as a (rows, D^3) `_Sparse` matrix: the write vector for separated
-        and diagonal rows, the cancellative nested read for nested rows."""
-        tab = self.tuples[branch] if rows is None else self.tuples[branch][rows]
-        nes = tab["cls"] == NES
-        parts = [(np.flatnonzero(~nes), self._plain_rows(branch, tab[~nes]))]
-        parts += [(np.flatnonzero(nes), term) for term in self._nested_terms(branch, tab[nes])]
-        return _stack(parts, len(tab), self.D**3)
+        and diagonal rows, the cancellative nested read for nested rows.  The
+        whole table is built once; every step of its build is row by row, so
+        a mask's rows of it equal a build from those rows alone."""
+        def build():
+            tab = self.tuples[branch]
+            nes = tab["cls"] == NES
+            parts = [(np.flatnonzero(~nes), self._plain_rows(branch, tab[~nes]))]
+            parts += [(np.flatnonzero(nes), term) for term in self._nested_terms(branch, tab[nes])]
+            return _stack(parts, len(tab), self.D**3)
+        whole = self._once(("reads", branch), build)
+        return whole if rows is None else whole.take(np.flatnonzero(rows))
 
-    def averaging_reads(self, branch: str) -> tuple[_Sparse, list[tuple[int, int]]]:
+    def averaging_reads(self, branch: str) -> tuple[_Sparse, list[tuple[int, int]], np.ndarray]:
         """Read vectors of the averaging part, one row per smallest cube of
-        levels 1..L-1, with the (level, position) of each row's cube."""
-        cubes = self.smallest_cubes(branch, "nesP")
-        _, read = self._averaging_rows(branch, cubes)
-        return (_stack([(np.arange(len(cubes)), read)], len(cubes), self.D**3),
-                [(c.level, c.pos[0]) for c in (self.ops.cubes[i] for i in cubes)])
+        levels 1..L-1, with each row's cube as (level, position) and as its
+        index in `ops.cubes` (below level L, its row in `ops.haar`); built once."""
+        def build():
+            cubes = self.smallest_cubes(branch, "nesP")
+            _, read = self._averaging_rows(branch, cubes)
+            return (_stack([(np.arange(len(cubes)), read)], len(cubes), self.D**3),
+                    [(c.level, c.pos[0]) for c in (self.ops.cubes[i] for i in cubes)], cubes)
+        return self._once(("averaging", branch), build)
+
+    def export_sets(self, branch: str) -> dict:
+        """The exportable rows by tag ('plain': separated and diagonal,
+        'nested'): their slot keys and their read vectors; built once."""
+        def build():
+            tab, keep = self.tuples[branch], self.exportable(branch)
+            nes = tab["cls"] == NES
+            return {tag: (self.slot_keys(branch, tab[rows]), self.reads(branch, rows))
+                    for tag, rows in (("plain", keep & ~nes), ("nested", keep & nes)) if rows.any()}
+        return self._once(("export", branch), build)
 
     # -- matrices -----------------------------------------------------------
     def matrix(self, branch: str, cell: str, weight: np.ndarray | None = None) -> _Sparse:
@@ -728,7 +763,8 @@ class AxisDecomposition:
 def axis_decomposition(axis: Axis, shift: AxisShift, r: int = 2,
                        gamma: float | None = None, alpha: float = 1.0) -> AxisDecomposition:
     """The shared AxisDecomposition of one (axis, shift, r, gamma, alpha); its
-    tables are read-only and it keeps no matrix."""
+    tables are read-only, and of the matrices it keeps only the per-branch
+    read tables."""
     return AxisDecomposition(axis, shift, r, gamma, alpha)
 
 
@@ -739,7 +775,6 @@ def axis_decomposition(axis: Axis, shift: AxisShift, r: int = 2,
 def common_ancestor_cubes(cubes: list[DyadicCube]) -> DyadicCube:
     """Minimal common dyadic ancestor within one shifted lattice (the level-0
     cube is the whole torus, so it always exists)."""
-    axis = cubes[0].axis
     top = min(c.level for c in cubes)
     for j in range(top, -1, -1):
         anc = [c.ancestor(c.level - j) for c in cubes]
@@ -780,20 +815,16 @@ def common_ancestor(c1: DyadicCube, c2: DyadicCube, c3: DyadicCube,
 # full decomposition
 # ---------------------------------------------------------------------------
 
-def _lambda_hat(tensor: KernelTensor, om: GridShift) -> np.ndarray:
-    """Haar-coefficient matrix of the form: rows index first-axis basis
-    triples (slots 1,2,3), columns second-axis triples."""
-    grid = tensor.grid
-    n1, n2 = grid.shape
-    b1 = AxisBasis(grid.axes[0], om.shift1)
-    b2 = AxisBasis(grid.axes[1], om.shift2)
-    t1 = b1.transform()
-    t2 = b2.transform()
+def _lambda_hat(tensor: KernelTensor, b1: AxisBasis, b2: AxisBasis) -> np.ndarray:
+    """Haar-coefficient matrix of the form in the bases b1, b2 of the two
+    axes: rows index first-axis basis triples (slots 1,2,3), columns
+    second-axis triples."""
+    n1, n2 = tensor.grid.shape
+    t1, t2 = b1.transform(), b2.transform()
     K6 = tensor.data.reshape(n1, n2, n1, n2, n1, n2)
     # slot order: slot1 ~ (y1, y2), slot2 ~ (z1, z2), slot3 ~ (x1, x2)
     T = np.einsum("xXyYzZ,ay,bz,cx,AY,BZ,CX->abcABC", K6, t1, t1, t1, t2, t2, t2, optimize=True)
-    D1, D2 = b1.size, b2.size
-    return T.reshape(D1**3, D2**3)
+    return T.reshape(b1.size**3, b2.size**3)
 
 
 def _lambda_hat_to_cells(lam_hat: np.ndarray, grid: TorusGrid, om: GridShift) -> np.ndarray:
@@ -831,7 +862,7 @@ class Decomposition:
         self.alpha = a
         self.ax1 = axis_decomposition(grid.axes[0], om.shift1, r, gamma, a)
         self.ax2 = axis_decomposition(grid.axes[1], om.shift2, r, gamma, a)
-        self.lam_hat = _lambda_hat(tensor, om)
+        self.lam_hat = _lambda_hat(tensor, self.ax1.basis, self.ax2.basis)
 
     @cached_property
     def _m1(self) -> dict:
@@ -846,9 +877,15 @@ class Decomposition:
         return _sandwich(_Sparse.sum(self._m1.values()), self.lam_hat, _Sparse.sum(self._m2.values()))
 
     def residual_on_haar_triples(self) -> float:
-        R = self.reconstructed_hat() - self.lam_hat
-        scale = np.abs(self.lam_hat).max()
-        return float(np.abs(R).max() / (scale if scale > 0 else 1.0))
+        # the largest |P - lam_hat^T| over strips of rows of the product P (in
+        # its own layout) through one buffer: no full-size difference
+        P, lam = self.reconstructed_hat().T, self.lam_hat
+        buf, worst = np.empty((_STRIP, P.shape[1])), []
+        for r0 in range(0, len(P), _STRIP):
+            d = np.subtract(P[r0:r0 + _STRIP], lam[:, r0:r0 + _STRIP].T, out=buf[:len(P) - r0])
+            worst.append(np.abs(d, out=d).max())
+        scale = max(lam.max(), -lam.min())
+        return float(np.max(worst) / (scale if scale > 0 else 1.0))
 
     def exportable_hat(self) -> np.ndarray:
         """Haar coefficients of the part the object-level families emit: the
@@ -929,17 +966,18 @@ class Decomposition:
                 nes = tab["cls"] == NES
                 if not nes.any():
                     continue
-                W = shift_ax.reads(br_s, nes)
+                # (W lam)^T laid out once for the three right factors
+                left = _transposed(shift_ax.reads(br_s, nes) @ lam)
                 # the chain child sits one level below the middle cube
                 depth = tab["lvl_s"][nes] - tab["lvl_m"][nes] - 1
                 shape = (2.0**-depth) ** (self.alpha / 2.0) * (2.0**-depth) ** 0.5
                 for br_p in BRANCHES:
-                    R, cubes = para_ax.averaging_reads(br_p)
+                    R, cubes, haar_rows = para_ax.averaging_reads(br_p)
                     if not cubes:
                         continue
                     # tbl[t, j]: coefficient of the symbol of key t on cube j
-                    tbl = _sandwich(W, lam, R)
-                    prof = tbl @ para_ax.ops.haar[[para_ax.ops.canc_index(l, p) for l, p in cubes]]
+                    tbl = (R @ left).T
+                    prof = tbl @ para_ax.ops.haar[haar_rows]
                     ratio = axis_profile_bmo(prof, para_ax.axis) / shape
                     out["max_ratio"] = max(out["max_ratio"], float(ratio.max()))
                     out["n_symbols"] += len(ratio)
@@ -950,11 +988,11 @@ class Decomposition:
         each of the nine symmetry pairs."""
         out = {}
         for br1 in BRANCHES:
-            R1, cubes1 = self.ax1.averaging_reads(br1)
+            R1, cubes1, _ = self.ax1.averaging_reads(br1)
+            left = _transposed(R1 @ self.lam_hat)
             for br2 in BRANCHES:
-                R2, cubes2 = self.ax2.averaging_reads(br2)
-                tbl = _sandwich(R1, self.lam_hat, R2)
-                out[(br1, br2)] = {"lam": tbl, "cubes1": cubes1, "cubes2": cubes2,
+                R2, cubes2, _ = self.ax2.averaging_reads(br2)
+                out[(br1, br2)] = {"lam": (R2 @ left).T, "cubes1": cubes1, "cubes2": cubes2,
                                    "pattern": (SMALLEST_SLOT[br1], SMALLEST_SLOT[br2])}
         return out
 
@@ -963,8 +1001,8 @@ class Decomposition:
         out = []
         for key, rec in self.full_paraproduct_tables().items():
             lam_full = np.zeros((self.ax1.ops.haar.shape[0], self.ax2.ops.haar.shape[0]))
-            lam_full[np.ix_([self.ax1.ops.canc_index(*c) for c in rec["cubes1"]],
-                            [self.ax2.ops.canc_index(*c) for c in rec["cubes2"]])] = rec["lam"]
+            lam_full[np.ix_(self.ax1.averaging_reads(key[0])[2],
+                            self.ax2.averaging_reads(key[1])[2])] = rec["lam"]
             op = FullParaproduct(self.grid, self.om, rec["pattern"], lam_full)
             size = op.coefficient_report().family_value
             if size > 0:
@@ -973,36 +1011,28 @@ class Decomposition:
         return out
 
     # -- object-level emission ---------------------------------------------
-    def _export_sets(self, ax: AxisDecomposition, branch: str) -> dict:
-        """The exportable rows by tag ('plain': separated and diagonal,
-        'nested'): their slot keys and their read vectors."""
-        tab = ax.tuples[branch]
-        keep = ax.exportable(branch)
-        nes = tab["cls"] == NES
-        return {tag: (ax.slot_keys(branch, tab[rows]), ax.reads(branch, rows))
-                for tag, rows in (("plain", keep & ~nes), ("nested", keep & nes)) if rows.any()}
-
     def extracted_shift_families(self) -> list[dict]:
         """Builder-validated shift operators with their extracted sizes.
 
         Plain cells and the cancellative parts of nested cells regroup into
         families keyed by (complexity, averaged-slot pattern); coefficients
         are rescaled by the family maximum against the structural cap."""
-        sets = [{br: self._export_sets(ax, br) for br in BRANCHES} for ax in (self.ax1, self.ax2)]
         buckets: dict[tuple, tuple] = {}
         for br1 in BRANCHES:
-            for br2 in BRANCHES:
-                for tag1, (keys1, W1) in sets[0][br1].items():
-                    for tag2, (keys2, W2) in sets[1][br2].items():
-                        C = _sandwich(W1, self.lam_hat, W2)
+            for tag1, (keys1, W1) in self.ax1.export_sets(br1).items():
+                # (W1 lam_hat)^T laid out once for all right factors, one held at a time
+                left = _transposed(W1 @ self.lam_hat)
+                _, g1 = np.unique(_group_codes(keys1[:, :6]), return_inverse=True)
+                for br2 in BRANCHES:
+                    for tag2, (keys2, W2) in self.ax2.export_sets(br2).items():
+                        C = (W2 @ left).T
                         nz = np.flatnonzero(C)
                         if not len(nz):
                             continue
                         i, j = nz // C.shape[1], nz % C.shape[1]
                         # one block per pair of (anchor, depths, averaged slot)
                         # groups, numbered in the order their first entries come
-                        (_, g1), (_, g2) = (np.unique(_group_codes(keys[:, :6]), return_inverse=True)
-                                            for keys in (keys1, keys2))
+                        _, g2 = np.unique(_group_codes(keys2[:, :6]), return_inverse=True)
                         pair = g1[i] * (g2.max() + 1) + g2[j]
                         first = np.full((g1.max() + 1) * (g2.max() + 1), len(pair))
                         np.minimum.at(first, pair, np.arange(len(pair)))
@@ -1047,31 +1077,33 @@ class Decomposition:
         for shift_axis, sax, pax, lam in ((0, self.ax1, self.ax2, self.lam_hat),
                                           (1, self.ax2, self.ax1, _transposed(self.lam_hat))):
             for br_s in BRANCHES:
-                sets = self._export_sets(sax, br_s)
-                for br_p in BRANCHES:
-                    R, cubes = pax.averaging_reads(br_p)
-                    if not cubes:
-                        continue
-                    hrows = pax.ops.haar[[pax.ops.canc_index(l, p) for l, p in cubes]]
-                    ptype = SMALLEST_SLOT[br_p]
-                    for tag, (keys, W) in sets.items():
-                        tbl = _sandwich(W, lam, R)
-                        profs = tbl @ hrows
-                        # a family per (depths, averaged slot), in sorted order
-                        fam = _group_codes(keys[:, 2:6])
+                found = []  # (averaging branch, record), put in branch order below
+                for tag, (keys, W) in sax.export_sets(br_s).items():
+                    # (W lam)^T laid out once for the three right factors
+                    left = _transposed(W @ lam)
+                    # a family per (depths, averaged slot), in sorted order
+                    fam = _group_codes(keys[:, 2:6])
+                    for n_p, br_p in enumerate(BRANCHES):
+                        R, cubes, haar_rows = pax.averaging_reads(br_p)
+                        if not cubes:
+                            continue
+                        ptype = SMALLEST_SLOT[br_p]
+                        profs = (R @ left).T @ pax.ops.haar[haar_rows]
+                        bmo = axis_profile_bmo(profs, pax.axis)  # row by row
                         for f in np.flatnonzero(np.bincount(fam)):
                             rows = np.flatnonzero(fam == f)
                             k, oslot = tuple(keys[rows[0], 2:5].tolist()), int(keys[rows[0], 5])
                             caps = PartialParaproduct.cap(k, keys[rows, 0])
-                            worst = (axis_profile_bmo(profs[rows], pax.axis) / caps).max()
-                            scale = max(worst, 1.0)
+                            scale = max((bmo[rows] / caps).max(), 1.0)
                             # K level, K position and the descendant index per slot
                             op = PartialParaproduct(self.grid, self.om, shift_axis, k, oslot, ptype,
                                                     keys[rows][:, [0, 1, 6, 7, 8]], profs[rows] / scale)
-                            out.append({"symmetry": f"{br_s}{br_p}", "cells": tag,
-                                        "shift_axis": shift_axis, "k": k,
-                                        "h0_slot": oslot, "ptype": ptype,
-                                        "operator": op, "size": scale})
+                            found.append((n_p, {"symmetry": f"{br_s}{br_p}", "cells": tag,
+                                                "shift_axis": shift_axis, "k": k,
+                                                "h0_slot": oslot, "ptype": ptype,
+                                                "operator": op, "size": scale}))
+                # a stable sort: within a branch the tags keep their order
+                out += [rec for _, rec in sorted(found, key=lambda item: item[0])]
         return out
 
     def manifest(self) -> dict:

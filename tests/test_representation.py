@@ -413,6 +413,66 @@ def test_row_certificates_and_slot_keys_match_per_tuple_reference(L):
             assert_same_matrix(csr(ad.reads(br)), want)
 
 
+def subset_reads(ad, branch, rows=None):
+    """The read table of the masked rows built from those rows alone: the
+    oracle for the row selections `AxisDecomposition.reads` takes of the
+    table it keeps."""
+    tab = ad.tuples[branch] if rows is None else ad.tuples[branch][rows]
+    nes = tab["cls"] == NES
+    parts = [(np.flatnonzero(~nes), ad._plain_rows(branch, tab[~nes]))]
+    parts += [(np.flatnonzero(nes), term) for term in ad._nested_terms(branch, tab[nes])]
+    return representation._stack(parts, len(tab), ad.D**3)
+
+
+def assert_same_sparse(got, want):
+    assert got.shape == want.shape
+    for name in ("row", "col", "val", "ptr"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_read_selections_match_subset_builds(L):
+    # every step of a read table's build is row by row, so a mask's rows of
+    # the kept table equal the table built from those rows, bit for bit
+    ax = Axis(1, L)
+    rng = np.random.default_rng(L + 20)
+    for shift in (AxisShift.zero(ax), sample_axis_shift(ax, rng), sample_axis_shift(ax, rng)):
+        ad = AxisDecomposition(ax, shift)
+        for br in BRANCHES:
+            nes, keep = ad.tuples[br]["cls"] == NES, ad.exportable(br)
+            for rows in (None, nes, keep & ~nes, keep & nes):
+                assert_same_sparse(ad.reads(br, rows), subset_reads(ad, br, rows))
+
+
+def test_each_read_table_is_built_once(monkeypatch):
+    # the exports and reports of one decomposition build one read table and
+    # one averaging read per (axis, branch), and select or share them after
+    calls = defaultdict(int)
+
+    def counted(name):
+        method = getattr(AxisDecomposition, name)
+
+        def run(self, branch, *args):
+            calls[name, id(self), branch] += 1
+            return method(self, branch, *args)
+        return run
+
+    for name in ("_plain_rows", "_nested_terms", "_averaging_rows"):
+        monkeypatch.setattr(AxisDecomposition, name, counted(name))
+    axis_decomposition.cache_clear()  # instances of earlier tests have built their tables
+    grid = TorusGrid.make(2)
+    dec = decompose(KernelTensor.random(grid, np.random.default_rng(3)),
+                    sample_shift(grid, np.random.default_rng(5)))
+    assert dec.ax1 is not dec.ax2
+    dec.extracted_full_paraproducts()
+    dec.extracted_shift_families()
+    dec.extracted_partial_paraproducts()
+    dec.shift_coefficient_report()
+    dec.partial_symbol_report()
+    assert dict(calls) == {(name, id(ax), br): 1 for name in ("_plain_rows", "_nested_terms", "_averaging_rows")
+                           for ax in (dec.ax1, dec.ax2) for br in BRANCHES}
+
+
 # -- the sparse type against scipy ----------------------------------------------
 
 def _sparse_pair(rng, shape, nnz, empty_rows=()):
@@ -501,6 +561,36 @@ def test_repeated_entries_keep_sum2_bound_across_magnitudes():
         assert abs(g - s) <= eps * abs(s) + (len(t) * eps) ** 2 * math.fsum(map(abs, t))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 12), n_cols=st.integers(1, 9),
+       pick=st.sampled_from(["none", "all", "random", "shuffled", "empty rows"]))
+@example(seed=0, n_rows=1, n_cols=1, pick="none")
+@example(seed=1, n_rows=12, n_cols=9, pick="all")
+@example(seed=2, n_rows=12, n_cols=3, pick="empty rows")
+def test_row_take_matches_build_of_the_rows_triples(seed, n_rows, n_cols, pick):
+    # a selection of distinct rows of a built matrix, in any order, is the
+    # build of those rows' triples, array for array; some rows have no
+    # triples, and the last column of each filled row holds two that cancel
+    # (values are multiples of 1/16, so they add exactly)
+    rng = np.random.default_rng(seed)
+    filled = np.flatnonzero(rng.random(n_rows) < 0.7)
+    rows = rng.choice(filled, 3 * n_rows) if len(filled) else np.zeros(0, dtype=np.int64)
+    cols = rng.integers(0, n_cols, len(rows))
+    vals = rng.integers(-64, 64, len(rows)) / 16.0
+    rows, cols = np.r_[rows, filled, filled], np.r_[cols, np.full(2 * len(filled), n_cols)]
+    vals = np.r_[vals, np.full(len(filled), 0.75), np.full(len(filled), -0.75)]
+    S = _Sparse.build((n_rows, n_cols + 1), rows, cols, vals)
+    assert not (S.col == n_cols).any()
+    at = {"none": np.zeros(0, dtype=np.int64), "all": np.arange(n_rows),
+          "random": np.flatnonzero(rng.random(n_rows) < 0.5), "shuffled": rng.permutation(n_rows),
+          "empty rows": np.setdiff1d(np.arange(n_rows), filled)}[pick]
+    where = np.full(n_rows, -1)
+    where[at] = np.arange(len(at))
+    keep = where[rows] >= 0
+    want = _Sparse.build((len(at), n_cols + 1), where[rows[keep]], cols[keep], vals[keep])
+    assert_same_sparse(S.take(at), want)
+
+
 # -- reconstruction -------------------------------------------------------------
 
 def test_zero_tensor_decomposes_to_zero():
@@ -515,6 +605,17 @@ def test_random_tensor_reconstruction_on_haar_triples():
         om = sample_shift(GRID, np.random.default_rng(seed + 100))
         dec = decompose(T, om)
         assert dec.residual_on_haar_triples() < 1e-10
+
+
+@pytest.mark.parametrize("levels", [(1, 1), (2, 1), (1, 2), 3])
+def test_residual_equals_full_difference(levels):
+    # the residual, taken over strips of the product's rows (a partial strip
+    # at (2, 1)), is the float the whole difference gives
+    grid = TorusGrid.make(levels)
+    dec = decompose(KernelTensor.random(grid, np.random.default_rng(4)),
+                    sample_shift(grid, np.random.default_rng(6)))
+    full = np.abs(dec.reconstructed_hat() - dec.lam_hat).max() / np.abs(dec.lam_hat).max()
+    assert dec.residual_on_haar_triples() == full
 
 
 def test_riesz_tensor_reconstruction():
