@@ -162,7 +162,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--grid-level", type=int)
-    parser.add_argument("--samples", type=int)
+    parser.add_argument("--samples", type=int,
+                        help="random draws of the identity suite (no other suite reads it)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"))
     sub = parser.add_subparsers(dest="command", required=True)

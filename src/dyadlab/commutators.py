@@ -19,12 +19,13 @@ from .core import (
     TorusGrid,
     axis_average,
     axis_haar_vector,
-    block_index,
     cell_tables,
     enumerate_axis_shifts,
     martingale_block,
+    profile_plan,
     rect_table,
     sample_axis_shift,
+    stats_plan,
 )
 from .measures import (
     bmo_norm,
@@ -214,71 +215,21 @@ class AdaptedMaximal:
 
     kind 'rect' runs over all wrapped rectangles of dyadic side lengths (the
     rectangles of every shift), 'axis1'/'axis2' over one-variable windows
-    only; the windows come from the cached window tables.  b and f may be
+    only; the windows come from their cached statistics plan.  b and f may be
     stacks of functions, giving one maximal function per sample."""
 
     b: DiscreteFunction
     kind: str = "rect"
 
     def apply(self, f: DiscreteFunction) -> DiscreteFunction:
-        grid = f.grid
-        af = np.abs(f.values)
-        ax1, ax2 = grid.axes
-        if self.kind not in ("rect", "axis1", "axis2"):
-            raise ValueError(f"unknown adapted maximal kind {self.kind!r}")
-        # per factor the window levels, or None to keep the factor whole
-        levels1 = [None] if self.kind == "axis2" else range(ax1.levels + 1)
-        levels2 = [None] if self.kind == "axis1" else range(ax2.levels + 1)
-        # every window of full width is the whole factor: level 0 keeps one
-        tabs1, tabs2 = ([ts[0][:1], *ts[1:]] for ts in (cell_tables(ax1, None), cell_tables(ax2, None)))
-        out = np.zeros(np.broadcast_shapes(self.b.values.shape, af.shape))
-        bv = np.broadcast_to(self.b.values, out.shape)
-        for j1 in levels1:
-            for j2 in levels2:
-                idx = block_index(None if j1 is None else tabs1[j1], None if j2 is None else tabs2[j2])
-                cells = tuple(ax for ax, j in ((-2, j1), (-1, j2)) if j is not None)
-                blk = bv[idx]  # a gathered copy, changed in place
-                blk -= blk.mean(axis=cells, keepdims=True)
-                np.abs(blk, out=blk)
-                blk *= af[idx]
-                osc = blk.mean(axis=cells)
-                # osc holds one value per window, indexed by its start cell;
-                # the one level-0 window covers every cell by broadcasting
-                if j1:
-                    osc = _window_cover(osc, ax1, ax1.n_side >> j1, -2)
-                if j2:
-                    osc = _window_cover(osc, ax2, ax2.n_side >> j2, -1)
-                np.maximum(out, osc, out=out)
-        return DiscreteFunction(grid, out)
-
-
-def _window_cover(vals: np.ndarray, axis: Axis, width: int, at: int) -> np.ndarray:
-    """Per cell, the max of `vals` over the windows of side `width` cells
-    that contain the cell, where array axis `at` (negative) of `vals` runs
-    over the windows of one factor by start cell.  The window at s covers
-    s..s+width-1 in each coordinate, so this is a sliding max per coordinate,
-    taken by doubling; max is exact, so it equals a scatter of the maxima."""
-    shape = vals.shape
-    at = len(shape) + at
-    v = vals.reshape(shape[:at] + (axis.n_side,) * axis.dim + shape[at + 1:])
-    step = 1
-    while step < width:
-        for c in range(at, at + axis.dim):
-            v = np.maximum(v, np.roll(v, step, axis=c))
-        step *= 2
-    return v.reshape(shape)
+        plan = stats_plan(f.grid, None, self.kind)  # refuses an unknown kind
+        return DiscreteFunction(f.grid, plan.cover_max(plan.oscillations(self.b.values, f.values)))
 
 
 def profile_adapted_max(b_prof: np.ndarray, g_prof: np.ndarray, axis: Axis) -> np.ndarray:
     """One-factor adapted maximal of a profile over all wrapped windows."""
-    out = np.zeros(axis.n_cells)
-    ag = np.abs(np.asarray(g_prof))
-    bb = np.asarray(b_prof)
-    for j, tab in enumerate(cell_tables(axis, None)):
-        blk = bb[tab]
-        osc = (np.abs(blk - blk.mean(axis=1, keepdims=True)) * ag[tab]).mean(axis=1)
-        out = np.maximum(out, _window_cover(osc, axis, axis.n_side >> j, -1))
-    return out
+    plan = profile_plan(axis)
+    return plan.cover_max(plan.oscillations(np.asarray(b_prof)[:, None], np.asarray(g_prof)[:, None]))[:, 0]
 
 
 def adapted_phi(b: DiscreteFunction, f: DiscreteFunction, axis_idx: int,
@@ -305,31 +256,21 @@ def pointwise_domination_check(b: DiscreteFunction, f: DiscreteFunction,
     om = shift if shift is not None else GridShift.zero(grid)
     phi2 = adapted_phi(b, f, 1, om)
     Mb = AdaptedMaximal(b, "rect").apply(f)
+    plan = stats_plan(grid, om)
+    # <b>_R, <b f>_R, <f>_R and <Mb>_R on every rectangle R, by id
+    avg, bf, fm, dom = plan.by_id(plan.means(np.stack([b.values, b.values * f.values, f.values, Mb.values])))
+    osc = np.abs(bf - avg * fm)
+    # per cancellative cube J of factor 2, profiles in x1: the slice average
+    # of b over J and the Haar coefficients of f and of phi2 on J; then
+    # their means over every cube I of factor 1
     o2 = axis_ops(grid.axes[1], om.shift2)
-    vol2 = grid.axes[1].cell_volume
-    worst_gap = 0.0
-    worst_osc = 0.0
-    for l2, t2 in enumerate(cell_tables(grid.axes[1], om.shift2)):
-        cancellative = l2 < grid.axes[1].levels
-        if cancellative:
-            # one row per cube c2 of this level: its Haar function, the slice
-            # average of b over c2 and the Haar coefficient profile of f
-            h2 = o2.haar[o2.canc_offset[l2]:o2.canc_offset[l2 + 1]]
-            b_slice = b.values[:, t2].mean(axis=2).T
-            coeff = (f.values @ h2.T * vol2).T
-        for t1 in cell_tables(grid.axes[0], om.shift1):
-            idx = block_index(t1, t2)
-            blk = b.values[idx]
-            avg = blk.mean(axis=(2, 3), keepdims=True)
-            osc = np.abs(((blk - avg) * f.values[idx]).mean(axis=(2, 3)))
-            dom = Mb.values[idx].mean(axis=(2, 3))
-            worst_osc = max(worst_osc, float((osc[dom > 0] / dom[dom > 0]).max(initial=0.0)))
-            if cancellative:
-                gap = np.abs(((b_slice[:, t1] - avg[:, :, 0, 0].T[:, :, None]) * coeff[:, t1]).mean(axis=2))
-                smooth = (phi2.values[t1].mean(axis=1) @ (h2 * vol2).T).T
-                excess = (gap - smooth)[gap > smooth + 1e-10]
-                worst_gap = max(worst_gap, float(excess.max(initial=0.0)))
-    return {"gap_violation": worst_gap, "oscillation_ratio": worst_osc}
+    profiles = [(g @ (rows * grid.axes[1].cell_volume).T).T for g, rows in
+                ((b.values, o2.canc_avg), (f.values, o2.haar), (phi2.values, o2.haar))]
+    b_coeff, coeff, smooth = profile_plan(grid.axes[0], om.shift1).means(
+        np.stack([profiles[0] * profiles[1], *profiles[1:]])[..., None])
+    gap = np.abs(b_coeff - avg[:, :len(o2.haar)].T * coeff)
+    return {"gap_violation": float((gap - smooth)[gap > smooth + 1e-10].max(initial=0.0)),
+            "oscillation_ratio": float((osc[dom > 0] / dom[dom > 0]).max(initial=0.0))}
 
 
 def _nested_cubes(axis: Axis, shift: AxisShift):
@@ -357,9 +298,8 @@ def average_oscillation_bound(b: DiscreteFunction, shift: GridShift | None = Non
     bb = b * (1.0 / norm)
     ax1, ax2 = grid.axes
     # <bb>_{Q x R} for every cube pair, cubes of each factor in level-major order
-    avg = np.block([[bb.values[block_index(t1, t2)].mean(axis=(2, 3))
-                     for t2 in cell_tables(ax2, om.shift2)]
-                    for t1 in cell_tables(ax1, om.shift1)])
+    plan = stats_plan(grid, om)
+    avg = plan.by_id(plan.means(bb.values))
     worst = 0.0
     for desc1, q in _nested_cubes(ax1, om.shift1):
         for desc2, r in _nested_cubes(ax2, om.shift2):

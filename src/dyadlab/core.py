@@ -10,12 +10,13 @@ exact finite sums.
 
 from __future__ import annotations
 
+import bisect
 import io
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -364,35 +365,170 @@ def cell_tables(axis: Axis, shift: AxisShift | None) -> list[np.ndarray]:
     return [_cube_table(axis, j, shift) for j in range(axis.levels + 1)]
 
 
-def block_index(tab1: np.ndarray | None, tab2: np.ndarray | None) -> tuple:
-    """Fancy index gathering the blocks cut out by one cell table per factor.
+# Most cells, summed over the samples of a stack, that one step of a
+# statistics plan gathers (a single rectangle with more cells is one step),
+# and the bytes of run indices one plan keeps for its next walks.
+STATS_CHUNK = 1 << 14
+INDEX_MEMO_BYTES = 1 << 20
 
-    values[block_index(t1, t2)] has shape (m1, m2, k1, k2), one rectangle
-    block per pair of rows; a None table keeps that factor whole, giving the
-    slice blocks (m1, k1, n2) or (n1, m2, k2).  The index acts on the last
-    two axes, so a stack of functions keeps its leading sample axis.  The
-    same index scatters per-block results back, e.g. with keepdims reductions.
+
+class StatsPlan:
+    """The rectangles of one lattice of a grid, or the windows of every
+    shift, as one flat index of grid cells (c1 * n2 + c2) for np.add.reduceat.
+
+    The family is every pair of a row of a factor-1 cell table and a row of
+    a factor-2 table, one table per level (`stats_plan`).  Its rectangles
+    run level pair after level pair, factor 1 outer, and within a level pair
+    row pair after row pair; each rectangle's cells are contiguous.  A
+    rectangle's id i1 * R2 + i2 counts the rows of each factor level after
+    level, as `RectTable` ids do.  The kernels walk the plan in runs of
+    whole rectangles, so no gather passes STATS_CHUNK cells unless one
+    rectangle does.  A run's index is built on its first walk and kept while
+    the plan's kept runs fit INDEX_MEMO_BYTES.
     """
-    if tab2 is None:
-        return (Ellipsis, tab1, slice(None))
-    if tab1 is None:
-        return (Ellipsis, slice(None), tab2)
-    return (Ellipsis, tab1[:, None, :, None], tab2[None, :, None, :])
+
+    def __init__(self, tabs1: list[np.ndarray], tabs2: list[np.ndarray], shape: tuple[int, int]):
+        self.tabs = (tabs1, tabs2)
+        self.shape = shape
+        self.pairs = [(t1, t2) for t1 in tabs1 for t2 in tabs2]
+        # per level pair, the rectangles before it
+        self.rects = [0, *itertools.accumulate(len(t1) * len(t2) for t1, t2 in self.pairs)]
+        counts = np.repeat([t1.shape[1] * t2.shape[1] for t1, t2 in self.pairs], np.diff(self.rects))
+        # per rectangle, the cells before it, and after the last one all cells
+        self.bounds = np.concatenate([[0], np.cumsum(counts)])
+        self._memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Plan position of every rectangle, by id."""
+        tabs1, tabs2 = self.tabs
+        pos = iter(np.split(np.arange(self.rects[-1]), self.rects[1:-1]))
+        return np.block([[next(pos).reshape(len(t1), len(t2)) for t2 in tabs2] for t1 in tabs1])
+
+    def by_id(self, vals: np.ndarray) -> np.ndarray:
+        """vals (..., rectangles in plan order) as (..., R1, R2), entry
+        [i1, i2] on the rectangle of id i1 * R2 + i2."""
+        return vals[..., self._order]
+
+    @cached_property
+    def _covers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per factor, the rows (counted level after level) holding each
+        cell: every cell lies in equally many rows of each table."""
+        covers = []
+        for tabs, n in zip(self.tabs, self.shape):
+            cells = np.concatenate([t.ravel() for t in tabs])
+            widths = np.repeat([t.shape[1] for t in tabs], list(map(len, tabs)))
+            owner = np.repeat(np.arange(len(widths)), widths)
+            covers.append(owner[np.argsort(cells, kind="stable")].reshape(n, -1))
+        return covers[0], covers[1]
+
+    def _runs(self, samples: int) -> list[tuple[int, int]]:
+        """(first, stop) rectangles of each run: as many whole rectangles as
+        keep `samples` times their cells within STATS_CHUNK, at least one."""
+        cap = max(1, STATS_CHUNK // samples)
+        runs, a = [], 0
+        while a < self.rects[-1]:
+            b = max(a + 1, int(np.searchsorted(self.bounds, self.bounds[a] + cap, "right")) - 1)
+            runs.append((a, b))
+            a = b
+        return runs
+
+    def _run(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells of rectangles a..b-1, rectangle after rectangle, each
+        rectangle's offset into them and its cell count."""
+        run = self._memo.get((a, b))
+        if run is not None:
+            return run
+        parts = []
+        for k in range(bisect.bisect_right(self.rects, a) - 1, bisect.bisect_left(self.rects, b)):
+            (t1, t2), first = self.pairs[k], self.rects[k]
+            i1, i2 = np.divmod(np.arange(max(a, first), min(b, self.rects[k + 1])) - first, len(t2))
+            parts.append(((t1[i1] * self.shape[1])[:, :, None] + t2[i2][:, None, :]).ravel())
+        run = (np.concatenate(parts), self.bounds[a:b] - self.bounds[a], np.diff(self.bounds[a:b + 1]))
+        if sum(x.nbytes for r in (run, *self._memo.values()) for x in r) <= INDEX_MEMO_BYTES:
+            self._memo[a, b] = run
+        return run
+
+    def _walk(self, b: np.ndarray, f: np.ndarray | None, oscillation: bool) -> np.ndarray:
+        lead = np.broadcast_shapes(b.shape[:-2], () if f is None else f.shape[:-2])
+        flat = (math.prod(self.shape),)
+        b = np.broadcast_to(b.reshape(b.shape[:-2] + flat), lead + flat)
+        af = None if f is None else np.abs(f).reshape(f.shape[:-2] + flat)
+        parts = []
+        for r0, r1 in self._runs(max(1, math.prod(lead))):
+            cells, at, n = self._run(r0, r1)
+            g = b.take(cells, axis=-1)  # a gathered copy, changed in place
+            if oscillation:
+                # centred on each rectangle's first cell, so that a constant
+                # has mean and oscillation exactly 0
+                g -= np.repeat(g[..., at], n, axis=-1)
+            mean = np.add.reduceat(g, at, axis=-1) / n
+            if oscillation:
+                g -= np.repeat(mean, n, axis=-1)
+                np.abs(g, out=g)
+                if af is not None:
+                    g *= af.take(cells, axis=-1)
+                mean = np.add.reduceat(g, at, axis=-1) / n
+            parts.append(mean)
+        return np.concatenate(parts, axis=-1)
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """<values>_R of values (..., n1, n2) for every rectangle R, in plan order."""
+        return self._walk(values, None, False)
+
+    def oscillations(self, b: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
+        """<|b - <b>_R| |f|>_R for every rectangle R (f None: 1), in plan
+        order; b and f broadcast over their leading sample axes."""
+        return self._walk(b, f, True)
+
+    def cover_max(self, vals: np.ndarray) -> np.ndarray:
+        """Per grid cell, the max of vals (..., plan order) over the
+        rectangles holding it.  The rows holding a cell separate by factor,
+        so the max runs over factor 2's rows, then over factor 1's."""
+        c1, c2 = self._covers
+        over2 = _rows_max(self.by_id(vals), c2)
+        return _rows_max(over2.swapaxes(-1, -2), c1).swapaxes(-1, -2)
 
 
-def rect_blocks(grid: TorusGrid, shift: GridShift | None) -> Iterator[tuple]:
-    """block_index of every level pair: the rectangles of the shifted
-    lattice, or with shift None of every shift.  Cells lie on axes (-2, -1)."""
-    for t1 in cell_tables(grid.axes[0], None if shift is None else shift.shift1):
-        for t2 in cell_tables(grid.axes[1], None if shift is None else shift.shift2):
-            yield block_index(t1, t2)
+def _rows_max(vals: np.ndarray, cover: np.ndarray) -> np.ndarray:
+    """out[..., c] = max of vals[..., cover[c]], a few rows of vals at a
+    time so that no gather passes STATS_CHUNK cells (or one row's)."""
+    rows = vals.reshape(-1, vals.shape[-1])
+    out = np.empty((len(rows), len(cover)))
+    step = max(1, STATS_CHUNK // cover.size)
+    for s in range(0, len(rows), step):
+        out[s:s + step] = rows[s:s + step, cover].max(axis=-1)
+    return out.reshape(vals.shape[:-1] + (len(cover),))
 
 
-def slice_blocks(grid: TorusGrid, axis_idx: int, shift: GridShift | None) -> Iterator[tuple]:
-    """block_index of every level of one factor, the other kept whole (shift
-    None: every shift).  Cells lie on axis axis_idx - 2."""
-    for tab in cell_tables(grid.axes[axis_idx], None if shift is None else shift[axis_idx]):
-        yield block_index(tab, None) if axis_idx == 0 else block_index(None, tab)
+def _factor_tables(axis: Axis, shift: AxisShift | None) -> list[np.ndarray]:
+    """One factor's cell tables for a statistics plan: `cell_tables`, with
+    the full-width windows, which are one set of cells, kept once."""
+    tabs = cell_tables(axis, shift)
+    return tabs if shift is not None else [tabs[0][:1], *tabs[1:]]
+
+
+@lru_cache(maxsize=64)
+def stats_plan(grid: TorusGrid, shift: GridShift | None, scope: str = "rect") -> StatsPlan:
+    """The statistics plan of the rectangles of the shifted lattice, or with
+    shift None of the windows of every shift (the cubes of all shifts).
+    scope 'axis1' pairs factor 1's cubes with single cells of factor 2,
+    'axis2' the other way round.  The cache holds at most 64 plans."""
+    if scope not in ("rect", "axis1", "axis2"):
+        raise ValueError(f"unknown scope {scope!r}")
+    tabs = [_factor_tables(axis, None if shift is None else shift[k]) for k, axis in enumerate(grid.axes)]
+    # a factor outside the scope keeps its level-L cubes: the single cells,
+    # in order, for every shift
+    tabs = [t if scope in ("rect", f"axis{k + 1}") else t[-1:] for k, t in enumerate(tabs)]
+    return StatsPlan(tabs[0], tabs[1], grid.shape)
+
+
+@lru_cache(maxsize=16)
+def profile_plan(axis: Axis, shift: AxisShift | None = None) -> StatsPlan:
+    """The cubes of one factor's shifted lattice, or with shift None its
+    windows of every shift, as a plan on a grid whose other factor is one
+    cell: profiles (..., n) enter as (..., n, 1)."""
+    return StatsPlan(_factor_tables(axis, shift), [np.zeros((1, 1), dtype=np.intp)], (axis.n_cells, 1))
 
 
 def axis_cubes(axis: Axis, level: int, shift: AxisShift) -> Iterator[DyadicCube]:
@@ -643,7 +779,7 @@ def axis_project(f: DiscreteFunction, level: int, axis: int, shift: AxisShift) -
     if level > ax.levels:
         raise ResolutionError("projection level exceeds resolution")
     tab = _cube_table(ax, level, shift)
-    idx = block_index(tab, None) if axis == 0 else block_index(None, tab)
+    idx = (Ellipsis, tab, slice(None)) if axis == 0 else (Ellipsis, slice(None), tab)
     out = np.empty_like(f.values)
     out[idx] = f.values[idx].mean(axis=axis - 2, keepdims=True)
     return DiscreteFunction(f.grid, out)

@@ -97,6 +97,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} has the wrong type: {value!r}")
         if not all(isinstance(w, str) for w in self.weights):
             raise ConfigError(f"weights must be names, got {self.weights!r}")
+        if not set(self.weights) <= set(WEIGHT_NAMES):
+            raise ConfigError(f"unknown weights in {self.weights!r}; the catalog has {list(WEIGHT_NAMES)!r}")
         for pair in self.exponents:
             if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                     or not all(_finite_number(v) for v in pair)):
@@ -246,12 +248,17 @@ def _bound(goldens: dict, key: str) -> float | None:
 # shared generators
 # ---------------------------------------------------------------------------
 
+# two-value weights: the p=2 characteristic of level t is (t+1)^2 / 4t, so
+# the family tops out near one hundred
+_STEP_WEIGHTS = (("step4", 4.0), ("step20", 80.0), ("step400", 400.0))
+WEIGHT_NAMES = ("unit", *(name for name, _ in _STEP_WEIGHTS), "power")
+
+
 def weight_catalog(grid: TorusGrid) -> dict[str, ms.Weight]:
+    """The weights named in WEIGHT_NAMES, on the grid."""
     n1, n2 = grid.shape
     out = {"unit": ms.Weight.ones(grid)}
-    # two-value weights: the p=2 characteristic of level t is (t+1)^2 / 4t,
-    # so the family tops out near one hundred
-    for name, t in (("step4", 4.0), ("step20", 80.0), ("step400", 400.0)):
+    for name, t in _STEP_WEIGHTS:
         vals = np.ones(grid.shape)
         vals[: n1 // 2, :] = t
         out[name] = ms.Weight(DiscreteFunction(grid, vals))
@@ -467,7 +474,6 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
     goldens = load_goldens()
     rep = Report("weighted", config.seed)
     weights = weight_catalog(grid)
-    use = [w for w in config.weights if w in weights]
     om = GridShift.zero(grid)
     ops = {
         "shift": random_shift_operator(grid, om, (0, 1, 0), (1, 0, 0), (2, 3),
@@ -479,7 +485,7 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
     for fam, U in ops.items():
         for pair in config.exponents:
             p, q, r = _exp_triple(pair)
-            for wname in use:
+            for wname in config.weights:
                 if fam == "full" and wname != "unit":
                     continue  # generic symbols carry only the unweighted bound
                 w1 = weights[wname]
@@ -502,7 +508,7 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
         Ft = FullParaproduct(grid, om, (3, 3), Ft.lam / size)
     for pair in config.exponents:
         p, q, r = _exp_triple(pair)
-        for wname in use[:3]:
+        for wname in config.weights[:3]:
             w1 = weights[wname]
             v3 = ms.Weight(DiscreteFunction(grid, w1.values ** (r / p) * w1.values ** (r / q)))
             worst = _bilinear_sweep(Ft, _rng(config.seed, "sweeptf", wname, p, q),
@@ -511,14 +517,14 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
             rep.add("weighted-tensorfull", cell, config.seed, worst,
                     _bound(goldens, f"weighted/tensorfull/{cell}"))
     # expansion operators and the adapted maximal function (linear sweeps)
-    for wname in use[:3]:
+    for wname in config.weights[:3]:
         w = weights[wname]
         for p in (4 / 3, 2.0, 4.0):
             worstA = 0.0
             worstM = 0.0
             rng = _rng(config.seed, "lin", wname, p)
-            # the window statistics gather every window of the top level, all
-            # cells of the grid from each start cell, per sample
+            # sized to the adapted maximal function's window plan, n_cells**2 (window,
+            # cell) pairs per sample on 1-d factors, which it walks in runs of STATS_CHUNK
             for bf in _draws(rng, max(seeds_per_cell // 10, 20), (2,) + grid.shape, n_cells**2):
                 b = DiscreteFunction(grid, bf[:, 0])
                 b = b * (1.0 / np.maximum(ms.bmo_norm(b, "little"), 1e-12))[:, None, None]
@@ -536,7 +542,7 @@ def weighted_suite(config: ExperimentConfig, seeds_per_cell: int = 1000) -> Repo
                     _bound(goldens, f"weighted/adaptedmax/p{p:g}_{wname}"))
     # square-function lower bounds across the weight family; the ratio curve
     # is indexed by the measured slice characteristics
-    for wname in use:
+    for wname in config.weights:
         w = weights[wname]
         char = max(ms.ainfty_characteristic(w, "axis1"), ms.ainfty_characteristic(w, "axis2"))
         worst = 0.0

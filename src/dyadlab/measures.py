@@ -19,14 +19,13 @@ from .core import (
     TorusGrid,
     axis_cubes,
     axis_project,
-    cell_tables,
     enumerate_shifts,
     martingale_block,
     per_sample,
-    rect_blocks,
+    profile_plan,
     rect_table,
     sample_shift,
-    slice_blocks,
+    stats_plan,
 )
 
 __all__ = [
@@ -111,36 +110,17 @@ def ap_characteristic(
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    dual = w.dual(p).values
-    wv = w.values
-    grid = w.grid
-    if scope in ("axis1", "axis2"):
-        axis_idx = 0 if scope == "axis1" else 1
-        return _slice_ap(wv, dual, grid, axis_idx, p, shift, over_all_shifts)
-    if scope != "biparameter":
+    means = _plan(w.grid, shift, over_all_shifts, scope).means(np.stack([w.values, w.dual(p).values]))
+    return float((means[0] * means[1] ** (p - 1.0)).max())
+
+
+def _plan(grid: TorusGrid, shift: GridShift | None, over_all_shifts: bool, scope: str):
+    """The statistics plan a sup runs over: the windows of every shift, or
+    the rectangles of the given lattice, defaulting to zero."""
+    if scope not in ("biparameter", "axis1", "axis2"):
         raise ValueError(f"unknown scope {scope!r}")
-    best = 0.0
-    for idx in rect_blocks(grid, _lattice(grid, shift, over_all_shifts)):
-        val = wv[idx].mean(axis=(2, 3)) * dual[idx].mean(axis=(2, 3)) ** (p - 1.0)
-        best = max(best, float(val.max()))
-    return best
-
-
-def _lattice(grid: TorusGrid, shift: GridShift | None, over_all_shifts: bool) -> GridShift | None:
-    """The shift whose cubes a sup runs over: None (every shift) or the given
-    one, defaulting to zero."""
-    if over_all_shifts:
-        return None
-    return shift if shift is not None else GridShift.zero(grid)
-
-
-def _slice_ap(wv, dual, grid, axis_idx, p, shift, over_all_shifts):
-    best = 0.0
-    for idx in slice_blocks(grid, axis_idx, _lattice(grid, shift, over_all_shifts)):
-        a = wv[idx].mean(axis=axis_idx + 1)
-        b = dual[idx].mean(axis=axis_idx + 1)
-        best = max(best, float((a * b ** (p - 1.0)).max()))
-    return best
+    lattice = None if over_all_shifts else shift if shift is not None else GridShift.zero(grid)
+    return stats_plan(grid, lattice, "rect" if scope == "biparameter" else scope)
 
 
 def ainfty_characteristic(
@@ -150,21 +130,8 @@ def ainfty_characteristic(
     over_all_shifts: bool = False,
 ) -> float:
     """sup of <w>_Q exp(<log 1/w>_Q) over the requested cube/rectangle family."""
-    wv = w.values
-    logw = np.log(wv)
-    grid = w.grid
-    best = 0.0
-    if scope in ("axis1", "axis2"):
-        axis_idx = 0 if scope == "axis1" else 1
-        for idx in slice_blocks(grid, axis_idx, _lattice(grid, shift, over_all_shifts)):
-            a = wv[idx].mean(axis=axis_idx + 1)
-            l = logw[idx].mean(axis=axis_idx + 1)
-            best = max(best, float((a * np.exp(-l)).max()))
-        return best
-    for idx in rect_blocks(grid, _lattice(grid, shift, over_all_shifts)):
-        val = wv[idx].mean(axis=(2, 3)) * np.exp(-logw[idx].mean(axis=(2, 3)))
-        best = max(best, float(val.max()))
-    return best
+    means = _plan(w.grid, shift, over_all_shifts, scope).means(np.stack([w.values, np.log(w.values)]))
+    return float((means[0] * np.exp(-means[1])).max())
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +219,9 @@ def bmo_norm(
     """
     grid = b.grid
     om = shift if shift is not None else GridShift.zero(grid)
-    if kind in ("axis1", "axis2"):
-        axis_idx = 0 if kind == "axis1" else 1
-        return _slice_bmo(b, axis_idx, om, over_all_shifts)
-    if kind == "little":
-        best = 0.0
-        for idx in rect_blocks(grid, _lattice(grid, om, over_all_shifts)):
-            blk = b.values[idx]  # a gathered copy, changed in place
-            blk -= blk.mean(axis=(-2, -1), keepdims=True)
-            osc = np.abs(blk, out=blk).mean(axis=(-2, -1))
-            best = np.maximum(best, osc.max(axis=(-2, -1)))
-        return per_sample(best)
+    if kind in ("little", "axis1", "axis2"):
+        plan = _plan(grid, om, over_all_shifts, "biparameter" if kind == "little" else kind)
+        return per_sample(plan.oscillations(b.values).max(axis=-1))
     if kind == "product":
         b1 = AxisBasis(grid.axes[0], om.shift1)
         b2 = AxisBasis(grid.axes[1], om.shift2)
@@ -274,17 +233,6 @@ def bmo_norm(
         masks = (on1[:, None, :, None] & on2[None, :, None, :]).reshape(len(on1) * len(on2), -1)
         return _product_bmo(grid, masks, C[1:, 1:].ravel(), omega_pool, omega_union, seed)
     raise ValueError(f"unknown bmo kind {kind!r}")
-
-
-def _slice_bmo(b: DiscreteFunction, axis_idx: int, shift: GridShift,
-               over_all_shifts: bool) -> float:
-    best = 0.0
-    ax = axis_idx + 1
-    for idx in slice_blocks(b.grid, axis_idx, _lattice(b.grid, shift, over_all_shifts)):
-        blk = b.values[idx]
-        osc = np.abs(blk - blk.mean(axis=ax, keepdims=True)).mean(axis=ax)
-        best = max(best, float(osc.max()))
-    return best
 
 
 def _lower_levels(values: np.ndarray) -> np.ndarray:
@@ -396,45 +344,17 @@ def maximal_function(
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    grid = f.grid
-    a = np.abs(f.values) ** s
-    ax1, ax2 = grid.axes
-    if kind == "dyadic":
-        out = _dyadic_max(a, grid, shift if shift is not None else GridShift.zero(grid))
-    elif kind in ("strong", "axis1", "axis2"):
-        # a one-variable window is a rectangle whose other side is one cell
-        tabs1, tabs2 = cell_tables(ax1, None), cell_tables(ax2, None)
-        out = _box_max(a, tabs1 if kind != "axis2" else tabs1[-1:], tabs2 if kind != "axis1" else tabs2[-1:])
-    else:
+    if kind not in ("dyadic", "strong", "axis1", "axis2"):
         raise ValueError(f"unknown maximal kind {kind!r}")
-    return DiscreteFunction(grid, out ** (1.0 / s))
-
-
-def _box_max(a: np.ndarray, tabs1: list[np.ndarray], tabs2: list[np.ndarray]) -> np.ndarray:
-    """Per-cell sup of the means of `a` over the rectangles of every pair of
-    rows of one cell table per factor.  Rectangle means and the sup over the
-    rectangles holding a cell both separate by factor, so the work is linear
-    in each factor's window size, not in the rectangle's area."""
-    out = np.zeros(a.shape)
-    for t1 in tabs1:
-        means1 = a[t1].mean(axis=1)  # (m1, n2)
-        for t2 in tabs2:
-            means = means1.T[t2].mean(axis=1)  # (m2, m1)
-            cover = np.zeros((a.shape[1], len(t1)))
-            np.maximum.at(cover, t2, means[:, None, :])
-            np.maximum.at(out, t1, cover.T[:, None, :])
-    return out
-
-
-def _dyadic_max(a: np.ndarray, grid: TorusGrid, om: GridShift) -> np.ndarray:
-    return _box_max(a, cell_tables(grid.axes[0], om.shift1), cell_tables(grid.axes[1], om.shift2))
+    plan = _plan(f.grid, shift, kind != "dyadic", "biparameter" if kind in ("dyadic", "strong") else kind)
+    return DiscreteFunction(f.grid, plan.cover_max(plan.means(np.abs(f.values) ** s)) ** (1.0 / s))
 
 
 def axis_profile_strong_max(vec: np.ndarray, axis: Axis) -> np.ndarray:
     """Strong maximal function of a single-factor profile, taken as a grid
     whose second factor is one cell."""
-    a = np.abs(np.asarray(vec, dtype=float))[:, None]
-    return _box_max(a, cell_tables(axis, None), [np.zeros((1, 1), dtype=np.intp)])[:, 0]
+    plan = profile_plan(axis)
+    return plan.cover_max(plan.means(np.abs(np.asarray(vec, dtype=float))[:, None]))[:, 0]
 
 
 # ---------------------------------------------------------------------------

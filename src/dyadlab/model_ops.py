@@ -37,6 +37,7 @@ from .core import (
     cube_masks,
     enumerate_axis_shifts,
     per_sample,
+    profile_plan,
     rect_table,
 )
 from .measures import sequence_product_bmo
@@ -163,13 +164,8 @@ def axis_profile_bmo(vec: np.ndarray, axis: Axis, over_all_shifts: bool = True) 
     the lattices of every shift (the torus stand-in for all intervals), whose
     cubes are all wrapped windows of dyadic widths.  Rows (S, n) of profiles
     give one norm per row."""
-    a = np.asarray(vec, dtype=float)
-    best = 0.0
-    for tab in cell_tables(axis, None if over_all_shifts else AxisShift.zero(axis)):
-        # laid out row after row, so that each row reduces as a single profile does
-        blk = np.take(a, tab, axis=-1)
-        best = np.maximum(best, np.abs(blk - blk.mean(axis=-1, keepdims=True)).mean(axis=-1).max(axis=-1))
-    return per_sample(best)
+    plan = profile_plan(axis, None if over_all_shifts else AxisShift.zero(axis))
+    return per_sample(plan.oscillations(np.asarray(vec, dtype=float)[..., None]).max(axis=-1))
 
 
 class _Plan(NamedTuple):

@@ -161,9 +161,10 @@ EMPTY = ("suite", "empty")
     (None, ("--grid-level", "2"), ("decompose", "--kernel-file", "<garbage>")),
     (json.dumps({"dims": [2, 1]}), ("--grid-level", "2"), ("decompose",)),
     (None, (), ("decompose", "--kernel-file", "<dims21>")),
+    (json.dumps({"weights": ["unit", "nosuch"]}), (), ("suite", "weighted")),
 ], ids=["bad-exponents", "short-pair", "not-json", "negative-seed", "one-level",
         *[f"dims21-{name}" for name in ONE_D_SUITES], "garbage-kernel-file", "dims21-decompose",
-        "dims21-kernel-file"])
+        "dims21-kernel-file", "unknown-weight"])
 def test_cli_config_error_exit_code(tmp_path, config, flags, command):
     argv = list(flags)
     if config is not None:

@@ -2,28 +2,32 @@
 
 Every function that takes a stack of functions (or rows of profiles) must
 agree with its calls on one sample at a time, and with the per-sample code
-it replaced, kept here as oracles: the scatter form of the adapted maximal
-function, the stopping-time walk of the sparse domination, and the
-per-seed loops of the weighted suite.
+it replaced, kept here as oracles: the per-level-pair loops of the little
+oscillation and the scatter form of the adapted maximal function (which the
+statistics plans replaced), the stopping-time walk of the sparse
+domination, and the per-seed loops of the weighted suite.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dyadlab import commutators as com
 from dyadlab import measures as ms
 from dyadlab.core import (
+    STATS_CHUNK,
     AxisShift,
     DiscreteFunction,
     DyadicCube,
     GridShift,
     TorusGrid,
-    rect_blocks,
+    cell_tables,
     sample_axis_shift,
     sample_shift,
-    slice_blocks,
+    stats_plan,
 )
 from dyadlab.harness import (
     ExperimentConfig,
@@ -101,6 +105,191 @@ def test_discrete_function_takes_one_sample_axis():
     for shape in ((2, 3) + grid.shape, (4,), (3, 4, 5)):
         with pytest.raises(ValueError):
             DiscreteFunction(grid, np.zeros(shape))
+
+
+# -- the statistics plans ------------------------------------------------------------------
+
+def block_index(tab1, tab2):
+    """Fancy index gathering the blocks cut out by one cell table per factor:
+    values[block_index(t1, t2)] has shape (m1, m2, k1, k2), one rectangle
+    block per pair of rows; a None table keeps that factor whole, giving the
+    slice blocks (m1, k1, n2) or (n1, m2, k2).  The index acts on the last
+    two axes, so a stack of functions keeps its leading sample axis."""
+    if tab2 is None:
+        return (Ellipsis, tab1, slice(None))
+    if tab1 is None:
+        return (Ellipsis, slice(None), tab2)
+    return (Ellipsis, tab1[:, None, :, None], tab2[None, :, None, :])
+
+
+def rect_blocks(grid, shift):
+    """block_index of every level pair: the rectangles of the shifted
+    lattice, or with shift None of every shift.  Cells lie on axes (-2, -1)."""
+    for t1 in cell_tables(grid.axes[0], None if shift is None else shift.shift1):
+        for t2 in cell_tables(grid.axes[1], None if shift is None else shift.shift2):
+            yield block_index(t1, t2)
+
+
+def slice_blocks(grid, axis_idx, shift):
+    """block_index of every level of one factor, the other kept whole (shift
+    None: every shift).  Cells lie on axis axis_idx - 2."""
+    for tab in cell_tables(grid.axes[axis_idx], None if shift is None else shift[axis_idx]):
+        yield block_index(tab, None) if axis_idx == 0 else block_index(None, tab)
+
+
+def _little_bmo_loop(b, lattice):
+    """The little oscillation one level pair at a time (lattice None: the
+    windows of every shift)."""
+    best = 0.0
+    for idx in rect_blocks(b.grid, lattice):
+        blk = b.values[idx]
+        blk -= blk.mean(axis=(-2, -1), keepdims=True)
+        osc = np.abs(blk, out=blk).mean(axis=(-2, -1))
+        best = np.maximum(best, osc.max(axis=(-2, -1)))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(1, 4), dims=st.sampled_from([(1, 1), (2, 1)]),
+       lattice=st.sampled_from(["zero", "random", "all"]), stacked=st.booleans(),
+       seed=st.integers(0, 2**16), const=st.floats(-1e6, 1e6, allow_nan=False))
+def test_stats_plan_matches_level_pair_loops(level, dims, lattice, stacked, seed, const):
+    # the windows of a 2-d factor at level 4 make the loops too slow for a test
+    assume(dims == (1, 1) or level < 4 or lattice != "all")
+    grid = TorusGrid.make(level, dims)
+    rng = np.random.default_rng(seed)
+    om = {"zero": GridShift.zero(grid), "random": sample_shift(grid, rng), "all": None}[lattice]
+    shape = ((3,) if stacked else ()) + grid.shape
+    b, f = (DiscreteFunction(grid, rng.standard_normal(shape)) for _ in range(2))
+    got = ms.bmo_norm(b, "little", om, over_all_shifts=om is None)
+    _close(got, _little_bmo_loop(b, om))
+    # a constant has no oscillation, in every rectangle and window
+    c = DiscreteFunction(grid, np.full(shape, const))
+    assert np.all(ms.bmo_norm(c, "little", om, over_all_shifts=om is None) == 0.0)
+    if om is None:
+        for kind in ("rect", "axis1", "axis2"):
+            got = com.AdaptedMaximal(b, kind).apply(f).values
+            want = [_adapted_max_scatter(_one(b, s), _one(f, s), kind) for s in range(3)] if stacked \
+                else _adapted_max_scatter(b, f, kind)
+            _close(got, want)
+            assert np.all(com.AdaptedMaximal(c, kind).apply(f).values == 0.0)
+
+
+def _box_max_loop(a, tabs1, tabs2):
+    """Per-cell sup of the rectangle means of `a`, one level pair at a time,
+    separably in the factors, with the maxima scattered back."""
+    out = np.zeros(a.shape)
+    for t1 in tabs1:
+        means1 = a[t1].mean(axis=1)
+        for t2 in tabs2:
+            means = means1.T[t2].mean(axis=1)
+            cover = np.zeros((a.shape[1], len(t1)))
+            np.maximum.at(cover, t2, means[:, None, :])
+            np.maximum.at(out, t1, cover.T[:, None, :])
+    return out
+
+
+def _profile_bmo_loop(vec, axis, shift):
+    best = 0.0
+    for tab in cell_tables(axis, shift):
+        blk = np.take(vec, tab, axis=-1)
+        best = np.maximum(best, np.abs(blk - blk.mean(axis=-1, keepdims=True)).mean(axis=-1).max(axis=-1))
+    return best
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("level", (1, 2, 3))
+def test_maximal_and_profile_statistics_match_level_pair_loops(level, dims):
+    grid = TorusGrid.make(level, dims)
+    rng = np.random.default_rng(70 + level)
+    f, om = grid.random(rng), sample_shift(grid, rng)
+    a = np.abs(f.values)
+    win1, win2 = (cell_tables(ax, None) for ax in grid.axes)
+    lat1, lat2 = (cell_tables(ax, sh) for ax, sh in zip(grid.axes, (om.shift1, om.shift2)))
+    for kind, tabs in (("dyadic", (lat1, lat2)), ("strong", (win1, win2)),
+                       ("axis1", (win1, win2[-1:])), ("axis2", (win1[-1:], win2))):
+        _close(ms.maximal_function(f, kind, om).values, _box_max_loop(a, *tabs))
+    axis = grid.axes[0]
+    rows = rng.standard_normal((S, axis.n_cells))
+    for over_all in (True, False):
+        _close(axis_profile_bmo(rows, axis, over_all),
+               _profile_bmo_loop(rows, axis, None if over_all else AxisShift.zero(axis)))
+    single = [np.zeros((1, 1), dtype=np.intp)]
+    _close(ms.axis_profile_strong_max(rows[0], axis), _box_max_loop(np.abs(rows[0])[:, None], win1, single)[:, 0])
+
+
+def _pointwise_domination_loop(b, f, om):
+    """pointwise_domination_check one level pair of the lattice at a time."""
+    grid = f.grid
+    phi2 = com.adapted_phi(b, f, 1, om)
+    Mb = com.AdaptedMaximal(b, "rect").apply(f)
+    o2 = axis_ops(grid.axes[1], om.shift2)
+    vol2 = grid.axes[1].cell_volume
+    worst_gap = worst_osc = 0.0
+    for l2, t2 in enumerate(cell_tables(grid.axes[1], om.shift2)):
+        cancellative = l2 < grid.axes[1].levels
+        if cancellative:
+            h2 = o2.haar[o2.canc_offset[l2]:o2.canc_offset[l2 + 1]]
+            b_slice = b.values[:, t2].mean(axis=2).T
+            coeff = (f.values @ h2.T * vol2).T
+        for t1 in cell_tables(grid.axes[0], om.shift1):
+            idx = block_index(t1, t2)
+            blk = b.values[idx]
+            avg = blk.mean(axis=(2, 3), keepdims=True)
+            osc = np.abs(((blk - avg) * f.values[idx]).mean(axis=(2, 3)))
+            dom = Mb.values[idx].mean(axis=(2, 3))
+            worst_osc = max(worst_osc, float((osc[dom > 0] / dom[dom > 0]).max(initial=0.0)))
+            if cancellative:
+                gap = np.abs(((b_slice[:, t1] - avg[:, :, 0, 0].T[:, :, None]) * coeff[:, t1]).mean(axis=2))
+                smooth = (phi2.values[t1].mean(axis=1) @ (h2 * vol2).T).T
+                excess = (gap - smooth)[gap > smooth + 1e-10]
+                worst_gap = max(worst_gap, float(excess.max(initial=0.0)))
+    return {"gap_violation": worst_gap, "oscillation_ratio": worst_osc}
+
+
+@pytest.mark.parametrize("level, shifted", [(2, False), (2, True), (3, True)])
+def test_pointwise_domination_matches_level_pair_loop(level, shifted):
+    grid, om, rng = _lattice(level, shifted, 80 + level)
+    b, f = grid.random(rng), grid.random(rng)
+    got, want = com.pointwise_domination_check(b, f, om), _pointwise_domination_loop(b, f, om)
+    assert got["gap_violation"] == want["gap_violation"] == 0.0
+    assert abs(got["oscillation_ratio"] - want["oscillation_ratio"]) <= 1e-12
+
+
+def _largest_gather(plan, samples):
+    """The most cells one gather of a walk or of cover_max holds, read from
+    the plan's tables: a run of rectangles, or a chunk of rows through one
+    factor's cover.  (The per-rectangle results, one value per rectangle
+    and sample, are not gathers.)"""
+    runs = max(samples * int(plan.bounds[b] - plan.bounds[a]) for a, b in plan._runs(samples))
+    r1 = sum(map(len, plan.tabs[0]))
+    c1, c2 = plan._covers
+    # cover_max takes c2 on samples * r1 rows, then c1 on samples * n2 rows
+    return max(runs, *(min(rows * c.size, max(STATS_CHUNK // c.size, 1) * c.size)
+                       for rows, c in ((samples * r1, c2), (samples * len(c2), c1))))
+
+
+@pytest.mark.parametrize("level", range(2, 8))
+def test_stats_plan_temporaries_bounded(level):
+    grid = TorusGrid.make(level)
+    for shift in (None, GridShift.zero(grid)):
+        for scope in ("rect", "axis1", "axis2"):
+            tracemalloc.start()
+            try:
+                plan = stats_plan.__wrapped__(grid, shift, scope)  # not kept in the cache
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a plan holds per-rectangle offsets, not its flat index (2 GiB
+            # for the windows at level 7)
+            assert peak <= 32 * plan.rects[-1] + (1 << 20)
+            # the largest block of one level pair, which the level-pair loops
+            # gathered at once, and the largest rectangle
+            old = max(t1.size * t2.size for t1, t2 in plan.pairs)
+            rect = max(t1.shape[1] * t2.shape[1] for t1, t2 in plan.pairs)
+            for samples in (1, 8, 64):
+                got = _largest_gather(plan, samples)
+                assert got <= max(samples * rect, STATS_CHUNK) <= max(samples * old, STATS_CHUNK)
 
 
 # -- the adapted maximal function ---------------------------------------------------------
