@@ -78,7 +78,7 @@ def cmd_decompose(args) -> int:
             # the component options belong to the riesz kernel only
             opts = {"i": args.component_i, "j": args.component_j} if args.kernel == "riesz" else {}
             spec = get_kernel(args.kernel, **opts)
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         tensor = KernelTensor.from_kernel(grid, spec)
@@ -136,12 +136,16 @@ def cmd_suite(args) -> int:
 
 
 def cmd_emit_plotdata(args) -> int:
-    with open(args.report) as fp:
-        payload = json.load(fp)
-    report = Report(payload["suite"], payload["seed"])
-    for row in payload["rows"]:
-        report.add(row["experiment"], row["cell"], row["seed"], row["value"],
-                   row["bound"], row["passed"])
+    try:
+        with open(args.report) as fp:
+            payload = json.load(fp)
+        report = Report(payload["suite"], payload["seed"])
+        for row in payload["rows"]:
+            report.add(row["experiment"], row["cell"], row["seed"], row["value"],
+                       row["bound"], row["passed"])
+    except (ValueError, KeyError, TypeError) as exc:  # JSON, UTF-8, report fields
+        print(f"input error: {args.report} is not a dyadlab report: {exc!r}", file=sys.stderr)
+        return 2
     try:
         table = emit_plotdata(report, args.x, args.y)
     except KeyError as exc:

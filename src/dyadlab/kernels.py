@@ -65,7 +65,9 @@ def riesz_axis_kernel(component: int = 1):
     """One-factor kernel (x - y_or_z)_i / (|x-y|^2 + |x-z|^2)^(3/2) for d=1.
 
     component 1 differentiates against the first argument, 2 against the
-    second (the two families of odd kernels)."""
+    second (the two families of odd kernels); any other raises ValueError."""
+    if component not in (1, 2):
+        raise ValueError(f"riesz component {component!r} must be 1 or 2")
 
     def ev(x, y, z):
         dy = torus_delta(x, y)

@@ -203,33 +203,106 @@ def _check_slots(what: str, slots: tuple) -> None:
         raise ValueError(f"{what} {tuple(slots)!r} must be two of the slots 1, 2, 3")
 
 
-def _check_keys(keys: np.ndarray, cubes: list, depths: tuple[int, ...] = ()) -> None:
-    """Raise ValueError unless each key is one (level, position) pair per
-    entry (axis, slot depths, averaged slot) of `cubes`, naming a cube of the
-    axis whose slot cubes stay on it (cancellative slots need children, the
-    averaged one only the cube itself), then one child index per entry of
-    `depths`, in [0, 2^depth), and no key repeats."""
-    n, u = 2 * len(cubes), keys.view(np.uint64)  # negative entries read as huge ones
-    tops = [min(ax.levels - (s != o) - d for s, d in enumerate(ds, start=1)) for ax, ds, o in cubes]
-    if ((u[:, 0:n:2] > np.array(tops)).any() or (u[:, 1:n:2] >> u[:, 0:n:2]).any()
-            or depths and (u[:, n:] >> np.array(depths, dtype=np.uint64)).any()):
+_SLOTS = np.arange(1, 4)
+
+
+def _check_keys(keys: np.ndarray, counts: np.ndarray, levels: np.ndarray, depths: np.ndarray, slots: np.ndarray,
+                children: np.ndarray | None = None) -> np.ndarray:
+    """Raise ValueError unless each key of a stack (`counts` keys per
+    operator) holds per shift structure s a cube of an axis of levels[s]
+    levels whose slot cubes (depths[op, s], averaged slot slots[op, s]) stay
+    on it, then with `children` one child index per slot in [0, 2^depth);
+    or if a key repeats within an operator.  Returns each key's operator."""
+    if (depths < 0).any():
+        raise ValueError("slot depths must be nonnegative")
+    owner = np.repeat(np.arange(len(counts)), counts)
+    # cancellative slots need children, the averaged one only the cube itself
+    tops = (levels - 1 - (depths - (slots[..., None] == _SLOTS)).max(axis=-1))[owner]
+    n, u = 2 * len(levels), keys.view(np.uint64)  # negative entries read as huge ones
+    if ((u[:, 0:n:2] > tops).any() or (u[:, 1:n:2] >> u[:, 0:n:2]).any()
+            or children is not None and (u[:, n:] >> children[owner].astype(np.uint64)).any()):
         raise ValueError("a key names a cube outside the lattice, or slot cubes below its resolution")
-    if len(set(map(tuple, keys.tolist()))) < len(keys):
+    rows = np.concatenate([owner[:, None], keys], axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise ValueError("a key repeats")
+    return owner
 
 
 @lru_cache(maxsize=256)
-def _axis_caps(depths: tuple[int, ...]) -> np.ndarray:
+def _axis_caps(depth: int) -> np.ndarray:
     # every level whose positions fit in an int64
-    return np.array([2.0 ** (-(3 * level + sum(depths)) / 2.0) * 2.0 ** (2 * level) for level in range(64)])
+    return np.array([2.0 ** (-(3 * level + depth) / 2.0) * 2.0 ** (2 * level) for level in range(64)])
 
 
-def axis_cap(depths: tuple[int, int, int], levels) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _cap_table(depth: int) -> np.ndarray:
+    """Entry [d, l]: `axis_cap` at total slot depth d <= `depth` and level l."""
+    return np.stack([_axis_caps(d) for d in range(depth + 1)])
+
+
+def axis_cap(depths, levels) -> np.ndarray:
     """(|I1||I2||I3|)^(1/2)/|K|^2 for cubes K at `levels` (an int or an
-    array) with slot cubes depths[s] levels below K: one axis's factor of
-    the shift cap, and the partial-paraproduct cap.  The formula runs per
-    level in Python floats, so a cap has the same bits in any array."""
-    return _axis_caps(tuple(depths))[levels]
+    array) with slot cubes depths[..., s] levels below K (three depths, or
+    an array with a row of them per level): one axis's factor of the shift
+    cap, and the partial-paraproduct cap.  The formula runs per level in
+    Python floats, so a cap has the same bits in any array."""
+    if not isinstance(depths, np.ndarray):
+        return _axis_caps(int(sum(depths)))[levels]
+    total = depths.sum(axis=-1)
+    return _cap_table(int(total.max()))[total, levels]
+
+
+def _check_shifts(grid: TorusGrid, heads: list[tuple], keys: np.ndarray, blocks: np.ndarray) -> None:
+    """Validate shifts on `grid` in one pass: heads holds each one's (k, v,
+    pattern, key count), keys and blocks (raveled) theirs one after another."""
+    for *_, pattern, _ in heads:
+        _check_slots("pattern", pattern)
+    h = np.array([(*k, *v, *pattern, n) for k, v, pattern, n in heads], dtype=np.int64).reshape(-1, 9)
+    depths, counts = h[:, :6].reshape(-1, 2, 3), h[:, 8]
+    total = depths.sum(axis=-1)  # per operator and axis
+    size = 1 << total.sum(axis=1)
+    if len(keys) != counts.sum() or len(blocks) != counts @ size:
+        raise ValueError("one coefficient block per key")
+    owner = _check_keys(keys, counts, np.array([ax.levels for ax in grid.axes]), depths, h[:, 6:8])
+    if len(keys):
+        starts = np.cumsum(size[owner]) - size[owner]
+        # each block's largest |coefficient|, without an |blocks| copy
+        peaks = np.maximum(np.maximum.reduceat(blocks, starts), -np.minimum.reduceat(blocks, starts))
+        caps = _cap_table(int(total.max()))[total[owner], keys[:, 0:3:2]]
+        if (peaks > caps[:, 0] * caps[:, 1] * (1 + 1e-9)).any():
+            raise NormalizationError("shift coefficient exceeds the size cap")
+
+
+def _check_partials(grid: TorusGrid, shift_axis: int, heads: list[tuple], keys: np.ndarray,
+                    profiles: np.ndarray) -> None:
+    """Validate partial paraproducts on `grid`, shift structure on axis
+    `shift_axis`, in one pass and one BMO call: heads holds each one's (k,
+    h0_slot, ptype, key count), keys and profiles theirs one after another."""
+    if shift_axis not in (0, 1):
+        raise ValueError(f"shift_axis {shift_axis!r} must be 0 or 1")
+    for _, *slots, _ in heads:
+        _check_slots("h0_slot and ptype", slots)
+    h = np.array([(*k, h0, pt, n) for k, h0, pt, n in heads], dtype=np.int64).reshape(-1, 6)
+    if len(keys) != h[:, 5].sum() or len(profiles) != len(keys):
+        raise ValueError("one symbol profile per key")
+    owner = _check_keys(keys, h[:, 5], np.array([grid.axes[shift_axis].levels]), h[:, None, :3], h[:, 3:4], h[:, :3])
+    if len(keys) and (axis_profile_bmo(profiles, grid.axes[1 - shift_axis])
+                      > axis_cap(h[owner, :3], keys[:, 0]) * (1 + 1e-9)).any():
+        raise NormalizationError("partial paraproduct symbol exceeds the BMO cap")
+
+
+def _members(cls, fields: list[dict], shapes: list[tuple], keys: np.ndarray, values: np.ndarray, name: str) -> list:
+    """The operators of a validated batch, past the constructor: each with
+    its fields and read-only views of its keys and (as `name`) its values."""
+    ops, at, flat, raveled = [], 0, 0, values.reshape(-1)
+    for a in (keys, values, raveled):
+        a.setflags(write=False)
+    for f, shape in zip(fields, shapes):
+        ops.append(object.__new__(cls))
+        ops[-1].__dict__.update(f, keys=keys[at:at + shape[0]], **{name: raveled[flat:flat + math.prod(shape)].reshape(shape)})
+        at, flat = at + shape[0], flat + math.prod(shape)
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +329,20 @@ class ShiftOperator:
     blocks: np.ndarray
 
     def __post_init__(self):
-        _check_slots("pattern", self.pattern)
         self.keys = _frozen_rows(self.keys, np.int64, (4,), "keys")
         self.blocks = _frozen_rows(self.blocks, float, tuple(1 << d for d in self.k + self.v), "blocks")
-        self.validate()
+        # the batch validation, on a batch of this operator alone
+        _check_shifts(self.grid, [(self.k, self.v, self.pattern, len(self.keys))], self.keys, self.blocks.ravel())
+
+    @staticmethod
+    def batch(grid: TorusGrid, shift: GridShift, heads: list[tuple], keys: np.ndarray,
+              blocks: np.ndarray) -> list["ShiftOperator"]:
+        """Shifts on one grid and lattice, validated in one pass: heads holds
+        each one's (k, v, pattern, key count), keys (int64) and blocks (1-d)
+        theirs in turn; the arrays are made read-only and shared as views."""
+        _check_shifts(grid, heads, keys, blocks)
+        return _members(ShiftOperator, [dict(grid=grid, shift=shift, k=k, v=v, pattern=p) for k, v, p, _ in heads],
+                        [(n,) + tuple(1 << d for d in k + v) for k, v, _, n in heads], keys, blocks, "blocks")
 
     # -- structural cap -------------------------------------------------------
     @staticmethod
@@ -267,14 +350,6 @@ class ShiftOperator:
         """The size cap (|I1||I2||I3|)^(1/2)/|K|^2 * (|J1||J2||J3|)^(1/2)/|V|^2
         at K levels `k_levels` and V levels `v_levels` (ints or arrays)."""
         return axis_cap(k, k_levels) * axis_cap(v, v_levels)
-
-    def validate(self) -> None:
-        if len(self.keys) != len(self.blocks):
-            raise ValueError("one coefficient block per key")
-        _check_keys(self.keys, list(zip(self.grid.axes, (self.k, self.v), self.pattern)))
-        caps = self.cap(self.k, self.v, self.keys[:, 0], self.keys[:, 2])
-        if (np.abs(self.blocks).max(axis=(1, 2, 3, 4, 5, 6)) > caps * (1 + 1e-9)).any():
-            raise NormalizationError("shift coefficient exceeds the size cap")
 
     # -- evaluation -----------------------------------------------------------
     def _slot_rows(self, slot: int) -> tuple[str, str]:
@@ -480,24 +555,27 @@ class PartialParaproduct:
     def __post_init__(self):
         if self.shift_axis not in (0, 1):
             raise ValueError(f"shift_axis {self.shift_axis!r} must be 0 or 1")
-        _check_slots("h0_slot and ptype", (self.h0_slot, self.ptype))
         self.keys = _frozen_rows(self.keys, np.int64, (5,), "keys")
         self.profiles = _frozen_rows(self.profiles, float, (self.grid.axes[self.para_axis].n_cells,), "profiles")
-        self.validate()
+        # the batch validation, on a batch of this operator alone
+        _check_partials(self.grid, self.shift_axis, [(self.k, self.h0_slot, self.ptype, len(self.keys))],
+                        self.keys, self.profiles)
+
+    @staticmethod
+    def batch(grid: TorusGrid, shift: GridShift, shift_axis: int, heads: list[tuple], keys: np.ndarray,
+              profiles: np.ndarray) -> list["PartialParaproduct"]:
+        """Partial paraproducts on one grid and lattice, validated in one
+        pass, as in `ShiftOperator.batch`; heads are (k, h0_slot, ptype, key count)."""
+        _check_partials(grid, shift_axis, heads, keys, profiles)
+        return _members(PartialParaproduct, [dict(grid=grid, shift=shift, shift_axis=shift_axis, k=k, h0_slot=h0,
+                                                  ptype=pt) for k, h0, pt, _ in heads],
+                        [(n, profiles.shape[1]) for *_, n in heads], keys, profiles, "profiles")
 
     @property
     def para_axis(self) -> int:
         return 1 - self.shift_axis
 
     cap = staticmethod(axis_cap)  # the BMO cap of a symbol: (k, K levels)
-
-    def validate(self) -> None:
-        if len(self.keys) != len(self.profiles):
-            raise ValueError("one symbol profile per key")
-        _check_keys(self.keys, [(self.grid.axes[self.shift_axis], self.k, self.h0_slot)], self.k)
-        bmo = axis_profile_bmo(self.profiles, self.grid.axes[self.para_axis])
-        if (bmo > self.cap(self.k, self.keys[:, 0]) * (1 + 1e-9)).any():
-            raise NormalizationError("partial paraproduct symbol exceeds the BMO cap")
 
     def _ops(self) -> tuple[AxisOps, AxisOps]:
         s = (self.shift.shift1, self.shift.shift2)

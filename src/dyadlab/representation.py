@@ -48,9 +48,11 @@ from .model_ops import (
     FullParaproduct,
     PartialParaproduct,
     ShiftOperator,
+    axis_cap,
     axis_ops,
     axis_profile_bmo,
 )
+from .sparse import _STRIP, _Sparse, _sandwich, _transposed
 
 __all__ = [
     "KernelTensor",
@@ -238,126 +240,9 @@ class _Rows(NamedTuple):
         return np.repeat(np.arange(len(self.counts)), self.counts)
 
 
-# a sparse product works over row chunks whose temporaries stay near this size
-_CHUNK_BYTES = 512 << 10
-# rows per strip of a transposed copy: a strip is read down its columns, and
-# with a few dozen rows the pages and cache lines it touches stay cached
-# (4096 x 4096 on a 2-core Xeon VM: 0.06 s in strips of 64 rows, 0.18 s in
-# one copy)
-_STRIP = 64
-
-
-class _Sparse:
-    """A sparse matrix as its entries in (row, col) order, no position
-    repeated: `row`, `col` and `val` arrays, and `ptr`, where each row's
-    entries start (a CSR index pointer), all read-only since kept matrices are shared."""
-
-    def __init__(self, shape: tuple[int, int], row: np.ndarray, col: np.ndarray, val: np.ndarray):
-        self.shape = shape
-        self.row, self.col, self.val = row, col, val
-        self.ptr = np.searchsorted(row, np.arange(shape[0] + 1))
-        for a in (row, col, val, self.ptr):
-            a.setflags(write=False)
-
-    @staticmethod
-    def build(shape: tuple[int, int], row, col, val) -> "_Sparse":
-        """The matrix of COO triples: the triples at one position add by a
-        compensated sum in input order (`_run_sums`), and the positions whose
-        sum is zero are left out."""
-        n_cols = shape[1]
-        key = np.multiply(row, n_cols, dtype=np.int64)
-        key += col
-        order = np.argsort(key, kind="stable")
-        val = np.asarray(val, dtype=float)[order]
-        key = key[order]
-        del order
-        first = np.ones(len(key), dtype=bool)  # first triple of each position
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        head = np.flatnonzero(first)
-        if len(head) < len(key):
-            key, val = key[head], _run_sums(val, head)
-        keep = val != 0
-        key, val = key[keep], val[keep]
-        return _Sparse(shape, key // n_cols, key % n_cols, val)
-
-    @staticmethod
-    def sum(mats) -> "_Sparse":
-        """Entrywise sum of matrices of one shape."""
-        mats = list(mats)
-        return _Sparse.build(mats[0].shape, *(np.concatenate([getattr(m, name) for m in mats])
-                                              for name in ("row", "col", "val")))
-
-    def take(self, rows: np.ndarray) -> "_Sparse":
-        """The matrix of the given distinct rows, in that order: what `build`
-        makes of the triples of those rows alone."""
-        count = self.ptr[rows + 1] - self.ptr[rows]
-        at = np.repeat(self.ptr[rows] - (np.cumsum(count) - count), count) + np.arange(count.sum())
-        return _Sparse((len(rows), self.shape[1]), np.repeat(np.arange(len(rows)), count),
-                       self.col[at], self.val[at])
-
-    def __matmul__(self, X: np.ndarray) -> np.ndarray:
-        """S @ X for a dense 2-d X: each output row is 0 + a_1 x_1 + a_2 x_2
-        + ... over its entries in column order, the float operations of a
-        row-by-row CSR product, so the result equals that product's bit for
-        bit; one pass per entry rank over row chunks of about _CHUNK_BYTES."""
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise ValueError(f"cannot multiply a {self.shape} matrix by an array of shape {X.shape}")
-        out = np.empty((self.shape[0], X.shape[1]), dtype=np.result_type(self.val, X))
-        step = max(1, _CHUNK_BYTES // max(1, out[:1].nbytes))
-        terms = np.empty((min(step, len(out)),) + out.shape[1:], dtype=out.dtype)
-        for r0 in range(0, len(out), step):
-            block = out[r0:r0 + step]
-            start, count = self.ptr[r0:r0 + len(block)], np.diff(self.ptr[r0:r0 + len(block) + 1])
-            block.fill(0.0)
-            for k in range(count.max()):
-                rows = np.flatnonzero(count > k)
-                at = start[rows] + k
-                # mode="clip" gathers straight into `terms` (the columns are in range)
-                t = np.take(X, self.col[at], axis=0, out=terms[:len(rows)], mode="clip")
-                np.multiply(self.val[at, None], t, out=t)
-                block[rows] += t
-        return out
-
-
-def _run_sums(val: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """Sum of each run val[head[g]:head[g + 1]] (the last run ends at the
-    end), term by term in order: TwoSum keeps each addition's rounding error
-    exactly, and the errors are added back at the end (Ogita, Rump and
-    Oishi's Sum2).  The result is as accurate as a sum in twice the working
-    precision, rounded once: a run of n terms with exact sum s comes out
-    within 2^-53 |s| + (n 2^-53)^2 sum |terms| of s, so terms that cancel may
-    leave a residue that small.  On the decomposer's matrices up to L=4 every
-    sum equals math.fsum's.  The runs of two or more terms are taken longest
-    first, so the runs a pass adds to are a prefix."""
-    count = np.diff(head, append=len(val))
-    total = val[head]
-    runs = np.flatnonzero(count > 1)
-    runs = runs[np.argsort(-count[runs], kind="stable")]
-    start = head[runs]
-    longer = len(runs) - np.cumsum(np.bincount(count[runs]))  # runs of more than k terms
-    acc, err = total[runs], np.zeros(len(runs))
-    for k in range(1, len(longer) - 1):
-        n = longer[k]
-        a, b = acc[:n], val[start[:n] + k]
-        s = a + b
-        z = s - a
-        err[:n] += (a - (s - z)) + (b - z)
-        acc[:n] = s
-    total[runs] = acc + err
-    return total
-
-
-def _transposed(Y: np.ndarray) -> np.ndarray:
-    """A C-ordered copy of Y.T, made in strips of _STRIP rows of Y."""
-    out = np.empty(Y.shape[::-1], dtype=Y.dtype)
-    for r0 in range(0, len(Y), _STRIP):
-        out[:, r0:r0 + _STRIP] = Y[r0:r0 + _STRIP].T
-    return out
-
-
-def _sandwich(A: _Sparse, X: np.ndarray, B: _Sparse) -> np.ndarray:
-    """A @ X @ B.T, as B @ (A @ X).T on a contiguous copy, transposed back."""
-    return (B @ _transposed(A @ X)).T
+# entries of one dense coefficient table of the shift export, left keys by
+# the stacked keys of a run of right sets
+_RUN_ENTRIES = 1 << 15
 
 
 def _stack(parts: list[tuple[np.ndarray, _Rows]], n_rows: int, width: int) -> _Sparse:
@@ -719,6 +604,14 @@ class AxisDecomposition:
                     [(c.level, c.pos[0]) for c in (self.ops.cubes[i] for i in cubes)], cubes)
         return self._once(("averaging", branch), build)
 
+    def averaged_profiles(self, left: np.ndarray) -> list[np.ndarray]:
+        """Per branch, the symbol profiles its averaging reads make of `left`
+        (a column per symbol), one row each: one product of the three reads."""
+        R = self._once(("averaging", "all"), lambda: _Sparse.stack([self.averaging_reads(b)[0] for b in BRANCHES]))
+        _, cubes, haar_rows = self.averaging_reads(BRANCHES[0])  # levels 1..L-1 on every branch
+        RL, n = R @ left, len(cubes)
+        return [RL[p * n:(p + 1) * n].T @ self.ops.haar[haar_rows] for p in range(len(BRANCHES) if n else 0)]
+
     def export_sets(self, branch: str) -> dict:
         """The exportable rows by tag ('plain': separated and diagonal,
         'nested'): their slot keys and their read vectors; built once."""
@@ -961,26 +854,21 @@ class Decomposition:
         # lam_hat^T laid out once: a sparse product gathers rows of its right factor
         for shift_ax, para_ax, lam in ((self.ax1, self.ax2, self.lam_hat),
                                        (self.ax2, self.ax1, _transposed(self.lam_hat))):
+            profs, shapes = [], []
             for br_s in BRANCHES:
                 tab = shift_ax.tuples[br_s]
                 nes = tab["cls"] == NES
                 if not nes.any():
                     continue
-                # (W lam)^T laid out once for the three right factors
-                left = _transposed(shift_ax.reads(br_s, nes) @ lam)
                 # the chain child sits one level below the middle cube
                 depth = tab["lvl_s"][nes] - tab["lvl_m"][nes] - 1
-                shape = (2.0**-depth) ** (self.alpha / 2.0) * (2.0**-depth) ** 0.5
-                for br_p in BRANCHES:
-                    R, cubes, haar_rows = para_ax.averaging_reads(br_p)
-                    if not cubes:
-                        continue
-                    # tbl[t, j]: coefficient of the symbol of key t on cube j
-                    tbl = (R @ left).T
-                    prof = tbl @ para_ax.ops.haar[haar_rows]
-                    ratio = axis_profile_bmo(prof, para_ax.axis) / shape
-                    out["max_ratio"] = max(out["max_ratio"], float(ratio.max()))
-                    out["n_symbols"] += len(ratio)
+                for prof in para_ax.averaged_profiles(_transposed(shift_ax.reads(br_s, nes) @ lam)):
+                    profs.append(prof)
+                    shapes.append((2.0**-depth) ** (self.alpha / 2.0) * (2.0**-depth) ** 0.5)
+            if profs:  # one BMO call per axis
+                ratio = axis_profile_bmo(np.concatenate(profs), para_ax.axis) / np.concatenate(shapes)
+                out["max_ratio"] = max(out["max_ratio"], float(ratio.max()))
+                out["n_symbols"] += len(ratio)
         return out
 
     def full_paraproduct_tables(self) -> dict:
@@ -1016,55 +904,25 @@ class Decomposition:
 
         Plain cells and the cancellative parts of nested cells regroup into
         families keyed by (complexity, averaged-slot pattern); coefficients
-        are rescaled by the family maximum against the structural cap."""
-        buckets: dict[tuple, tuple] = {}
+        are rescaled by the family maximum against the structural cap.  Per
+        left factor the right factors are stacked in runs, one product each,
+        and the families are validated as one batch."""
+        right = [(br2, tag2, keys2, W2) for br2 in BRANCHES for tag2, (keys2, W2) in self.ax2.export_sets(br2).items()]
+        fams = []
         for br1 in BRANCHES:
             for tag1, (keys1, W1) in self.ax1.export_sets(br1).items():
-                # (W1 lam_hat)^T laid out once for all right factors, one held at a time
+                # (W1 lam_hat)^T laid out once for all right factors
                 left = _transposed(W1 @ self.lam_hat)
-                _, g1 = np.unique(_group_codes(keys1[:, :6]), return_inverse=True)
-                for br2 in BRANCHES:
-                    for tag2, (keys2, W2) in self.ax2.export_sets(br2).items():
-                        C = (W2 @ left).T
-                        nz = np.flatnonzero(C)
-                        if not len(nz):
-                            continue
-                        i, j = nz // C.shape[1], nz % C.shape[1]
-                        # one block per pair of (anchor, depths, averaged slot)
-                        # groups, numbered in the order their first entries come
-                        _, g2 = np.unique(_group_codes(keys2[:, :6]), return_inverse=True)
-                        pair = g1[i] * (g2.max() + 1) + g2[j]
-                        first = np.full((g1.max() + 1) * (g2.max() + 1), len(pair))
-                        np.minimum.at(first, pair, np.arange(len(pair)))
-                        head = np.zeros(len(pair), dtype=bool)
-                        head[first[first < len(pair)]] = True
-                        block_of = (np.cumsum(head) - 1)[first[pair]]
-                        rep1, rep2 = keys1[i[head]], keys2[j[head]]
-                        size = 1 << (rep1[:, 2:5].sum(axis=1) + rep2[:, 2:5].sum(axis=1))
-                        start = np.cumsum(size) - size
-                        cell = (_block_offset(keys1[i]) << keys2[j, 2:5].sum(axis=1)) | _block_offset(keys2[j])
-                        flat = np.zeros(size.sum())
-                        flat[start[block_of] + cell] = C.ravel()[nz]
-                        # a family per (depths, averaged slot) pair: its blocks in
-                        # block order, keyed by their anchor pairs
-                        fam = _group_codes(np.column_stack([rep1[:, 2:6], rep2[:, 2:6]]))
-                        anchors = np.column_stack([rep1[:, :2], rep2[:, :2]])
-                        for f in np.flatnonzero(np.bincount(fam)):
-                            rows = np.flatnonzero(fam == f)
-                            (*k, o1), (*v, o2) = rep1[rows[0], 2:6].tolist(), rep2[rows[0], 2:6].tolist()
-                            blocks = flat[start[rows, None] + np.arange(size[rows[0]])]
-                            buckets[(tuple(k), tuple(v), (o1, o2), f"{br1}{br2}", f"{tag1}/{tag2}")] = (
-                                anchors[rows], blocks.reshape((len(rows),) + tuple(1 << d for d in k + v)))
-        out = []
-        for k, v, pattern, sym, cells in sorted(buckets):
-            keys, blocks = buckets[k, v, pattern, sym, cells]
-            caps = ShiftOperator.cap(k, v, keys[:, 0], keys[:, 2])
-            worst = (np.abs(blocks).max(axis=(1, 2, 3, 4, 5, 6)) / caps).max()
-            scale = max(worst, 1.0)
-            op = ShiftOperator(self.grid, self.om, k, v, pattern, keys, blocks / scale)
-            out.append({"symmetry": sym, "cells": cells, "k": k, "v": v,
-                        "pattern": pattern, "operator": op, "size": scale})
-        return out
+                for run in _runs(right, len(keys1)):
+                    fams += _shift_families(br1, tag1, keys1, left, run)
+        fams.sort(key=lambda fam: fam[0])
+        heads = [(k, v, pattern, len(keys)) for (k, v, pattern, _, _), keys, _, _ in fams]
+        keys, blocks = (np.concatenate([fam[n] for fam in fams] or [empty])
+                        for n, empty in ((1, np.empty((0, 4), int)), (2, np.empty(0))))
+        fams = [(key, size) for key, _, _, size in fams]  # the runs' blocks are copied and freed
+        ops = ShiftOperator.batch(self.grid, self.om, heads, keys, blocks)
+        return [{"symmetry": sym, "cells": cells, "k": k, "v": v, "pattern": pattern, "operator": op, "size": size}
+                for ((k, v, pattern, sym, cells), size), op in zip(fams, ops)]
 
     def extracted_partial_paraproducts(self) -> list[dict]:
         """Builder-validated partial paraproducts with extracted sizes.
@@ -1072,38 +930,40 @@ class Decomposition:
         For each axis the averaged (chain-collapsed) part pairs with the
         plain or nested-cancellative structure of the other axis; the symbol
         profiles are rescaled by the family maximum against the one-axis
-        oscillation cap."""
+        oscillation cap.  Per axis the profiles are measured in one BMO call
+        and the families validated as one batch."""
         out = []
         for shift_axis, sax, pax, lam in ((0, self.ax1, self.ax2, self.lam_hat),
                                           (1, self.ax2, self.ax1, _transposed(self.lam_hat))):
+            recs, keys, profs = [], [], []
             for br_s in BRANCHES:
-                found = []  # (averaging branch, record), put in branch order below
-                for tag, (keys, W) in sax.export_sets(br_s).items():
-                    # (W lam)^T laid out once for the three right factors
-                    left = _transposed(W @ lam)
-                    # a family per (depths, averaged slot), in sorted order
-                    fam = _group_codes(keys[:, 2:6])
-                    for n_p, br_p in enumerate(BRANCHES):
-                        R, cubes, haar_rows = pax.averaging_reads(br_p)
-                        if not cubes:
-                            continue
-                        ptype = SMALLEST_SLOT[br_p]
-                        profs = (R @ left).T @ pax.ops.haar[haar_rows]
-                        bmo = axis_profile_bmo(profs, pax.axis)  # row by row
-                        for f in np.flatnonzero(np.bincount(fam)):
-                            rows = np.flatnonzero(fam == f)
-                            k, oslot = tuple(keys[rows[0], 2:5].tolist()), int(keys[rows[0], 5])
-                            caps = PartialParaproduct.cap(k, keys[rows, 0])
-                            scale = max((bmo[rows] / caps).max(), 1.0)
-                            # K level, K position and the descendant index per slot
-                            op = PartialParaproduct(self.grid, self.om, shift_axis, k, oslot, ptype,
-                                                    keys[rows][:, [0, 1, 6, 7, 8]], profs[rows] / scale)
-                            found.append((n_p, {"symmetry": f"{br_s}{br_p}", "cells": tag,
-                                                "shift_axis": shift_axis, "k": k,
-                                                "h0_slot": oslot, "ptype": ptype,
-                                                "operator": op, "size": scale}))
-                # a stable sort: within a branch the tags keep their order
-                out += [rec for _, rec in sorted(found, key=lambda item: item[0])]
+                sets = sax.export_sets(br_s)
+                # per tag and averaging branch
+                tables = [pax.averaged_profiles(_transposed(W @ lam)) for _, W in sets.values()]
+                for br_p, by_tag in zip(BRANCHES, zip(*tables)):
+                    for (tag, (k, _)), prof in zip(sets.items(), by_tag):
+                        # a family per (depths, averaged slot), in sorted order, keys in key order
+                        order = np.argsort(_group_codes(k[:, 2:6]), kind="stable")
+                        keys.append(k[order])
+                        profs.append(prof[order])
+                        recs += [(br_s + br_p, tag, SMALLEST_SLOT[br_p], len(keys))] * len(order)
+            if not keys:
+                continue
+            keys, profs = np.concatenate(keys), np.concatenate(profs)
+            # a new family where the block or the (depths, averaged slot) changes
+            first = np.flatnonzero(np.r_[True, (np.diff(np.column_stack([[r[3] for r in recs], keys[:, 2:6]]), axis=0)
+                                                != 0).any(axis=1)])
+            counts = np.diff(first, append=len(keys))
+            ratio = axis_profile_bmo(profs, pax.axis) / axis_cap(keys[:, 2:5], keys[:, 0])
+            scale = np.maximum(np.maximum.reduceat(ratio, first), 1.0)
+            heads = [(tuple(key[2:5]), key[5], recs[i][2], n) for i, key, n in
+                     zip(first.tolist(), keys[first].tolist(), counts.tolist())]
+            # K level, K position and the descendant index per slot
+            ops = PartialParaproduct.batch(self.grid, self.om, shift_axis, heads, keys[:, [0, 1, 6, 7, 8]],
+                                           profs / np.repeat(scale, counts)[:, None])
+            out += [{"symmetry": recs[i][0], "cells": recs[i][1], "shift_axis": shift_axis, "k": k,
+                     "h0_slot": oslot, "ptype": ptype, "operator": op, "size": size}
+                    for i, (k, oslot, ptype, _), op, size in zip(first.tolist(), heads, ops, scale.tolist())]
         return out
 
     def manifest(self) -> dict:
@@ -1130,6 +990,62 @@ def _group_codes(cols: np.ndarray) -> np.ndarray:
     """One integer per row of a nonnegative int array, ordered as the rows
     sort."""
     return np.ravel_multi_index(tuple(cols.T), tuple(cols.max(axis=0) + 1))
+
+
+def _runs(sets: list[tuple], n_left: int) -> list[list[tuple]]:
+    """Right sets (branch, tag, keys, reads) in runs whose stacked rows times
+    n_left stay within _RUN_ENTRIES, at least one set per run."""
+    runs = [[]]
+    for s in sets:
+        if runs[-1] and (sum(len(t[2]) for t in runs[-1]) + len(s[2])) * n_left > _RUN_ENTRIES:
+            runs.append([])
+        runs[-1].append(s)
+    return runs
+
+
+def _shift_families(br1: str, tag1: str, keys1: np.ndarray, left: np.ndarray, run: list[tuple]) -> list[tuple]:
+    """The shift families of a left factor (branch, tag, slot keys, product
+    with lam_hat transposed) and a run of right sets, in one product: per
+    family its key (k, v, pattern, symmetry, cells), anchors, raveled blocks
+    rescaled by the family maximum against the cap, and that scale."""
+    keys2 = np.concatenate([keys for _, _, keys, _ in run])
+    sets = np.repeat(np.arange(len(run)), [len(keys) for _, _, keys, _ in run])
+    C = (_Sparse.stack([W for *_, W in run]) @ left).T
+    nz = np.flatnonzero(C)
+    if not len(nz):
+        return []
+    i, j = nz // C.shape[1], nz % C.shape[1]
+    # one block per pair of (anchor, depths, averaged slot) groups, those of
+    # axis 2 within one right set, numbered in the order their first entries come
+    _, g1 = np.unique(_group_codes(keys1[:, :6]), return_inverse=True)
+    _, g2 = np.unique(_group_codes(np.column_stack([sets, keys2[:, :6]])), return_inverse=True)
+    _, first, pair = np.unique(g1[i] * (g2.max() + 1) + g2[j], return_index=True, return_inverse=True)
+    head = np.sort(first)
+    # a family per right set and (depths, averaged slot) pair, its blocks in
+    # block order: the blocks are laid out family after family
+    fam = _group_codes(np.column_stack([sets[j[head]], keys1[i[head], 2:6], keys2[j[head], 2:6]]))
+    order = np.argsort(fam, kind="stable")
+    rep1, rep2 = keys1[i[head[order]]], keys2[j[head[order]]]
+    size = 1 << (rep1[:, 2:5].sum(axis=1) + rep2[:, 2:5].sum(axis=1))
+    start = np.cumsum(size) - size
+    at = np.empty_like(start)
+    at[order] = start
+    # each entry's offset in its block, from per-key offsets and depths
+    cell = (_block_offset(keys1)[i] << keys2[:, 2:5].sum(axis=1)[j]) | _block_offset(keys2)[j]
+    flat = np.zeros(size.sum())
+    flat[at[np.searchsorted(head, first)[pair]] + cell] = C.ravel()[nz]
+    bounds = np.flatnonzero(np.r_[True, np.diff(fam[order]) != 0])
+    caps = axis_cap(rep1[:, 2:5], rep1[:, 0]) * axis_cap(rep2[:, 2:5], rep2[:, 0])
+    scale = np.maximum(np.maximum.reduceat(np.maximum.reduceat(np.abs(flat), start) / caps, bounds), 1.0)
+    ends = np.r_[start[bounds[1:]], len(flat)]
+    flat /= np.repeat(scale, np.diff(ends, prepend=0))
+    anchors = np.column_stack([rep1[:, :2], rep2[:, :2]])
+    return [((tuple(k), tuple(v), (o1, o2), br1 + run[s][0], f"{tag1}/{run[s][1]}"),
+             anchors[b0:b1], flat[e0:e1], sc)
+            for (s, *k, o1), (*v, o2), b0, b1, e0, e1, sc in zip(
+                np.column_stack([sets[j[head[order[bounds]]]], rep1[bounds, 2:6]]).tolist(), rep2[bounds, 2:6].tolist(),
+                bounds.tolist(), [*bounds[1:].tolist(), len(order)], start[bounds].tolist(), ends.tolist(),
+                scale.tolist())]
 
 
 def _block_offset(keys: np.ndarray) -> np.ndarray:

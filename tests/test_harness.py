@@ -298,6 +298,23 @@ def test_cli_unknown_kernel_exit_code(tmp_path):
     assert out.returncode == 2
 
 
+def test_cli_riesz_component_out_of_range_exit_code(tmp_path, capsys):
+    # components 1 and 2 are the two odd kernels; 7 names neither
+    assert cli.main(["--grid-level", "2", "--out", str(tmp_path), "decompose", "--component-i", "7"]) == 2
+    assert "component 7" in capsys.readouterr().err
+    assert not (tmp_path / "decomposition.json").exists()
+
+
+@pytest.mark.parametrize("text", ["not json {", json.dumps({"suite": "empty", "seed": 0})],
+                         ids=["not-json", "no-rows"])
+def test_cli_emit_plotdata_bad_report_exit_code(tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    assert cli.main(["--out", str(tmp_path), "emit-plotdata", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "plotdata.csv").exists()
+
+
 def test_cli_decompose_runs(tmp_path):
     out = _run_cli("--grid-level", "2", "--out", str(tmp_path), "decompose")
     assert out.returncode == 0, out.stderr

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyadlab.core import (
     AxisShift,
@@ -297,6 +298,112 @@ def test_payload_keys_are_checked():
     payload["records"][1]["key"] = [[1, 3], [1, 0]]  # aliases [[1, 1], [1, 0]] modulo 2
     with pytest.raises(ValueError, match="outside the lattice"):
         ShiftOperator.from_payload(payload)
+
+
+# -- batched validation ------------------------------------------------------------
+
+SHIFT_SHAPES = [((0, 0, 0), (0, 0, 0), (3, 3)), ((1, 0, 0), (0, 0, 1), (3, 2)),
+                ((0, 1, 1), (1, 0, 0), (1, 2)), ((1, 1, 0), (0, 1, 0), (2, 1))]
+PARTIAL_SHAPES = [((0, 0, 0), 3, 3), ((1, 0, 0), 1, 2), ((0, 1, 1), 2, 3), ((1, 0, 1), 3, 1)]
+
+
+def _draw_members(family, grid, om, shapes, seed, fill=1.0, shift_axis=0):
+    """Copies of the stored arrays of random operators, one per shape, as
+    [shape, keys, blocks or profiles]."""
+    members = []
+    for n, shape in enumerate(shapes):
+        rng = np.random.default_rng(seed + n)
+        if family == "shift":
+            U = random_shift_operator(grid, om, *shape, rng, fill)
+        else:
+            U = random_partial_paraproduct(grid, om, shape[0], shift_axis, *shape[1:], rng, fill)
+        members.append([shape, *(a.copy() for a in _stored(U))])
+    return members
+
+
+def _build_one(family, grid, om, member, shift_axis=0):
+    shape, keys, values = member
+    if family == "shift":
+        return ShiftOperator(grid, om, *shape, keys, values)
+    return PartialParaproduct(grid, om, shift_axis, *shape, keys, values)
+
+
+def _build_batch(family, grid, om, members, shift_axis=0):
+    heads = [(*shape, len(keys)) for shape, keys, _ in members]
+    keys = np.concatenate([keys for _, keys, _ in members])
+    if family == "shift":
+        return ShiftOperator.batch(grid, om, heads, keys, np.concatenate([m[2].ravel() for m in members]))
+    return PartialParaproduct.batch(grid, om, shift_axis, heads, keys, np.concatenate([m[2] for m in members]))
+
+
+def _mutate(member, how, i, levels=3):
+    """Break key i of a member (on a square grid of `levels` levels): its
+    block or profile over the cap (when drawn at the cap), the key repeated,
+    its position past its level, or its cube at the finest level, where a
+    cancellative slot has no cubes below it."""
+    _, keys, values = member
+    if how == "over-cap":
+        values[i] *= 1.5
+    elif how == "repeat":
+        rows = np.r_[np.arange(len(keys)), i]
+        member[1:] = keys[rows], values[rows]
+    elif how == "outside":
+        keys[i, 1] = 1 << keys[i, 0]
+    elif how == "finest":
+        keys[i, 0] = levels
+
+
+def _outcome(build):
+    """The operators built, or the type of the ValueError raised."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["shift", "partial"]), level=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+       fill=st.sampled_from([0.5, 1.0]), shift_axis=st.sampled_from([0, 1]),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["none", "over-cap", "repeat", "outside", "finest"]),
+                                st.floats(0, 1)), min_size=1, max_size=4))
+def test_batch_validation_matches_per_operator_validation(family, level, seed, fill, shift_axis, picks):
+    # a batch is accepted exactly when each of its operators is, and then
+    # holds the operators built one by one; a rejected batch raises the
+    # error of one of its rejected operators
+    grid = TorusGrid.make(level)
+    om = sample_shift(grid, np.random.default_rng(seed))
+    shapes = SHIFT_SHAPES if family == "shift" else PARTIAL_SHAPES
+    members = _draw_members(family, grid, om, [shapes[s] for s, _, _ in picks], seed, fill, shift_axis)
+    for member, (_, how, where) in zip(members, picks):
+        if len(member[1]):
+            _mutate(member, how, int(where * (len(member[1]) - 1)), level)
+    single = [_outcome(lambda m=m: _build_one(family, grid, om, m, shift_axis)) for m in members]
+    batch = _outcome(lambda: _build_batch(family, grid, om, members, shift_axis))
+    if isinstance(batch, list):
+        assert len(batch) == len(single)
+        for U, W in zip(batch, single):
+            assert type(U) is type(W) and (U.k, U.shift, U.grid) == (W.k, W.shift, W.grid)
+            _assert_same_arrays(U, W)
+            assert not any(a.flags.writeable for a in _stored(U))
+    else:
+        assert batch in single
+
+
+@pytest.mark.parametrize("family", ["shift", "partial"])
+def test_batch_validation_mutations(family):
+    shapes = (SHIFT_SHAPES if family == "shift" else PARTIAL_SHAPES)[:3]
+    members = _draw_members(family, GRID, ZERO, shapes, 50)
+    # the same key in two operators passes
+    assert set(map(tuple, members[0][1].tolist())) & set(map(tuple, members[1][1].tolist()))
+    for U, (_, keys, values) in zip(_build_batch(family, GRID, ZERO, members), members):
+        assert np.array_equal(U.keys, keys) and np.array_equal(_stored(U)[1], values)
+    for how, error, match in (("over-cap", NormalizationError, "cap"), ("repeat", ValueError, "repeats"),
+                              ("outside", ValueError, "outside the lattice"),
+                              ("finest", ValueError, "outside the lattice")):
+        members = _draw_members(family, GRID, ZERO, shapes, 50)
+        _mutate(members[0], how, 1)  # a key of the first operator, whose cubes may reach level L - 1
+        with pytest.raises(error, match=match):
+            _build_batch(family, GRID, ZERO, members)
 
 
 # -- axis and slot parameters: refused by the constructor and in payloads ---------

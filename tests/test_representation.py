@@ -35,7 +35,7 @@ from dyadlab.model_ops import (
     random_partial_paraproduct,
     random_shift_operator,
 )
-from dyadlab import representation
+from dyadlab import model_ops, representation
 from dyadlab.representation import (
     BRANCHES,
     CELLS,
@@ -471,6 +471,58 @@ def test_each_read_table_is_built_once(monkeypatch):
     dec.partial_symbol_report()
     assert dict(calls) == {(name, id(ax), br): 1 for name in ("_plain_rows", "_nested_terms", "_averaging_rows")
                            for ax in (dec.ax1, dec.ax2) for br in BRANCHES}
+
+
+def _counted(calls: list, fn):
+    def run(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return run
+
+
+def _export_sets(ax) -> list[tuple]:
+    return [(br, tag, keys, W) for br in BRANCHES for tag, (keys, W) in ax.export_sets(br).items()]
+
+
+def test_exports_batch_their_products_and_bmo_calls(monkeypatch):
+    # one L=2 decomposition: the partial export measures and validates its
+    # profiles in at most two BMO calls per axis, and the shift export makes
+    # one sparse product per left factor and stacked run of right factors
+    grid = TorusGrid.make(2)
+    dec = decompose(KernelTensor.random(grid, np.random.default_rng(3)),
+                    sample_shift(grid, np.random.default_rng(5)))
+    bmo, products = [], []
+    for module in (representation, model_ops):
+        monkeypatch.setattr(module, "axis_profile_bmo", _counted(bmo, module.axis_profile_bmo))
+    monkeypatch.setattr(_Sparse, "__matmul__", _counted(products, _Sparse.__matmul__))
+    assert dec.extracted_partial_paraproducts()
+    assert 0 < len(bmo) <= 2 * len(grid.axes)
+    products.clear()
+    assert dec.extracted_shift_families()
+    left, right = _export_sets(dec.ax1), _export_sets(dec.ax2)
+    # at L=2 one run holds every right factor
+    assert [len(representation._runs(right, len(keys))) for _, _, keys, _ in left] == [1] * len(left)
+    assert len(products) == 2 * len(left)
+
+
+def test_shift_export_runs_leave_the_families_unchanged(monkeypatch):
+    # with a cap of one entry every right factor is a run of its own: the
+    # same families, bit for bit, from one product per left and right factor
+    grid = TorusGrid.make(2)
+    dec = decompose(KernelTensor.random(grid, np.random.default_rng(4)),
+                    sample_shift(grid, np.random.default_rng(6)))
+    want = dec.extracted_shift_families()
+    products = []
+    monkeypatch.setattr(representation, "_RUN_ENTRIES", 1)
+    monkeypatch.setattr(_Sparse, "__matmul__", _counted(products, _Sparse.__matmul__))
+    got = dec.extracted_shift_families()
+    left, right = _export_sets(dec.ax1), _export_sets(dec.ax2)
+    assert len(products) == len(left) * (1 + len(right))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert {k: v for k, v in a.items() if k != "operator"} == {k: v for k, v in b.items() if k != "operator"}
+        for name in ("keys", "blocks"):
+            assert_same_bits(getattr(a["operator"], name), getattr(b["operator"], name))
 
 
 # -- the sparse type against scipy ----------------------------------------------
@@ -920,9 +972,10 @@ def test_object_level_emission_matches_matrix_subset():
 
 def test_shift_family_export_memory_peak():
     # the regrouping numbers its blocks by pairs of compacted group codes, so
-    # its working memory follows the dense coefficient tables (10.5 MiB
-    # here); a table indexed by pairs of raw group codes peaks at 21 MiB
-    # here and takes about 1.1 GB at L=4
+    # its working memory follows the dense coefficient tables of the runs of
+    # stacked right factors and the kept blocks (7.8 MiB here, 11.9 MiB with
+    # every right factor in one run); a table indexed by pairs of raw group
+    # codes peaks at 21 MiB here and takes about 1.1 GB at L=4
     grid = TorusGrid.make(3)
     T = KernelTensor.random(grid, np.random.default_rng(5))
     dec = decompose(T, sample_shift(grid, np.random.default_rng(6)))
