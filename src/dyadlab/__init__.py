@@ -68,20 +68,17 @@ from .commutators import (
     iterated_form_decomposed,
     iterated_form_direct,
 )
-from .lower_bounds import (
-    BilinearKernel,
-    bmo_lower_bound,
-    find_nondegenerate_partner,
-    gamma_constant,
-)
 from .harness import ExperimentConfig, Report, run_suite
 
 __version__ = "0.1.0"
 
-# The decomposer's names load it on first use (PEP 562), so the suites that
-# never decompose do not import it.
+# The decomposer's and the lower bounds' names load their module on first
+# use (PEP 562), so a run that never decomposes or never bounds from below
+# does not import it.
 _REPRESENTATION = ("Decomposition", "KernelTensor", "averaged_reconstruction",
                    "common_ancestor", "decompose")
+_LOWER_BOUNDS = ("BilinearKernel", "bmo_lower_bound", "find_nondegenerate_partner",
+                 "gamma_constant")
 
 
 def __getattr__(name: str):
@@ -89,4 +86,8 @@ def __getattr__(name: str):
         from . import representation
 
         return getattr(representation, name)
+    if name in _LOWER_BOUNDS:
+        from . import lower_bounds
+
+        return getattr(lower_bounds, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

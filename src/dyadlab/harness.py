@@ -31,11 +31,6 @@ from .core import (
     truncated_projection,
 )
 from .kernels import tensor_riesz
-from .lower_bounds import (
-    BilinearKernel,
-    bmo_lower_bound,
-    pointwise_chain_check,
-)
 from .model_ops import (
     FullParaproduct,
     paraproduct_freeness_probe,
@@ -646,6 +641,8 @@ def commutator_suite(config: ExperimentConfig, seeds_per_cell: int = 40) -> Repo
 
 def lower_bound_suite(config: ExperimentConfig) -> Report:
     """Median-method chains on witnesses and the certified ratio band."""
+    from .lower_bounds import BilinearKernel, bmo_lower_bound, pointwise_chain_check
+
     goldens = load_goldens()
     rep = Report("lowerbound", config.seed)
     grid = config.grid()

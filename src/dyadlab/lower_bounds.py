@@ -8,13 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    DiscreteFunction,
-    DyadicRectangle,
-    GridShift,
-    TorusGrid,
-    all_rectangles,
-)
+from .core import DiscreteFunction, DyadicRectangle, TorusGrid
 from .kernels import KernelSpec, cell_centers
 
 __all__ = [
@@ -56,13 +50,30 @@ class BilinearKernel:
 
 
 def _base_rectangles(grid: TorusGrid, max_cells: int | None = None):
-    om = GridShift.zero(grid)
-    for rect in all_rectangles(grid, om):
-        if rect.cube1.level == 0 or rect.cube2.level == 0:
-            continue
-        if max_cells and rect.cube1.width_cells * rect.cube2.width_cells > max_cells:
-            continue
-        yield rect
+    """The rectangles of the zero lattice with no level-0 factor and at most
+    `max_cells` cells, in `all_rectangles` order, as (R, 2) int arrays with
+    one column per factor: level, position, start cell and width."""
+    rows = []
+    for axis in grid.axes:
+        level = np.repeat(np.arange(1, axis.levels + 1), 1 << np.arange(1, axis.levels + 1))
+        pos = np.arange(len(level)) + 2 - (1 << level)
+        width = 1 << (axis.levels - level)
+        rows.append((level, pos, pos * width, width))
+    # factor-1 cubes outer, as all_rectangles pairs them
+    cols = [np.stack([np.repeat(a, len(b)), np.tile(b, len(a))], axis=1) for a, b in zip(*rows)]
+    if max_cells:
+        keep = cols[3].prod(axis=1) <= max_cells
+        cols = [col[keep] for col in cols]
+    return cols
+
+
+def _flat_cells(grid: TorusGrid, start: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Flat cells (R, n) of rectangles with per-factor start cells and widths
+    (R, 2), each of n cells: the wrapped run from each start, listed with
+    the first factor slowest, as np.add.outer of the factors' runs lists them."""
+    n1s, n2s = (axis.n_side for axis in grid.axes)
+    k, w2 = np.arange(int(width[0].prod())), width[:, 1, None]
+    return ((start[:, 0, None] + k // w2) % n1s) * grid.shape[1] + (start[:, 1, None] + k % w2) % n2s
 
 
 def find_nondegenerate_partner(kernel: BilinearKernel, rect: DyadicRectangle,
@@ -78,17 +89,39 @@ def find_nondegenerate_partner(kernel: BilinearKernel, rect: DyadicRectangle,
     dimension >= 2.
 
     Partners depend on neither the symbol nor the exponents, so they are
-    memoised on the kernel by (rect, C0, stride), a missing partner too.
-    Each call returns a fresh dict, but its cell arrays are shared with the
-    memo and read-only."""
-    st = (1, 1) if stride is None else tuple(stride)
-    key = (rect, C0, st)
-    if key not in kernel._partners:
-        [kernel._partners[key]] = _search_partners(kernel, [rect], C0, st)
-    found = kernel._partners[key]
+    memoised on the kernel per (C0, stride), by the rectangle's widths and
+    start cells, a missing partner too.  Each call returns a fresh dict with
+    read-only cell arrays."""
+    cubes = (rect.cube1, rect.cube2)
+    [found] = _partners(kernel, np.array([[c.width_cells for c in cubes]]),
+                        np.array([[c.start_cells()[0] for c in cubes]]), C0,
+                        (1, 1) if stride is None else tuple(stride))
     if found is None:
         raise ValueError("no separated partner exists at this scale")
-    return dict(found)
+    cells = [(p + np.arange(c.width_cells)) % c.axis.n_side for p, c in zip(found, cubes)]
+    for c in cells:
+        c.setflags(write=False)
+    return {"cells1": cells[0], "cells2": cells[1], "sigma": found[2], "min_value": found[3],
+            "lower_bound_constant": found[3] * rect.measure**2}
+
+
+def _partners(kernel: BilinearKernel, width: np.ndarray, start: np.ndarray, C0: float,
+              stride: tuple[int, int]) -> list[tuple | None]:
+    """The partner of every rectangle with the given per-factor widths and
+    start cells (R, 2), as (start1, start2, sigma, min_value), or None where
+    no separated candidate exists.  The kernel's memo for (C0, stride) maps
+    (w1, w2, s1, s2) to that entry; the rectangles not in it are searched
+    in one batch."""
+    if any(axis.dim != 1 for axis in kernel.grid.axes):
+        # candidates are runs of cells along one coordinate
+        raise NotImplementedError("the partner search runs on 1-d factors")
+    memo = kernel._partners.setdefault((C0, stride), {})
+    keys = list(zip(*width.T.tolist(), *start.T.tolist()))
+    missing = [i for i, key in enumerate(keys) if key not in memo]
+    if missing:
+        memo.update(zip([keys[i] for i in missing],
+                        _search_partners(kernel, width[missing], start[missing], C0, stride)))
+    return [memo[key] for key in keys]
 
 
 # kernel points per batched evaluation of a candidate pool; batching keeps
@@ -96,28 +129,20 @@ def find_nondegenerate_partner(kernel: BilinearKernel, rect: DyadicRectangle,
 _POOL_POINTS = 1 << 16
 
 
-def _search_partners(kernel: BilinearKernel, rects: list[DyadicRectangle], C0: float,
-                     stride: tuple[int, int]) -> list[dict | None]:
-    """The partner of every rectangle, as `find_nondegenerate_partner`
-    describes it, or None where no separated candidate exists.
+def _search_partners(kernel: BilinearKernel, w: np.ndarray, s: np.ndarray, C0: float,
+                     stride: tuple[int, int]) -> list[tuple | None]:
+    """The partners of rectangles of widths w and start cells s (R, 2), as
+    `_partners` lists them, searched anew.
 
     Rectangles with the same widths and the same number of candidate starts
     per axis share one candidate table: one kernel call scores all their
     candidates, one sort orders them, and the first-eight and all-candidate
     passes each run over the whole group, in batches of `_POOL_POINTS`."""
-    if any(r.cube1.axis.dim != 1 or r.cube2.axis.dim != 1 for r in rects):
-        # candidates are runs of cells along one coordinate
-        raise NotImplementedError("the partner search runs on 1-d factors")
-    out: list[dict | None] = [None] * len(rects)
+    out: list[tuple | None] = [None] * len(w)
     n1s, n2s = (axis.n_side for axis in kernel.grid.axes)
-    w = np.array([(r.cube1.width_cells, r.cube2.width_cells) for r in rects]).reshape(-1, 2)
     need = np.ceil(C0 * w).astype(int)
     fit = np.flatnonzero((2 * need + 2 * w <= (n1s, n2s)).all(axis=1))
-    w, need = w[fit], need[fit]
-    cells1 = [rects[i].cube1.cells() for i in fit]
-    cells2 = [rects[i].cube2.cells() for i in fit]
-    # a 1-d cube's cells are a wrapped run from its start cell
-    s = np.array([(a[0], b[0]) for a, b in zip(cells1, cells2)]).reshape(-1, 2)
+    w, s, need = w[fit], s[fit], need[fit]
 
     def starts(t, n):
         # the candidate starts on axis t, and which of them each rectangle may use
@@ -128,26 +153,26 @@ def _search_partners(kernel: BilinearKernel, rects: list[DyadicRectangle], C0: f
 
     (o1, ok1), (o2, ok2) = starts(0, n1s), starts(1, n2s)
     m1, m2 = ok1.sum(axis=1), ok2.sum(axis=1)
+    has = np.flatnonzero((m1 > 0) & (m2 > 0))
     groups: dict[tuple, list[int]] = {}
-    for j in np.flatnonzero((m1 > 0) & (m2 > 0)).tolist():
-        groups.setdefault((*w[j].tolist(), int(m1[j]), int(m2[j])), []).append(j)
+    for j, key in zip(has.tolist(), map(tuple, np.stack([*w.T, m1, m2], axis=1)[has].tolist())):
+        groups.setdefault(key, []).append(j)
     for (w1, w2, k1, k2), js in groups.items():
         g1 = o1[np.nonzero(ok1[js])[1]].reshape(len(js), k1)
         g2 = o2[np.nonzero(ok2[js])[1]].reshape(len(js), k2)
-        y = np.add(np.stack([cells1[j] for j in js])[:, :, None] * kernel.n2,
-                   np.stack([cells2[j] for j in js])[:, None, :]).reshape(len(js), -1)
-        found = _search_group(kernel, [rects[fit[j]] for j in js], y, g1, g2, w1, w2)
-        for j, partner in zip(js, found):
+        y = _flat_cells(kernel.grid, s[js], w[js])
+        for j, partner in zip(js, _search_group(kernel, y, g1, g2, w1, w2)):
             out[fit[j]] = partner
     return out
 
 
-def _search_group(kernel, rects, y, g1, g2, w1, w2):
-    """Partners of rectangles of widths (w1, w2) with flat cells y (R, w1 w2)
-    and candidate starts g1 (R, k1) and g2 (R, k2) per axis, rectangle by row."""
+def _search_group(kernel, y, g1, g2, w1, w2):
+    """Partners, as `_partners` lists them, of rectangles of widths (w1, w2)
+    with flat cells y (R, w1 w2) and candidate starts g1 (R, k1) and g2
+    (R, k2) per axis, rectangle by row."""
     n1s, n2s = (axis.n_side for axis in kernel.grid.axes)
     n2 = kernel.n2
-    R, k1, k2 = len(rects), g1.shape[1], g2.shape[1]
+    R, k1, k2 = len(y), g1.shape[1], g2.shape[1]
     m = k1 * k2
     # every rectangle's candidates as the rows of a (R, m) table, o1-major
     o1 = np.repeat(g1, k2, axis=1).ravel()
@@ -160,14 +185,11 @@ def _search_group(kernel, rects, y, g1, g2, w1, w2):
     order = np.lexsort((o2, o1, cval, np.abs(cval), row)).reshape(R, m)[:, ::-1]
     sigma = np.where(cval >= 0, 1.0, -1.0)
 
-    def cells(o, w, n):
-        return (o[..., None] + np.arange(w)) % n
-
     def min_values(cand):
         # the worst signed kernel value of every candidate, by flat index
         # into the (R, m) table
-        x = np.add(cells(o1[cand], w1, n1s)[:, :, None] * n2,
-                   cells(o2[cand], w2, n2s)[:, None, :]).reshape(len(cand), -1, 1)
+        x = _flat_cells(kernel.grid, np.stack([o1[cand], o2[cand]], axis=1),
+                        np.array([[w1, w2]]))[:, :, None]
         yc = y[cand // m][:, None, :]
         vals = kernel.eval_cells(x, yc, yc)
         return (sigma[cand, None, None] * vals).min(axis=(1, 2))
@@ -186,12 +208,7 @@ def _search_group(kernel, rects, y, g1, g2, w1, w2):
     redo = np.flatnonzero(lo <= 0)
     if m > 8 and len(redo):
         best[redo], lo[redo] = full_eval(order[redo])
-    cells1, cells2 = cells(o1[best], w1, n1s), cells(o2[best], w2, n2s)
-    cells1.setflags(write=False)
-    cells2.setflags(write=False)
-    return [{"cells1": c1, "cells2": c2, "sigma": float(sg), "min_value": v,
-             "lower_bound_constant": v * r.measure**2}
-            for r, c1, c2, sg, v in zip(rects, cells1, cells2, sigma[best], lo.tolist())]
+    return list(zip(o1[best].tolist(), o2[best].tolist(), sigma[best].tolist(), lo.tolist()))
 
 
 def weighted_median(values: np.ndarray) -> float:
@@ -223,54 +240,56 @@ class GammaReport:
     searched: int = 0
 
 
-def _pair_groups(kernel: BilinearKernel, C0: float, max_rect_cells: int | None):
-    """The base rectangles that have a separated partner, in `_base_rectangles`
-    order, as (rect, partner) pairs, and their flat cells grouped by cell
-    count: n -> (positions in the pair list, rectangle cells (R, n), partner
-    cells (R, n)).
+@dataclass(frozen=True)
+class _PairTable:
+    """The base rectangles with a separated partner, a row per pair in
+    `_base_rectangles` order, per-factor columns (P, 2); `cell_offset` (P + 1)
+    is where each pair's cells start in all pairs' cells, `groups` maps cell
+    counts n, in order of first appearance, to (positions, cells (R, n),
+    partner cells (R, n))."""
 
-    Like the partners, they are memoised on the kernel, by (C0,
-    max_rect_cells); the cell arrays are read-only."""
+    level: np.ndarray
+    pos: np.ndarray
+    partner: np.ndarray  # start cells
+    sigma: np.ndarray
+    min_value: np.ndarray
+    measure: np.ndarray
+    cell_offset: np.ndarray
+    groups: dict
+
+
+def _pair_groups(kernel: BilinearKernel, C0: float, max_rect_cells: int | None) -> _PairTable:
+    """The pairs of the testing-constant search.  Like the partners, they are
+    memoised on the kernel, by (C0, max_rect_cells); the arrays are read-only."""
     key = (C0, max_rect_cells)
-    if key not in kernel._pair_groups:
-        kernel._pair_groups[key] = _build_pair_groups(kernel, C0, max_rect_cells)
-    return kernel._pair_groups[key]
+    if key in kernel._pair_groups:
+        return kernel._pair_groups[key]
+    level, pos, start, width = _base_rectangles(kernel.grid, max_rect_cells)
+    found = _partners(kernel, width, start, C0, (1, 1))
+    has = np.array([f is not None for f in found], dtype=bool)
+    level, pos, start, width = level[has], pos[has], start[has], width[has]
+    cols = np.array([f for f in found if f is not None], dtype=float).reshape(-1, 4)
+    partner = cols[:, :2].astype(int)
+    n_cells = width.prod(axis=1)
+    counts, first = np.unique(n_cells, return_index=True)
+    groups = {}
+    for n in counts[np.argsort(first)].tolist():
+        idx = np.flatnonzero(n_cells == n)
+        groups[n] = (idx, _flat_cells(kernel.grid, start[idx], width[idx]),
+                     _flat_cells(kernel.grid, partner[idx], width[idx]))
+    table = _PairTable(level, pos, partner, cols[:, 2], cols[:, 3],
+                       np.ldexp(1.0, -level).prod(axis=1),
+                       np.concatenate([[0], np.cumsum(n_cells)]), groups)
+    for arr in (*vars(table).values(), *(a for group in groups.values() for a in group)):
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    kernel._pair_groups[key] = table
+    return table
 
 
-def _build_pair_groups(kernel: BilinearKernel, C0: float, max_rect_cells: int | None):
-    rects = list(_base_rectangles(kernel.grid, max_rect_cells))
-    # one lookup per key (its hash walks the rectangle's nested bit tuples):
-    # each partner comes from the memo or from one batched search of the rest
-    keys = [(rect, C0, (1, 1)) for rect in rects]
-    unsearched = object()
-    partners = [kernel._partners.get(key, unsearched) for key in keys]
-    missing = [n for n, found in enumerate(partners) if found is unsearched]
-    for n, found in zip(missing, _search_partners(kernel, [rects[n] for n in missing], C0, (1, 1))):
-        kernel._partners[keys[n]] = partners[n] = found
-    pairs = [(rect, dict(found)) for rect, found in zip(rects, partners) if found is not None]
-    rows: dict[int, list] = {}
-    for i, (rect, partner) in enumerate(pairs):
-        y = np.add.outer(rect.cube1.cells() * kernel.n2, rect.cube2.cells()).ravel()
-        x = np.add.outer(partner["cells1"] * kernel.n2, partner["cells2"]).ravel()
-        rows.setdefault(len(y), []).append((i, y, x))
-    groups = {n: tuple(np.array(col) for col in zip(*group)) for n, group in rows.items()}
-    for arr in (a for group in groups.values() for a in group):
-        arr.setflags(write=False)
-    return pairs, groups
-
-
-def gamma_constant(
-    kernel: BilinearKernel,
-    b: DiscreteFunction,
-    k: int = 1,
-    r: float = 1.0,
-    gamma1: int = 1,
-    gamma2: int = 0,
-    C0: float = 1.0,
-    max_rect_cells: int = 64,
-    random_subsets: int = 32,
-    seed: int = 0,
-) -> GammaReport:
+def gamma_constant(kernel: BilinearKernel, b: DiscreteFunction, k: int = 1, r: float = 1.0,
+                   gamma1: int = 1, gamma2: int = 0, C0: float = 1.0, max_rect_cells: int = 64,
+                   random_subsets: int = 32, seed: int = 0) -> GammaReport:
     """Search supremum of the separated-pair testing constant.
 
     The supremum runs over a structured family (all rectangles up to a size
@@ -288,27 +307,27 @@ def gamma_constant(
     if np.iscomplexobj(b.values):
         raise ValueError("the symbol must be real-valued")
     best = GammaReport(0.0, params={"k": k, "r": r, "gamma": (gamma1, gamma2), "C0": C0})
-    pairs, groups = _pair_groups(kernel, C0, max_rect_cells)
-    if not pairs:
+    pairs = _pair_groups(kernel, C0, max_rect_cells)
+    if not len(pairs.sigma):
         return best
     bflat = b.values.ravel()
-    n_cells = np.zeros(len(pairs), dtype=int)
-    for n, (idx, _, _) in groups.items():
-        n_cells[idx] = n
     # a batched draw equals the per-set draws, value for value
-    draws = np.random.default_rng(seed).integers(0, 2, random_subsets * int(n_cells.sum()))
-    draws = np.split(draws, np.cumsum(random_subsets * n_cells)[:-1])
+    draws = np.random.default_rng(seed).integers(0, 2, random_subsets * int(pairs.cell_offset[-1]))
+    # |R|^(1/r) by Python's float power, as a scan over pairs takes it, once per measure
+    measures, scale = np.unique(pairs.measure, return_inverse=True)
+    roots = np.array([m ** (1.0 / r) for m in measures.tolist()])[scale]
     # per pair: the value of its first best set and that set's size
-    top = np.zeros(len(pairs))
-    top_size = np.zeros(len(pairs), dtype=int)
-    for n, (idx, ycells, xcells) in groups.items():
+    top = np.zeros(len(pairs.sigma))
+    top_size = np.zeros(len(pairs.sigma), dtype=int)
+    for n, (idx, ycells, xcells) in pairs.groups.items():
         rank = np.argsort(np.argsort(bflat[ycells], axis=1), axis=1)
         quantiles = np.stack([rank < q for q in (max(1, n // 4), max(1, n // 2),
                                                  max(1, (3 * n) // 4), n)], axis=1)
-        rand = np.stack([draws[i].reshape(random_subsets, n) for i in idx]).astype(bool)
+        at = random_subsets * pairs.cell_offset[idx, None] + np.arange(random_subsets * n)
+        rand = draws[at].reshape(len(idx), random_subsets, n).astype(bool)
         masks = np.concatenate([quantiles, rand], axis=1)
         best.searched += int(masks.any(axis=2).sum())
-        root = np.array([pairs[i][0].measure ** (1.0 / r) for i in idx])
+        root = roots[idx]
         vals = np.empty(masks.shape[:2])
         per = max(1, _POOL_POINTS // n**3)
         for s in range(0, len(idx), per):
@@ -323,15 +342,10 @@ def gamma_constant(
     # the first pair to reach the largest value, as a scan with a strict `>`
     i = int(np.argmax(top))
     if top[i] > best.value:
-        rect, partner = pairs[i]
         best.value = float(top[i])
-        best.witness = {
-            "rect": ((rect.cube1.level, rect.cube1.pos[0]),
-                     (rect.cube2.level, rect.cube2.pos[0])),
-            "partner_start": (int(partner["cells1"][0]), int(partner["cells2"][0])),
-            "sigma": partner["sigma"],
-            "set_size": int(top_size[i]),
-        }
+        best.witness = {"rect": tuple(zip(pairs.level[i].tolist(), pairs.pos[i].tolist())),
+                        "partner_start": tuple(pairs.partner[i].tolist()),
+                        "sigma": float(pairs.sigma[i]), "set_size": int(top_size[i])}
     return best
 
 
@@ -381,17 +395,9 @@ def pointwise_chain_check(kernel: BilinearKernel, b: DiscreteFunction,
             "worst_gap": worst_gap, "half_high": half_hi, "half_low": half_lo}
 
 
-def bmo_lower_bound(
-    kernel: BilinearKernel,
-    b: DiscreteFunction,
-    k: int = 1,
-    r: float = 1.0,
-    gamma1: int = 1,
-    gamma2: int = 0,
-    C0: float = 1.0,
-    max_rect_cells: int = 64,
-    seed: int = 0,
-) -> dict:
+def bmo_lower_bound(kernel: BilinearKernel, b: DiscreteFunction, k: int = 1, r: float = 1.0,
+                    gamma1: int = 1, gamma2: int = 0, C0: float = 1.0, max_rect_cells: int = 64,
+                    seed: int = 0) -> dict:
     """Certified oscillation estimate against the searched testing constant.
 
     Returns the direct rectangle-oscillation sup, the searched constant, and
@@ -403,23 +409,16 @@ def bmo_lower_bound(
                             max_rect_cells=max_rect_cells, seed=seed)
     bflat = b.values.ravel()
     osc = bmo_norm(b, "little")
-    pairs, groups = _pair_groups(kernel, C0, max_rect_cells)
-    positive_partners = sum(partner["min_value"] > 0 for _, partner in pairs)
-    med = np.zeros(len(pairs))
-    for n, (idx, ycells, xcells) in groups.items():
+    pairs = _pair_groups(kernel, C0, max_rect_cells)
+    med = np.zeros(len(pairs.sigma))
+    for n, (idx, ycells, xcells) in pairs.groups.items():
         # the lower median on each partner, as weighted_median row by row
         alpha = np.sort(bflat[xcells], axis=1)[:, (n - 1) // 2, None]
         blk = bflat[ycells]
         med[idx] = (np.maximum(alpha - blk, 0.0).mean(axis=1)
                     + np.maximum(blk - alpha, 0.0).mean(axis=1))
-    med_bounds = med.tolist()
     gamma_k = report.value ** (1.0 / k) if report.value > 0 else 0.0
-    return {
-        "oscillation": osc,
-        "gamma": report.value,
-        "gamma_root": gamma_k,
-        "ratio": osc / gamma_k if gamma_k > 0 else math.inf if osc > 0 else 0.0,
-        "median_sums": med_bounds,
-        "positive_partners": positive_partners,
-        "report": report,
-    }
+    return {"oscillation": osc, "gamma": report.value, "gamma_root": gamma_k,
+            "ratio": osc / gamma_k if gamma_k > 0 else math.inf if osc > 0 else 0.0,
+            "median_sums": med.tolist(),
+            "positive_partners": int(np.count_nonzero(pairs.min_value > 0)), "report": report}

@@ -162,17 +162,22 @@ EMPTY = ("suite", "empty")
     (json.dumps({"dims": [2, 1]}), ("--grid-level", "2"), ("decompose",)),
     (None, (), ("decompose", "--kernel-file", "<dims21>")),
     (json.dumps({"weights": ["unit", "nosuch"]}), (), ("suite", "weighted")),
+    (None, ("--config", "<dir>"), EMPTY),
+    (None, ("--grid-level", "2"), ("decompose", "--kernel-file", "<dir>")),
+    (None, (), ("emit-plotdata", "<dir>")),
 ], ids=["bad-exponents", "short-pair", "not-json", "negative-seed", "one-level",
         *[f"dims21-{name}" for name in ONE_D_SUITES], "garbage-kernel-file", "dims21-decompose",
-        "dims21-kernel-file", "unknown-weight"])
+        "dims21-kernel-file", "unknown-weight", "config-dir", "kernel-file-dir", "plotdata-dir"])
 def test_cli_config_error_exit_code(tmp_path, config, flags, command):
-    argv = list(flags)
+    files = {"<garbage>": tmp_path / "garbage.dyk", "<dims21>": tmp_path / "dims21.dyk",
+             "<dir>": tmp_path / "a_directory"}
+    files["<garbage>"].write_bytes(bytes(range(7, 256)))
+    files["<dir>"].mkdir()
+    argv = [str(files.get(f, f)) for f in flags]
     if config is not None:
         bad = tmp_path / "bad.json"
         bad.write_text(config)
         argv = ["--config", str(bad)] + argv
-    files = {"<garbage>": tmp_path / "garbage.dyk", "<dims21>": tmp_path / "dims21.dyk"}
-    files["<garbage>"].write_bytes(bytes(range(7, 256)))
     if "<dims21>" in command:
         with open(files["<dims21>"], "wb") as fp:
             KernelTensor.random(TorusGrid.make(2, (2, 1)), np.random.default_rng(0)).dump(fp)

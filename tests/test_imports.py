@@ -1,6 +1,7 @@
 """What the package imports, and when: the decomposer loads only when a
-decomposition is built, scipy never, and the suites that never decompose
-import nothing on their first call."""
+decomposition is built, the lower bounds only when they are used, scipy
+never, and the suites that never decompose import nothing on their first
+call."""
 
 import json
 import os
@@ -38,6 +39,17 @@ def test_library_import_leaves_decomposer_unloaded():
     assert out["loaded"] == {"scipy": False, "dyadlab.representation": False}
     assert out["same"] == [True, True]
     assert out["missing"] is not None and "no_such_name" in out["missing"]
+
+
+def test_package_cli_and_harness_leave_lower_bounds_unloaded():
+    out = _run(
+        "import json, sys\n"
+        "import dyadlab, dyadlab.harness, dyadlab.cli\n"
+        "loaded = 'dyadlab.lower_bounds' in sys.modules\n"
+        "kernel = dyadlab.BilinearKernel\n"
+        "print(json.dumps({'loaded': loaded,\n"
+        "                  'same': kernel is dyadlab.lower_bounds.BilinearKernel}))\n")
+    assert out == {"loaded": False, "same": True}
 
 
 def test_suites_import_nothing_on_first_call():

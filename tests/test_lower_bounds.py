@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dyadlab import lower_bounds
+from dyadlab import core, lower_bounds
 from dyadlab.core import (
     DiscreteFunction,
     DyadicCube,
@@ -160,6 +161,54 @@ def _partner_scan(kernel, rect, C0, stride):
     return best
 
 
+def _reference_base_rectangles(grid, max_cells=None):
+    """The base rectangles one at a time: the rectangles of the zero lattice
+    with no level-0 factor and at most `max_cells` cells, in `all_rectangles`
+    order."""
+    for rect_ in all_rectangles(grid, GridShift.zero(grid)):
+        c1, c2 = rect_.cube1, rect_.cube2
+        if c1.level == 0 or c2.level == 0:
+            continue
+        if max_cells and c1.width_cells * c2.width_cells > max_cells:
+            continue
+        yield rect_
+
+
+def _memo_key(rect_):
+    """A rectangle's key in a partner memo: widths, then start cells."""
+    c1, c2 = rect_.cube1, rect_.cube2
+    return (c1.width_cells, c2.width_cells, c1.start_cells()[0], c2.start_cells()[0])
+
+
+def _rect_arrays(rects):
+    """Per-factor widths and start cells (R, 2) of a list of rectangles."""
+    keys = np.array([_memo_key(r) for r in rects]).reshape(-1, 4)
+    return keys[:, :2], keys[:, 2:]
+
+
+def _as_partner(found, rect_):
+    """A searched (start1, start2, sigma, min_value) entry as the dict
+    `find_nondegenerate_partner` returns for the rectangle."""
+    p1, p2, sigma, lo = found
+    c1, c2 = rect_.cube1, rect_.cube2
+    return {"cells1": (p1 + np.arange(c1.width_cells)) % c1.axis.n_side,
+            "cells2": (p2 + np.arange(c2.width_cells)) % c2.axis.n_side,
+            "sigma": sigma, "min_value": lo, "lower_bound_constant": lo * rect_.measure**2}
+
+
+def _table_pairs(table, grid):
+    """The rows of a pair table as (rectangle, partner dict) pairs."""
+    om = GridShift.zero(grid)
+    out = []
+    for (l1, l2), (p1, p2), start, sigma, lo in zip(
+            table.level.tolist(), table.pos.tolist(), table.partner.tolist(),
+            table.sigma.tolist(), table.min_value.tolist()):
+        r = DyadicRectangle(DyadicCube(grid.axes[0], l1, (p1,), om.shift1),
+                            DyadicCube(grid.axes[1], l2, (p2,), om.shift2))
+        out.append((r, _as_partner((*start, sigma, lo), r)))
+    return out
+
+
 @pytest.mark.parametrize("L, every, specs, pool_points",
                          [(3, 1, ((1, 1), (2, 1)), 16), (4, 9, ((1, 2),), None)])
 def test_partner_search_matches_scan(L, every, specs, pool_points, monkeypatch):
@@ -171,15 +220,17 @@ def test_partner_search_matches_scan(L, every, specs, pool_points, monkeypatch):
     if pool_points is not None:
         monkeypatch.setattr(lower_bounds, "_POOL_POINTS", pool_points)
     grid = TorusGrid.make(L)
-    rects = list(lower_bounds._base_rectangles(grid))[::every]
+    rects = list(_reference_base_rectangles(grid))[::every]
+    width, start = _rect_arrays(rects)
     outcomes = set()
     for spec in (tensor_riesz(i, j) for i, j in specs):
         for C0 in (1.0, 2.0):
-            pairs = dict(lower_bounds._pair_groups(BilinearKernel(grid, spec), C0, None)[0])
+            pairs = dict(_table_pairs(
+                lower_bounds._pair_groups(BilinearKernel(grid, spec), C0, None), grid))
             for stride in ((1, 1), (2, 2)):
                 K = BilinearKernel(grid, spec)
-                batched = lower_bounds._search_partners(BilinearKernel(grid, spec), rects, C0,
-                                                        stride)
+                batched = lower_bounds._search_partners(BilinearKernel(grid, spec), width, start,
+                                                        C0, stride)
                 for r, in_batch in zip(rects, batched):
                     want = _partner_scan(K, r, C0, stride)
                     outcomes.add(want is None)
@@ -189,7 +240,7 @@ def test_partner_search_matches_scan(L, every, specs, pool_points, monkeypatch):
                         with pytest.raises(ValueError):
                             find_nondegenerate_partner(K, r, C0, stride)
                         continue
-                    got = [find_nondegenerate_partner(K, r, C0, stride), in_batch]
+                    got = [find_nondegenerate_partner(K, r, C0, stride), _as_partner(in_batch, r)]
                     if stride == (1, 1):
                         got.append(pairs[r])
                     for partner in got:
@@ -203,15 +254,15 @@ def test_batched_partner_search_independent_of_batch_size(monkeypatch):
     # level 4 in batches of 16 kernel points against one batch per pass
     grid = TorusGrid.make(4)
     K = BilinearKernel(grid, tensor_riesz(2, 1))
-    rects = list(lower_bounds._base_rectangles(grid))[::7]
+    _, _, start, width = (col[::7] for col in lower_bounds._base_rectangles(grid))
     cases = [(C0, stride) for C0 in (1.0, 2.0) for stride in ((1, 1), (2, 2))]
-    whole = [lower_bounds._search_partners(K, rects, C0, stride) for C0, stride in cases]
+    whole = [lower_bounds._search_partners(K, width, start, C0, stride) for C0, stride in cases]
     monkeypatch.setattr(lower_bounds, "_POOL_POINTS", 16)
     for (C0, stride), want in zip(cases, whole):
-        got = lower_bounds._search_partners(K, rects, C0, stride)
+        got = lower_bounds._search_partners(K, width, start, C0, stride)
         assert [p is None for p in got] == [p is None for p in want]
         for g, w in zip(got, want):
-            assert w is None or all(np.array_equal(g[key], val) for key, val in w.items())
+            assert w is None or g == w  # partner start cells, sigma and min_value
     assert any(p is None for p in whole[-1]) and any(p is not None for p in whole[-1])
 
 
@@ -221,23 +272,24 @@ def test_pair_groups_search_each_partner_once(monkeypatch):
     # check reads the memo
     batches = []
 
-    def search(kernel, rects, C0, stride):
-        batches.append(len(rects))
-        return _search_partners(kernel, rects, C0, stride)
+    def search(kernel, width, start, C0, stride):
+        batches.append(len(width))
+        return _search_partners(kernel, width, start, C0, stride)
 
     _search_partners = lower_bounds._search_partners
     monkeypatch.setattr(lower_bounds, "_search_partners", search)
     K = BilinearKernel(GRID, tensor_riesz(1, 1))
     b = log_symbol(GRID)
     bmo_lower_bound(K, b, 1, 1.0, 1, 0, 1.0, max_rect_cells=8, seed=2)
-    small = list(lower_bounds._base_rectangles(GRID, 8))
-    assert set(K._partners) == {(r, 1.0, (1, 1)) for r in small}
+    small = {_memo_key(r) for r in _reference_base_rectangles(GRID, 8)}
+    assert list(K._partners) == [(1.0, (1, 1))]
+    assert set(K._partners[(1.0, (1, 1))]) == small
     assert batches == [len(small)]
     pointwise_chain_check(K, b, rect(3, 5, 3, 2), 1.0, 1, 1, 0)
-    assert len(K._partners) == len(small) and len(batches) == 1
+    assert len(K._partners[(1.0, (1, 1))]) == len(small) and len(batches) == 1
     bmo_lower_bound(K, b, 1, 1.0, 1, 0, 1.0, max_rect_cells=16, seed=2)
-    large = list(lower_bounds._base_rectangles(GRID, 16))
-    assert set(K._partners) == {(r, 1.0, (1, 1)) for r in large}
+    large = {_memo_key(r) for r in _reference_base_rectangles(GRID, 16)}
+    assert set(K._partners[(1.0, (1, 1))]) == large
     assert batches == [len(small), len(large) - len(small)]
 
 
@@ -252,11 +304,13 @@ def test_partner_memo_returns_fresh_read_only_copies():
     assert all(np.array_equal(second[k], v) for k, v in first.items() if k != "sigma")
     with pytest.raises(ValueError):
         second["cells1"][0] = 0
-    assert len(K._partners) == 1  # stride None and (1, 1) share one entry
+    # stride None and (1, 1) share one entry
+    assert K._partners.keys() == {(1.0, (1, 1))} and len(K._partners[(1.0, (1, 1))]) == 1
     for _ in range(2):  # a missing partner is remembered and raised again
         with pytest.raises(ValueError):
             find_nondegenerate_partner(K, rect(1, 0, 1, 0), C0=2.0)
-    assert len(K._partners) == 2
+    assert sum(len(memo) for memo in K._partners.values()) == 2
+    assert K._partners[(2.0, (1, 1))] == {(4, 4, 0, 0): None}
 
 
 def test_pair_groups_memoised_and_read_only():
@@ -266,11 +320,95 @@ def test_pair_groups_memoised_and_read_only():
     again = bmo_lower_bound(K, b, 2, 2.0, 1, 1, 1.0, max_rect_cells=8, seed=2)
     assert list(K._pair_groups) == [(1.0, 8)]  # one build for both searches
     assert again["median_sums"] == first["median_sums"]
-    pairs, groups = K._pair_groups[(1.0, 8)]
-    assert sum(len(idx) for idx, _, _ in groups.values()) == len(pairs)
-    for arr in (a for group in groups.values() for a in group):
+    table = K._pair_groups[(1.0, 8)]
+    assert sum(len(idx) for idx, _, _ in table.groups.values()) == len(table.sigma)
+    columns = (table.level, table.pos, table.partner, table.sigma, table.min_value,
+               table.measure, table.cell_offset)
+    for arr in (*columns, *(a for group in table.groups.values() for a in group)):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+# per-rectangle partners, kept across the examples below
+_SCANS: dict = {}
+SPECS = {"riesz11": tensor_riesz(1, 1), "riesz12": tensor_riesz(1, 2),
+         "riesz21": tensor_riesz(2, 1), "riesz22": tensor_riesz(2, 2), "sign": sign_kernel(1.0)}
+
+
+def _scan(spec, kernel, rect_, C0, stride):
+    key = (spec, rect_, C0, stride)
+    if key not in _SCANS:
+        _SCANS[key] = _partner_scan(kernel, rect_, C0, stride)
+    return _SCANS[key]
+
+
+def _assert_same_partner(got, want):
+    assert got.keys() == want.keys()
+    for key, val in want.items():
+        assert np.array_equal(got[key], val), key
+
+
+@settings(max_examples=12, deadline=None)
+@given(L=st.integers(2, 4), C0=st.sampled_from([1.0, 2.0]),
+       cap=st.sampled_from([None, 4, 8, 16]), stride=st.sampled_from([(1, 1), (2, 2)]),
+       spec=st.sampled_from(sorted(SPECS)), data=st.data())
+def test_rectangle_arrays_match_per_rectangle_path(L, C0, cap, stride, spec, data):
+    # the base rectangles, partners and pair groups built as arrays, against
+    # the per-rectangle path: the generator over all_rectangles, one cell
+    # table per pair, and _partner_scan on up to 16 drawn rectangles (the
+    # scan of all level-4 rectangles takes about 25 s)
+    grid = TorusGrid.make(L)
+    rects = list(_reference_base_rectangles(grid, cap))
+    level, pos, start, width = lower_bounds._base_rectangles(grid, cap)
+    want = [[[c.level, c.pos[0], c.start_cells()[0], c.width_cells] for c in (r.cube1, r.cube2)]
+            for r in rects]
+    assert np.stack([level, pos, start, width], axis=2).tolist() == want
+    kernel = BilinearKernel(grid, SPECS[spec])
+    partners = lower_bounds._partners(kernel, width, start, C0, stride)
+    table = lower_bounds._pair_groups(kernel, C0, cap)
+    pairs = _table_pairs(table, grid)
+    searched = lower_bounds._partners(kernel, width, start, C0, (1, 1))
+    assert [r for r, _ in pairs] == [r for r, f in zip(rects, searched) if f is not None]
+    paired = dict(pairs)
+    for i in data.draw(st.lists(st.integers(0, len(rects) - 1), max_size=16, unique=True)):
+        r = rects[i]
+        scan = _scan(spec, kernel, r, C0, stride)
+        assert (partners[i] is None) == (scan is None)
+        if scan is not None:
+            _assert_same_partner(_as_partner(partners[i], r), scan)
+        scan = _scan(spec, kernel, r, C0, (1, 1))
+        assert (r in paired) == (scan is not None)
+        if scan is not None:
+            _assert_same_partner(paired[r], scan)
+    # the groups as the per-pair cell tables group them: by cell count, in
+    # order of first appearance, pairs in order
+    rows: dict[int, list] = {}
+    for i, (r, partner) in enumerate(pairs):
+        y = np.add.outer(r.cube1.cells() * kernel.n2, r.cube2.cells()).ravel()
+        x = np.add.outer(partner["cells1"] * kernel.n2, partner["cells2"]).ravel()
+        rows.setdefault(len(y), []).append((i, y, x))
+    assert list(table.groups) == list(rows)
+    for n, (idx, ycells, xcells) in table.groups.items():
+        for got, col in zip((idx, ycells, xcells), zip(*rows[n])):
+            assert np.array_equal(got, np.array(col))
+
+
+def test_bmo_lower_bound_walks_no_cube_objects(monkeypatch):
+    b = log_symbol(GRID)
+    want = bmo_lower_bound(BilinearKernel(GRID, tensor_riesz(1, 1)), b, 2, 1.0, 1, 1, 1.0,
+                           max_rect_cells=16, seed=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search walked cube objects")
+
+    monkeypatch.setattr(core, "all_rectangles", refuse)
+    monkeypatch.setattr(core.DyadicCube, "cells", refuse)
+    monkeypatch.setattr(core.DyadicCube, "__post_init__", refuse)
+    got = bmo_lower_bound(BilinearKernel(GRID, tensor_riesz(1, 1)), b, 2, 1.0, 1, 1, 1.0,
+                          max_rect_cells=16, seed=3)
+    assert {k: v for k, v in got.items() if k != "report"} == \
+        {k: v for k, v in want.items() if k != "report"}
+    assert vars(got["report"]) == vars(want["report"])
 
 
 def _reference_sets(b_cells, rng, extra):
@@ -375,9 +513,10 @@ def test_set_values_match_per_set_sums(k, g1, g2, r):
     b = GRID.random(np.random.default_rng(k))
     bflat = b.values.ravel()
     rng = np.random.default_rng(9)
-    pairs, groups = lower_bounds._pair_groups(RIEZ, 1.0, None)
+    table = lower_bounds._pair_groups(RIEZ, 1.0, None)
+    groups = table.groups
     sets = [_reference_sets(bflat[_rect_cells(p.cube1.cells(), p.cube2.cells(), RIEZ.n2)], rng, 6)
-            for p, _ in pairs]
+            for p, _ in _table_pairs(table, GRID)]
     checked = 0
     for n, (idx, ycells, xcells) in groups.items():
         width = max(len(sets[i]) for i in idx)
@@ -560,7 +699,7 @@ def test_median_sums_match_per_rectangle_loop():
     out = bmo_lower_bound(RIEZ, b, 1, 1.0, 1, 0, 1.0, max_rect_cells=16)
     bflat = b.values.ravel()
     want, positive = [], 0
-    for rect_ in lower_bounds._base_rectangles(GRID, 16):
+    for rect_ in _reference_base_rectangles(GRID, 16):
         try:
             partner = find_nondegenerate_partner(RIEZ, rect_, 1.0)
         except ValueError:
