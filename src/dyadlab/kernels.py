@@ -50,12 +50,14 @@ class KernelSpec:
 
     evaluate takes per-axis centre arrays (x1, x2, y1, y2, z1, z2) already
     broadcast to a common shape and returns kernel values; alpha is the
-    declared smoothness exponent used by coefficient-decay reports.
+    declared smoothness exponent used by coefficient-decay reports, and
+    translation_invariant that the value at (x, y, y) depends only on x - y.
     """
 
     name: str
     evaluate: Callable[..., np.ndarray]
     alpha: float = 1.0
+    translation_invariant: bool = False
 
     def __call__(self, x1, x2, y1, y2, z1, z2):
         return self.evaluate(x1, x2, y1, y2, z1, z2)
@@ -89,7 +91,7 @@ def tensor_riesz(i: int = 1, j: int = 1, alpha: float = 1.0) -> KernelSpec:
     def ev(x1, x2, y1, y2, z1, z2):
         return k1(x1, y1, z1) * k2(x2, y2, z2)
 
-    return KernelSpec(f"riesz_{i}{j}", ev, alpha)
+    return KernelSpec(f"riesz_{i}{j}", ev, alpha, translation_invariant=True)
 
 
 def sign_kernel(scale: float = 1.0) -> KernelSpec:
@@ -99,7 +101,7 @@ def sign_kernel(scale: float = 1.0) -> KernelSpec:
         shape = np.broadcast(x1, x2, y1, y2, z1, z2).shape
         return np.full(shape, scale)
 
-    return KernelSpec("sign", ev, 1.0)
+    return KernelSpec("sign", ev, 1.0, translation_invariant=True)
 
 
 register_kernel("riesz", lambda i=1, j=1, alpha=1.0: tensor_riesz(i, j, alpha))

@@ -25,11 +25,14 @@ __all__ = [
 
 class BilinearKernel:
     """Kernel evaluator on cell triples with declared regularity and
-    non-degeneracy metadata; evaluations are vectorised over index arrays.
-    Partners found by `find_nondegenerate_partner`, and the separated pairs
-    of the testing-constant search, are memoised on the instance."""
+    non-degeneracy metadata, vectorised over index arrays.  The spec must be
+    translation invariant: the partner search reads one table of the kernel
+    at (x, y, y) by signed cell differences, built here.  Partners and the
+    testing-constant search's separated pairs are memoised on the instance."""
 
     def __init__(self, grid: TorusGrid, spec: KernelSpec, c_nd: float = 1.0):
+        if not spec.translation_invariant:
+            raise ValueError(f"kernel {spec.name!r} does not declare translation invariance")
         self.grid = grid
         self.spec = spec
         self.c_nd = c_nd
@@ -37,6 +40,15 @@ class BilinearKernel:
         self.n2 = grid.shape[1]
         self._partners: dict = {}
         self._pair_groups: dict = {}
+        # [d1 + n1 - 1, d2 + n2 - 1] holds x = (d + 1/2) / n, y = 1/2 / n: by signed
+        # difference, not mod n, as riesz takes opposite signs at -n/2 and n/2
+        (n1, n2), half = grid.shape, 0.5 / np.array(grid.shape)
+        x1, x2 = ((np.arange(1 - n, n) + 0.5) / n for n in (n1, n2))
+        self._table = t = spec(*np.broadcast_arrays(x1[:, None], x2, *half, *half))
+        # integers in the order of (|K|, K)
+        self._rank = 2 * np.unique(np.abs(t), return_inverse=True)[1].reshape(t.shape) + (t > 0)
+        self._table.setflags(write=False)
+        self._rank.setflags(write=False)
 
     def _coords(self, flat: np.ndarray):
         return self._c1[np.asarray(flat) // self.n2], self._c2[np.asarray(flat) % self.n2]
@@ -111,7 +123,11 @@ def _partners(kernel: BilinearKernel, width: np.ndarray, start: np.ndarray, C0: 
     start cells (R, 2), as (start1, start2, sigma, min_value), or None where
     no separated candidate exists.  The kernel's memo for (C0, stride) maps
     (w1, w2, s1, s2) to that entry; the rectangles not in it are searched
-    in one batch."""
+    in one batch.  C0 must be finite and positive, stride two positive ints."""
+    if not (math.isfinite(C0) and C0 > 0):
+        raise ValueError(f"C0 must be finite and positive, got {C0!r}")
+    if len(stride) != 2 or not all(isinstance(t, (int, np.integer)) and t > 0 for t in stride):
+        raise ValueError(f"stride must be a pair of positive ints, got {stride!r}")
     if any(axis.dim != 1 for axis in kernel.grid.axes):
         # candidates are runs of cells along one coordinate
         raise NotImplementedError("the partner search runs on 1-d factors")
@@ -124,20 +140,14 @@ def _partners(kernel: BilinearKernel, width: np.ndarray, start: np.ndarray, C0: 
     return [memo[key] for key in keys]
 
 
-# kernel points per batched evaluation of a candidate pool; batching keeps
-# the temporaries of a large pool (all candidates at a coarse scale) small
+# entries per chunk of candidate keys or gamma integrand points, to keep temporaries small
 _POOL_POINTS = 1 << 16
 
 
 def _search_partners(kernel: BilinearKernel, w: np.ndarray, s: np.ndarray, C0: float,
                      stride: tuple[int, int]) -> list[tuple | None]:
-    """The partners of rectangles of widths w and start cells s (R, 2), as
-    `_partners` lists them, searched anew.
-
-    Rectangles with the same widths and the same number of candidate starts
-    per axis share one candidate table: one kernel call scores all their
-    candidates, one sort orders them, and the first-eight and all-candidate
-    passes each run over the whole group, in batches of `_POOL_POINTS`."""
+    """The partners of rectangles of widths w and start cells s (R, 2), as `_partners`
+    lists them, searched anew, one group per widths and candidate counts per axis."""
     out: list[tuple | None] = [None] * len(w)
     n1s, n2s = (axis.n_side for axis in kernel.grid.axes)
     need = np.ceil(C0 * w).astype(int)
@@ -160,55 +170,82 @@ def _search_partners(kernel: BilinearKernel, w: np.ndarray, s: np.ndarray, C0: f
     for (w1, w2, k1, k2), js in groups.items():
         g1 = o1[np.nonzero(ok1[js])[1]].reshape(len(js), k1)
         g2 = o2[np.nonzero(ok2[js])[1]].reshape(len(js), k2)
-        y = _flat_cells(kernel.grid, s[js], w[js])
-        for j, partner in zip(js, _search_group(kernel, y, g1, g2, w1, w2)):
+        for j, partner in zip(js, _search_group(kernel, s[js], g1, g2, (w1, w2))):
             out[fit[j]] = partner
     return out
 
 
-def _search_group(kernel, y, g1, g2, w1, w2):
-    """Partners, as `_partners` lists them, of rectangles of widths (w1, w2)
-    with flat cells y (R, w1 w2) and candidate starts g1 (R, k1) and g2
-    (R, k2) per axis, rectangle by row."""
-    n1s, n2s = (axis.n_side for axis in kernel.grid.axes)
-    n2 = kernel.n2
-    R, k1, k2 = len(y), g1.shape[1], g2.shape[1]
-    m = k1 * k2
-    # every rectangle's candidates as the rows of a (R, m) table, o1-major
-    o1 = np.repeat(g1, k2, axis=1).ravel()
-    o2 = np.tile(g2, (1, k1)).ravel()
-    ymid = y[:, y.shape[1] // 2, None]
-    mid = (((o1 + w1 // 2) % n1s) * n2 + (o2 + w2 // 2) % n2s).reshape(R, m)
-    cval = kernel.eval_cells(mid, ymid, ymid).ravel()
-    row = np.repeat(np.arange(R), m)
-    # per rectangle, descending (|c|, c, o1, o2), as sorting those tuples in reverse
-    order = np.lexsort((o2, o1, cval, np.abs(cval), row)).reshape(R, m)[:, ::-1]
-    sigma = np.where(cval >= 0, 1.0, -1.0)
+def _search_group(kernel, s, g1, g2, w):
+    """Partners, as `_partners` lists them, of rectangles of widths w, start
+    cells s (R, 2) and candidate starts g1 (R, k1), g2 (R, k2), from the
+    kernel's difference table alone.  Candidates rank by (|c|, c, o1, o2), c
+    the kernel at the middle cells: one int key, as a row's candidates run
+    o1-major with ascending starts.  The best of the first eight wins, or of
+    all when none of those is single-signed; ties go to the higher key."""
+    (n1, n2), k2 = kernel.grid.shape, g2.shape[1]
+    m, half = g1.shape[1] * k2, w[0] * w[1] // 2
+    # table indices of the signed differences, rectangle's middle cell to candidate's
+    d1 = (g1 + w[0] // 2) % n1 - (s[:, :1] + half // w[1]) % n1 + n1 - 1
+    d2 = (g2 + w[1] // 2) % n2 - (s[:, 1:] + half % w[1]) % n2 + n2 - 1
+    lows = _window_minima(kernel._table, *w)
+    out, per = [], max(1, _POOL_POINTS // m)
+    for r in range(0, len(s), per):
+        rows = np.arange(r, min(r + per, len(s)))
+        j = np.arange(len(rows))
+        pos = kernel._table[d1[rows, :, None], d2[rows, None]] >= 0
+        lo = _min_values(lows, s[rows, None, None], g1[rows, :, None], g2[rows, None], pos, w,
+                         (n1, n2)).reshape(-1, m)
+        key = kernel._rank[d1[rows, :, None], d2[rows, None]].reshape(-1, m) * m + np.arange(m)
+        first = np.partition(key, max(m - 8, 0), axis=1)[:, max(m - 8, 0), None] <= key
 
-    def min_values(cand):
-        # the worst signed kernel value of every candidate, by flat index
-        # into the (R, m) table
-        x = _flat_cells(kernel.grid, np.stack([o1[cand], o2[cand]], axis=1),
-                        np.array([[w1, w2]]))[:, :, None]
-        yc = y[cand // m][:, None, :]
-        vals = kernel.eval_cells(x, yc, yc)
-        return (sigma[cand, None, None] * vals).min(axis=(1, 2))
+        def best(pool):
+            # the first best column of each row's pool, by min value, then key
+            low = np.where(pool, lo, -np.inf)
+            return np.where(pool & (low == low.max(axis=1)[:, None]), key, -1).argmax(axis=1)
 
-    def full_eval(pool):
-        # the first best candidate of every row of pool (rectangles x candidates)
-        flat = pool.ravel()
-        per = max(1, _POOL_POINTS // (w1 * w2 * y.shape[1]))
-        lo = np.concatenate([min_values(flat[i:i + per])
-                             for i in range(0, len(flat), per)]).reshape(pool.shape)
-        b = np.argmax(lo, axis=1)
-        at = np.arange(len(pool))
-        return pool[at, b], lo[at, b]
+        col = best(first)
+        col = np.where(lo[j, col] > 0, col, best(True))
+        out += zip(g1[rows, col // k2].tolist(), g2[rows, col % k2].tolist(),
+                   np.where(pos.reshape(-1, m)[j, col], 1.0, -1.0).tolist(), lo[j, col].tolist())
+    return out
 
-    best, lo = full_eval(order[:, :8])
-    redo = np.flatnonzero(lo <= 0)
-    if m > 8 and len(redo):
-        best[redo], lo[redo] = full_eval(order[redo])
-    return list(zip(o1[best].tolist(), o2[best].tolist(), sigma[best].tolist(), lo.tolist()))
+
+def _window_minima(table: np.ndarray, w1: int, w2: int) -> np.ndarray:
+    """The minima of the table and of its negative over the windows of a x b
+    entries from every start, a < 2 w1 and b < 2 w2, as (2, a - 1, b - 1,
+    rows, cols), a window past the end cut there; along rows, then columns."""
+    def widened(t, w, axis):
+        out, tail = [t], (slice(None),) * (-1 - axis)
+        for k in range(1, 2 * w - 1):
+            # a window of k + 1 entries is the one of k entries and the entry k on
+            head = (..., slice(-k), *tail)
+            out.append(out[-1].copy())
+            np.minimum(out[-2][head], t[(..., slice(k, None), *tail)], out=out[-1][head])
+        return np.stack(out, axis=1)
+
+    return widened(widened(np.stack([table, -table]), w2, -1), w1, -2)
+
+
+def _min_values(lows, s, o1, o2, pos, w, n):
+    """The least sigma K(x, y, y), sigma 1 where pos and else -1, over the
+    cells x of candidates of starts o1, o2 and y of rectangles of starts s
+    (..., 2), broadcasting to pos, of widths w on n cells per axis.  A
+    wrapped run is at most two unwrapped ones, so per axis the signed
+    differences are at most four intervals, one window of `lows` each."""
+    step = np.array(lows.strides) // lows.itemsize  # sign, a, b, row, col
+
+    def windows(t, x, y):
+        # flat offsets (windows, ...) on axis t; an empty interval repeats the first
+        runs = lambda c: ((c, np.minimum(c + w[t], n[t]) - 1), (0 * c, c + w[t] - 1 - n[t]))
+        yr = runs(y)[:1 + bool((y + w[t] > n[t]).any())]
+        ivals = [(xa - yb, xb - ya, (xb >= xa) & (yb >= ya)) for xa, xb in runs(x) for ya, yb in yr]
+        return np.stack([np.where(ok, hi - lo, ivals[0][1] - ivals[0][0]) * step[1 + t]
+                         + (np.where(ok, lo, ivals[0][0]) + n[t] - 1) * step[3 + t]
+                         for lo, hi, ok in ivals])
+
+    a, b = windows(0, o1, s[..., 0]), windows(1, o2, s[..., 1]) + ~pos * step[0]
+    vals = lows.ravel()[a[:, None] + b[None, :]]
+    return vals.reshape(-1, *pos.shape).min(axis=0) + 0.0  # a zero minimum as +0.0
 
 
 def weighted_median(values: np.ndarray) -> float:
@@ -219,6 +256,8 @@ def weighted_median(values: np.ndarray) -> float:
 
 def weak_lr_norm(values: np.ndarray, cell_volume: float, r: float) -> float:
     """sup_t t |{|g| > t}|^{1/r} computed exactly from the sorted cells."""
+    if not r > 0:
+        raise ValueError(f"r must be positive, got {r!r}")
     a = np.asarray(values).ravel()
     if len(a) == 0:
         return 0.0
@@ -302,8 +341,9 @@ def gamma_constant(kernel: BilinearKernel, b: DiscreteFunction, k: int = 1, r: f
     drawn pair after pair in rectangle order from one generator.  All masks
     come from one draw, and the pairs are evaluated per cell count, one
     integrand and one weak norm per batch of pairs."""
-    if gamma1 + gamma2 != k:
-        raise ValueError("exponents must split the order k")
+    if not (r > 0 and k >= 1 and min(gamma1, gamma2) >= 0 and gamma1 + gamma2 == k):
+        raise ValueError(f"need r > 0, k >= 1 and gamma >= 0 splitting k, got r={r!r}, "
+                         f"k={k!r}, gamma=({gamma1!r}, {gamma2!r})")
     if np.iscomplexobj(b.values):
         raise ValueError("the symbol must be real-valued")
     best = GammaReport(0.0, params={"k": k, "r": r, "gamma": (gamma1, gamma2), "C0": C0})

@@ -1,6 +1,8 @@
 """Median-method lower bounds and the testing-constant search."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +16,16 @@ from dyadlab.core import (
     GridShift,
     TorusGrid,
     all_rectangles,
+    sample_shift,
 )
-from dyadlab.kernels import cell_centers, get_kernel, sign_kernel, tensor_riesz, torus_delta
+from dyadlab.kernels import (
+    KernelSpec,
+    cell_centers,
+    get_kernel,
+    sign_kernel,
+    tensor_riesz,
+    torus_delta,
+)
 from dyadlab.lower_bounds import (
     BilinearKernel,
     bmo_lower_bound,
@@ -159,6 +169,72 @@ def _partner_scan(kernel, rect, C0, stride):
         best = full_eval(candidates)
     best["lower_bound_constant"] = best["min_value"] * rect.measure**2
     return best
+
+
+def _direct_search_partners(kernel, w, s, C0, stride):
+    """Reference batched search by direct kernel evaluation, with the
+    signature of `lower_bounds._search_partners`.  Rectangles of the same
+    widths and candidate counts share one candidate table, one kernel call
+    scores their candidates at the middle cells and one lexsort orders them;
+    the first-eight and all-candidate passes evaluate the kernel on every
+    (x, y, y)."""
+    out = [None] * len(w)
+    n1s, n2s = (axis.n_side for axis in kernel.grid.axes)
+    need = np.ceil(C0 * w).astype(int)
+    fit = np.flatnonzero((2 * need + 2 * w <= (n1s, n2s)).all(axis=1))
+    w, s, need = w[fit], s[fit], need[fit]
+
+    def starts(t, n):
+        o = np.arange(0, n, stride[t])
+        gap = np.minimum((o - (s[:, t, None] + w[:, t, None])) % n,
+                         (s[:, t, None] - (o + w[:, t, None])) % n)
+        return o, gap >= need[:, t, None]
+
+    (o1, ok1), (o2, ok2) = starts(0, n1s), starts(1, n2s)
+    m1, m2 = ok1.sum(axis=1), ok2.sum(axis=1)
+    has = np.flatnonzero((m1 > 0) & (m2 > 0))
+    groups = {}
+    for j, key in zip(has.tolist(), map(tuple, np.stack([*w.T, m1, m2], axis=1)[has].tolist())):
+        groups.setdefault(key, []).append(j)
+    for (w1, w2, k1, k2), js in groups.items():
+        g1 = o1[np.nonzero(ok1[js])[1]].reshape(len(js), k1)
+        g2 = o2[np.nonzero(ok2[js])[1]].reshape(len(js), k2)
+        y = lower_bounds._flat_cells(kernel.grid, s[js], w[js])
+        for j, partner in zip(js, _direct_group(kernel, y, g1, g2, w1, w2)):
+            out[fit[j]] = partner
+    return out
+
+
+def _direct_group(kernel, y, g1, g2, w1, w2):
+    n1s, n2s = (axis.n_side for axis in kernel.grid.axes)
+    R, k1, k2 = len(y), g1.shape[1], g2.shape[1]
+    m = k1 * k2
+    o1 = np.repeat(g1, k2, axis=1).ravel()
+    o2 = np.tile(g2, (1, k1)).ravel()
+    ymid = y[:, y.shape[1] // 2, None]
+    mid = (((o1 + w1 // 2) % n1s) * kernel.n2 + (o2 + w2 // 2) % n2s).reshape(R, m)
+    cval = kernel.eval_cells(mid, ymid, ymid).ravel()
+    row = np.repeat(np.arange(R), m)
+    # per rectangle, descending (|c|, c, o1, o2), as sorting those tuples in reverse
+    order = np.lexsort((o2, o1, cval, np.abs(cval), row)).reshape(R, m)[:, ::-1]
+    sigma = np.where(cval >= 0, 1.0, -1.0)
+
+    def full_eval(pool):
+        flat = pool.ravel()
+        x = lower_bounds._flat_cells(kernel.grid, np.stack([o1[flat], o2[flat]], axis=1),
+                                     np.array([[w1, w2]]))[:, :, None]
+        yc = y[flat // m][:, None, :]
+        lo = (sigma[flat, None, None] * kernel.eval_cells(x, yc, yc)).min(axis=(1, 2))
+        lo = lo.reshape(pool.shape)
+        b = np.argmax(lo, axis=1)
+        at = np.arange(len(pool))
+        return pool[at, b], lo[at, b]
+
+    best, lo = full_eval(order[:, :8])
+    redo = np.flatnonzero(lo <= 0)
+    if m > 8 and len(redo):
+        best[redo], lo[redo] = full_eval(order[redo])
+    return list(zip(o1[best].tolist(), o2[best].tolist(), sigma[best].tolist(), lo.tolist()))
 
 
 def _reference_base_rectangles(grid, max_cells=None):
@@ -391,6 +467,167 @@ def test_rectangle_arrays_match_per_rectangle_path(L, C0, cap, stride, spec, dat
     for n, (idx, ycells, xcells) in table.groups.items():
         for got, col in zip((idx, ycells, xcells), zip(*rows[n])):
             assert np.array_equal(got, np.array(col))
+
+
+# -- the difference table ----------------------------------------------------------------
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_difference_table_matches_direct_evaluation(L):
+    # the table read at the signed cell differences x - y equals the kernel
+    # at (x, y, y), bit for bit, for every cell pair and every spec
+    grid = TorusGrid.make(L)
+    n1, n2 = grid.shape
+    x = np.arange(n1 * n2)[:, None]
+    for name, spec in SPECS.items():
+        K = BilinearKernel(grid, spec)
+        for y in np.array_split(np.arange(n1 * n2), 4):
+            table = K._table[x // n2 - y // n2 + n1 - 1, x % n2 - y % n2 + n2 - 1]
+            assert table.tobytes() == K.eval_cells(x, y, y).tobytes(), (name, L)
+    # a table by difference mod n would give -n/2 and n/2 one entry, where
+    # riesz takes opposite signs
+    up, down = (K.eval_cells(np.array([a * n2 + 1]), b * n2, b * n2)[0]
+                for K in [BilinearKernel(grid, SPECS["riesz11"])] for a, b in ((n1 // 2, 0), (0, n1 // 2)))
+    assert up == -down != 0.0
+
+
+def test_kernel_needs_declared_translation_invariance():
+    spec = tensor_riesz(1, 1)
+    with pytest.raises(ValueError, match="translation invariance"):
+        BilinearKernel(GRID, KernelSpec("plain", spec.evaluate, spec.alpha))
+    assert all(s.translation_invariant for s in SPECS.values())
+
+
+def test_partner_search_makes_no_kernel_calls(monkeypatch):
+    # one call builds the table; the search reads it and calls nothing
+    points = []
+    call = KernelSpec.__call__
+
+    def counted(self, *args):
+        points.append(np.broadcast(*args).size)
+        return call(self, *args)
+
+    monkeypatch.setattr(KernelSpec, "__call__", counted)
+    K = BilinearKernel(GRID, tensor_riesz(1, 1))
+    assert points == [15 * 15]
+    lower_bounds._pair_groups(K, 1.0, 8)
+    find_nondegenerate_partner(K, rect(3, 5, 3, 2), 2.0, (2, 1))
+    assert points == [15 * 15]
+
+
+def test_level5_search_memory():
+    # the level-5 search under the lower-bound suite's cap; by direct kernel
+    # evaluation (`_direct_search_partners`: a kernel call per candidate cell
+    # pair, one lexsort per group) it peaks at 80.2 MiB traced
+    K = BilinearKernel(TorusGrid.make(5), tensor_riesz(1, 1))
+    tracemalloc.start()
+    try:
+        lower_bounds._pair_groups(K, 1.0, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("w", [(1, 1), (2, 1), (1, 4), (2, 2), (4, 2)])
+@pytest.mark.parametrize("wrapping", [False, True], ids=["aligned", "any-start"])
+def test_window_minima_match_every_cell_pair(w, wrapping):
+    # every candidate start against rectangles at the aligned starts, or at
+    # every start, where candidate and rectangle may both wrap on one axis
+    K = BilinearKernel(GRID, tensor_riesz(2, 1))
+    n = GRID.shape[0]
+    starts = np.arange(0, n, 1 if wrapping else max(w))
+    s = np.stack(np.meshgrid(starts, starts, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    s = s[((s % w) == 0).all(axis=-1)[:, 0] | wrapping]
+    o = np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"), axis=-1).reshape(1, -1, 2)
+    pos = np.random.default_rng(len(s)).integers(0, 2, (len(s), n * n)).astype(bool)
+    got = lower_bounds._min_values(lower_bounds._window_minima(K._table, *w), s, o[..., 0],
+                                   o[..., 1], pos, w, (n, n))
+    x, y = ([(c[..., t, None] + np.arange(w[t])) % n for t in (0, 1)] for c in (o, s))
+    d = [x[t][..., :, None] - y[t][..., None, :] + n - 1 for t in (0, 1)]
+    vals = K._table[d[0][..., :, :, None, None], d[1][..., None, None, :, :]]
+    want = (np.where(pos, 1.0, -1.0)[..., None, None, None, None] * vals).min(axis=(2, 3, 4, 5))
+    assert np.array_equal(got, want) and not np.signbit(got[got == 0]).any()
+
+
+def _assert_same_table(got, want):
+    for name, val in vars(want).items():
+        if name == "groups":
+            assert list(got.groups) == list(val)
+            for n, arrays in val.items():
+                assert all(np.array_equal(a, b) for a, b in zip(got.groups[n], arrays))
+        else:
+            assert np.array_equal(getattr(got, name), val), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.integers(2, 4), C0=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]),
+       cap=st.sampled_from([None, 2, 8, 16]),
+       stride=st.sampled_from([(1, 1), (2, 2), (1, 3), (3, 2)]), spec=st.sampled_from(sorted(SPECS)))
+def test_table_search_matches_direct_search(L, C0, cap, stride, spec):
+    # partners, and the pair table built from them, against the search that
+    # evaluates the kernel on every cell triple (a zero min_value compares
+    # equal whatever its sign)
+    grid = TorusGrid.make(L)
+    _, _, start, width = lower_bounds._base_rectangles(grid, cap)
+    K = BilinearKernel(grid, SPECS[spec])
+    want = _direct_search_partners(K, width, start, C0, stride)
+    assert lower_bounds._search_partners(K, width, start, C0, stride) == want
+    with mock.patch.object(lower_bounds, "_search_partners", _direct_search_partners):
+        direct = lower_bounds._pair_groups(BilinearKernel(grid, SPECS[spec]), C0, cap)
+    _assert_same_table(lower_bounds._pair_groups(K, C0, cap), direct)
+
+
+@pytest.mark.parametrize("spec", ["riesz11", "sign"])
+def test_table_search_matches_direct_search_level5(spec):
+    # every fifth base rectangle of the lower-bound suite's cap at level 5
+    grid = TorusGrid.make(5)
+    _, _, start, width = (col[::5] for col in lower_bounds._base_rectangles(grid, 8))
+    K = BilinearKernel(grid, SPECS[spec])
+    assert lower_bounds._search_partners(K, width, start, 1.0, (1, 1)) == \
+        _direct_search_partners(K, width, start, 1.0, (1, 1))
+
+
+def test_table_search_on_wrapping_rectangles():
+    # rectangles of shifted lattices whose cells wrap around the torus
+    rng = np.random.default_rng(5)
+    checked = set()
+    for om in (sample_shift(GRID, rng) for _ in range(2)):
+        for r in all_rectangles(GRID, om):
+            cubes = (r.cube1, r.cube2)
+            if min(c.level for c in cubes) == 0 or all(
+                    c.start_cells()[0] + c.width_cells <= c.axis.n_side for c in cubes):
+                continue
+            for spec, C0 in (("riesz12", 0.5), ("sign", 1.0)):
+                K = BilinearKernel(GRID, SPECS[spec])
+                want = _partner_scan(K, r, C0, (1, 1))
+                checked.add(want is None)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        find_nondegenerate_partner(K, r, C0)
+                else:
+                    _assert_same_partner(find_nondegenerate_partner(K, r, C0), want)
+    assert checked == {True, False}
+
+
+def test_search_input_validation():
+    r, K = rect(3, 1, 3, 0), BilinearKernel(GRID, tensor_riesz(1, 1))
+    for C0 in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="C0"):
+            find_nondegenerate_partner(K, r, C0)
+        with pytest.raises(ValueError, match="C0"):
+            gamma_constant(K, step_symbol(), C0=C0)
+    for stride in ((0, 1), (1.5, 1), (-1, 1), (1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="stride"):
+            find_nondegenerate_partner(K, r, 1.0, stride)
+    b = step_symbol()
+    for k, r_, g1, g2 in ((1, 0.0, 1, 0), (1, -1.0, 1, 0), (1, math.nan, 1, 0), (0, 1.0, 0, 0),
+                          (1, 1.0, 2, -1)):
+        for fn in (gamma_constant, bmo_lower_bound):
+            with pytest.raises(ValueError, match="need r > 0"):
+                fn(K, b, k, r_, g1, g2)
+    with pytest.raises(ValueError, match="r must be positive"):
+        weak_lr_norm(np.ones(4), 0.25, 0.0)
+    assert K._partners == {}  # nothing was searched
 
 
 def test_bmo_lower_bound_walks_no_cube_objects(monkeypatch):
