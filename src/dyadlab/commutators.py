@@ -66,12 +66,7 @@ __all__ = [
 # 'h' the cancellative Haar rows, 'a' the averaging rows of the same cubes
 _BIFACTOR_ROWS = {1: ("hh", "hh"), 2: ("hh", "ah"), 3: ("hh", "ha"), 4: ("hh", "aa"),
                   5: ("ah", "hh"), 6: ("ah", "ha"), 7: ("ha", "hh"), 8: ("ha", "ah")}
-
-
-def _canc_rows(o) -> dict[str, np.ndarray]:
-    """Haar and averaging rows of the cancellative cubes of one axis: the
-    cubes of levels 0..L-1, which come first in the cube order."""
-    return {"h": o.haar, "a": o.canc_avg}
+_KIND = {"h": "haar", "a": "canc_avg"}
 
 
 def paraproduct_bifactor(kind: int, b: DiscreteFunction, f: DiscreteFunction,
@@ -84,19 +79,13 @@ def paraproduct_bifactor(kind: int, b: DiscreteFunction, f: DiscreteFunction,
     functions, giving one output per sample."""
     if kind not in _BIFACTOR_ROWS:
         raise ValueError("kind must be 1..8")
-    grid = b.grid
-    om = shift if shift is not None else GridShift.zero(grid)
-    rows1 = _canc_rows(axis_ops(grid.axes[0], om.shift1))
-    rows2 = _canc_rows(axis_ops(grid.axes[1], om.shift2))
-    vol1, vol2 = grid.axes[0].cell_volume, grid.axes[1].cell_volume
-
-    def tab(g, k):
-        return (rows1[k[0]] * vol1) @ g.values @ (rows2[k[1]] * vol2).T
-
+    om = shift if shift is not None else GridShift.zero(b.grid)
+    o1, o2 = map(axis_ops, b.grid.axes, (om.shift1, om.shift2))
+    tab = lambda g, k: pairing_table(g, (o1.paired[_KIND[k[0]]], o2.paired[_KIND[k[1]]]))
     kb, kf = _BIFACTOR_ROWS[kind]
     # per axis exactly one of symbol, input and output takes the averages
-    out1, out2 = ("a" if kb[i] == kf[i] == "h" else "h" for i in (0, 1))
-    return DiscreteFunction(grid, rows1[out1].T @ (tab(b, kb) * tab(f, kf)) @ rows2[out2])
+    out1, out2 = (_KIND["a" if kb[i] == kf[i] == "h" else "h"] for i in (0, 1))
+    return DiscreteFunction(b.grid, o1.rows(out1).T @ (tab(b, kb) * tab(f, kf)) @ o2.rows(out2))
 
 
 def paraproduct_onefactor(kind: int, axis_idx: int, b: DiscreteFunction,
@@ -108,19 +97,13 @@ def paraproduct_onefactor(kind: int, axis_idx: int, b: DiscreteFunction,
         raise ValueError("kind must be 1 or 2")
     if axis_idx not in (0, 1):
         raise ValueError("axis_idx must be 0 or 1")
-    grid = b.grid
-    om = shift if shift is not None else GridShift.zero(grid)
-    sh = om.shift1 if axis_idx == 0 else om.shift2
-    rows = _canc_rows(axis_ops(grid.axes[axis_idx], sh))
-    vol = grid.axes[axis_idx].cell_volume
-    f_rows, out_rows = (rows["h"], rows["a"]) if kind == 1 else (rows["a"], rows["h"])
+    om = shift if shift is not None else GridShift.zero(b.grid)
+    o = axis_ops(b.grid.axes[axis_idx], om[axis_idx])
+    f_kind, out_kind = ("haar", "canc_avg") if kind == 1 else ("canc_avg", "haar")
+    h, g = o.paired["haar"], o.paired[f_kind]
     if axis_idx == 0:
-        bprof = (rows["h"] * vol) @ b.values
-        fprof = (f_rows * vol) @ f.values
-        return DiscreteFunction(grid, out_rows.T @ (bprof * fprof))
-    bprof = b.values @ (rows["h"] * vol).T
-    fprof = f.values @ (f_rows * vol).T
-    return DiscreteFunction(grid, (bprof * fprof) @ out_rows)
+        return DiscreteFunction(b.grid, o.rows(out_kind).T @ ((h @ b.values) * (g @ f.values)))
+    return DiscreteFunction(b.grid, ((b.values @ h.T) * (f.values @ g.T)) @ o.rows(out_kind))
 
 
 # ---------------------------------------------------------------------------
@@ -317,32 +300,49 @@ def average_oscillation_bound(b: DiscreteFunction, shift: GridShift | None = Non
 # commutators of model operators
 # ---------------------------------------------------------------------------
 
+def _stack(grid: TorusGrid, *values: np.ndarray) -> DiscreteFunction:
+    """The value arrays, in order, as one stack of functions."""
+    return DiscreteFunction(grid, np.array(values))
+
+
+def _moved_inputs(b: DiscreteFunction, slot: int, f1: DiscreteFunction, f2: DiscreteFunction):
+    """The stacks (f1, f2) and the inputs with b moved onto slot `slot`."""
+    if slot not in (1, 2):
+        raise ValueError("slot is 1 or 2")
+    a1, a2 = f1.values, f2.values
+    moved = (b.values * a1, a2) if slot == 1 else (a1, b.values * a2)
+    return _stack(b.grid, a1, moved[0]), _stack(b.grid, a2, moved[1])
+
+
 def commutator_apply(b: DiscreteFunction, U, slot: int,
                      f1: DiscreteFunction, f2: DiscreteFunction) -> DiscreteFunction:
-    """[b,U]_slot(f1,f2) = b U(f1,f2) - U(... b f_slot ...)."""
-    if slot == 1:
-        return b * U.apply(f1, f2) - U.apply(b * f1, f2)
-    if slot == 2:
-        return b * U.apply(f1, f2) - U.apply(f1, b * f2)
-    raise ValueError("slot is 1 or 2")
+    """[b,U]_slot(f1,f2) = b U(f1,f2) - U(... b f_slot ...), as one stacked apply."""
+    out = U.apply(*_moved_inputs(b, slot, f1, f2)).values
+    return DiscreteFunction(b.grid, b.values * out[0] - out[1])
+
+
+def _iterated_inputs(b2: DiscreteFunction, b1: DiscreteFunction, f1: DiscreteFunction,
+                     f2: DiscreteFunction) -> tuple[DiscreteFunction, DiscreteFunction]:
+    """Slots 1 and 2 of the four terms of [b2, [b1, U]_1]_2, as stacks:
+    (f1, f2), (b1 f1, f2), (f1, b2 f2), (b1 f1, b2 f2)."""
+    a1, a2 = f1.values, f2.values
+    g1, g2 = b1.values * a1, b2.values * a2
+    return _stack(f1.grid, a1, g1, a1, g1), _stack(f1.grid, a2, a2, g2, g2)
 
 
 def iterated_commutator_apply(b2: DiscreteFunction, b1: DiscreteFunction, U,
                               f1: DiscreteFunction, f2: DiscreteFunction) -> DiscreteFunction:
-    """[b2, [b1, U]_1]_2 (f1, f2)."""
-    inner = lambda g1, g2: b1 * U.apply(g1, g2) - U.apply(b1 * g1, g2)
-    return b2 * inner(f1, f2) - inner(f1, b2 * f2)
+    """[b2, [b1, U]_1]_2 (f1, f2), as one stacked apply."""
+    out = U.apply(*_iterated_inputs(b2, b1, f1, f2)).values
+    return DiscreteFunction(b1.grid, b2.values * (b1.values * out[0] - out[1]) - (b1.values * out[2] - out[3]))
 
 
 def commutator_form_direct(b: DiscreteFunction, U, slot: int,
                            f1: DiscreteFunction, f2: DiscreteFunction,
                            f3: DiscreteFunction) -> float:
-    """<[b,U]_slot(f1,f2), f3> by definition."""
-    if slot == 1:
-        return U.form(f1, f2, b * f3) - U.form(b * f1, f2, f3)
-    if slot == 2:
-        return U.form(f1, f2, b * f3) - U.form(f1, b * f2, f3)
-    raise ValueError("slot is 1 or 2")
+    """<[b,U]_slot(f1,f2), f3> by definition, as one form on the stacked terms."""
+    vals = U.form(*_moved_inputs(b, slot, f1, f2), _stack(b.grid, b.values * f3.values, f3.values))
+    return float(vals[0] - vals[1])
 
 
 def _expanded_table(b: DiscreteFunction, f: DiscreteFunction, shift: GridShift,
@@ -355,20 +355,18 @@ def _expanded_table(b: DiscreteFunction, f: DiscreteFunction, shift: GridShift,
     Haar coefficients of f, paired with the other axis's rows.  Averaging
     rows on both axes leave <b f> itself."""
     grid = f.grid
-    vol1, vol2 = (ax.cell_volume for ax in grid.axes)
-    (h1, h2), (a1, a2), (r1, r2) = (row_pair(grid, shift, k)
+    (h1, h2), (a1, a2), (r1, r2) = (row_pair(grid, shift, k, paired=True)
                                     for k in (("haar", "haar"), ("canc_avg", "canc_avg"), kinds))
-    pair = lambda g: pairing_table(g, shift, kinds)
+    pair = lambda g: pairing_table(g, (r1, r2))
     if kinds == ("haar", "haar"):
         terms = sum(paraproduct_bifactor(kind, b, f, shift).values for kind in range(1, 9))
-        rect_avg = (a1 * vol1) @ b.values @ (a2 * vol2).T
-        return pair(DiscreteFunction(grid, terms)) + rect_avg * pair(f)
+        return pair(DiscreteFunction(grid, terms)) + pairing_table(b, (a1, a2)) * pair(f)
     if kinds[0] == "haar":
         terms = paraproduct_onefactor(1, 0, b, f, shift) + paraproduct_onefactor(2, 0, b, f, shift)
-        return pair(terms) + (((a1 * vol1) @ b.values) * ((h1 * vol1) @ f.values)) @ (r2 * vol2).T
+        return pair(terms) + ((a1 @ b.values) * (h1 @ f.values)) @ r2.T
     if kinds[1] == "haar":
         terms = paraproduct_onefactor(1, 1, b, f, shift) + paraproduct_onefactor(2, 1, b, f, shift)
-        return pair(terms) + (r1 * vol1) @ ((b.values @ (a2 * vol2).T) * (f.values @ (h2 * vol2).T))
+        return pair(terms) + r1 @ ((b.values @ a2.T) * (f.values @ h2.T))
     return pair(b * f)
 
 
@@ -393,13 +391,10 @@ def commutator_form_decomposed(b: DiscreteFunction, U, slot: int,
 def iterated_form_direct(b2: DiscreteFunction, b1: DiscreteFunction, U,
                          f1: DiscreteFunction, f2: DiscreteFunction,
                          f3: DiscreteFunction) -> float:
-    """<[b2, [b1, U]_1]_2 (f1, f2), f3> by definition."""
-    return (
-        U.form(f1, f2, b1 * b2 * f3)
-        - U.form(b1 * f1, f2, b2 * f3)
-        - U.form(f1, b2 * f2, b1 * f3)
-        + U.form(b1 * f1, b2 * f2, f3)
-    )
+    """<[b2, [b1, U]_1]_2 (f1, f2), f3> by definition, as one form on the stacked terms."""
+    c1, c2, a3 = b1.values, b2.values, f3.values
+    vals = U.form(*_iterated_inputs(b2, b1, f1, f2), _stack(f3.grid, c1 * c2 * a3, c2 * a3, c1 * a3, a3))
+    return float(vals[0] - vals[1] - vals[2] + vals[3])
 
 
 def iterated_form_decomposed(b2: DiscreteFunction, b1: DiscreteFunction, U,

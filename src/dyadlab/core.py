@@ -47,7 +47,7 @@ __all__ = [
     "enumerate_axis_shifts",
     "enumerate_shifts",
     "expectation_over_shifts",
-    "AxisBasis",
+    "haar_rows",
     "haar_coefficients",
 ]
 
@@ -564,14 +564,55 @@ def all_rectangles(grid: TorusGrid, shift: GridShift,
             yield DyadicRectangle(c1, c2)
 
 
+def _lattice_offsets(axis: Axis, shift: AxisShift) -> np.ndarray:
+    """Per coordinate t and level j = 0..L, the offset (x_t - o_t) mod n of
+    every cell x from the level-j lattice origin o: (dim, L + 1, cells)."""
+    n = axis.n_side
+    coord = np.arange(axis.n_cells) // n ** np.arange(axis.dim)[:, None] % n
+    origin = np.array([shift.offset_cells(j) for j in range(axis.levels + 1)]).T
+    return (coord[:, None, :] - origin[:, :, None]) % n
+
+
 @lru_cache(maxsize=None)
 def cube_masks(axis: Axis, shift: AxisShift) -> np.ndarray:
     """Read-only boolean cell mask of every cube of the shifted lattice, one
     row per cube in `all_axis_cubes` order."""
-    eye = np.eye(axis.n_cells, dtype=bool)
-    out = np.concatenate([eye[tab].any(axis=1) for tab in cell_tables(axis, shift)])
+    d, L = axis.dim, axis.levels
+    level = np.arange(L + 1)[:, None]
+    # per level, each cell's cube: offset bits L - j and up give its position
+    # along a coordinate, positions combine in product order
+    cube = (_lattice_offsets(axis, shift) >> L - level << level * np.arange(d - 1, -1, -1)[:, None, None]).sum(axis=0)
+    out = np.concatenate([cube[j] == np.arange(1 << d * j)[:, None] for j in range(L + 1)])
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=256)
+def haar_rows(axis: Axis, shift: AxisShift) -> np.ndarray:
+    """Read-only Haar rows of the shifted lattice: the top row, then per cube
+    I of levels 0..L-1 (`all_axis_cubes` order) its 2^dim - 1 cancellative
+    rows, signatures in product order.  Signature e's row is the signed sum
+    of I's child masks, - on the children in the second half of I along an
+    odd number of the coordinates e flags, times |I|^(-1/2): bit for bit the
+    `axis_haar_vector` profiles."""
+    d, L = axis.dim, axis.levels
+    # offset bit L - j - 1: the cell lies in the second half of its level-j cube
+    second = _lattice_offsets(axis, shift)[:, :L] >> L - 1 - np.arange(L)[:, None] & 1
+    sigs = np.array(list(itertools.product((0, 1), repeat=d))[1:])
+    odd = (sigs[:, :, None, None] * second).sum(axis=1) & 1  # (signatures, levels, cells)
+    sign = (1.0 - 2.0 * odd) * np.array([((2.0 ** -j) ** d) ** -0.5 for j in range(L)])[:, None]
+    level = np.repeat(np.arange(L), 1 << d * np.arange(L))
+    rows = np.where(cube_masks(axis, shift)[:len(level), None, :], sign[:, level].transpose(1, 0, 2), 0.0)
+    out = np.concatenate([np.ones((1, axis.n_cells)), rows.reshape(-1, axis.n_cells)])
+    out.setflags(write=False)
+    return out
+
+
+def haar_coefficients(f: DiscreteFunction, shift: GridShift) -> np.ndarray:
+    """Coefficients <f, h x h> over the full bi-parameter basis: the
+    `haar_rows` of both factors."""
+    t1, t2 = (haar_rows(ax, sh) * ax.cell_volume for ax, sh in zip(f.grid.axes, (shift.shift1, shift.shift2)))
+    return t1 @ f.values @ t2.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -887,50 +928,3 @@ def goodness_fraction(axis: Axis, level: int, pos: tuple[int, ...] | None = None
         total += 1
         good += classify_goodness(cube, r=r, gamma=gamma, alpha=alpha)
     return good / total
-
-
-# ---------------------------------------------------------------------------
-# Haar basis bookkeeping (per axis, per shift)
-# ---------------------------------------------------------------------------
-
-class AxisBasis:
-    """Orthonormal Haar basis of one shifted factor.
-
-    Basis entries are all cancellative Haar functions on cubes of levels
-    0..L-1 plus the non-cancellative top function, which realises the
-    top-level convention that the coarsest scale carries both the difference
-    and the average.  matrix[k] is the k-th basis profile on cells.
-    """
-
-    def __init__(self, axis: Axis, shift: AxisShift):
-        self.axis = axis
-        self.shift = shift
-        entries: list[HaarFunction] = []
-        top = DyadicCube(axis, 0, tuple(0 for _ in range(axis.dim)), shift)
-        entries.append(HaarFunction(top, tuple(0 for _ in range(axis.dim))))
-        for level in range(axis.levels):
-            for cube in axis_cubes(axis, level, shift):
-                for sig in itertools.product((0, 1), repeat=axis.dim):
-                    if any(sig):
-                        entries.append(HaarFunction(cube, sig))
-        self.entries = entries
-        self.matrix = np.stack([axis_haar_vector(h) for h in entries])
-        self._index = {(h.cube.level, h.cube.pos, h.signature): k for k, h in enumerate(entries)}
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def index(self, h: HaarFunction) -> int:
-        return self._index[(h.cube.level, h.cube.pos, h.signature)]
-
-    def transform(self) -> np.ndarray:
-        """Matrix taking cell values to Haar coefficients (rows pair with volume)."""
-        return self.matrix * self.axis.cell_volume
-
-
-def haar_coefficients(f: DiscreteFunction, shift: GridShift) -> np.ndarray:
-    """Coefficients <f, h x h> over the full bi-parameter basis (B1 x B2)."""
-    b1 = AxisBasis(f.grid.axes[0], shift.shift1)
-    b2 = AxisBasis(f.grid.axes[1], shift.shift2)
-    return b1.transform() @ f.values @ b2.transform().T

@@ -589,6 +589,13 @@ def duality_suite(config: ExperimentConfig, instances: int = 1000) -> Report:
     return rep
 
 
+def _unit_little_bmo(grid: TorusGrid, rng: np.random.Generator, n: int) -> list[DiscreteFunction]:
+    """`n` random symbols, drawn in turn, scaled to little BMO norm 1 by one norm call."""
+    bs = DiscreteFunction(grid, np.stack([grid.random(rng).values for _ in range(n)]))
+    scale = 1.0 / np.maximum(ms.bmo_norm(bs, "little"), 1e-12)
+    return [DiscreteFunction(grid, v) for v in bs.values * scale[:, None, None]]
+
+
 def commutator_suite(config: ExperimentConfig, seeds_per_cell: int = 40) -> Report:
     """Norm growth of first-order and iterated commutators in the complexity,
     including an averaged quasi-target cell."""
@@ -607,10 +614,7 @@ def commutator_suite(config: ExperimentConfig, seeds_per_cell: int = 40) -> Repo
         rng = _rng(config.seed, "cgrow", cx)
         for s in range(seeds_per_cell):
             S = random_shift_operator(grid, om, kv, vv, (3, 3), rng)
-            b = grid.random(rng)
-            b = b * (1.0 / max(ms.bmo_norm(b, "little"), 1e-12))
-            b2 = grid.random(rng)
-            b2 = b2 * (1.0 / max(ms.bmo_norm(b2, "little"), 1e-12))
+            b, b2 = _unit_little_bmo(grid, rng, 2)
             f1, f2, f3 = (grid.random(rng) for _ in range(3))
             den = (ms.lp_norm(f1, p) * ms.lp_norm(f2, q) * ms.lp_norm(f3, rprime))
             worst1 = max(worst1, abs(com.commutator_form_direct(b, S, 1, f1, f2, f3)) / den)
@@ -626,13 +630,11 @@ def commutator_suite(config: ExperimentConfig, seeds_per_cell: int = 40) -> Repo
     for s in range(seeds_per_cell // 2):
         shifts = [sample_shift(grid, rng) for _ in range(3)]
         ops = [random_shift_operator(grid, o, (0, 1, 0), (0, 0, 0), (3, 3), rng) for o in shifts]
-        b = grid.random(rng)
-        b = b * (1.0 / max(ms.bmo_norm(b, "little"), 1e-12))
+        b, = _unit_little_bmo(grid, rng, 1)
         f1, f2 = grid.random(rng), grid.random(rng)
         acc = grid.zeros()
         for U in ops:
-            comm = b * U.apply(f1, f2) - U.apply(b * f1, f2)
-            acc = acc + (1.0 / len(ops)) * comm
+            acc = acc + (1.0 / len(ops)) * com.commutator_apply(b, U, 1, f1, f2)
         worst = max(worst, ms.lp_norm(acc, r2) / (ms.lp_norm(f1, p2) * ms.lp_norm(f2, q2)))
     rep.add("commutator-averaged-quasi", "r1", config.seed, worst,
             _bound(goldens, "commutator/averaged"))

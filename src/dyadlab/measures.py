@@ -12,14 +12,16 @@ import numpy as np
 
 from .core import (
     Axis,
-    AxisBasis,
     AxisShift,
     DiscreteFunction,
     GridShift,
     TorusGrid,
+    all_axis_cubes,
     axis_cubes,
     axis_project,
     enumerate_shifts,
+    haar_coefficients,
+    haar_rows,
     martingale_block,
     per_sample,
     profile_plan,
@@ -223,13 +225,11 @@ def bmo_norm(
         plan = _plan(grid, om, over_all_shifts, "biparameter" if kind == "little" else kind)
         return per_sample(plan.oscillations(b.values).max(axis=-1))
     if kind == "product":
-        b1 = AxisBasis(grid.axes[0], om.shift1)
-        b2 = AxisBasis(grid.axes[1], om.shift2)
-        C = b1.transform() @ b.values @ b2.transform().T
-        # entry 0 is the one non-cancellative function; a cancellative one is
+        C = haar_coefficients(b, om)
+        # row 0 is the one non-cancellative function; a cancellative one is
         # nonzero on every cell of its cube, and with dim >= 2 one cube
         # carries several signatures, so rows repeat
-        on1, on2 = b1.matrix[1:] != 0, b2.matrix[1:] != 0
+        on1, on2 = (haar_rows(ax, sh)[1:] != 0 for ax, sh in zip(grid.axes, (om.shift1, om.shift2)))
         masks = (on1[:, None, :, None] & on2[None, :, None, :]).reshape(len(on1) * len(on2), -1)
         return _product_bmo(grid, masks, C[1:, 1:].ravel(), omega_pool, omega_union, seed)
     raise ValueError(f"unknown bmo kind {kind!r}")
@@ -430,10 +430,11 @@ def _sf_axis(f: DiscreteFunction, om: GridShift, axis_idx: int) -> DiscreteFunct
 def haar_profiles(f: DiscreteFunction, axis_idx: int, om: GridShift):
     """(Haar row h, its cube, coefficient profile <f, h>_axis) of every
     cancellative Haar function of one factor of the shifted lattice."""
-    basis = AxisBasis(f.grid.axes[axis_idx], om[axis_idx])
-    for k, h in enumerate(basis.entries):
-        if h.cancellative:
-            yield basis.matrix[k], h.cube, f.pair_axis(basis.matrix[k], axis_idx)
+    axis, shift = f.grid.axes[axis_idx], om[axis_idx]
+    rows = haar_rows(axis, shift)[1:].reshape(-1, 2**axis.dim - 1, axis.n_cells)
+    for cube, cube_rows in zip(all_axis_cubes(axis, shift, axis.levels - 1), rows):
+        for h in cube_rows:
+            yield h, cube, f.pair_axis(h, axis_idx)
 
 
 def haar_outer(row: np.ndarray, prof: np.ndarray, axis_idx: int) -> np.ndarray:

@@ -29,13 +29,12 @@ from .core import (
     DiscreteFunction,
     DyadicCube,
     GridShift,
-    HaarFunction,
     TorusGrid,
     all_axis_cubes,
-    axis_haar_vector,
     cell_tables,
     cube_masks,
     enumerate_axis_shifts,
+    haar_rows,
     per_sample,
     profile_plan,
     rect_table,
@@ -73,11 +72,13 @@ class AxisOps:
     """Pairing matrices and index bookkeeping for one shifted axis lattice.
 
     Row conventions: `haar` rows are cancellative Haar profiles (levels
-    0..L-1), `unit` rows are the normalised indicators |I|^(-1/2) 1_I
-    (levels 0..L), `avg` rows are the plain averaging profiles 1_I/|I|, and
-    `canc_avg` their first rows, those of the cancellative cubes.  Below
-    level L a cube's Haar row and its cube row have the same index.
-    Restricted to one-dimensional factors.
+    0..L-1, `haar_rows` below its top row), `unit` rows are the normalised
+    indicators |I|^(-1/2) 1_I (levels 0..L; `scale` holds |I|^(-1/2)), `avg`
+    rows are the plain averaging profiles 1_I/|I|, and `canc_avg` their first
+    rows, those of the cancellative cubes; `paired[kind]` is scaled by the
+    cell volume, so that a product with it integrates.  Below level L a
+    cube's Haar row and its cube row have the same index.  Restricted to
+    one-dimensional factors.
     """
 
     def __init__(self, axis: Axis, shift: AxisShift):
@@ -89,14 +90,20 @@ class AxisOps:
         self.canc_offset = np.cumsum([0] + [1 << l for l in range(L)])
         self.cube_offset = np.cumsum([0] + [1 << l for l in range(L + 1)])
         self.offsets = np.array([shift.offset_cells(l)[0] for l in range(L + 1)])
-        self.cubes: list[DyadicCube] = list(all_axis_cubes(axis, shift))
-        self.canc_cubes = self.cubes[: self.canc_offset[-1]]
-        self.haar = np.stack([axis_haar_vector(HaarFunction(c, (1,))) for c in self.canc_cubes])
-        scale = np.array([c.measure**-0.5 for c in self.cubes])
-        self.unit = cube_masks(axis, shift) * scale[:, None]
+        self.haar = haar_rows(axis, shift)[1:]
+        # as `DyadicCube.measure` ** -0.5 computes it, level by level
+        self.scale = np.repeat([(2.0 ** -l) ** -0.5 for l in range(L + 1)], np.diff(self.cube_offset))
+        self.unit = cube_masks(axis, shift) * self.scale[:, None]
         # avg rows are plain averaging profiles 1_I/|I| = |I|^(-1/2) unit rows
-        self.avg = self.unit * scale[:, None]
+        self.avg = self.unit * self.scale[:, None]
         self.canc_avg = self.avg[: len(self.haar)]
+        self._rows = {"haar": self.haar, "unit": self.unit, "avg": self.avg, "canc_avg": self.canc_avg}
+        self.paired = {kind: rows * axis.cell_volume for kind, rows in self._rows.items()}
+
+    @cached_property
+    def cubes(self) -> list[DyadicCube]:
+        """The lattice's cubes in row order, as objects: built on first use."""
+        return list(all_axis_cubes(self.axis, self.shift))
 
     # -- index helpers -------------------------------------------------------
     def canc_index(self, level: int, pos: int) -> int:
@@ -123,14 +130,26 @@ class AxisOps:
         q0 = self._first_descendant(level, pos, depth)
         return (np.asarray(child) - q0) % (1 << (np.asarray(level) + depth))
 
-    def descendant_rows(self, kind: str, level, pos, depth: int) -> np.ndarray:
-        """Rows of `kind` ('haar' or 'unit') holding the depth-`depth`
-        descendants of each cube, in spatial order (one row per cube)."""
-        first = (self.canc_offset if kind == "haar" else self.cube_offset)[np.asarray(level) + depth]
-        return first[..., None] + self.descendant_positions(level, pos, depth)
+    @cached_property
+    def _descendants(self) -> list[np.ndarray]:
+        """Per depth d, the rows of the depth-d descendants of every cube of
+        levels 0..L-d in spatial order, one row per cube; built on first use."""
+        L, off = self.axis.levels, self.cube_offset
+        level = np.repeat(np.arange(L), 1 << np.arange(L))
+        children = off[level + 1, None] + self.descendant_positions(level, np.arange(len(level)) - off[level], 1)
+        table = [np.arange(off[-1])[:, None]]
+        for d in range(1, L + 1):
+            table.append(children[table[-1][: off[L - d + 1]]].reshape(off[L - d + 1], -1))
+        return table
+
+    def descendant_rows(self, level, pos, depth: int) -> np.ndarray:
+        """Rows holding the depth-`depth` descendants of each cube, in
+        spatial order (one row per cube); a cube's Haar and unit rows share
+        their index."""
+        return self._descendants[depth][self.cube_offset[level] + pos]
 
     def rows(self, kind: str) -> np.ndarray:
-        return {"haar": self.haar, "unit": self.unit, "avg": self.avg, "canc_avg": self.canc_avg}[kind]
+        return self._rows[kind]
 
 
 @lru_cache(maxsize=256)
@@ -138,25 +157,30 @@ def axis_ops(axis: Axis, shift: AxisShift) -> AxisOps:
     return AxisOps(axis, shift)
 
 
-def row_pair(grid: TorusGrid, shift: GridShift, kinds: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+def row_pair(grid: TorusGrid, shift: GridShift, kinds: tuple[str, str], paired: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The rows of kinds[0] on axis 1 and of kinds[1] on axis 2 (names as in
-    `AxisOps.rows`)."""
+    `AxisOps.rows`); with `paired`, scaled by the cell volume."""
     shifts = (shift.shift1, shift.shift2)
-    return tuple(axis_ops(ax, sh).rows(k) for ax, sh, k in zip(grid.axes, shifts, kinds))
+    return tuple((o.paired if paired else o._rows)[k]
+                 for o, k in zip(map(axis_ops, grid.axes, shifts), kinds))
 
 
-def pairing_table(g: DiscreteFunction, shift: GridShift, kinds: tuple[str, str]) -> np.ndarray:
-    """<g, phi1 x phi2> for every row phi1 of kinds[0] on axis 1 and phi2 of
-    kinds[1] on axis 2; a stack of functions gives one table per sample."""
-    r1, r2 = row_pair(g.grid, shift, kinds)
-    vol1, vol2 = (ax.cell_volume for ax in g.grid.axes)
-    return (r1 * vol1) @ g.values @ (r2 * vol2).T
+def pairing_table(g: DiscreteFunction, rows: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """<g, phi1 x phi2> for every row phi1 of rows[0] (axis 1) and phi2 of rows[1]
+    (axis 2), both scaled by the cell volume; a stack gives one table per sample."""
+    return rows[0] @ g.values @ rows[1].T
+
+
+def _pairing_rows(op) -> tuple:
+    """Per slot of a model operator, its `_slot_rows` scaled by the cell volume."""
+    o1, o2 = map(axis_ops, op.grid.axes, (op.shift.shift1, op.shift.shift2))
+    return tuple((o1.paired[k1], o2.paired[k2]) for k1, k2 in map(op._slot_rows, (1, 2, 3)))
 
 
 def slot_tables(op, fs) -> list[np.ndarray]:
-    """Per slot s of a model operator, the pairing table of fs[s-1] over the
-    rows the operator pairs slot s with (its `_slot_rows(s)`)."""
-    return [pairing_table(f, op.shift, op._slot_rows(s)) for s, f in enumerate(fs, start=1)]
+    """Per slot s of a model operator, the pairing table of fs[s-1] (a
+    function or a stack) over the rows the operator pairs slot s with."""
+    return [pairing_table(f, rows) for f, rows in zip(fs, op._pairing_rows)]
 
 
 def axis_profile_bmo(vec: np.ndarray, axis: Axis, over_all_shifts: bool = True) -> float | np.ndarray:
@@ -222,9 +246,7 @@ def _check_keys(keys: np.ndarray, counts: np.ndarray, levels: np.ndarray, depths
     if ((u[:, 0:n:2] > tops).any() or (u[:, 1:n:2] >> u[:, 0:n:2]).any()
             or children is not None and (u[:, n:] >> children[owner].astype(np.uint64)).any()):
         raise ValueError("a key names a cube outside the lattice, or slot cubes below its resolution")
-    rows = np.concatenate([owner[:, None], keys], axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    if (rows[1:] == rows[:-1]).all(axis=1).any():
+    if len(set(zip(owner.tolist(), map(tuple, keys.tolist())))) < len(keys):
         raise ValueError("a key repeats")
     return owner
 
@@ -364,12 +386,8 @@ class ShiftOperator:
         o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
         o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
         keys = self.keys.T
-        kinds = [self._slot_rows(s) for s in (1, 2, 3)]
-        rows = tuple(
-            (o1.descendant_rows(k1, keys[0], keys[1], self.k[s]),
-             o2.descendant_rows(k2, keys[2], keys[3], self.v[s]))
-            for s, (k1, k2) in enumerate(kinds)
-        )
+        rows = tuple((o1.descendant_rows(keys[0], keys[1], k), o2.descendant_rows(keys[2], keys[3], v))
+                     for k, v in zip(self.k, self.v))
         return _Plan.frozen(self.blocks, rows)
 
     def _gather(self, tables) -> list[np.ndarray]:
@@ -377,19 +395,22 @@ class ShiftOperator:
         `_slot_rows`) that the keys pair with: one gather each."""
         return [t[..., i1[:, :, None], i2[:, None, :]] for t, (i1, i2) in zip(tables, self._plan.rows)]
 
-    def _contract(self, tables, absolute: bool) -> float:
-        """The form with slot s read off tables[s-1]: the coefficients
-        contracted with the gathered entries, all in absolute value when
-        `absolute`."""
+    _pairing_rows = cached_property(_pairing_rows)
+
+    def _contract(self, tables, absolute: bool) -> float | np.ndarray:
+        """The form with slot s read off tables[s-1] (stacks of tables give
+        one value per sample): the coefficients contracted with the gathered
+        entries, all in absolute value when `absolute`."""
         c, us = self._plan.coeffs, self._gather(tables)
         if absolute:
             c, us = np.abs(c), [np.abs(u) for u in us]
-        return float(np.einsum("nabcdef,nad,nbe,ncf->", c, *us))
+        return per_sample(np.einsum("nabcdef,...nad,...nbe,...ncf->...", c, *us))
 
-    def form(self, f1: DiscreteFunction, f2: DiscreteFunction, f3: DiscreteFunction) -> float:
+    def form(self, f1: DiscreteFunction, f2: DiscreteFunction, f3: DiscreteFunction) -> float | np.ndarray:
+        """The trilinear form; stacks of functions give one value per sample."""
         return self._contract(slot_tables(self, (f1, f2, f3)), False)
 
-    def absolute_form(self, f1, f2, f3) -> float:
+    def absolute_form(self, f1, f2, f3) -> float | np.ndarray:
         return self._contract(slot_tables(self, (f1, f2, f3)), True)
 
     def apply(self, f1: DiscreteFunction, f2: DiscreteFunction) -> DiscreteFunction:
@@ -494,9 +515,7 @@ def one_param_paraproduct_form(
     take plain averages.  cube_mask (over cancellative cubes) restricts the
     outer sum.  Rows (S, n) of inputs give one value per row.
     """
-    vol = ops.axis.cell_volume
-    haar = (ops.haar * vol).T
-    avg = (ops.canc_avg * vol).T
+    haar, avg = ops.paired["haar"].T, ops.paired["canc_avg"].T
     total = np.asarray(b, dtype=float) @ haar
     for slot, g in enumerate((g1, g2, g3), start=1):
         total = total * (np.asarray(g) @ (haar if ptype == slot else avg))
@@ -513,18 +532,10 @@ def one_param_paraproduct(
     ptype: int = 3,
 ) -> np.ndarray:
     """Apply the paraproduct; the third slot of the form is left free."""
-    vol = ops.axis.cell_volume
-    bb = (ops.haar * vol) @ np.asarray(b, dtype=float)
-    avg = lambda g: (ops.canc_avg * vol) @ np.asarray(g)
-    par = lambda g: (ops.haar * vol) @ np.asarray(g)
-    if ptype == 3:
-        w = bb * avg(g1) * avg(g2)
-        return w @ ops.haar
-    if ptype == 1:
-        w = bb * par(g1) * avg(g2)
-    else:
-        w = bb * avg(g1) * par(g2)
-    return w @ ops.canc_avg
+    h, a = ops.paired["haar"], ops.paired["canc_avg"]
+    w = h @ np.asarray(b, dtype=float) * ((h if ptype == 1 else a) @ np.asarray(g1)) \
+        * ((a if ptype in (1, 3) else h) @ np.asarray(g2))
+    return w @ (ops.haar if ptype == 3 else ops.canc_avg)
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +608,11 @@ class PartialParaproduct:
         """Built on the first evaluation: coeffs holds each symbol's Haar
         coefficients and rows[s] each key's slot-s row on the shift axis."""
         sops, pops = self._ops()
-        coeffs = self.profiles @ (pops.haar * pops.axis.cell_volume).T
+        coeffs = self.profiles @ pops.paired["haar"].T
         # K level, K position, then the descendant index of each slot
         keys = self.keys.T
         rows = tuple(
-            (sops.descendant_rows(self._slot_rows(s)[self.shift_axis], keys[0], keys[1], self.k[s - 1])[
+            (sops.descendant_rows(keys[0], keys[1], self.k[s - 1])[
                 np.arange(len(self.keys)), keys[1 + s]],)
             for s in (1, 2, 3)
         )
@@ -621,19 +632,22 @@ class PartialParaproduct:
         return [(t if self.shift_axis == 0 else np.swapaxes(t, -1, -2))[..., rows, :]
                 for t, (rows,) in zip(tables, self._plan.rows)]
 
-    def _contract(self, tables, absolute: bool) -> float:
-        """The form with slot s read off tables[s-1]: the symbol coefficients
-        contracted with the gathered entries, all in absolute value when
-        `absolute`."""
+    _pairing_rows = cached_property(_pairing_rows)
+
+    def _contract(self, tables, absolute: bool) -> float | np.ndarray:
+        """The form with slot s read off tables[s-1] (stacks of tables give
+        one value per sample): the symbol coefficients contracted with the
+        gathered entries, all in absolute value when `absolute`."""
         c, gs = self._plan.coeffs, self._gather(tables)
         if absolute:
             c, gs = np.abs(c), [np.abs(g) for g in gs]
-        return float(np.einsum("nv,nv,nv,nv->", c, *gs))
+        return per_sample(np.einsum("nv,...nv,...nv,...nv->...", c, *gs))
 
-    def form(self, f1, f2, f3) -> float:
+    def form(self, f1, f2, f3) -> float | np.ndarray:
+        """The trilinear form; stacks of functions give one value per sample."""
         return self._contract(slot_tables(self, (f1, f2, f3)), False)
 
-    def absolute_form(self, f1, f2, f3) -> float:
+    def absolute_form(self, f1, f2, f3) -> float | np.ndarray:
         return self._contract(slot_tables(self, (f1, f2, f3)), True)
 
     def apply(self, f1, f2) -> DiscreteFunction:
@@ -704,16 +718,12 @@ class FullParaproduct:
 
     def __post_init__(self):
         _check_slots("pattern", self.pattern)
-        o1 = axis_ops(self.grid.axes[0], self.shift.shift1)
-        o2 = axis_ops(self.grid.axes[1], self.shift.shift2)
-        if self.lam.shape != (o1.haar.shape[0], o2.haar.shape[0]):
+        if self.lam.shape != tuple(map(len, row_pair(self.grid, self.shift, ("haar", "haar")))):
             raise ValueError("coefficient table must cover all cancellative rectangles")
 
     @staticmethod
     def from_symbol(b: DiscreteFunction, shift: GridShift, pattern: tuple[int, int] = (3, 3)) -> "FullParaproduct":
-        o1 = axis_ops(b.grid.axes[0], shift.shift1)
-        o2 = axis_ops(b.grid.axes[1], shift.shift2)
-        lam = (o1.haar * o1.axis.cell_volume) @ b.values @ (o2.haar * o2.axis.cell_volume).T
+        lam = pairing_table(b, row_pair(b.grid, shift, ("haar", "haar"), paired=True))
         return FullParaproduct(b.grid, shift, pattern, lam)
 
     def coefficient_report(self):
@@ -728,19 +738,22 @@ class FullParaproduct:
         others.  Both are indexed by the cancellative cubes, as lam is."""
         return tuple("haar" if p == slot else "canc_avg" for p in self.pattern)
 
-    def _contract(self, tables, absolute: bool) -> float:
-        """The form with slot s read off tables[s-1], all in absolute value
-        when `absolute`; the keys are every cancellative cube pair, so the
-        tables are used whole."""
+    _pairing_rows = cached_property(_pairing_rows)
+
+    def _contract(self, tables, absolute: bool) -> float | np.ndarray:
+        """The form with slot s read off tables[s-1] (stacks of tables give
+        one value per sample), all in absolute value when `absolute`; the
+        keys are every cancellative cube pair, so the tables are used whole."""
         lam, (t1, t2, t3) = self.lam, tables
         if absolute:
             lam, t1, t2, t3 = (np.abs(a) for a in (lam, t1, t2, t3))
-        return float((lam * t1 * t2 * t3).sum())
+        return per_sample((lam * t1 * t2 * t3).sum(axis=(-2, -1)))
 
-    def form(self, f1, f2, f3) -> float:
+    def form(self, f1, f2, f3) -> float | np.ndarray:
+        """The trilinear form; stacks of functions give one value per sample."""
         return self._contract(slot_tables(self, (f1, f2, f3)), False)
 
-    def absolute_form(self, f1, f2, f3) -> float:
+    def absolute_form(self, f1, f2, f3) -> float | np.ndarray:
         return self._contract(slot_tables(self, (f1, f2, f3)), True)
 
     def apply(self, f1, f2) -> DiscreteFunction:
@@ -880,9 +893,7 @@ def random_full_paraproduct(
 ) -> FullParaproduct:
     """Coefficients normalised so the oscillation lower-bound report is `fill`."""
     rng = rng or np.random.default_rng()
-    o1 = axis_ops(grid.axes[0], om.shift1)
-    o2 = axis_ops(grid.axes[1], om.shift2)
-    lam = rng.standard_normal((o1.haar.shape[0], o2.haar.shape[0]))
+    lam = rng.standard_normal(tuple(map(len, row_pair(grid, om, ("haar", "haar")))))
     op = FullParaproduct(grid, om, pattern, lam)
     rep = op.coefficient_report()
     if rep.family_value > 0:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import (
     Axis,
-    AxisBasis,
     AxisShift,
     ConfigError,
     DiscreteFunction,
@@ -41,6 +40,7 @@ from .core import (
     classify_goodness,
     enumerate_shifts,
     goodness_fraction,
+    haar_rows,
     sample_shift,
 )
 from .kernels import KernelSpec, cell_centers
@@ -312,14 +312,16 @@ class AxisDecomposition:
         self.r = r
         self.alpha = alpha
         self.gamma = gamma if gamma is not None else alpha / (2.0 * (2 * axis.dim + alpha))
-        self.basis = AxisBasis(axis, shift)
-        self.D = self.basis.size
+        self.basis = haar_rows(axis, shift)
+        # the basis rows scaled by the cell volume: cell values to coefficients
+        self.transform = self.basis * axis.cell_volume
+        self.D = len(self.basis)
         # flat-index stride of slots 1, 2, 3 in a basis triple
         self.stride = self.D ** (3 - np.arange(4))
         L = axis.levels
         self.offset = np.array([shift.offset_cells(j)[0] for j in range(L + 1)])
         self.width = 1 << (L - np.arange(L + 1))
-        tr = self.basis.transform()
+        tr = self.transform
         # exact expansions of the pairing profiles in the basis
         ops = axis_ops(axis, shift)
         self.unit_exp = tr @ ops.unit.T        # (D, n_cubes): h0_I expansions
@@ -524,8 +526,8 @@ class AxisDecomposition:
 
     def _transform(self, S: np.ndarray) -> np.ndarray:
         # one matrix-vector product per row: each row's coefficients round as
-        # a single `transform() @ v` does (a matrix product sums otherwise)
-        return (self.basis.transform() @ S[..., None])[..., 0]
+        # a single `transform @ v` does (a matrix product sums otherwise)
+        return (self.transform @ S[..., None])[..., 0]
 
     def _plain_rows(self, branch: str, tab: np.ndarray) -> _Rows:
         """Write vectors of the rows (the functions paired with the inputs):
@@ -549,12 +551,12 @@ class AxisDecomposition:
         o_cube = ops.cube_offset[lvl_o] + tab["pos_o"]
         lvl_c, pos_c = self._chain_child(branch, tab)
         # the middle slot's own basis function, and its mean on the anchor child
-        hP = self.basis.matrix[self._hot(tab["kind_m"], tab["lvl_m"], tab["pos_m"])]
+        hP = self.basis[self._hot(tab["kind_m"], tab["lvl_m"], tab["pos_m"])]
         mean = np.empty(len(tab))
         for lvl, cells in enumerate(cell_tables(self.axis, self.shift)):
             at = lvl_c == lvl
             mean[at] = np.take_along_axis(hP[at], cells[pos_c[at]], axis=1).mean(axis=1)
-        scale = np.array([c.measure**-0.5 for c in ops.cubes])[o_cube][:, None]
+        scale = ops.scale[o_cube][:, None]
         outside = (ops.unit == 0).astype(float)  # per cube: 1 off the cube, 0 on it
         split = outside[ops.cube_offset[lvl_c] + pos_c] * (hP - mean[:, None])
         svec = _noise_free(self._transform(scale * split))
@@ -708,27 +710,23 @@ def common_ancestor(c1: DyadicCube, c2: DyadicCube, c3: DyadicCube,
 # full decomposition
 # ---------------------------------------------------------------------------
 
-def _lambda_hat(tensor: KernelTensor, b1: AxisBasis, b2: AxisBasis) -> np.ndarray:
-    """Haar-coefficient matrix of the form in the bases b1, b2 of the two
-    axes: rows index first-axis basis triples (slots 1,2,3), columns
-    second-axis triples."""
+def _lambda_hat(tensor: KernelTensor, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Haar-coefficient matrix of the form in the bases of the two axes, with
+    their `transform`s t1, t2: rows index first-axis basis triples (slots
+    1,2,3), columns second-axis triples."""
     n1, n2 = tensor.grid.shape
-    t1, t2 = b1.transform(), b2.transform()
     K6 = tensor.data.reshape(n1, n2, n1, n2, n1, n2)
     # slot order: slot1 ~ (y1, y2), slot2 ~ (z1, z2), slot3 ~ (x1, x2)
     T = np.einsum("xXyYzZ,ay,bz,cx,AY,BZ,CX->abcABC", K6, t1, t1, t1, t2, t2, t2, optimize=True)
-    return T.reshape(b1.size**3, b2.size**3)
+    return T.reshape(len(t1)**3, len(t2)**3)
 
 
 def _lambda_hat_to_cells(lam_hat: np.ndarray, grid: TorusGrid, om: GridShift) -> np.ndarray:
     n1, n2 = grid.shape
-    b1 = AxisBasis(grid.axes[0], om.shift1)
-    b2 = AxisBasis(grid.axes[1], om.shift2)
-    D1, D2 = b1.size, b2.size
+    b1, b2 = haar_rows(grid.axes[0], om.shift1), haar_rows(grid.axes[1], om.shift2)
+    D1, D2 = len(b1), len(b2)
     T = lam_hat.reshape(D1, D1, D1, D2, D2, D2)
-    K6 = np.einsum("abcABC,ay,bz,cx,AY,BZ,CX->xXyYzZ", T,
-                   b1.matrix, b1.matrix, b1.matrix, b2.matrix, b2.matrix, b2.matrix,
-                   optimize=True)
+    K6 = np.einsum("abcABC,ay,bz,cx,AY,BZ,CX->xXyYzZ", T, b1, b1, b1, b2, b2, b2, optimize=True)
     C = n1 * n2
     return K6.reshape(C, C, C)
 
@@ -755,7 +753,7 @@ class Decomposition:
         self.alpha = a
         self.ax1 = axis_decomposition(grid.axes[0], om.shift1, r, gamma, a)
         self.ax2 = axis_decomposition(grid.axes[1], om.shift2, r, gamma, a)
-        self.lam_hat = _lambda_hat(tensor, self.ax1.basis, self.ax2.basis)
+        self.lam_hat = _lambda_hat(tensor, self.ax1.transform, self.ax2.transform)
 
     @cached_property
     def _m1(self) -> dict:
@@ -791,10 +789,9 @@ class Decomposition:
         return self._eval_hat(self.reconstructed_hat(), f1, f2, f3)
 
     def _eval_hat(self, hat: np.ndarray, f1, f2, f3) -> float:
-        b1 = self.ax1.basis
-        b2 = self.ax2.basis
-        P = [b1.transform() @ f.values @ b2.transform().T for f in (f1, f2, f3)]
-        D1, D2 = b1.size, b2.size
+        t1, t2 = self.ax1.transform, self.ax2.transform
+        P = [t1 @ f.values @ t2.T for f in (f1, f2, f3)]
+        D1, D2 = len(t1), len(t2)
         T = hat.reshape(D1, D1, D1, D2, D2, D2)
         return float(np.einsum("abcABC,aA,bB,cC->", T, P[0], P[1], P[2], optimize=True))
 

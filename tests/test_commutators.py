@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dyadlab import model_ops
 from dyadlab.core import (
     AxisShift,
     DiscreteFunction,
@@ -26,12 +28,14 @@ from dyadlab.commutators import (
     aux_phi1,
     aux_phi2,
     average_oscillation_bound,
+    commutator_apply,
     commutator_form_decomposed,
     commutator_form_direct,
     coefficient_duality_check,
     expand_bipar,
     expand_none,
     expand_onepar,
+    iterated_commutator_apply,
     iterated_form_decomposed,
     iterated_form_direct,
     pointwise_domination_check,
@@ -435,8 +439,8 @@ def atomic_terms(U):
                     specs.append((c1, k1, c2, k2))
                 yield block[idx] * scale, specs
     elif isinstance(U, FullParaproduct):
-        for i, cK in enumerate(o1.canc_cubes):
-            for j, cV in enumerate(o2.canc_cubes):
+        for i, cK in enumerate(o1.cubes[:len(o1.haar)]):
+            for j, cV in enumerate(o2.cubes[:len(o2.haar)]):
                 if U.lam[i, j] != 0.0:
                     yield U.lam[i, j], [(cK, "h" if U.pattern[0] == s else "a",
                                          cV, "h" if U.pattern[1] == s else "a") for s in (1, 2, 3)]
@@ -453,7 +457,7 @@ def atomic_terms(U):
                 scale *= c.measure**0.5 if kind == "a" else 1.0
                 shift_cubes.append((c, kind))
             bb = (pops.haar * vol) @ prof
-            for vi, cV in enumerate(pops.canc_cubes):
+            for vi, cV in enumerate(pops.cubes[:len(pops.haar)]):
                 if bb[vi] == 0.0:
                     continue
                 specs = []
@@ -657,8 +661,6 @@ def test_aux_square_functions_bounded_ratio():
 
 
 def test_commutator_apply_matches_form():
-    from dyadlab.commutators import commutator_apply, iterated_commutator_apply
-
     b, b2 = fn(40), fn(41)
     f1, f2, f3 = fn(42), fn(43), fn(44)
     S = random_shift_operator(GRID, ZERO, (0, 1, 0), (1, 0, 0), (3, 3),
@@ -684,3 +686,96 @@ def test_adapted_maximal_below_power_maximal():
         ms2 = maximal_function(f, "strong", s=2.0)
         worst = max(worst, float((mb.values / np.maximum(ms2.values, 1e-12)).max()))
     assert worst < 8.0
+
+
+# -- stacked forms and commutators ----------------------------------------------
+#
+# The per-term definitions the stacked evaluations replaced, one form or one
+# apply per term: each returns its terms, signed, so that their sum is the
+# commutator and their sizes scale the comparison.
+
+def _commutator_form_terms(b, U, slot, f1, f2, f3):
+    moved = U.form(b * f1, f2, f3) if slot == 1 else U.form(f1, b * f2, f3)
+    return [U.form(f1, f2, b * f3), -moved]
+
+
+def _iterated_form_terms(b2, b1, U, f1, f2, f3):
+    return [U.form(f1, f2, b1 * b2 * f3), -U.form(b1 * f1, f2, b2 * f3),
+            -U.form(f1, b2 * f2, b1 * f3), U.form(b1 * f1, b2 * f2, f3)]
+
+
+def _commutator_apply_terms(b, U, slot, f1, f2):
+    moved = U.apply(b * f1, f2) if slot == 1 else U.apply(f1, b * f2)
+    return [(b * U.apply(f1, f2)).values, -moved.values]
+
+
+def _iterated_apply_terms(b2, b1, U, f1, f2):
+    return [(b2 * b1 * U.apply(f1, f2)).values, -(b2 * U.apply(b1 * f1, f2)).values,
+            -(b1 * U.apply(f1, b2 * f2)).values, U.apply(b1 * f1, b2 * f2).values]
+
+
+def _random_operator(family, grid, om, rng):
+    """A random operator of the family on `grid`, its complexities below the levels."""
+    L = grid.axes[0].levels
+    k = tuple(int(x) for x in rng.integers(0, L, 3))
+    if family == "shift":
+        v = tuple(int(x) for x in rng.integers(0, L, 3))
+        return random_shift_operator(grid, om, k, v, tuple(int(x) for x in rng.integers(1, 4, 2)), rng)
+    if family == "partial":
+        slots = (int(x) for x in rng.integers(1, 4, 2))
+        return random_partial_paraproduct(grid, om, k, int(rng.integers(0, 2)), *slots, rng=rng)
+    return random_full_paraproduct(grid, om, tuple(int(x) for x in rng.integers(1, 4, 2)), rng)
+
+
+def _assert_close(got, terms, rtol=1e-12):
+    """got equals the sum of terms within rtol of the terms' total size."""
+    scale = sum(np.abs(t) for t in terms)
+    assert np.all(np.abs(got - sum(terms)) <= rtol * np.max(scale))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["shift", "partial", "full"]), level=st.integers(1, 3),
+       shifted=st.booleans(), seed=st.integers(0, 2**16), samples=st.integers(1, 4))
+def test_stacked_forms_and_commutators_match_per_term_definitions(family, level, shifted, seed, samples):
+    rng = np.random.default_rng(seed)
+    grid = TorusGrid.make(level)
+    om = sample_shift(grid, rng) if shifted else GridShift.zero(grid)
+    U = _random_operator(family, grid, om, rng)
+    # a stacked form or absolute form is one value per sample, as per-sample calls give
+    stacks = [DiscreteFunction(grid, rng.standard_normal((samples,) + grid.shape)) for _ in range(3)]
+    for form in (U.form, U.absolute_form):
+        got = form(*stacks)
+        assert np.shape(got) == (samples,)
+        for s in range(samples):
+            want = form(*(DiscreteFunction(grid, f.values[s]) for f in stacks))
+            assert abs(got[s] - want) <= 1e-12 * U.absolute_form(*(DiscreteFunction(grid, f.values[s]) for f in stacks))
+    b, b2, f1, f2, f3 = (grid.random(rng) for _ in range(5))
+    for slot in (1, 2):
+        _assert_close(commutator_form_direct(b, U, slot, f1, f2, f3), _commutator_form_terms(b, U, slot, f1, f2, f3))
+        _assert_close(commutator_apply(b, U, slot, f1, f2).values, _commutator_apply_terms(b, U, slot, f1, f2))
+    _assert_close(iterated_form_direct(b2, b, U, f1, f2, f3), _iterated_form_terms(b2, b, U, f1, f2, f3))
+    _assert_close(iterated_commutator_apply(b2, b, U, f1, f2).values, _iterated_apply_terms(b2, b, U, f1, f2))
+
+
+@pytest.mark.parametrize("family", ["shift", "partial", "full"])
+def test_commutator_forms_make_one_stacked_contraction(family, monkeypatch):
+    # each commutator builds one stacked pairing table per slot and contracts
+    # once; evaluated term by term it took a table per slot and a
+    # contraction per term (6 and 2 first-order, 12 and 4 iterated)
+    U = _random_operator(family, GRID, ZERO, np.random.default_rng(5))
+    calls = {"tables": 0, "contractions": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model_ops, "pairing_table", counted(model_ops.pairing_table, "tables"))
+    monkeypatch.setattr(type(U), "_contract", counted(type(U)._contract, "contractions"))
+    b, b2, f1, f2, f3 = (fn(s) for s in range(70, 75))
+    commutator_form_direct(b, U, 1, f1, f2, f3)
+    assert calls == {"tables": 3, "contractions": 1}
+    calls.update(tables=0, contractions=0)
+    iterated_form_direct(b2, b, U, f1, f2, f3)
+    assert calls == {"tables": 3, "contractions": 1}

@@ -5,7 +5,6 @@ import pytest
 
 from dyadlab.core import (
     Axis,
-    AxisBasis,
     AxisShift,
     DiscreteFunction,
     DyadicCube,
@@ -14,22 +13,27 @@ from dyadlab.core import (
     HaarFunction,
     ResolutionError,
     TorusGrid,
+    all_axis_cubes,
     axis_cubes,
     axis_haar_vector,
     axis_project,
     classify_goodness,
+    cube_masks,
     enumerate_axis_shifts,
     enumerate_shifts,
     expectation_over_shifts,
     goodness_fraction,
     haar_coefficients,
     haar_evaluate,
+    haar_rows,
     martingale_block,
     martingale_difference,
     sample_axis_shift,
     sample_shift,
     truncated_projection,
 )
+
+from haar_oracle import object_rows
 
 TOL = 1e-12
 
@@ -88,11 +92,52 @@ def test_haar_resolution_error():
         axis_haar_vector(HaarFunction(cube, (1,)))
 
 
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
+def test_mask_tables_match_object_rows(levels, dims):
+    # bit for bit, on the zero shift and on random shifts of both factors
+    grid = TorusGrid.make(levels, dims)
+    rng = np.random.default_rng(10 * levels + dims[0])
+    for om in [GridShift.zero(grid)] + [sample_shift(grid, rng) for _ in range(3)]:
+        for axis, shift in zip(grid.axes, (om.shift1, om.shift2)):
+            rows, want = haar_rows(axis, shift), object_rows(axis, shift)
+            assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+            masks = cube_masks(axis, shift)
+            cubes = list(all_axis_cubes(axis, shift))
+            assert masks.shape == (len(cubes), axis.n_cells)
+            for mask, c in zip(masks, cubes):
+                assert np.array_equal(np.flatnonzero(mask), np.sort(c.cells()))
+            assert not rows.flags.writeable and not masks.flags.writeable
+
+
+def test_row_tables_build_no_cube_objects(monkeypatch):
+    from dyadlab import core
+    from dyadlab.model_ops import AxisOps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row table was built from cube objects")
+
+    grids = [TorusGrid.make(3), TorusGrid.make(2, (2, 1))]
+    shifts = [sample_shift(g, np.random.default_rng(31)) for g in grids]
+    monkeypatch.setattr(core.DyadicCube, "__post_init__", refuse)
+    monkeypatch.setattr(core.DyadicCube, "cells", refuse)
+    monkeypatch.setattr(core.HaarFunction, "__post_init__", refuse)
+    core.cube_masks.cache_clear()
+    core.haar_rows.cache_clear()
+    for grid, om in zip(grids, shifts):
+        for axis, shift in zip(grid.axes, (om.shift1, om.shift2)):
+            haar_rows(axis, shift)
+            if axis.dim == 1:
+                ops = AxisOps(axis, shift)
+                ops.descendant_rows(np.array([0, 1, 1]), np.array([0, 0, 1]), 1)
+        haar_coefficients(grid.random(np.random.default_rng(0)), om)
+
+
 def test_haar_orthogonality_within_grid():
     axis = Axis(1, 3)
-    basis = AxisBasis(axis, AxisShift.zero(axis))
-    gram = basis.matrix @ basis.matrix.T * axis.cell_volume
-    assert np.abs(gram - np.eye(basis.size)).max() < TOL
+    basis = haar_rows(axis, AxisShift.zero(axis))
+    gram = basis @ basis.T * axis.cell_volume
+    assert np.abs(gram - np.eye(len(basis))).max() < TOL
 
 
 def test_haar_evaluate_support_on_product_grid():

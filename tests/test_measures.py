@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab.core import (
-    AxisBasis,
     AxisShift,
     DiscreteFunction,
     DyadicCube,
@@ -42,6 +41,8 @@ from dyadlab.measures import (
     sequence_product_bmo,
     square_function,
 )
+
+from haar_oracle import haar_functions, object_rows
 
 GRID = TorusGrid.make(3)
 RNG = np.random.default_rng(1234)
@@ -241,11 +242,12 @@ def test_product_search_matches_per_set_containment(grid):
         reps = [(sequence_product_bmo(grid, pick, coeffs, om), [(rects[i], c) for i, c in zip(pick, coeffs)])]
         # the function version: every cancellative Haar pair, rectangles repeat when dim >= 2
         b = rand_f(trial, grid)
-        b1, b2 = AxisBasis(grid.axes[0], om.shift1), AxisBasis(grid.axes[1], om.shift2)
-        C = b1.transform() @ b.values @ b2.transform().T
+        (t1, hs1), (t2, hs2) = ((object_rows(ax, sh) * ax.cell_volume, haar_functions(ax, sh))
+                                for ax, sh in zip(grid.axes, (om.shift1, om.shift2)))
+        C = t1 @ b.values @ t2.T
         pairs = [(DyadicRectangle(h1.cube, h2.cube), C[i, j])
-                 for i, h1 in enumerate(b1.entries) if h1.cancellative
-                 for j, h2 in enumerate(b2.entries) if h2.cancellative]
+                 for i, h1 in enumerate(hs1) if h1.cancellative
+                 for j, h2 in enumerate(hs2) if h2.cancellative]
         reps.append((bmo_norm(b, "product", om), pairs))
         for rep, pairs in reps:
             family, single, n_sets = _product_search_reference(grid, pairs)
@@ -474,14 +476,12 @@ def test_phi_function_dominates_plain_coefficients():
     f = rand_f(2)
     om = GridShift.zero(GRID)
     phi = phi_function(f, 1, om)
-    from dyadlab.core import AxisBasis
-
-    basis = AxisBasis(GRID.axes[1], om.shift2)
-    for k, h in enumerate(basis.entries):
+    rows = object_rows(GRID.axes[1], om.shift2)
+    for k, h in enumerate(haar_functions(GRID.axes[1], om.shift2)):
         if not h.cancellative:
             continue
-        coeff = f.pair_axis(basis.matrix[k], 1)
-        got = phi.values @ (basis.matrix[k] * GRID.axes[1].cell_volume)
+        coeff = f.pair_axis(rows[k], 1)
+        got = phi.values @ (rows[k] * GRID.axes[1].cell_volume)
         assert (got >= np.abs(coeff) - 1e-10).all()
 
 

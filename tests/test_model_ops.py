@@ -592,7 +592,7 @@ def test_descendant_rows_follow_the_cube_geometry():
                 continue
             lv, pos = np.array(cubes).T
             want = np.stack([_rows_ref(ops, l, p, depth, kind) for l, p in cubes])
-            assert np.array_equal(ops.descendant_rows(kind, lv, pos, depth), want)
+            assert np.array_equal(ops.descendant_rows(lv, pos, depth), want)
             for l, p in cubes:
                 assert np.array_equal(ops.descendant_positions(l, p, depth),
                                       _descendants_ref(ops, l, p, depth))
@@ -780,10 +780,10 @@ def test_full_paraproduct_nine_variants_coefficient_sum_oracle(pattern):
     ops1 = axis_ops(GRID.axes[0], ZERO.shift1)
     ops2 = axis_ops(GRID.axes[1], ZERO.shift2)
     total = 0.0
-    for i, cK in enumerate(ops1.canc_cubes):
+    for i, cK in enumerate(ops1.cubes[:len(ops1.haar)]):
         hK = ops1.haar[i]
         aK = ops1.avg[ops1.cube_index(cK.level, cK.pos[0])]
-        for j, cV in enumerate(ops2.canc_cubes):
+        for j, cV in enumerate(ops2.cubes[:len(ops2.haar)]):
             hV = ops2.haar[j]
             aV = ops2.avg[ops2.cube_index(cV.level, cV.pos[0])]
             factors = []
@@ -804,6 +804,19 @@ def test_full_paraproduct_coefficients_do_not_move_under_duals():
     assert abs(F.form(f1, f2, f3) - F1.form(f3, f2, f1)) < 1e-12
     F2 = FullParaproduct(GRID, ZERO, (2, 2), F.lam)
     assert abs(F.form(f1, f2, f3) - F2.form(f1, f3, f2)) < 1e-12
+
+
+def test_full_paraproduct_form_is_per_sample_on_stacks():
+    # a stack of inputs gives one value per sample, as for shifts and partial
+    # paraproducts; the form once returned the sum over the samples
+    rng = np.random.default_rng(12)
+    F = random_full_paraproduct(GRID, ZERO, (1, 3), rng)
+    stacks = [DiscreteFunction(GRID, rng.standard_normal((2,) + GRID.shape)) for _ in range(3)]
+    for form in (F.form, F.absolute_form):
+        got = form(*stacks)
+        want = [form(*(DiscreteFunction(GRID, f.values[s]) for f in stacks)) for s in range(2)]
+        assert np.shape(got) == (2,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_full_paraproduct_normalized_report():

@@ -191,7 +191,7 @@ class PerTupleReference:
         out_star[cstar.cells()] = 0.0
         mean_on_child = hP[cstar.cells()].mean()
         s_split = out_star * (hP - mean_on_child)
-        tr = self.ad.basis.transform()
+        tr = self.ad.transform
         svec = self._dense_to_sparse(tr @ (scale * s_split))
         ones = self._dense_to_sparse(self.ad.ones_exp)
         hvec = self._dense_to_sparse(tr @ (scale * hP))
