@@ -204,9 +204,6 @@ def bmo_norm(
     kind: str = "little",
     shift: GridShift | None = None,
     over_all_shifts: bool = False,
-    omega_pool: int = 24,
-    omega_union: int = 3,
-    seed: int = 0,
 ):
     """Oscillation norms.
 
@@ -231,7 +228,7 @@ def bmo_norm(
         # carries several signatures, so rows repeat
         on1, on2 = (haar_rows(ax, sh)[1:] != 0 for ax, sh in zip(grid.axes, (om.shift1, om.shift2)))
         masks = (on1[:, None, :, None] & on2[None, :, None, :]).reshape(len(on1) * len(on2), -1)
-        return _product_bmo(grid, masks, C[1:, 1:].ravel(), omega_pool, omega_union, seed)
+        return _product_bmo(grid, masks, C[1:, 1:].ravel())
     raise ValueError(f"unknown bmo kind {kind!r}")
 
 
@@ -240,6 +237,11 @@ def _lower_levels(values: np.ndarray) -> np.ndarray:
     without the numpy.ma import np.unique makes on its first call."""
     s = np.sort(values)
     return s[:-1][s[1:] != s[:-1]]
+
+
+# the product-oscillation search's unions: 2 to _UNION rectangles from a
+# pool of _POOL drawn with seed _POOL_SEED
+_POOL, _UNION, _POOL_SEED = 24, 3, 0
 
 
 @lru_cache(maxsize=64)
@@ -272,14 +274,13 @@ def _bit_containment(sets: np.ndarray, rects: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _product_bmo(grid: TorusGrid, masks: np.ndarray, coeffs: np.ndarray,
-                 pool: int, union: int, seed: int) -> ProductBmoReport:
+def _product_bmo(grid: TorusGrid, masks: np.ndarray, coeffs: np.ndarray) -> ProductBmoReport:
     """The open-set search behind both product-oscillation reports.
 
     masks (R x cells) marks the cells of each rectangle and coeffs holds its
     coefficient c_R.  A candidate set S scores sqrt(sum of |c_R|^2 over the
     rectangles inside S / |S|); the candidates are the single rectangles,
-    unions of 2..`union` rectangles from a seeded pool of `pool`, and the
+    unions of 2.._UNION rectangles from a seeded pool of _POOL, and the
     upper-level sets of sum_R |c_R|^2 / |R| 1_R.  Candidates are packed bit
     rows: a union is an OR of rows, a set's size its bit count, and
     containment is tested one rectangle at a time.
@@ -292,7 +293,7 @@ def _product_bmo(grid: TorusGrid, masks: np.ndarray, coeffs: np.ndarray,
     sq = (c2 / (masks.sum(axis=1) * grid.cell_volume))[:, None] * masks
     sq = sq.sum(axis=0)
     rows = _bit_rows(masks)
-    unions = [np.bitwise_or.reduce(rows[m], axis=1) for m in _union_members(n_rect, pool, union, seed)]
+    unions = [np.bitwise_or.reduce(rows[m], axis=1) for m in _union_members(n_rect, _POOL, _UNION, _POOL_SEED)]
     levels = _lower_levels(sq)
     sets = np.vstack([rows, *unions, _bit_rows(sq[None, :] > levels[:, None])])
     inside = _bit_containment(sets, rows)
@@ -310,9 +311,6 @@ def sequence_product_bmo(
     ids: np.ndarray,
     coeffs: np.ndarray,
     om: GridShift,
-    omega_union: int = 3,
-    pool: int = 24,
-    seed: int = 0,
 ) -> ProductBmoReport:
     """Lower-bound oscillation norm for a scalar family on rectangles.
 
@@ -320,7 +318,7 @@ def sequence_product_bmo(
     the same open-set family as the function version is used on the given
     coefficients.
     """
-    return _product_bmo(grid, rect_table(grid, om).masks(ids), coeffs, pool, omega_union, seed)
+    return _product_bmo(grid, rect_table(grid, om).masks(ids), coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .core import (
     all_axis_cubes,
     cell_tables,
     cube_masks,
-    enumerate_axis_shifts,
     haar_rows,
     per_sample,
     profile_plan,
@@ -500,6 +499,11 @@ def _permute_pattern(o: int, perm: tuple[int, int, int]) -> int:
 # one-parameter bilinear paraproducts
 # ---------------------------------------------------------------------------
 
+def _check_ptype(ptype: int) -> None:
+    if ptype not in (1, 2, 3):
+        raise ValueError(f"ptype {ptype!r} must be the slot 1, 2 or 3")
+
+
 def one_param_paraproduct_form(
     b: np.ndarray,
     g1: np.ndarray,
@@ -507,20 +511,17 @@ def one_param_paraproduct_form(
     g3: np.ndarray,
     ops: AxisOps,
     ptype: int = 3,
-    cube_mask: np.ndarray | None = None,
 ) -> float:
     """Trilinear form of the one-parameter bilinear paraproduct.
 
     ptype names the slot paired with the Haar function; the other two slots
-    take plain averages.  cube_mask (over cancellative cubes) restricts the
-    outer sum.  Rows (S, n) of inputs give one value per row.
+    take plain averages.  Rows (S, n) of inputs give one value per row.
     """
+    _check_ptype(ptype)
     haar, avg = ops.paired["haar"].T, ops.paired["canc_avg"].T
     total = np.asarray(b, dtype=float) @ haar
     for slot, g in enumerate((g1, g2, g3), start=1):
         total = total * (np.asarray(g) @ (haar if ptype == slot else avg))
-    if cube_mask is not None:
-        total = total[..., cube_mask]
     return per_sample(total.sum(axis=-1))
 
 
@@ -532,6 +533,7 @@ def one_param_paraproduct(
     ptype: int = 3,
 ) -> np.ndarray:
     """Apply the paraproduct; the third slot of the form is left free."""
+    _check_ptype(ptype)
     h, a = ops.paired["haar"], ops.paired["canc_avg"]
     w = h @ np.asarray(b, dtype=float) * ((h if ptype == 1 else a) @ np.asarray(g1)) \
         * ((a if ptype in (1, 3) else h) @ np.asarray(g2))
@@ -972,66 +974,34 @@ def dmo_absolute_form_check(op, f1, f2, f3, exponents: tuple[float, float, float
     return op.absolute_form(f1, f2, f3) / den if den > 0 else 0.0
 
 
-def paraproduct_freeness_probe(
-    op_or_density,
-    grid: TorusGrid | None = None,
-    shift: GridShift | None = None,
-    partial: bool = True,
-    over_all_shifts: bool = False,
-) -> dict:
-    """Pairings of every dual of the form against constants and a Haar pair.
+def paraproduct_freeness_probe(op, partial: bool = True) -> dict:
+    """Pairings of every dual of a model operator's form against constants
+    and a Haar pair, each probe one contraction through its gather plan.
 
-    full[(a, b)] is the sup over rectangles of the trilinear form with a Haar
-    function in slot a on the first axis and slot b on the second, constants
-    in the remaining slots (all nine duals).  With partial=True the one-axis
-    residual is probed too: the Haar sits on one axis only, the constants on
-    that axis, and the max-abs of the fully reduced kernel in the other three
-    arguments is reported; the operator is free of partial paraproducts when
-    these vanish.
+    full[(a, b)] is the sup over rectangles of the form with a Haar function
+    in slot a on the first axis and slot b on the second, constants in the
+    remaining slots (all nine duals).  With partial=True the one-axis
+    residual is probed too: a Haar function in one slot on one axis,
+    constants in the others on that axis, and max_partial is the max-abs
+    over the cells of the other axis, one per slot; the operator is free of
+    partial paraproducts when these vanish.
     """
-    if hasattr(op_or_density, "kernel_density"):
-        dens = op_or_density.kernel_density()
-        grid = op_or_density.grid
-        shift = op_or_density.shift
-    else:
-        dens = np.asarray(op_or_density)
-        if grid is None:
-            raise ValueError("grid required for a raw kernel density")
-        shift = shift if shift is not None else GridShift.zero(grid)
-    n1, n2 = grid.shape
-    vol1, vol2 = grid.axes[0].cell_volume, grid.axes[1].cell_volume
-    R = dens.reshape(n1, n2, n1, n2, n1, n2)  # (x1,x2,y1,y2,z1,z2)
-    slot_axes = {1: (2, 3), 2: (4, 5), 3: (0, 1)}
-    if over_all_shifts:
-        shifts1 = list(enumerate_axis_shifts(grid.axes[0]))
-        shifts2 = list(enumerate_axis_shifts(grid.axes[1]))
-    else:
-        shifts1, shifts2 = [shift.shift1], [shift.shift2]
-    haars1 = np.vstack([axis_ops(grid.axes[0], s).haar for s in shifts1])
-    haars2 = np.vstack([axis_ops(grid.axes[1], s).haar for s in shifts2])
-    full = {}
-    worst_full = 0.0
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            keep = (slot_axes[a][0], slot_axes[b][1])
-            summed = R.sum(axis=tuple(sorted(set(range(6)) - set(keep)))) * vol1**2 * vol2**2
-            if keep[0] > keep[1]:
-                summed = summed.T
-            table = (haars1 * vol1) @ summed @ (haars2 * vol2).T
-            full[(a, b)] = float(np.abs(table).max())
-            worst_full = max(worst_full, full[(a, b)])
-    out = {"full": full, "max_full": worst_full}
+    haar = [axis_ops(ax, sh).haar for ax, sh in zip(op.grid.axes, (op.shift.shift1, op.shift.shift2))]
+    def sup(spec, nd: int) -> float:
+        """max |form| with slot s's rows on axis x paired with each row of m
+        (with 1 when m is None) along sample axis `at` of nd: spec(x, s) = (m, at)."""
+        def factor(x, s, p):
+            m, at = spec(x, s)
+            v = p.sum(axis=1)[None] if m is None else m @ p.T
+            return v.reshape((1,) * at + (-1,) + (1,) * (nd - 1 - at) + (len(p),))
+        tables = [factor(0, s, p1)[..., :, None] * factor(1, s, p2)[..., None, :]
+                  for s, (p1, p2) in zip((1, 2, 3), op._pairing_rows)]
+        return float(np.abs(op._contract(tables, False)).max())
+
+    full = {(a, b): sup(lambda x, s: (haar[x] if s == (a, b)[x] else None, x), 2) for a in (1, 2, 3) for b in (1, 2, 3)}
+    out = {"full": full, "max_full": max(full.values())}
     if partial:
-        worst = 0.0
-        for axis_idx in (0, 1):
-            haars = haars1 if axis_idx == 0 else haars2
-            vol = vol1 if axis_idx == 0 else vol2
-            for a in (1, 2, 3):
-                keep_axis = slot_axes[a][axis_idx]
-                drop = [slot_axes[s][axis_idx] for s in (1, 2, 3) if s != a]
-                summed = R.sum(axis=tuple(sorted(drop))) * vol**2
-                kept_pos = keep_axis - sum(1 for d in drop if d < keep_axis)
-                reduced = np.tensordot(haars * vol, summed, axes=([1], [kept_pos]))
-                worst = max(worst, float(np.abs(reduced).max()))
-        out["max_partial"] = worst
+        cells = [np.eye(ax.n_cells) / ax.cell_volume for ax in op.grid.axes]  # pair into the unscaled rows
+        out["max_partial"] = max(sup(lambda x, s: (haar[x] if s == a else None, 0) if x == h else (cells[x], s), 4)
+                                 for h in (0, 1) for a in (1, 2, 3))
     return out

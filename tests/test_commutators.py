@@ -509,7 +509,7 @@ def _sequence_product_bmo_reference(grid, coeffs, om):
     masks = np.zeros((len(coeffs), grid.shape[0] * grid.shape[1]), dtype=bool)
     for m, rect in zip(masks, coeffs):
         m.reshape(grid.shape)[rect.index()] = True
-    return _product_bmo(grid, masks, np.array(list(coeffs.values()), dtype=float), 24, 3, 0)
+    return _product_bmo(grid, masks, np.array(list(coeffs.values()), dtype=float))
 
 
 def _duality_check_reference(F_mask, collection, a_coeffs, b_coeffs, om, grid, density=0.99):

@@ -272,6 +272,22 @@ def test_rect_densities_match_per_rectangle_means():
             assert np.array_equal(rect_table(grid, om).densities(F), want)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_cli_mixednorm_level4_peak_memory(tmp_path):
+    # the freeness probe contracts through each operator's gather plan; the
+    # dense C x C x C kernel density it once built took the suite to about
+    # 300 MB.  The child reports the peak of its own address space (VmHWM):
+    # RUSAGE_CHILDREN here keeps the largest of every earlier child, and the
+    # child's RUSAGE_SELF carries the spawning process's peak across exec.
+    code = ("import sys; from dyadlab import cli;"
+            f"rc = cli.main(['--grid-level', '4', '--out', {str(tmp_path)!r}, 'suite', 'mixednorm']);"
+            "print(dict(line.split(':') for line in open('/proc/self/status'))['VmHWM']); sys.exit(rc)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    peak_mb = int(res.stdout.split()[-2]) / 1024  # "<n> kB"
+    assert peak_mb < 100, peak_mb
+
+
 def test_cli_runs_as_package_module(tmp_path):
     out = subprocess.run([sys.executable, "-m", "dyadlab", "--grid-level", "2",
                           "--out", str(tmp_path), "suite", "empty"],

@@ -657,6 +657,21 @@ def test_one_param_paraproduct_adjoints_on_random_triples():
 
 # -- partial paraproducts ---------------------------------------------------------
 
+@pytest.mark.parametrize("ptype", [0, 7, -1])
+def test_one_param_paraproduct_rejects_bad_ptype(ptype):
+    # a ptype that names no slot once gave the all-averages form, and the
+    # apply as if ptype were 2
+    ax = GRID.axes[0]
+    ops = axis_ops(ax, ZERO.shift1)
+    b, g1, g2, g3 = np.random.default_rng(14).standard_normal((4, ax.n_cells))
+    with pytest.raises(ValueError, match="ptype"):
+        one_param_paraproduct_form(b, g1, g2, g3, ops, ptype)
+    with pytest.raises(ValueError, match="ptype"):
+        one_param_paraproduct(b, g1, g2, ops, ptype)
+    with pytest.raises(ValueError, match="ptype"):
+        sparse_dominate_paraproduct(b, g1, g2, g3, ax, ptype=ptype)
+
+
 def test_axis_profile_bmo_over_all_shifts_oracle():
     from dyadlab.core import axis_cubes, enumerate_axis_shifts
 
@@ -827,6 +842,101 @@ def test_full_paraproduct_normalized_report():
 
 # -- freeness probe ------------------------------------------------------------------
 
+def density_probe(dens, grid, shift, partial=True):
+    """The freeness probe read off an order-3 kernel density K[x, y, z]
+    (x in slot 3, y in slot 1, z in slot 2, each a flattened product cell):
+    the nine full marginals paired with the lattice's Haar rows, and the
+    one-axis reductions; the dense reference the plan probe replaced."""
+    n1, n2 = grid.shape
+    vol1, vol2 = grid.axes[0].cell_volume, grid.axes[1].cell_volume
+    R = dens.reshape(n1, n2, n1, n2, n1, n2)  # (x1,x2,y1,y2,z1,z2)
+    slot_axes = {1: (2, 3), 2: (4, 5), 3: (0, 1)}
+    haars1 = axis_ops(grid.axes[0], shift.shift1).haar
+    haars2 = axis_ops(grid.axes[1], shift.shift2).haar
+    full = {}
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            keep = (slot_axes[a][0], slot_axes[b][1])
+            summed = R.sum(axis=tuple(sorted(set(range(6)) - set(keep)))) * vol1**2 * vol2**2
+            if keep[0] > keep[1]:
+                summed = summed.T
+            full[(a, b)] = float(np.abs((haars1 * vol1) @ summed @ (haars2 * vol2).T).max())
+    out = {"full": full, "max_full": max(full.values())}
+    if partial:
+        worst = 0.0
+        for axis_idx, haars, vol in ((0, haars1, vol1), (1, haars2, vol2)):
+            for a in (1, 2, 3):
+                keep_axis = slot_axes[a][axis_idx]
+                drop = [slot_axes[s][axis_idx] for s in (1, 2, 3) if s != a]
+                summed = R.sum(axis=tuple(sorted(drop))) * vol**2
+                kept_pos = keep_axis - sum(1 for d in drop if d < keep_axis)
+                reduced = np.tensordot(haars * vol, summed, axes=([1], [kept_pos]))
+                worst = max(worst, float(np.abs(reduced).max()))
+        out["max_partial"] = worst
+    return out
+
+
+def _assert_probe_matches_oracle(U):
+    # every full dual and the partial probe, within 1e-12 of the larger of 1
+    # and the largest oracle entry
+    got, want = paraproduct_freeness_probe(U), density_probe(U.kernel_density(), U.grid, U.shift)
+    tol = 1e-12 * max(1.0, want["max_full"], want["max_partial"])
+    assert set(got["full"]) == set(want["full"]) == set(ALL_PATTERNS)
+    for key in ALL_PATTERNS:
+        assert abs(got["full"][key] - want["full"][key]) <= tol, key
+    assert abs(got["max_full"] - want["max_full"]) <= tol
+    assert abs(got["max_partial"] - want["max_partial"]) <= tol
+
+
+def _random_operator(family, grid, om, rng):
+    """A random operator of `family` whose complexities fit the grid."""
+    k, v = (tuple(int(d) for d in rng.integers(0, 2, 3)) for _ in range(2))
+    p1, p2 = (int(p) for p in rng.integers(1, 4, 2))
+    if family == "shift":
+        return random_shift_operator(grid, om, k, v, (p1, p2), rng)
+    if family == "partial":
+        return random_partial_paraproduct(grid, om, k, int(rng.integers(0, 2)), p1, p2, rng)
+    return random_full_paraproduct(grid, om, (p1, p2), rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["shift", "partial", "full"]), level=st.sampled_from([2, 3]),
+       shifted=st.booleans(), seed=st.integers(0, 2**16))
+def test_plan_probe_matches_density_oracle(family, level, shifted, seed):
+    grid = TorusGrid.make(level)
+    rng = np.random.default_rng(seed)
+    om = sample_shift(grid, rng) if shifted else GridShift.zero(grid)
+    _assert_probe_matches_oracle(_random_operator(family, grid, om, rng))
+
+
+@pytest.mark.parametrize("family, shifted", [("shift", False), ("partial", True), ("full", True)])
+def test_plan_probe_matches_density_oracle_level4(family, shifted):
+    grid = TorusGrid.make(4)
+    rng = np.random.default_rng(40)
+    om = sample_shift(grid, rng) if shifted else GridShift.zero(grid)
+    if family == "shift":
+        U = random_shift_operator(grid, om, (0, 1, 0), (1, 0, 0), (2, 1), rng)
+    else:
+        U = _random_operator(family, grid, om, rng)
+    _assert_probe_matches_oracle(U)
+
+
+def test_probe_builds_no_kernel_density(monkeypatch):
+    # the probe contracts through each operator's gather plan
+    def refuse(self):
+        raise AssertionError("the probe built a kernel density")
+
+    rng = np.random.default_rng(41)
+    ops = [random_shift_operator(GRID, ZERO, (1, 0, 0), (0, 1, 0), (2, 3), rng),
+           random_partial_paraproduct(GRID, ZERO, (0, 1, 0), 1, 2, 3, rng),
+           random_full_paraproduct(GRID, ZERO, (1, 2), rng)]
+    for cls in (ShiftOperator, PartialParaproduct, FullParaproduct):
+        monkeypatch.setattr(cls, "kernel_density", refuse)
+    for U in ops:
+        probe = paraproduct_freeness_probe(U)
+        assert set(probe) == {"full", "max_full", "max_partial"}
+
+
 def test_probe_zero_for_tensor_shift():
     S = random_shift_operator(GRID, ZERO, (1, 0, 1), (1, 1, 0), (2, 1), np.random.default_rng(3))
     probe = paraproduct_freeness_probe(S)
@@ -839,38 +949,42 @@ def test_probe_detects_full_paraproduct():
     probe = paraproduct_freeness_probe(F, partial=False)
     assert abs(probe["full"][(3, 3)] - np.abs(F.lam).max()) < 1e-10
     assert probe["max_full"] > 1e-6
+    assert "max_partial" not in probe
 
 
 def test_probe_matches_brute_force_on_random_kernel():
+    # the density oracle against the pairings evaluated one by one
     rng = np.random.default_rng(5)
     grid = TorusGrid.make(2)
-    C = grid.shape[0] * grid.shape[1]
-    dens = rng.standard_normal((C, C, C))
-    probe = paraproduct_freeness_probe(dens, grid=grid, partial=False)
-    # brute force: evaluate the nine pairings directly
-    from dyadlab.model_ops import axis_ops as _ops
+    om = sample_shift(grid, rng)
+    n1, n2 = grid.shape
+    R = rng.standard_normal((n1 * n2,) * 3)
+    probe = density_probe(R, grid, om)
+    o1, o2 = axis_ops(grid.axes[0], om.shift1), axis_ops(grid.axes[1], om.shift2)
+    vol1, vol2 = grid.axes[0].cell_volume, grid.axes[1].cell_volume
 
-    o1 = _ops(grid.axes[0], GridShift.zero(grid).shift1)
-    o2 = _ops(grid.axes[1], GridShift.zero(grid).shift2)
-    vol = grid.cell_volume
-    worst = {}
-    ones = np.ones(C)
-    R = dens
+    def pairing(vecs, scale):
+        return float(np.einsum("xyz,y,z,x->", R, *(v.ravel() for v in vecs))) * scale
+
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            best = 0.0
-            for h1 in o1.haar:
-                for h2 in o2.haar:
-                    vecs = []
-                    for s in (1, 2, 3):
-                        v1 = h1 if s == a else np.ones(grid.shape[0])
-                        v2 = h2 if s == b else np.ones(grid.shape[1])
-                        vecs.append(np.outer(v1, v2).ravel())
-                    val = np.einsum("xyz,y,z,x->", R, vecs[0], vecs[1], vecs[2]) * vol**3
-                    best = max(best, abs(val))
-            worst[(a, b)] = best
-    for key in worst:
-        assert abs(worst[key] - probe["full"][key]) < 1e-10
+            best = max(abs(pairing([np.outer(h1 if s == a else np.ones(n1), h2 if s == b else np.ones(n2))
+                                    for s in (1, 2, 3)], (vol1 * vol2) ** 3))
+                       for h1 in o1.haar for h2 in o2.haar)
+            assert abs(best - probe["full"][(a, b)]) < 1e-10
+    # the partial probe: a Haar row in slot a on one axis, constants in the
+    # other slots there, and one cell per slot on the other axis
+    worst = 0.0
+    for a in (1, 2, 3):
+        for cells in itertools.product(range(n2), repeat=3):
+            for h in o1.haar:
+                vecs = [np.outer(h if s == a else np.ones(n1), np.eye(n2)[c]) for s, c in zip((1, 2, 3), cells)]
+                worst = max(worst, abs(pairing(vecs, vol1**3)))
+        for cells in itertools.product(range(n1), repeat=3):
+            for h in o2.haar:
+                vecs = [np.outer(np.eye(n1)[c], h if s == a else np.ones(n2)) for s, c in zip((1, 2, 3), cells)]
+                worst = max(worst, abs(pairing(vecs, vol2**3)))
+    assert abs(worst - probe["max_partial"]) < 1e-10
 
 
 # -- sparse domination ---------------------------------------------------------------

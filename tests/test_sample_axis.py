@@ -363,11 +363,9 @@ def test_profile_rows(level, shifted):
     for over_all in (True, False):
         _close(axis_profile_bmo(rows[0], ax, over_all),
                [axis_profile_bmo(r, ax, over_all) for r in rows[0]])
-    mask = rng.random(len(ops.haar)) < 0.5
     for ptype in (1, 2, 3):
-        for cube_mask in (None, mask):
-            _close(one_param_paraproduct_form(*rows, ops, ptype, cube_mask),
-                   [one_param_paraproduct_form(*rows[:, s], ops, ptype, cube_mask) for s in range(S)])
+        _close(one_param_paraproduct_form(*rows, ops, ptype),
+               [one_param_paraproduct_form(*rows[:, s], ops, ptype) for s in range(S)])
     assert isinstance(axis_profile_bmo(rows[0, 0], ax), float)
 
 
