@@ -32,8 +32,21 @@ def _base_config(args, suite: str | None = None) -> ExperimentConfig:
     overrides = {k: v for k, v in overrides.items() if v is not None}
     # one construction, so the config validation sees the overridden fields
     if args.config:
-        return ExperimentConfig.from_file(args.config, **overrides)
-    return ExperimentConfig(**overrides)
+        cfg = ExperimentConfig.from_file(args.config, **overrides)
+    else:
+        cfg = ExperimentConfig(**overrides)
+    _check_out_dir(cfg.out_dir)
+    return cfg
+
+
+def _check_out_dir(path: str) -> None:
+    """Refuse, before anything runs, an output directory that names a file
+    or lies under one: its nearest existing path must be a directory."""
+    near = os.path.abspath(path)
+    while not os.path.lexists(near):
+        near = os.path.dirname(near)
+    if not os.path.isdir(near):
+        raise ConfigError(f"output directory {path!r}: {near!r} is not a directory")
 
 
 def _run_named(args, suites: list[str]) -> int:

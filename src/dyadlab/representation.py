@@ -52,7 +52,7 @@ from .model_ops import (
     axis_ops,
     axis_profile_bmo,
 )
-from .sparse import _STRIP, _Sparse, _sandwich, _transposed
+from .sparse import _STRIP, _Sparse, _sandwich
 
 __all__ = [
     "KernelTensor",
@@ -77,31 +77,32 @@ class KernelFormatError(ValueError):
     """Input that is not a dyadlab kernel file."""
 
 
-# bytes the decomposer's two dense arrays may take: level 4 needs 0.27 GB
+# bytes the decomposer's three dense arrays may take: level 4 needs 0.4 GB
 # (`dyadlab --grid-level 4 decompose --random-shift` peaks at 0.56 GB RSS),
-# level 5 needs 17 GB
+# level 5 needs 26 GB
 DECOMPOSER_BUDGET = 1 << 30
 
 
 def decomposer_bytes(grid: TorusGrid) -> int:
-    """Bytes of the dense C^3 kernel tensor plus the D1^3 x D2^3 Haar
-    coefficient matrix `lam_hat`, where D1, D2 are the cells per factor
-    and C = D1 D2; both are C^3 float64 entries."""
+    """Bytes of the dense C^3 kernel tensor, the D1^3 x D2^3 Haar
+    coefficient matrix `lam_hat` and the kept table block of
+    `Decomposition.coefficients`, where D1, D2 are the cells per factor and
+    C = D1 D2; each is C^3 float64 entries."""
     n1, n2 = grid.shape
-    return 2 * 8 * (n1 * n2) ** 3
+    return 3 * 8 * (n1 * n2) ** 3
 
 
 def check_decomposer_size(grid: TorusGrid) -> None:
-    """Refuse, before anything is allocated, a grid whose kernel tensor and
-    Haar coefficients exceed DECOMPOSER_BUDGET."""
+    """Refuse, before anything is allocated, a grid whose dense arrays
+    (`decomposer_bytes`) exceed DECOMPOSER_BUDGET."""
     need = decomposer_bytes(grid)
     if need > DECOMPOSER_BUDGET:
-        # need is a power of two; a header may name any level, so it is
-        # printed as one and not converted to a float or a decimal string
+        # need is 3 x a power of two; a header may name any level, so it is
+        # printed as such and not converted to a float or a decimal string
         raise ConfigError(f"levels {[ax.levels for ax in grid.axes]}, dims "
-                          f"{[ax.dim for ax in grid.axes]}: the dense kernel tensor and its Haar "
-                          f"coefficients need 2^{need.bit_length() - 1} bytes, over the "
-                          f"budget of {DECOMPOSER_BUDGET} bytes")
+                          f"{[ax.dim for ax in grid.axes]}: the dense kernel tensor, its Haar "
+                          f"coefficients and their table block need 3 x 2^{(need // 3).bit_length() - 1} "
+                          f"bytes, over the budget of {DECOMPOSER_BUDGET} bytes")
 
 
 class KernelTensor:
@@ -240,8 +241,8 @@ class _Rows(NamedTuple):
         return np.repeat(np.arange(len(self.counts)), self.counts)
 
 
-# entries of one dense coefficient table of the shift export, left keys by
-# the stacked keys of a run of right sets
+# entries of one dense table the shift export gathers from C, the rows of a
+# left factor by the rows of a run of right sets
 _RUN_ENTRIES = 1 << 15
 
 
@@ -296,11 +297,11 @@ class AxisDecomposition:
     lvl_s, kind_m, kind_s and position.  Matrix key: (branch, cell) with cell
     in CELLS; each matrix maps Haar-coefficient triples (read) to
     emitted-term coefficient triples (write), and the exact per-axis identity
-    is sum over branches and cells == identity.  Matrices are built on each
-    request and not kept, but the per-branch sparse read tables (`reads`,
-    `averaging_reads`, `export_sets`) are kept from their first use: about
-    110 KB per axis at L=3, 1.1 MB at L=4.  `axis_decomposition` shares one
-    instance per (axis, shift, r, gamma, alpha).
+    is sum over branches and cells == identity.  Matrices and their sum
+    (`total`) are built on each request and not kept, but the per-branch
+    write and read rows (`reads`, `averaging_reads`, `export_sets`) are kept
+    from their first use.  `axis_decomposition` shares one instance per
+    (axis, shift, r, gamma, alpha).
     """
 
     def __init__(self, axis: Axis, shift: AxisShift, r: int = 2,
@@ -329,6 +330,9 @@ class AxisDecomposition:
         self.ones_exp = tr @ np.ones(axis.n_cells)
         self.ops = ops
         self.tuples = {b: self._enumerate(b) for b in BRANCHES}
+        # where each branch's rows start among the table rows of all branches
+        *first, self.n_table = np.cumsum([0] + [len(self.tuples[b]) for b in BRANCHES]).tolist()
+        self.first_row = dict(zip(BRANCHES, first))
         self._kept: dict[tuple, object] = {}
 
     def _once(self, key: tuple, build):
@@ -580,47 +584,50 @@ class AxisDecomposition:
         ones = _noise_free(np.broadcast_to(self.ones_exp, (len(cubes), self.D)))
         return _pair(avg, avg, X[p], X[q], base), _pair(ones, ones, X[p], X[q], base)
 
-    def reads(self, branch: str, rows: np.ndarray | None = None) -> _Sparse:
-        """Read vectors of the rows of the branch table (all, or a boolean
-        mask), as a (rows, D^3) `_Sparse` matrix: the write vector for separated
-        and diagonal rows, the cancellative nested read for nested rows.  The
-        whole table is built once; every step of its build is row by row, so
-        a mask's rows of it equal a build from those rows alone."""
+    def reads(self, branch: str) -> _Sparse:
+        """Read vectors of the rows of the branch table, as a (rows, D^3)
+        `_Sparse` matrix: the write vector for separated and diagonal rows,
+        the cancellative nested read for nested rows; built once, with the
+        rows' write vectors (`_kept['writes', branch]`).  Its build is row by
+        row, so its rows, and its products' rows, are those of a build from
+        those rows alone."""
         def build():
             tab = self.tuples[branch]
             nes = tab["cls"] == NES
-            parts = [(np.flatnonzero(~nes), self._plain_rows(branch, tab[~nes]))]
+            write = self._kept["writes", branch] = self._plain_rows(branch, tab)
+            plain = np.repeat(~nes, write.counts)
+            parts = [(np.flatnonzero(~nes), _Rows(write.counts[~nes], write.idx[plain], write.val[plain]))]
             parts += [(np.flatnonzero(nes), term) for term in self._nested_terms(branch, tab[nes])]
             return _stack(parts, len(tab), self.D**3)
-        whole = self._once(("reads", branch), build)
-        return whole if rows is None else whole.take(np.flatnonzero(rows))
+        return self._once(("reads", branch), build)
 
-    def averaging_reads(self, branch: str) -> tuple[_Sparse, list[tuple[int, int]], np.ndarray]:
+    def averaging_reads(self, branch: str) -> tuple[_Sparse, list[tuple[int, int]], np.ndarray, _Rows]:
         """Read vectors of the averaging part, one row per smallest cube of
         levels 1..L-1, with each row's cube as (level, position) and as its
-        index in `ops.cubes` (below level L, its row in `ops.haar`); built once."""
+        index in `ops.cubes` (below level L, its row in `ops.haar`), and the
+        rows' write vectors; built once."""
         def build():
             cubes = self.smallest_cubes(branch, "nesP")
-            _, read = self._averaging_rows(branch, cubes)
+            write, read = self._averaging_rows(branch, cubes)
             return (_stack([(np.arange(len(cubes)), read)], len(cubes), self.D**3),
-                    [(c.level, c.pos[0]) for c in (self.ops.cubes[i] for i in cubes)], cubes)
+                    [(c.level, c.pos[0]) for c in (self.ops.cubes[i] for i in cubes)], cubes, write)
         return self._once(("averaging", branch), build)
 
-    def averaged_profiles(self, left: np.ndarray) -> list[np.ndarray]:
-        """Per branch, the symbol profiles its averaging reads make of `left`
-        (a column per symbol), one row each: one product of the three reads."""
-        R = self._once(("averaging", "all"), lambda: _Sparse.stack([self.averaging_reads(b)[0] for b in BRANCHES]))
-        _, cubes, haar_rows = self.averaging_reads(BRANCHES[0])  # levels 1..L-1 on every branch
-        RL, n = R @ left, len(cubes)
+    def averaged_profiles(self, products: np.ndarray) -> list[np.ndarray]:
+        """Per branch, the symbol profiles of `products`, averaging rows of C
+        (`Decomposition.coefficients`) by a column per symbol: a row each."""
+        _, cubes, haar_rows, _ = self.averaging_reads(BRANCHES[0])  # levels 1..L-1 on every branch
+        RL, n = np.ascontiguousarray(products), len(cubes)
         return [RL[p * n:(p + 1) * n].T @ self.ops.haar[haar_rows] for p in range(len(BRANCHES) if n else 0)]
 
     def export_sets(self, branch: str) -> dict:
         """The exportable rows by tag ('plain': separated and diagonal,
-        'nested'): their slot keys and their read vectors; built once."""
+        'nested'): their slot keys and their indices among the table rows of
+        all branches (`first_row`); built once."""
         def build():
             tab, keep = self.tuples[branch], self.exportable(branch)
             nes = tab["cls"] == NES
-            return {tag: (self.slot_keys(branch, tab[rows]), self.reads(branch, rows))
+            return {tag: (self.slot_keys(branch, tab[rows]), self.first_row[branch] + np.flatnonzero(rows))
                     for tag, rows in (("plain", keep & ~nes), ("nested", keep & nes)) if rows.any()}
         return self._once(("export", branch), build)
 
@@ -653,13 +660,29 @@ class AxisDecomposition:
         del parts
         return _Sparse.build((self.D**3,) * 2, *triples)
 
+    def total(self, cube_weight: np.ndarray | None = None, exportable: bool = False) -> _Sparse:
+        """The sum of the twelve matrices from the kept write and read rows,
+        one build; `cube_weight` (per cube, `ops.cubes` order) weights each
+        term by its smallest cube's, `exportable` keeps the exportable table
+        rows only.  A nested row's read terms are summed first, so entries
+        may differ from the matrices' sum at rounding level."""
+        w = np.ones(self.ops.cube_offset[-1]) if cube_weight is None else cube_weight
+        parts = []
+        for b in BRANCHES:
+            read, write, (aread, _, cubes, awrite) = self.reads(b), self._kept["writes", b], self.averaging_reads(b)
+            keep = self.exportable(b) if exportable else 1
+            parts += [(write, read, w[self.smallest_cubes(b, "sep")] * keep), (awrite, aread, w[cubes])]
+        write = _Rows(*map(np.concatenate, zip(*(p[0] for p in parts))))
+        read = _Rows(*map(np.concatenate, zip(*((np.diff(r.ptr), r.col, r.val) for _, r, _ in parts))))
+        return _Sparse.build((self.D**3,) * 2, *_outer(write, read, np.concatenate([p[2] for p in parts])))
+
 
 @lru_cache(maxsize=16)
 def axis_decomposition(axis: Axis, shift: AxisShift, r: int = 2,
                        gamma: float | None = None, alpha: float = 1.0) -> AxisDecomposition:
     """The shared AxisDecomposition of one (axis, shift, r, gamma, alpha); its
-    tables are read-only, and of the matrices it keeps only the per-branch
-    read tables."""
+    tables are read-only, and it keeps no matrix, only the per-branch read
+    and write rows."""
     return AxisDecomposition(axis, shift, r, gamma, alpha)
 
 
@@ -733,7 +756,7 @@ def _lambda_hat_to_cells(lam_hat: np.ndarray, grid: TorusGrid, om: GridShift) ->
 
 class Decomposition:
     """One run of the decomposer at a fixed lattice shift.  The per-axis
-    redistribution matrices are built on first use."""
+    totals and the coefficient table (`coefficients`) are made on use."""
 
     def __init__(self, tensor: KernelTensor, om: GridShift, r: int = 2,
                  gamma: float | None = None, alpha: float | None = None,
@@ -754,18 +777,25 @@ class Decomposition:
         self.ax1 = axis_decomposition(grid.axes[0], om.shift1, r, gamma, a)
         self.ax2 = axis_decomposition(grid.axes[1], om.shift2, r, gamma, a)
         self.lam_hat = _lambda_hat(tensor, self.ax1.transform, self.ax2.transform)
+        self._blocks: dict[str, np.ndarray] = {}
 
-    @cached_property
-    def _m1(self) -> dict:
-        return {(b, c): self.ax1.matrix(b, c) for b in BRANCHES for c in CELLS}
-
-    @cached_property
-    def _m2(self) -> dict:
-        return {(b, c): self.ax2.matrix(b, c) for b in BRANCHES for c in CELLS}
+    def coefficients(self, rows1: str, rows2: str) -> np.ndarray:
+        """The (rows1, rows2) block of C = R1 lam_hat R2^T, Ri axis i's table
+        reads then averaging reads ('table', 'averaging').  One `_sandwich`
+        makes the blocks of a rows1 on first use, kept read-only; products go
+        row by row, so an entry is what its two branches' reads make."""
+        if rows1 not in self._blocks:
+            R1, R2 = (_Sparse.stack([ax.reads(b) if part == "table" else ax.averaging_reads(b)[0]
+                                     for part in parts for b in BRANCHES])
+                      for ax, parts in ((self.ax1, (rows1,)), (self.ax2, ("table", "averaging"))))
+            self._blocks[rows1] = _sandwich(R1, self.lam_hat, R2)
+            self._blocks[rows1].setflags(write=False)
+        C, n = self._blocks[rows1], self.ax2.n_table
+        return C[:, :n] if rows2 == "table" else C[:, n:]
 
     # -- reconstruction -------------------------------------------------------
     def reconstructed_hat(self) -> np.ndarray:
-        return _sandwich(_Sparse.sum(self._m1.values()), self.lam_hat, _Sparse.sum(self._m2.values()))
+        return _sandwich(self.ax1.total(), self.lam_hat, self.ax2.total())
 
     def residual_on_haar_triples(self) -> float:
         # the largest |P - lam_hat^T| over strips of rows of the product P (in
@@ -781,9 +811,7 @@ class Decomposition:
     def exportable_hat(self) -> np.ndarray:
         """Haar coefficients of the part the object-level families emit: the
         terms of the `exportable` rows and the whole averaging part."""
-        M1, M2 = (_Sparse.sum(ax.matrix(b, c, None if c == "nesP" else ax.exportable(b))
-                              for b in BRANCHES for c in CELLS) for ax in (self.ax1, self.ax2))
-        return _sandwich(M1, self.lam_hat, M2)
+        return _sandwich(self.ax1.total(exportable=True), self.lam_hat, self.ax2.total(exportable=True))
 
     def total_form(self, f1, f2, f3) -> float:
         return self._eval_hat(self.reconstructed_hat(), f1, f2, f3)
@@ -812,19 +840,17 @@ class Decomposition:
             raw = {"sep": cls == SEP, "diag": cls == DIAG, "nes": cls == NES}
             certified = {"sep": raw["sep"] & ax.well_separated(br),
                          "nes": raw["nes"] & ax.nested_inside(br)}
-            return ax.reads(br), ax.caps(br), raw, certified
+            return slice(ax.first_row[br], ax.first_row[br] + len(cls)), ax.caps(br), raw, certified
 
         per_axis = [{br: rows(ax, br) for br in BRANCHES} for ax in (self.ax1, self.ax2)]
+        C = self.coefficients("table", "table")
         for br1 in BRANCHES:
-            R1, cap1, *sets1 = per_axis[0][br1]
-            # (R1 @ lam_hat)^T laid out once for the three right factors
-            left = _transposed(R1 @ self.lam_hat)
+            rows1, cap1, *sets1 = per_axis[0][br1]
             for br2 in BRANCHES:
-                R2, cap2, *sets2 = per_axis[1][br2]
-                # ratios[j, i] for axis-2 row j and axis-1 row i, computed in
-                # the layout the product leaves
-                ratios = R2 @ left
-                np.abs(ratios, out=ratios)
+                rows2, cap2, *sets2 = per_axis[1][br2]
+                # ratios[j, i] for axis-2 row j and axis-1 row i, in the
+                # layout the table's product leaves
+                ratios = np.abs(C[rows1, rows2].T)
                 ratios /= np.outer(cap2, cap1)
                 for dest, table1, table2 in zip(("by_class", "certified"), sets1, sets2):
                     for n1, sel1 in table1.items():
@@ -848,9 +874,9 @@ class Decomposition:
         """Symbol oscillation norms of the extracted partial paraproducts
         against the nested-chain shape cap, for the nested x averaged cells."""
         out = {"max_ratio": 0.0, "n_symbols": 0}
-        # lam_hat^T laid out once: a sparse product gathers rows of its right factor
-        for shift_ax, para_ax, lam in ((self.ax1, self.ax2, self.lam_hat),
-                                       (self.ax2, self.ax1, _transposed(self.lam_hat))):
+        # per shift axis: the other axis's averaging rows by its table rows
+        for shift_ax, para_ax, products in ((self.ax1, self.ax2, self.coefficients("table", "averaging").T),
+                                            (self.ax2, self.ax1, self.coefficients("averaging", "table"))):
             profs, shapes = [], []
             for br_s in BRANCHES:
                 tab = shift_ax.tuples[br_s]
@@ -859,7 +885,7 @@ class Decomposition:
                     continue
                 # the chain child sits one level below the middle cube
                 depth = tab["lvl_s"][nes] - tab["lvl_m"][nes] - 1
-                for prof in para_ax.averaged_profiles(_transposed(shift_ax.reads(br_s, nes) @ lam)):
+                for prof in para_ax.averaged_profiles(products[:, shift_ax.first_row[br_s] + np.flatnonzero(nes)]):
                     profs.append(prof)
                     shapes.append((2.0**-depth) ** (self.alpha / 2.0) * (2.0**-depth) ** 0.5)
             if profs:  # one BMO call per axis
@@ -871,13 +897,13 @@ class Decomposition:
     def full_paraproduct_tables(self) -> dict:
         """Extracted coefficients lam[(smallest cube 1, smallest cube 2)] for
         each of the nine symmetry pairs."""
-        out = {}
-        for br1 in BRANCHES:
-            R1, cubes1, _ = self.ax1.averaging_reads(br1)
-            left = _transposed(R1 @ self.lam_hat)
-            for br2 in BRANCHES:
-                R2, cubes2, _ = self.ax2.averaging_reads(br2)
-                out[(br1, br2)] = {"lam": (R2 @ left).T, "cubes1": cubes1, "cubes2": cubes2,
+        out, C = {}, self.coefficients("averaging", "averaging")
+        for p1, br1 in enumerate(BRANCHES):
+            _, cubes1, *_ = self.ax1.averaging_reads(br1)
+            for p2, br2 in enumerate(BRANCHES):
+                _, cubes2, *_ = self.ax2.averaging_reads(br2)
+                lam = C[p1 * len(cubes1):(p1 + 1) * len(cubes1), p2 * len(cubes2):(p2 + 1) * len(cubes2)]
+                out[(br1, br2)] = {"lam": lam, "cubes1": cubes1, "cubes2": cubes2,
                                    "pattern": (SMALLEST_SLOT[br1], SMALLEST_SLOT[br2])}
         return out
 
@@ -902,24 +928,21 @@ class Decomposition:
         Plain cells and the cancellative parts of nested cells regroup into
         families keyed by (complexity, averaged-slot pattern); coefficients
         are rescaled by the family maximum against the structural cap.  Per
-        left factor the right factors are stacked in runs, one product each,
-        and the families are validated as one batch."""
-        right = [(br2, tag2, keys2, W2) for br2 in BRANCHES for tag2, (keys2, W2) in self.ax2.export_sets(br2).items()]
+        left factor the right factors are taken in runs, one gather of the
+        table block each; a run's families are validated as one batch that
+        keeps their blocks where the run laid them out."""
+        C = self.coefficients("table", "table")
+        right = [(br2, tag2, *rows2) for br2 in BRANCHES for tag2, rows2 in self.ax2.export_sets(br2).items()]
         fams = []
         for br1 in BRANCHES:
-            for tag1, (keys1, W1) in self.ax1.export_sets(br1).items():
-                # (W1 lam_hat)^T laid out once for all right factors
-                left = _transposed(W1 @ self.lam_hat)
+            for tag1, (keys1, rows1) in self.ax1.export_sets(br1).items():
                 for run in _runs(right, len(keys1)):
-                    fams += _shift_families(br1, tag1, keys1, left, run)
+                    heads, anchors, blocks = _shift_families(br1, tag1, keys1, C, rows1, run)
+                    ops = ShiftOperator.batch(self.grid, self.om, [(*key[:3], n) for key, n, _ in heads], anchors, blocks)
+                    fams += [(key, op, size) for (key, _, size), op in zip(heads, ops)]
         fams.sort(key=lambda fam: fam[0])
-        heads = [(k, v, pattern, len(keys)) for (k, v, pattern, _, _), keys, _, _ in fams]
-        keys, blocks = (np.concatenate([fam[n] for fam in fams] or [empty])
-                        for n, empty in ((1, np.empty((0, 4), int)), (2, np.empty(0))))
-        fams = [(key, size) for key, _, _, size in fams]  # the runs' blocks are copied and freed
-        ops = ShiftOperator.batch(self.grid, self.om, heads, keys, blocks)
         return [{"symmetry": sym, "cells": cells, "k": k, "v": v, "pattern": pattern, "operator": op, "size": size}
-                for ((k, v, pattern, sym, cells), size), op in zip(fams, ops)]
+                for (k, v, pattern, sym, cells), op, size in fams]
 
     def extracted_partial_paraproducts(self) -> list[dict]:
         """Builder-validated partial paraproducts with extracted sizes.
@@ -930,13 +953,14 @@ class Decomposition:
         oscillation cap.  Per axis the profiles are measured in one BMO call
         and the families validated as one batch."""
         out = []
-        for shift_axis, sax, pax, lam in ((0, self.ax1, self.ax2, self.lam_hat),
-                                          (1, self.ax2, self.ax1, _transposed(self.lam_hat))):
+        # per shift axis: the other axis's averaging rows by its table rows
+        for shift_axis, sax, pax, products in ((0, self.ax1, self.ax2, self.coefficients("table", "averaging").T),
+                                               (1, self.ax2, self.ax1, self.coefficients("averaging", "table"))):
             recs, keys, profs = [], [], []
             for br_s in BRANCHES:
                 sets = sax.export_sets(br_s)
                 # per tag and averaging branch
-                tables = [pax.averaged_profiles(_transposed(W @ lam)) for _, W in sets.values()]
+                tables = [pax.averaged_profiles(products[:, rows]) for _, rows in sets.values()]
                 for br_p, by_tag in zip(BRANCHES, zip(*tables)):
                     for (tag, (k, _)), prof in zip(sets.items(), by_tag):
                         # a family per (depths, averaged slot), in sorted order, keys in key order
@@ -1000,17 +1024,18 @@ def _runs(sets: list[tuple], n_left: int) -> list[list[tuple]]:
     return runs
 
 
-def _shift_families(br1: str, tag1: str, keys1: np.ndarray, left: np.ndarray, run: list[tuple]) -> list[tuple]:
-    """The shift families of a left factor (branch, tag, slot keys, product
-    with lam_hat transposed) and a run of right sets, in one product: per
-    family its key (k, v, pattern, symmetry, cells), anchors, raveled blocks
-    rescaled by the family maximum against the cap, and that scale."""
+def _shift_families(br1: str, tag1: str, keys1: np.ndarray, table: np.ndarray, rows: np.ndarray, run: list[tuple]):
+    """The shift families of a left factor (branch, tag, slot keys, rows of
+    `table`) and a run of right sets (branch, tag, slot keys, columns), from
+    one gather: per family its key (k, v, pattern, symmetry, cells), block
+    count and scale (its maximum against the cap); and the anchors and the
+    raveled blocks, rescaled, of the families in turn."""
     keys2 = np.concatenate([keys for _, _, keys, _ in run])
     sets = np.repeat(np.arange(len(run)), [len(keys) for _, _, keys, _ in run])
-    C = (_Sparse.stack([W for *_, W in run]) @ left).T
+    C = table[np.ix_(rows, np.concatenate([cols for *_, cols in run]))]
     nz = np.flatnonzero(C)
     if not len(nz):
-        return []
+        return [], np.empty((0, 4), dtype=np.int64), np.empty(0)
     i, j = nz // C.shape[1], nz % C.shape[1]
     # one block per pair of (anchor, depths, averaged slot) groups, those of
     # axis 2 within one right set, numbered in the order their first entries come
@@ -1037,12 +1062,10 @@ def _shift_families(br1: str, tag1: str, keys1: np.ndarray, left: np.ndarray, ru
     ends = np.r_[start[bounds[1:]], len(flat)]
     flat /= np.repeat(scale, np.diff(ends, prepend=0))
     anchors = np.column_stack([rep1[:, :2], rep2[:, :2]])
-    return [((tuple(k), tuple(v), (o1, o2), br1 + run[s][0], f"{tag1}/{run[s][1]}"),
-             anchors[b0:b1], flat[e0:e1], sc)
-            for (s, *k, o1), (*v, o2), b0, b1, e0, e1, sc in zip(
+    return [((tuple(k), tuple(v), (o1, o2), br1 + run[s][0], f"{tag1}/{run[s][1]}"), n, sc)
+            for (s, *k, o1), (*v, o2), n, sc in zip(
                 np.column_stack([sets[j[head[order[bounds]]]], rep1[bounds, 2:6]]).tolist(), rep2[bounds, 2:6].tolist(),
-                bounds.tolist(), [*bounds[1:].tolist(), len(order)], start[bounds].tolist(), ends.tolist(),
-                scale.tolist())]
+                np.diff(bounds, append=len(order)).tolist(), scale.tolist())], anchors, flat
 
 
 def _block_offset(keys: np.ndarray) -> np.ndarray:
@@ -1054,14 +1077,6 @@ def _block_offset(keys: np.ndarray) -> np.ndarray:
 
 def decompose(tensor: KernelTensor, om: GridShift, **kwargs) -> Decomposition:
     return Decomposition(tensor, om, **kwargs)
-
-
-def _gated_total(ax: AxisDecomposition) -> _Sparse:
-    """Sum of the gated matrices: each term weighted by the inverse goodness
-    probability of its smallest cube's level, and kept only when that cube
-    is good."""
-    w = ax.gated_weights()
-    return _Sparse.sum(ax.matrix(b, c, w[ax.smallest_cubes(b, c)]) for b in BRANCHES for c in CELLS)
 
 
 def averaged_reconstruction(
@@ -1086,17 +1101,15 @@ def averaged_reconstruction(
         rng = np.random.default_rng(seed)
         shifts = [sample_shift(grid, rng) for _ in range(sample_count)]
     acc = np.zeros_like(tensor.data)
-    totals: dict[AxisDecomposition, _Sparse] = {}  # gated, per axis shift
+    totals: dict[AxisDecomposition, _Sparse] = {}  # per axis shift
     for om in shifts:
         dec = Decomposition(tensor, om, r=r, gamma=gamma)
-        if gated:
-            for ax in (dec.ax1, dec.ax2):
-                if ax not in totals:
-                    totals[ax] = _gated_total(ax)
-            hat = _sandwich(totals[dec.ax1], dec.lam_hat, totals[dec.ax2])
-        else:
-            hat = dec.reconstructed_hat()
-        acc += _lambda_hat_to_cells(hat, grid, om)
+        for ax in (dec.ax1, dec.ax2):
+            if ax not in totals:
+                # gated: each term weighted by the inverse goodness probability
+                # of its smallest cube's level, and kept only when that cube is good
+                totals[ax] = ax.total(ax.gated_weights() if gated else None)
+        acc += _lambda_hat_to_cells(_sandwich(totals[dec.ax1], dec.lam_hat, totals[dec.ax2]), grid, om)
     acc /= len(shifts)
     resid = np.abs(acc - tensor.data).max()
     scale = np.abs(tensor.data).max()

@@ -62,14 +62,6 @@ class _Sparse:
         return _Sparse((int(first[-1]), mats[0].shape[1]), np.concatenate([m.row + r for m, r in zip(mats, first)]),
                        np.concatenate([m.col for m in mats]), np.concatenate([m.val for m in mats]))
 
-    def take(self, rows: np.ndarray) -> "_Sparse":
-        """The matrix of the given distinct rows, in that order: what `build`
-        makes of the triples of those rows alone."""
-        count = self.ptr[rows + 1] - self.ptr[rows]
-        at = np.repeat(self.ptr[rows] - (np.cumsum(count) - count), count) + np.arange(count.sum())
-        return _Sparse((len(rows), self.shape[1]), np.repeat(np.arange(len(rows)), count),
-                       self.col[at], self.val[at])
-
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         """S @ X for a dense 2-d X: each output row is 0 + a_1 x_1 + a_2 x_2
         + ... over its entries in column order, the float operations of a

@@ -336,6 +336,25 @@ def test_cli_emit_plotdata_bad_report_exit_code(tmp_path, capsys, text):
     assert not (tmp_path / "plotdata.csv").exists()
 
 
+@pytest.mark.parametrize("command", [("decompose",), ("suite", "duality")], ids=["decompose", "suite"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_cli_out_naming_a_file_exit_code(tmp_path, monkeypatch, capsys, command, under):
+    # an --out that names a file, or a path under one, is a bad input: exit
+    # 2 with a message, before any decomposition or suite runs
+    def compute(*args, **kwargs):
+        raise AssertionError("the command ran before checking its output directory")
+
+    for name in ("decompose", "run_suite"):
+        monkeypatch.setattr(cli, name, compute)
+    monkeypatch.setattr(KernelTensor, "from_kernel", compute)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert cli.main(["--grid-level", "2", "--out", str(out), *command]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
 def test_cli_decompose_runs(tmp_path):
     out = _run_cli("--grid-level", "2", "--out", str(tmp_path), "decompose")
     assert out.returncode == 0, out.stderr

@@ -35,7 +35,7 @@ from dyadlab.model_ops import (
     random_partial_paraproduct,
     random_shift_operator,
 )
-from dyadlab import model_ops, representation
+from dyadlab import model_ops, representation, sparse
 from dyadlab.representation import (
     BRANCHES,
     CELLS,
@@ -57,6 +57,7 @@ from dyadlab.representation import (
     _Sparse,
     _sandwich,
 )
+from dyadlab.sparse import _transposed
 
 GRID = TorusGrid.make(3)
 ZERO = GridShift.zero(GRID)
@@ -357,15 +358,25 @@ def test_axis_class_partition():
         assert not ad.tuples[br].flags.writeable
 
 
-def test_axis_decompositions_shared_and_matrices_built_on_use():
+def test_axis_decompositions_shared_and_matrices_built_on_use(monkeypatch):
     T = rand_tensor(2)
     om = sample_shift(GRID, np.random.default_rng(4))
     dec = decompose(T, om)
     assert dec.ax1 is axis_decomposition(GRID.axes[0], om.shift1, 2, None, 1.0)
     assert decompose(T, om).ax2 is dec.ax2
-    assert "_m1" not in vars(dec) and "_m2" not in vars(dec)
+    assert not dec._blocks
+    totals, matrices = [], []
+    monkeypatch.setattr(AxisDecomposition, "total", _counted(totals, AxisDecomposition.total))
+    monkeypatch.setattr(AxisDecomposition, "matrix", _counted(matrices, AxisDecomposition.matrix))
     dec.residual_on_haar_triples()
-    assert len(dec._m1) == len(dec._m2) == 12
+    # one total per axis, no per-cell matrix, no block of the coefficient table
+    assert [args[0] for args in totals] == [dec.ax1, dec.ax2] and not matrices and not dec._blocks
+    # a block is made on first use with the other block of its axis-1 rows,
+    # and kept read-only
+    block = dec.coefficients("averaging", "averaging")
+    assert list(dec._blocks) == ["averaging"] and not block.flags.writeable
+    assert dec.coefficients("averaging", "table").base is block.base
+    assert dec.coefficients("averaging", "averaging").base is block.base
 
 
 @settings(max_examples=12, deadline=None)
@@ -433,15 +444,20 @@ def assert_same_sparse(got, want):
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_read_selections_match_subset_builds(L):
     # every step of a read table's build is row by row, so a mask's rows of
-    # the kept table equal the table built from those rows, bit for bit
+    # the product of the stacked reads equal the product of the table built
+    # from those rows, bit for bit: the coefficient blocks are selected so
     ax = Axis(1, L)
     rng = np.random.default_rng(L + 20)
     for shift in (AxisShift.zero(ax), sample_axis_shift(ax, rng), sample_axis_shift(ax, rng)):
         ad = AxisDecomposition(ax, shift)
+        X = rng.standard_normal((ad.D**3, 3))
+        product = _Sparse.stack([ad.reads(b) for b in BRANCHES]) @ X
         for br in BRANCHES:
+            assert_same_sparse(ad.reads(br), subset_reads(ad, br))
             nes, keep = ad.tuples[br]["cls"] == NES, ad.exportable(br)
-            for rows in (None, nes, keep & ~nes, keep & nes):
-                assert_same_sparse(ad.reads(br, rows), subset_reads(ad, br, rows))
+            for rows in (np.ones(len(nes), dtype=bool), nes, keep & ~nes, keep & nes):
+                assert_same_bits(product[ad.first_row[br] + np.flatnonzero(rows)],
+                                 subset_reads(ad, br, rows) @ X)
 
 
 def test_each_read_table_is_built_once(monkeypatch):
@@ -464,6 +480,7 @@ def test_each_read_table_is_built_once(monkeypatch):
     dec = decompose(KernelTensor.random(grid, np.random.default_rng(3)),
                     sample_shift(grid, np.random.default_rng(5)))
     assert dec.ax1 is not dec.ax2
+    dec.residual_on_haar_triples()
     dec.extracted_full_paraproducts()
     dec.extracted_shift_families()
     dec.extracted_partial_paraproducts()
@@ -486,8 +503,9 @@ def _export_sets(ax) -> list[tuple]:
 
 def test_exports_batch_their_products_and_bmo_calls(monkeypatch):
     # one L=2 decomposition: the partial export measures and validates its
-    # profiles in at most two BMO calls per axis, and the shift export makes
-    # one sparse product per left factor and stacked run of right factors
+    # profiles in at most two BMO calls per axis and makes both row blocks of
+    # the coefficient table, one two-product sandwich each; the shift export
+    # then gathers from the kept table block and makes no product
     grid = TorusGrid.make(2)
     dec = decompose(KernelTensor.random(grid, np.random.default_rng(3)),
                     sample_shift(grid, np.random.default_rng(5)))
@@ -497,17 +515,19 @@ def test_exports_batch_their_products_and_bmo_calls(monkeypatch):
     monkeypatch.setattr(_Sparse, "__matmul__", _counted(products, _Sparse.__matmul__))
     assert dec.extracted_partial_paraproducts()
     assert 0 < len(bmo) <= 2 * len(grid.axes)
+    assert len(products) == 4 and sorted(dec._blocks) == ["averaging", "table"]
     products.clear()
     assert dec.extracted_shift_families()
     left, right = _export_sets(dec.ax1), _export_sets(dec.ax2)
     # at L=2 one run holds every right factor
     assert [len(representation._runs(right, len(keys))) for _, _, keys, _ in left] == [1] * len(left)
-    assert len(products) == 2 * len(left)
+    assert not products
 
 
 def test_shift_export_runs_leave_the_families_unchanged(monkeypatch):
     # with a cap of one entry every right factor is a run of its own: the
-    # same families, bit for bit, from one product per left and right factor
+    # same families, bit for bit, from one gather per left and right factor
+    # of the kept table block, with no product
     grid = TorusGrid.make(2)
     dec = decompose(KernelTensor.random(grid, np.random.default_rng(4)),
                     sample_shift(grid, np.random.default_rng(6)))
@@ -517,12 +537,139 @@ def test_shift_export_runs_leave_the_families_unchanged(monkeypatch):
     monkeypatch.setattr(_Sparse, "__matmul__", _counted(products, _Sparse.__matmul__))
     got = dec.extracted_shift_families()
     left, right = _export_sets(dec.ax1), _export_sets(dec.ax2)
-    assert len(products) == len(left) * (1 + len(right))
+    assert [len(representation._runs(right, len(keys))) for _, _, keys, _ in left] == [len(right)] * len(left)
+    assert not products
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert {k: v for k, v in a.items() if k != "operator"} == {k: v for k, v in b.items() if k != "operator"}
         for name in ("keys", "blocks"):
             assert_same_bits(getattr(a["operator"], name), getattr(b["operator"], name))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_axis_total_matches_sum_of_matrices(L):
+    # the total from the kept write and read rows against the sum of the
+    # twelve per-cell matrices, unweighted, weighted per smallest cube as the
+    # gated reconstruction weights, and with the exportable mask: within
+    # 1e-15 per entry (a nested row's two read terms are summed first), and
+    # bit for bit at L=2
+    ax = Axis(1, L)
+    rng = np.random.default_rng(L + 30)
+    for shift in (AxisShift.zero(ax), sample_axis_shift(ax, rng), sample_axis_shift(ax, rng)):
+        ad = AxisDecomposition(ax, shift, r=1)
+        w = np.array([(1.0 + c.level / 7) * g for c, g in zip(ad.ops.cubes, ad.good)])
+        for kwargs, weight in (({}, lambda b, c: None),
+                               ({"cube_weight": w}, lambda b, c: w[ad.smallest_cubes(b, c)]),
+                               ({"exportable": True}, lambda b, c: None if c == "nesP" else ad.exportable(b))):
+            got = ad.total(**kwargs)
+            want = _Sparse.sum(ad.matrix(b, c, weight(b, c)) for b in BRANCHES for c in CELLS)
+            assert abs(csr(got) - csr(want)).max() <= 1e-15, kwargs
+            if L == 2:
+                assert_same_sparse(got, want)
+            if not kwargs:
+                assert abs(csr(got) - sp.identity(ad.D**3)).max() < 1e-12
+
+
+def per_branch_products(dec):
+    """The products the reports and exports made per pair of branches
+    before the coefficient table: R2_b2 @ (R1_b1 @ lam_hat)^T for the table
+    ('table') or averaging ('averaging') reads of each axis, by (part1,
+    branch1, part2, branch2), in (axis-1 rows, axis-2 rows) orientation."""
+    def reads(ax, part):
+        return [ax.reads(b) if part == "table" else ax.averaging_reads(b)[0] for b in BRANCHES]
+
+    out = {}
+    for p1 in ("table", "averaging"):
+        for b1, R1 in zip(BRANCHES, reads(dec.ax1, p1)):
+            left = _transposed(R1 @ dec.lam_hat)
+            for p2 in ("table", "averaging"):
+                for b2, R2 in zip(BRANCHES, reads(dec.ax2, p2)):
+                    out[p1, b1, p2, b2] = (R2 @ left).T
+    return out
+
+
+def block_rows(ax, part, branch):
+    """A branch's rows among one part of an axis's stacked reads."""
+    if part == "table":
+        return slice(ax.first_row[branch], ax.first_row[branch] + len(ax.tuples[branch]))
+    n = ax.averaging_reads(branch)[0].shape[0]
+    return slice(BRANCHES.index(branch) * n, (BRANCHES.index(branch) + 1) * n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(levels=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+@example(levels=(2, 2), seed=3).via("level 2, seed 3")
+@example(levels=(3, 3), seed=7).via("level 3, seed 7")
+def test_coefficient_blocks_match_per_branch_products(levels, seed):
+    # every block of the coefficient table equals the per-branch products of
+    # the reports and exports before it, bit for bit; so does the block of
+    # the axis-2 partial orientation, which those made in lam_hat^T order,
+    # as A1 @ (T2 @ lam_hat^T)^T, and the table makes as (A1 @ lam_hat) T2^T
+    grid = TorusGrid.make(levels)
+    rng = np.random.default_rng(seed)
+    dec = decompose(KernelTensor.random(grid, rng), sample_shift(grid, rng))
+    for (p1, b1, p2, b2), want in per_branch_products(dec).items():
+        got = dec.coefficients(p1, p2)[block_rows(dec.ax1, p1, b1), block_rows(dec.ax2, p2, b2)]
+        assert_same_bits(got, want)
+    T2 = _Sparse.stack([dec.ax2.reads(b) for b in BRANCHES])
+    want = _Sparse.stack([dec.ax1.averaging_reads(b)[0] for b in BRANCHES]) @ _transposed(T2 @ _transposed(dec.lam_hat))
+    assert_same_bits(np.ascontiguousarray(dec.coefficients("averaging", "table")), want)
+
+
+def test_reports_and_exports_read_one_coefficient_table(monkeypatch):
+    # on one L=2 decomposition the residual, both reports and the three
+    # exports make one total per axis and no per-cell matrix, six sparse
+    # products (the residual's sandwich and one per row block of the table;
+    # the per-branch products were 74) and no transposed copy of lam_hat
+    grid = TorusGrid.make(2)
+    dec = decompose(KernelTensor.random(grid, np.random.default_rng(3)),
+                    sample_shift(grid, np.random.default_rng(5)))
+    products, totals, matrices, transposed = [], [], [], []
+    monkeypatch.setattr(_Sparse, "__matmul__", _counted(products, _Sparse.__matmul__))
+    monkeypatch.setattr(AxisDecomposition, "total", _counted(totals, AxisDecomposition.total))
+    monkeypatch.setattr(AxisDecomposition, "matrix", _counted(matrices, AxisDecomposition.matrix))
+    monkeypatch.setattr(sparse, "_transposed", _counted(transposed, sparse._transposed))
+    assert dec.residual_on_haar_triples() < 1e-10
+    dec.shift_coefficient_report()
+    dec.partial_symbol_report()
+    assert dec.extracted_full_paraproducts() and dec.extracted_shift_families()
+    assert dec.extracted_partial_paraproducts()
+    assert len(products) == 6 and len(totals) == 2 and not matrices
+    assert transposed and not any(args[0] is dec.lam_hat for args in transposed)
+
+
+def cli_stages(dec):
+    """The decomposition's stages in the order the CLI runs them (with
+    --export-families), then the two coefficient reports."""
+    dec.residual_on_haar_triples()
+    dec.extracted_full_paraproducts()
+    dec.extracted_shift_families()
+    dec.extracted_partial_paraproducts()
+    dec.shift_coefficient_report()
+    dec.partial_symbol_report()
+
+
+# tracemalloc peak of `cli_stages` on the inputs of `test_cli_stage_memory_peak`
+# with per-branch products, a fresh process: 8,448,565 bytes (numpy 2.4.6)
+PEAK_BEFORE = 8_448_565
+
+
+def test_cli_stage_memory_peak():
+    # the kept blocks of the coefficient table must not stack on the
+    # residual's sandwich or on the exports' working memory: the traced
+    # peak of the stages at L=3 stays within 10% of the per-branch products'
+    # (PEAK_BEFORE, measured with the same stages and inputs)
+    grid = TorusGrid.make(3)
+    axis_decomposition.cache_clear()  # the read tables are built in the traced stages
+    dec = decompose(KernelTensor.random(grid, np.random.default_rng(5)),
+                    sample_shift(grid, np.random.default_rng(6)))
+    tracemalloc.start()
+    try:
+        cli_stages(dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * PEAK_BEFORE, peak
 
 
 # -- the sparse type against scipy ----------------------------------------------
@@ -620,10 +767,11 @@ def test_repeated_entries_keep_sum2_bound_across_magnitudes():
 @example(seed=1, n_rows=12, n_cols=9, pick="all")
 @example(seed=2, n_rows=12, n_cols=3, pick="empty rows")
 def test_row_take_matches_build_of_the_rows_triples(seed, n_rows, n_cols, pick):
-    # a selection of distinct rows of a built matrix, in any order, is the
-    # build of those rows' triples, array for array; some rows have no
-    # triples, and the last column of each filled row holds two that cancel
-    # (values are multiples of 1/16, so they add exactly)
+    # a selection of distinct rows of a built matrix's product, in any
+    # order, is the product of the build of those rows' triples, bit for
+    # bit; some rows have no triples, and the last column of each filled row
+    # holds two that cancel (values are multiples of 1/16, so they add
+    # exactly)
     rng = np.random.default_rng(seed)
     filled = np.flatnonzero(rng.random(n_rows) < 0.7)
     rows = rng.choice(filled, 3 * n_rows) if len(filled) else np.zeros(0, dtype=np.int64)
@@ -640,7 +788,8 @@ def test_row_take_matches_build_of_the_rows_triples(seed, n_rows, n_cols, pick):
     where[at] = np.arange(len(at))
     keep = where[rows] >= 0
     want = _Sparse.build((len(at), n_cols + 1), where[rows[keep]], cols[keep], vals[keep])
-    assert_same_sparse(S.take(at), want)
+    X = rng.standard_normal((n_cols + 1, 3))
+    assert_same_bits((S @ X)[at], want @ X)
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -921,9 +1070,10 @@ def _header(levels, dims=(1, 1)):
 
 
 def test_decomposer_size_model(monkeypatch):
-    # the dense kernel tensor and the Haar coefficients, C^3 float64 each
-    assert decomposer_bytes(TorusGrid.make(4)) == 2 * 8 * 256**3
-    check_decomposer_size(TorusGrid.make(4))  # 0.27 GB, 0.56 GB peak RSS measured
+    # the dense kernel tensor, the Haar coefficients and the kept table block
+    # of the coefficient table, C^3 float64 each
+    assert decomposer_bytes(TorusGrid.make(4)) == 3 * 8 * 256**3
+    check_decomposer_size(TorusGrid.make(4))  # 0.40 GB, 0.56 GB peak RSS measured
     for grid in (TorusGrid.make(5), TorusGrid.make((5, 4)), TorusGrid.make(3, (2, 2))):
         assert decomposer_bytes(grid) > representation.DECOMPOSER_BUDGET
         with pytest.raises(ConfigError):
@@ -944,6 +1094,22 @@ def test_decomposer_size_model(monkeypatch):
                   lambda: KernelTensor.from_kernel(small, tensor_riesz(1, 1))):
         with pytest.raises(ConfigError):
             build()
+
+
+def test_decomposer_refusals_unchanged_by_the_table_block():
+    # the model counts three C^3 float64 arrays where it counted two; C^3
+    # is a power of two, so the budget refuses the same grids at levels 2 to 9
+    for dims in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        for levels in ((L1, L2) for L1 in range(2, 10) for L2 in range(2, 10)):
+            grid = TorusGrid.make(levels, dims)
+            before = 2 * 8 * (grid.shape[0] * grid.shape[1]) ** 3 > representation.DECOMPOSER_BUDGET
+            try:
+                check_decomposer_size(grid)
+            except ConfigError as exc:
+                assert before, (levels, dims)
+                assert "3 x 2^" in str(exc)
+            else:
+                assert not before, (levels, dims)
 
 
 def test_object_level_emission_matches_matrix_subset():
@@ -973,9 +1139,10 @@ def test_object_level_emission_matches_matrix_subset():
 def test_shift_family_export_memory_peak():
     # the regrouping numbers its blocks by pairs of compacted group codes, so
     # its working memory follows the dense coefficient tables of the runs of
-    # stacked right factors and the kept blocks (7.8 MiB here, 11.9 MiB with
-    # every right factor in one run); a table indexed by pairs of raw group
-    # codes peaks at 21 MiB here and takes about 1.1 GB at L=4
+    # stacked right factors and the kept blocks (8.2 MiB here with the table
+    # block of the coefficient table made inside, 13.0 MiB with every right
+    # factor in one run); a table indexed by pairs of raw group codes peaks
+    # at 21 MiB here and takes about 1.1 GB at L=4
     grid = TorusGrid.make(3)
     T = KernelTensor.random(grid, np.random.default_rng(5))
     dec = decompose(T, sample_shift(grid, np.random.default_rng(6)))
