@@ -26,7 +26,7 @@ from .kernels import get_kernel
 from .representation import KernelFormatError, KernelTensor, check_decomposer_size, decompose
 
 
-def _base_config(args, suite: str | None = None) -> ExperimentConfig:
+def _base_config(args, suite: str | None = None, outputs: list[str] | None = None) -> ExperimentConfig:
     overrides = {"suite": suite, "seed": args.seed, "level": args.grid_level,
                  "samples": args.samples, "out_dir": args.out, "fmt": args.format}
     overrides = {k: v for k, v in overrides.items() if v is not None}
@@ -35,24 +35,28 @@ def _base_config(args, suite: str | None = None) -> ExperimentConfig:
         cfg = ExperimentConfig.from_file(args.config, **overrides)
     else:
         cfg = ExperimentConfig(**overrides)
-    _check_out_dir(cfg.out_dir)
+    _check_out_dir(cfg.out_dir, outputs if outputs is not None else [f"{suite}.{cfg.fmt}"])
     return cfg
 
 
-def _check_out_dir(path: str) -> None:
+def _check_out_dir(path: str, outputs: list[str]) -> None:
     """Refuse, before anything runs, an output directory that names a file
-    or lies under one: its nearest existing path must be a directory."""
+    or lies under one (its nearest existing path must be a directory), and
+    an output file name in it that a directory takes."""
     near = os.path.abspath(path)
     while not os.path.lexists(near):
         near = os.path.dirname(near)
     if not os.path.isdir(near):
         raise ConfigError(f"output directory {path!r}: {near!r} is not a directory")
+    for name in outputs:
+        if os.path.isdir(os.path.join(path, name)):
+            raise ConfigError(f"output file {os.path.join(path, name)!r} is a directory")
 
 
 def _run_named(args, suites: list[str]) -> int:
     ok = True
-    for name in suites:
-        cfg = _base_config(args, name)
+    # every suite's output is checked before the first one runs
+    for name, cfg in [(name, _base_config(args, name)) for name in suites]:
         report = run_suite(cfg)
         path = report.write(cfg.out_dir, cfg.fmt)
         failed = [r for r in report.rows if not r.passed]
@@ -78,7 +82,9 @@ def _check_one_dim(grid: TorusGrid) -> None:
 def cmd_decompose(args) -> int:
     # no suite runs here: "empty" takes any dims, and the decomposer's own
     # condition on them is checked below
-    cfg = _base_config(args, "empty")
+    families = ["shift_families.json", "partial_families.json"] if args.export_families else []
+    cfg = _base_config(args, "empty", ["decomposition.json", *(f"fullpara_{a}{b}.json" for a in "ABC" for b in "ABC"),
+                                       *families])
     if args.kernel_file:
         with open(args.kernel_file, "rb") as fp:
             tensor = KernelTensor.load(fp)

@@ -28,6 +28,8 @@ from .core import (
     stats_plan,
 )
 from .measures import (
+    _chunks,
+    _square_density,
     bmo_norm,
     haar_outer,
     haar_profiles,
@@ -421,7 +423,7 @@ def coefficient_duality_check(
     ids: np.ndarray,
     a_coeffs: np.ndarray,
     b_coeffs: np.ndarray,
-    om: GridShift,
+    om: GridShift | list[GridShift],
     grid: TorusGrid,
     density: float = 0.99,
 ) -> dict:
@@ -433,23 +435,34 @@ def coefficient_duality_check(
     ids[k]; F_mask is a boolean mask of the grid cells.  Rectangles must
     own at least the stated fraction of their measure inside F; the
     oscillation side uses the certified lower-bound report, so a pass
-    verifies a stronger inequality than the target."""
-    masks = rect_table(grid, GridShift.zero(grid)).masks(ids)
-    sizes = masks.sum(axis=1)
-    if np.any(np.count_nonzero(masks & F_mask.reshape(-1), axis=1) / sizes < density - 1e-12):
-        raise ValueError("collection violates the density precondition")
-    lhs = sum(np.abs(a_coeffs * b_coeffs).tolist())
+    verifies a stronger inequality than the target.  Stacked instances
+    (F_mask (S, n1, n2) or a list of S masks, the rest (S, R), a list of S
+    shifts) give S values per key, from one product-oscillation search."""
+    if isinstance(om, GridShift):
+        out = coefficient_duality_check(F_mask[None], ids[None], a_coeffs[None], b_coeffs[None], [om],
+                                        grid, density)
+        return {k: float(v[0]) for k, v in out.items()}
+    table = rect_table(grid, GridShift.zero(grid))
+    n, n_rect = np.shape(ids)
+    integral = np.zeros(n)
+    for a, b, _, _ in _chunks(n, 1, n_rect * grid.shape[0] * grid.shape[1]):
+        F = np.reshape(F_mask[a:b], (b - a, -1))
+        masks = table.masks(ids[a:b])
+        sizes = masks.sum(axis=-1)
+        if np.any(np.count_nonzero(masks & F[:, None], axis=-1) / sizes < density - 1e-12):
+            raise ValueError("collection violates the density precondition")
+        # libm pow as in the report
+        sq = _square_density(grid, masks, np.float_power(np.abs(b_coeffs[a:b]), 2))
+        integral[a:b] = (np.sqrt(sq) * F).sum(axis=-1) * grid.cell_volume
+    # left to right, as Python's sum adds
+    lhs = np.cumsum(np.abs(a_coeffs * b_coeffs), axis=-1)[:, -1] if n_rect else np.zeros(n)
     # the shifted copies of the rectangles carry the a-coefficients; a copy
     # keeps its rectangle's id
-    rep = sequence_product_bmo(grid, ids, a_coeffs, om)
-    # libm pow as in the report, and the rectangles summed one at a time, in order
-    sq = (np.float_power(np.abs(b_coeffs), 2) / (sizes * grid.cell_volume))[:, None] * masks
-    integrand = np.sqrt(sq.sum(axis=0)).reshape(grid.shape) * F_mask
-    integral = float(integrand.sum() * grid.cell_volume)
-    rhs = rep.family_value * integral
-    return {"lhs": lhs, "rhs": rhs, "bmo_report": rep.family_value,
-            "integral": integral,
-            "ratio": lhs / rhs if rhs > 0 else (math.inf if lhs > 0 else 0.0)}
+    bmo = np.array([rep.family_value for rep in sequence_product_bmo(grid, ids, a_coeffs, om)])
+    rhs = bmo * integral
+    ratio = np.where(lhs > 0, math.inf, 0.0)
+    np.divide(lhs, rhs, out=ratio, where=rhs > 0)
+    return {"lhs": lhs, "rhs": rhs, "bmo_report": bmo, "integral": integral, "ratio": ratio}
 
 
 # ---------------------------------------------------------------------------

@@ -633,10 +633,10 @@ class RectTable:
         return (np.asarray(i1)[:, None] * len(self.masks2) + np.asarray(i2)).ravel()
 
     def masks(self, ids) -> np.ndarray:
-        """(len(ids), cells) boolean cell masks, grid cells flattened."""
+        """(*ids.shape, cells) boolean cell masks, grid cells flattened."""
         i1, i2 = np.divmod(np.asarray(ids, dtype=np.intp), len(self.masks2))
         cells = self.masks1.shape[1] * self.masks2.shape[1]
-        return (self.masks1[i1, :, None] & self.masks2[i2, None, :]).reshape(len(i1), cells)
+        return (self.masks1[i1, :, None] & self.masks2[i2, None, :]).reshape(i1.shape + (cells,))
 
     def densities(self, F: np.ndarray) -> np.ndarray:
         """Mean of the boolean mask F over every rectangle, by id: exact

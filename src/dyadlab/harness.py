@@ -13,6 +13,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -226,12 +227,21 @@ def _golden_path() -> str:
     return str(resources.files("dyadlab").joinpath("goldens/goldens.json"))
 
 
-def load_goldens() -> dict:
+_goldens: tuple = (None, MappingProxyType({}))
+
+
+def load_goldens() -> MappingProxyType:
+    """The golden entries, read-only: parsed once per process and per file
+    version (path, mtime_ns, size), since every suite call reads them."""
+    global _goldens
     path = _golden_path()
     if not os.path.exists(path):
-        return {}
-    with open(path) as fp:
-        return json.load(fp)
+        return MappingProxyType({})
+    key = (path, os.stat(path).st_mtime_ns, os.stat(path).st_size)
+    if _goldens[0] != key:
+        with open(path) as fp:
+            _goldens = key, MappingProxyType({k: MappingProxyType(v) for k, v in json.load(fp).items()})
+    return _goldens[1]
 
 
 def _bound(goldens: dict, key: str) -> float | None:
@@ -569,29 +579,41 @@ def duality_suite(config: ExperimentConfig, instances: int = 1000) -> Report:
     rep = Report("duality", config.seed)
     rng = _rng(config.seed, "duality")
     table = rect_table(grid, GridShift.zero(grid))
-    worst = 0.0
+    # the instances, drawn in turn, by collection size k; each distinct mask
+    # F and shift is kept once
+    ids, a, b = np.zeros((instances, 10), dtype=np.intp), np.zeros((instances, 10)), np.zeros((instances, 10))
+    Fs, oms, groups, cuts = [], [], {}, {}
     for s in range(instances):
         F = np.ones(grid.shape, dtype=bool)
         if s % 3 == 1:
             F[int(rng.integers(0, grid.shape[0])), :] = False
         elif s % 3 == 2:
             F[:, int(rng.integers(0, grid.shape[1]))] = False
-        om = sample_shift(grid, rng)
+        F = cuts.setdefault(F.tobytes(), F)
+        om = GridShift(*(cuts.setdefault(ax, ax) for ax in sample_shift(grid, rng)))
+        oms.append(cuts.setdefault(om, om))
         pool = np.flatnonzero(table.densities(F) >= 0.99)
         k = min(10, len(pool))
-        sel = pool[rng.choice(len(pool), size=k, replace=False)]
-        a = rng.standard_normal(k)
-        b = rng.standard_normal(k)
-        out = com.coefficient_duality_check(F, sel, a, b, om, grid, density=0.99)
-        if out["rhs"] > 0:
-            worst = max(worst, out["ratio"])
+        ids[s, :k] = pool[rng.choice(len(pool), size=k, replace=False)]
+        a[s, :k] = rng.standard_normal(k)
+        b[s, :k] = rng.standard_normal(k)
+        Fs.append(F)
+        groups.setdefault(k, []).append(s)
+    worst = 0.0
+    for k, idx in groups.items():
+        rows = idx if len(idx) < instances else slice(None)  # a view when one size holds them all
+        out = com.coefficient_duality_check([Fs[i] for i in idx], ids[rows, :k], a[rows, :k], b[rows, :k],
+                                            [oms[i] for i in idx], grid, density=0.99)
+        worst = _worst(worst, out["lhs"], out["rhs"], 0.0)
     rep.add("duality-ratio", "family", config.seed, worst, _bound(goldens, "duality/ratio"))
     return rep
 
 
-def _unit_little_bmo(grid: TorusGrid, rng: np.random.Generator, n: int) -> list[DiscreteFunction]:
-    """`n` random symbols, drawn in turn, scaled to little BMO norm 1 by one norm call."""
-    bs = DiscreteFunction(grid, np.stack([grid.random(rng).values for _ in range(n)]))
+def _unit_little_bmo(grid: TorusGrid, symbols: list[DiscreteFunction]) -> list[DiscreteFunction]:
+    """The symbols scaled to little BMO norm 1 by one stacked norm call."""
+    if not symbols:
+        return []
+    bs = DiscreteFunction(grid, np.stack([b.values for b in symbols]))
     scale = 1.0 / np.maximum(ms.bmo_norm(bs, "little"), 1e-12)
     return [DiscreteFunction(grid, v) for v in bs.values * scale[:, None, None]]
 
@@ -612,10 +634,11 @@ def commutator_suite(config: ExperimentConfig, seeds_per_cell: int = 40) -> Repo
         worst1 = 0.0
         worst2 = 0.0
         rng = _rng(config.seed, "cgrow", cx)
-        for s in range(seeds_per_cell):
-            S = random_shift_operator(grid, om, kv, vv, (3, 3), rng)
-            b, b2 = _unit_little_bmo(grid, rng, 2)
-            f1, f2, f3 = (grid.random(rng) for _ in range(3))
+        # per seed in turn: the operator, then b, b2, f1, f2, f3
+        draws = [(random_shift_operator(grid, om, kv, vv, (3, 3), rng), *(grid.random(rng) for _ in range(5)))
+                 for _ in range(seeds_per_cell)]
+        units = _unit_little_bmo(grid, [b for d in draws for b in d[1:3]])
+        for (S, _, _, f1, f2, f3), b, b2 in zip(draws, units[::2], units[1::2]):
             den = (ms.lp_norm(f1, p) * ms.lp_norm(f2, q) * ms.lp_norm(f3, rprime))
             worst1 = max(worst1, abs(com.commutator_form_direct(b, S, 1, f1, f2, f3)) / den)
             worst2 = max(worst2, abs(com.iterated_form_direct(b2, b, S, f1, f2, f3)) / den)
@@ -627,11 +650,12 @@ def commutator_suite(config: ExperimentConfig, seeds_per_cell: int = 40) -> Repo
     rng = _rng(config.seed, "cavg")
     worst = 0.0
     p2, q2, r2 = 4 / 3, 4.0, 1.0
+    draws = []
     for s in range(seeds_per_cell // 2):
         shifts = [sample_shift(grid, rng) for _ in range(3)]
         ops = [random_shift_operator(grid, o, (0, 1, 0), (0, 0, 0), (3, 3), rng) for o in shifts]
-        b, = _unit_little_bmo(grid, rng, 1)
-        f1, f2 = grid.random(rng), grid.random(rng)
+        draws.append((ops, *(grid.random(rng) for _ in range(3))))
+    for (ops, _, f1, f2), b in zip(draws, _unit_little_bmo(grid, [d[1] for d in draws])):
         acc = grid.zeros()
         for U in ops:
             acc = acc + (1.0 / len(ops)) * com.commutator_apply(b, U, 1, f1, f2)

@@ -15,6 +15,8 @@ from .core import (
     AxisShift,
     DiscreteFunction,
     GridShift,
+    RectTable,
+    STATS_CHUNK,
     TorusGrid,
     all_axis_cubes,
     axis_cubes,
@@ -181,7 +183,7 @@ def mixed_norm(
 # BMO family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductBmoReport:
     """Certified lower bound for the rectangle-square-sum oscillation norm.
 
@@ -226,17 +228,19 @@ def bmo_norm(
         # row 0 is the one non-cancellative function; a cancellative one is
         # nonzero on every cell of its cube, and with dim >= 2 one cube
         # carries several signatures, so rows repeat
-        on1, on2 = (haar_rows(ax, sh)[1:] != 0 for ax, sh in zip(grid.axes, (om.shift1, om.shift2)))
-        masks = (on1[:, None, :, None] & on2[None, :, None, :]).reshape(len(on1) * len(on2), -1)
-        return _product_bmo(grid, masks, C[1:, 1:].ravel())
+        table = RectTable(*(haar_rows(ax, sh)[1:] != 0 for ax, sh in zip(grid.axes, (om.shift1, om.shift2))))
+        return _product_bmo(grid, [table], np.arange(C[1:, 1:].size), C[1:, 1:].ravel())
     raise ValueError(f"unknown bmo kind {kind!r}")
 
 
-def _lower_levels(values: np.ndarray) -> np.ndarray:
-    """The distinct values but the largest, ascending: np.unique(values)[:-1]
-    without the numpy.ma import np.unique makes on its first call."""
-    s = np.sort(values)
-    return s[:-1][s[1:] != s[:-1]]
+def _lower_levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of values (S, n), the distinct values but the largest,
+    ascending, padded with +inf to a common length, and their count: each
+    row's np.unique(row)[:-1] without the numpy.ma import np.unique makes."""
+    s = np.sort(values, axis=-1)
+    new = s[:, 1:] != s[:, :-1]
+    count = new.sum(axis=-1)
+    return np.sort(np.where(new, s[:, :-1], np.inf), axis=-1)[:, :count.max(initial=0)], count
 
 
 # the product-oscillation search's unions: 2 to _UNION rectangles from a
@@ -259,66 +263,95 @@ def _union_members(n_rect: int, pool: int, union: int, seed: int) -> tuple[np.nd
 
 
 def _bit_rows(masks: np.ndarray) -> np.ndarray:
-    """Boolean rows packed into uint64 words, zero-padded to whole words."""
-    packed = np.packbits(masks, axis=1)
-    pad = np.zeros((len(masks), -packed.shape[1] % 8), dtype=np.uint8)
-    return np.concatenate([packed, pad], axis=1).view(np.uint64)
+    """Boolean rows (..., n) packed into uint64 words, zero-padded to whole words."""
+    packed = np.packbits(masks, axis=-1)
+    pad = np.zeros(packed.shape[:-1] + (-packed.shape[-1] % 8,), dtype=np.uint8)
+    return np.concatenate([packed, pad], axis=-1).view(np.uint64)
 
 
-def _bit_containment(sets: np.ndarray, rects: np.ndarray) -> np.ndarray:
-    """inside[r, s]: whether bit row rects[r] lies inside bit row sets[s],
-    one rectangle at a time: (S & R) == R in every word."""
-    inside = np.empty((len(rects), len(sets)), dtype=bool)
-    for r, row in enumerate(rects):
-        np.logical_and.reduce((sets & row) == row, axis=1, out=inside[r])
-    return inside
+def _chunks(n: int, n_rect: int, per: int):
+    """(a, b, lo, hi): samples a..b-1 and rectangles lo..hi-1, rectangles
+    innermost, in runs whose samples x rectangles x `per` stay within
+    STATS_CHUNK elements, at least one sample and one rectangle."""
+    per = max(1, per)
+    rects = max(1, min(n_rect, STATS_CHUNK // per))
+    samples = max(1, STATS_CHUNK // (per * rects))
+    for a in range(0, n, samples):
+        for lo in range(0, n_rect, rects):
+            yield a, min(a + samples, n), lo, min(lo + rects, n_rect)
 
 
-def _product_bmo(grid: TorusGrid, masks: np.ndarray, coeffs: np.ndarray) -> ProductBmoReport:
+def _in_order(carry: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """carry + terms[:, 0] + terms[:, 1] + ... left to right, overwriting the temporary terms
+    (S, k, n): numpy adds an outer axis's rows in turn (pairwise only along the innermost)."""
+    terms[:, 0] += carry
+    return terms.sum(axis=1)
+
+
+def _square_density(grid: TorusGrid, masks: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """sum_R c2_R / |R| 1_R per sample, for masks (S, R, cells) and c2 (S, R);
+    the rectangles are added in order (level sets depend on exact ties)."""
+    n, n_rect, cells = masks.shape
+    weights = c2 / (masks.sum(axis=-1) * grid.cell_volume)
+    out = np.zeros((n, cells))
+    for a, b, lo, hi in _chunks(n, n_rect, cells):
+        out[a:b] = _in_order(out[a:b], np.where(masks[a:b, lo:hi], weights[a:b, lo:hi, None], 0.0))
+    return out
+
+
+def _product_bmo(grid: TorusGrid, tables: list[RectTable], ids: np.ndarray, coeffs: np.ndarray):
     """The open-set search behind both product-oscillation reports.
 
-    masks (R x cells) marks the cells of each rectangle and coeffs holds its
-    coefficient c_R.  A candidate set S scores sqrt(sum of |c_R|^2 over the
-    rectangles inside S / |S|); the candidates are the single rectangles,
-    unions of 2.._UNION rectangles from a seeded pool of _POOL, and the
-    upper-level sets of sum_R |c_R|^2 / |R| 1_R.  Candidates are packed bit
-    rows: a union is an OR of rows, a set's size its bit count, and
-    containment is tested one rectangle at a time.
-    """
-    n_rect = len(masks)
+    c_R = coeffs[..., k] sits on rectangle ids[..., k] of the sample's table:
+    coeffs (R,) give one report, (S, R) a list of S, with ids (R,) or (S, R)
+    and one table or one per sample.  A candidate set S scores sqrt(sum of
+    |c_R|^2 over the rectangles inside S / |S|); the candidates are the
+    single rectangles, unions of 2.._UNION rectangles from a seeded pool of
+    _POOL, and the upper-level sets of sum_R |c_R|^2 / |R| 1_R, as packed
+    bit rows: R lies inside S when R & ~S is zero in every word.  Samples and
+    rectangles run in chunks of STATS_CHUNK elements; a chunk pads its
+    samples' level sets with empty sets, which score 0."""
     # libm pow, as Python's float ** takes it: c * c can differ in the last bit
-    c2 = np.float_power(np.abs(coeffs), 2)
-    # sequential sums over the rectangles, in order (the level sets depend
-    # on exact ties in the density)
-    sq = (c2 / (masks.sum(axis=1) * grid.cell_volume))[:, None] * masks
-    sq = sq.sum(axis=0)
-    rows = _bit_rows(masks)
-    unions = [np.bitwise_or.reduce(rows[m], axis=1) for m in _union_members(n_rect, _POOL, _UNION, _POOL_SEED)]
-    levels = _lower_levels(sq)
-    sets = np.vstack([rows, *unions, _bit_rows(sq[None, :] > levels[:, None])])
-    inside = _bit_containment(sets, rows)
-    # one rectangle at a time: an (R x sets) float temporary would set a suite's peak memory
-    total = np.zeros(len(sets))
-    for r in range(n_rect):
-        total += c2[r] * inside[r]
-    values = np.sqrt(total / (np.bitwise_count(sets).sum(axis=1) * grid.cell_volume))
-    return ProductBmoReport(float(values.max(initial=0.0)), float(values[:n_rect].max(initial=0.0)),
-                            len(sets))
+    c2 = np.float_power(np.abs(np.atleast_2d(coeffs)), 2)
+    n, n_rect = c2.shape
+    ids = np.broadcast_to(ids, c2.shape)
+    members = _union_members(n_rect, _POOL, _UNION, _POOL_SEED)
+    reps = []
+    for a, b, _, _ in _chunks(n, 1, n_rect * grid.shape[0] * grid.shape[1]):
+        masks = np.stack([t.masks(i) for t, i in zip(tables[a:b] if len(tables) > 1 else tables * (b - a), ids[a:b])])
+        sq = _square_density(grid, masks, c2[a:b])
+        levels, n_levels = _lower_levels(sq)  # a level of +inf pads with an empty set
+        rows = _bit_rows(masks)
+        sets = np.concatenate([rows, *(np.bitwise_or.reduce(rows[:, m], axis=-2) for m in members),
+                               _bit_rows(sq[:, None, :] > levels[..., None])], axis=1)
+        outside = ~sets
+        total = np.zeros(sets.shape[:2])
+        for i, j, lo, hi in _chunks(b - a, n_rect, outside[0].size):
+            inside = ((rows[i:j, lo:hi, None] & outside[i:j, None]) == 0).all(axis=-1)
+            total[i:j] = _in_order(total[i:j], np.where(inside, c2[a + i:a + j, lo:hi, None], 0.0))
+        values = np.sqrt(total / (np.maximum(np.bitwise_count(sets).sum(axis=-1), 1) * grid.cell_volume))
+        reps += map(ProductBmoReport, values.max(axis=-1, initial=0.0).tolist(),
+                    values[:, :n_rect].max(axis=-1, initial=0.0).tolist(),
+                    (sets.shape[1] - levels.shape[1] + n_levels).tolist())
+    return reps if np.ndim(coeffs) == 2 else reps[0]
 
 
 def sequence_product_bmo(
     grid: TorusGrid,
     ids: np.ndarray,
     coeffs: np.ndarray,
-    om: GridShift,
-) -> ProductBmoReport:
+    om: GridShift | list[GridShift],
+) -> ProductBmoReport | list[ProductBmoReport]:
     """Lower-bound oscillation norm for a scalar family on rectangles.
 
     coeffs[k] sits on the rectangle ids[k] of om's lattice (`RectTable`);
     the same open-set family as the function version is used on the given
-    coefficients.
+    coefficients.  Stacked coeffs (S, R) give a list of S reports, with ids
+    (R,) or (S, R), on om's lattice or, for a list of S shifts, each on its own.
     """
-    return _product_bmo(grid, rect_table(grid, om).masks(ids), coeffs)
+    oms = [om] if isinstance(om, GridShift) else om
+    tables = {o: rect_table(grid, o) for o in oms}  # one per distinct shift
+    return _product_bmo(grid, [tables[o] for o in oms], ids, coeffs)
 
 
 # ---------------------------------------------------------------------------

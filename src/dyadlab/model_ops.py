@@ -728,11 +728,17 @@ class FullParaproduct:
         lam = pairing_table(b, row_pair(b.grid, shift, ("haar", "haar"), paired=True))
         return FullParaproduct(b.grid, shift, pattern, lam)
 
-    def coefficient_report(self):
+    @staticmethod
+    def coefficient_reports(grid: TorusGrid, shift: GridShift, lams: np.ndarray) -> list:
+        """The product-oscillation report of each table of lams (S, n_canc1,
+        n_canc2) on shift's lattice, in one search."""
         # the cancellative cubes come first in each factor's cube order
-        n1, n2 = self.lam.shape
-        ids = rect_table(self.grid, self.shift).ids(np.arange(n1), np.arange(n2))
-        return sequence_product_bmo(self.grid, ids, self.lam.ravel(), self.shift)
+        n, n1, n2 = lams.shape
+        ids = rect_table(grid, shift).ids(np.arange(n1), np.arange(n2))
+        return sequence_product_bmo(grid, ids, lams.reshape(n, -1), shift)
+
+    def coefficient_report(self):
+        return self.coefficient_reports(self.grid, self.shift, self.lam[None])[0]
 
     def _slot_rows(self, slot: int) -> tuple[str, str]:
         """The rows slot `slot` pairs with on each axis: Haar rows in the

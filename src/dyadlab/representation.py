@@ -909,17 +909,14 @@ class Decomposition:
 
     def extracted_full_paraproducts(self) -> list[tuple[tuple, FullParaproduct, float]]:
         """Builder-validated operators (rescaled) plus their extracted size."""
-        out = []
-        for key, rec in self.full_paraproduct_tables().items():
-            lam_full = np.zeros((self.ax1.ops.haar.shape[0], self.ax2.ops.haar.shape[0]))
-            lam_full[np.ix_(self.ax1.averaging_reads(key[0])[2],
-                            self.ax2.averaging_reads(key[1])[2])] = rec["lam"]
-            op = FullParaproduct(self.grid, self.om, rec["pattern"], lam_full)
-            size = op.coefficient_report().family_value
-            if size > 0:
-                op = FullParaproduct(self.grid, self.om, rec["pattern"], lam_full / size)
-            out.append((key, op, size))
-        return out
+        tables = self.full_paraproduct_tables()
+        lams = np.zeros((len(tables), self.ax1.ops.haar.shape[0], self.ax2.ops.haar.shape[0]))
+        for lam, (key, rec) in zip(lams, tables.items()):
+            lam[np.ix_(self.ax1.averaging_reads(key[0])[2], self.ax2.averaging_reads(key[1])[2])] = rec["lam"]
+        # the tables share their rectangles: one search
+        sizes = [rep.family_value for rep in FullParaproduct.coefficient_reports(self.grid, self.om, lams)]
+        return [(key, FullParaproduct(self.grid, self.om, rec["pattern"], lam / size if size > 0 else lam), size)
+                for (key, rec), lam, size in zip(tables.items(), lams, sizes)]
 
     # -- object-level emission ---------------------------------------------
     def extracted_shift_families(self) -> list[dict]:

@@ -120,6 +120,34 @@ def test_goldens_present_and_sound():
         assert entry["safety"] == 5.0
 
 
+def test_goldens_parsed_once_read_only_and_reread_when_rewritten(tmp_path, monkeypatch):
+    from dyadlab import harness
+
+    path = tmp_path / "goldens.json"
+    path.write_text(json.dumps({"duality/ratio": {"measured": 1.0, "bound": 5.0, "safety": 5.0}}))
+    monkeypatch.setattr(harness, "_golden_path", lambda: str(path))
+    first = load_goldens()
+    assert load_goldens() is first
+    with pytest.raises(TypeError):
+        first["duality/ratio"]["bound"] = 0.0
+    with pytest.raises(TypeError):
+        first["new"] = {}
+    # a rewrite by regenerate_goldens is read again (every suite replaced by
+    # one report holding the rows the regeneration reads)
+    rows = ("duality-ratio", "commutator-growth-1", "commutator-growth-2", "commutator-averaged-quasi",
+            "gamma-ratio", "gamma-band-drift", "shift-cap-nested", "shift-cap-separated", "partial-symbol-cap")
+    fake = Report("fake", 7)
+    for exp in rows:
+        fake.add(exp, "cell", 7, 2.0, None)
+    for name in ("weighted_suite", "duality_suite", "commutator_suite", "lower_bound_suite",
+                 "mixed_norm_suite", "coefficient_suite"):
+        monkeypatch.setattr(harness, name, lambda cfg: fake)
+    harness.regenerate_goldens(str(path))
+    again = load_goldens()
+    assert again is not first and again["duality/ratio"]["measured"] == 2.0
+    assert first["duality/ratio"]["measured"] == 1.0
+
+
 def _run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "dyadlab.cli", *argv],
@@ -353,6 +381,28 @@ def test_cli_out_naming_a_file_exit_code(tmp_path, monkeypatch, capsys, command,
     assert cli.main(["--grid-level", "2", "--out", str(out), *command]) == 2
     assert "is not a directory" in capsys.readouterr().err
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command,taken", [
+    (["decompose", "--export-families"], "shift_families.json"),
+    (["decompose"], "decomposition.json"),
+    (["decompose"], "fullpara_CB.json"),
+    (["commutators"], "duality.csv"),
+    (["suite", "duality"], "duality.csv"),
+], ids=["decompose-families", "decompose-manifest", "decompose-fullpara", "commutators-second", "suite"])
+def test_cli_output_file_taken_by_a_directory_exit_code(tmp_path, monkeypatch, capsys, command, taken):
+    # an output file name that a directory takes is a bad input: exit 2
+    # before anything is computed, with nothing written
+    def compute(*args, **kwargs):
+        raise AssertionError("the command ran before checking its output files")
+
+    for name in ("decompose", "run_suite"):
+        monkeypatch.setattr(cli, name, compute)
+    monkeypatch.setattr(KernelTensor, "from_kernel", compute)
+    (tmp_path / taken).mkdir()
+    assert cli.main(["--grid-level", "2", "--out", str(tmp_path), *command]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
 
 
 def test_cli_decompose_runs(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from dyadlab.core import (
 )
 from dyadlab.measures import (
     Weight,
-    _bit_containment,
+    _POOL,
     _bit_rows,
     _lower_levels,
+    _product_bmo,
     ainfty_characteristic,
     ap_characteristic,
     bmo_norm,
@@ -264,10 +266,17 @@ def test_product_search_empty_family():
 BIT_GRIDS = [TorusGrid.make(2), GRID, TorusGrid.make(4), TorusGrid.make(2, (2, 1))]
 
 
+def _contained(sets: np.ndarray, rects: np.ndarray) -> np.ndarray:
+    """inside[..., r, s]: rect row r lies inside set row s, as the product
+    search tests it on packed rows: R & ~S is zero in every word."""
+    return ((rects[..., :, None, :] & ~sets[..., None, :, :]) == 0).all(axis=-1)
+
+
 @pytest.mark.parametrize("grid", BIT_GRIDS, ids=["L2", "L3", "L4", "L2-dims21"])
 def test_bit_containment_matches_boolean_product(grid):
     # every rectangle of a shifted lattice against rectangles, unions and
-    # random sets: (S & R) == R on packed rows is the boolean product
+    # random sets: R & ~S == 0 on packed rows is the boolean product, also
+    # along a leading stack axis
     rng = np.random.default_rng(23)
     table = rect_table(grid, sample_shift(grid, rng))
     masks = table.masks(np.arange(len(table.masks1) * len(table.masks2)))
@@ -276,7 +285,10 @@ def test_bit_containment_matches_boolean_product(grid):
     for rects in (masks, masks[:0]):
         for family in (sets, sets[:0]):
             want = ~((~family) @ rects.T)
-            assert np.array_equal(_bit_containment(_bit_rows(family), _bit_rows(rects)), want.T)
+            assert np.array_equal(_contained(_bit_rows(family), _bit_rows(rects)), want.T)
+    stack = np.stack([sets, sets[::-1]])
+    got = _contained(_bit_rows(stack), _bit_rows(np.stack([masks, masks[::-1]])))
+    assert np.array_equal(got[1], _contained(_bit_rows(sets[::-1]), _bit_rows(masks[::-1])))
     assert np.array_equal(np.bitwise_count(_bit_rows(sets)).sum(axis=1), sets.sum(axis=1))
 
 
@@ -288,17 +300,63 @@ def test_bit_rows_pad_to_whole_words(width):
     rows = _bit_rows(sets)
     assert rows.dtype == np.uint64 and rows.shape == (30, -(-width // 64))
     assert np.array_equal(np.bitwise_count(rows).sum(axis=1), sets.sum(axis=1))
-    assert np.array_equal(_bit_containment(rows, _bit_rows(rects)), ~((~sets) @ rects.T).T)
+    # the padding is zero: ~S sets it, R & ~S must not see it
+    assert np.array_equal(_contained(rows, _bit_rows(rects)), ~((~sets) @ rects.T).T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(level=st.integers(1, 4), dims=st.sampled_from([(1, 1), (2, 1)]), samples=st.integers(1, 4),
+       n_rect=st.sampled_from([0, 1, 2, _POOL - 1, _POOL + 6]), ties=st.booleans(), zeros=st.booleans(),
+       shared=st.booleans(), seed=st.integers(0, 2**16))
+def test_stacked_product_search_matches_per_sample_calls(level, dims, samples, n_rect, ties, zeros, shared, seed):
+    # one search over a stack, in chunks of samples and rectangles, gives
+    # every sample the report of its own call, bit for bit: integer
+    # coefficients tie the level sets, zero ones empty them
+    grid = TorusGrid.make(min(level, 3) if dims == (2, 1) else level, dims)
+    rng = np.random.default_rng(seed)
+    tables = [rect_table(grid, sample_shift(grid, rng)) for _ in range(1 if shared else samples)]
+    n_all = len(tables[0].masks1) * len(tables[0].masks2)
+    n_rect = min(n_rect, n_all)
+    ids = np.stack([rng.choice(n_all, n_rect, replace=False) for _ in range(samples)])
+    coeffs = rng.integers(-2, 3, (samples, n_rect)).astype(float) if ties else rng.standard_normal((samples, n_rect))
+    if zeros:
+        coeffs[:, ::2] = 0.0
+    got = _product_bmo(grid, tables, ids, coeffs)
+    assert len(got) == samples
+    for s, rep in enumerate(got):
+        assert rep == _product_bmo(grid, [tables[0 if shared else s]], ids[s], coeffs[s])
+
+
+def test_product_search_chunks_stay_within_budget():
+    # an L=5 report (961 rectangles, 3,516 candidate sets) runs in chunks of
+    # STATS_CHUNK elements: one (rectangles x sets) float table would take
+    # 27 MB.  Measured 2.6 MiB traced peak (8.6 MiB with the search's former
+    # per-rectangle loops and their rectangles x sets containment table).
+    grid = TorusGrid.make(5)
+    b = rand_f(3, grid)
+    bmo_norm(TorusGrid.make(2).random(np.random.default_rng(0)), "product")
+    tracemalloc.start()
+    try:
+        rep = bmo_norm(b, "product")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_sets > 961 + 2000
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
 def test_level_values_match_unique(n):
-    # the upper-level sets of the product search: ties collapse, the largest goes
+    # the upper-level sets of the product search: ties collapse, the largest
+    # goes; rows of a stack pad with +inf to the longest
     rng = np.random.default_rng(n)
-    for values in (rng.integers(0, 4, n) / 3.0, rng.standard_normal(n), np.full(n, 0.25)):
+    rows = np.stack([rng.integers(0, 4, n) / 3.0, rng.standard_normal(n), np.full(n, 0.25)])
+    got, count = _lower_levels(rows)
+    for values, levels, k in zip(rows, got, count):
         want = np.unique(values)[:-1]
-        got = _lower_levels(values)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype and levels[:k].tobytes() == want.tobytes()
+        assert k == len(want) and np.all(levels[k:] == np.inf)
+    assert got.shape == (3, count.max(initial=0))
 
 
 # -- sups over every shift: the window tables against shift enumeration -------------

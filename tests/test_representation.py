@@ -898,6 +898,22 @@ def test_extracted_full_paraproducts_pass_builder():
         assert op.coefficient_report().family_value <= 1.0 + 1e-9
 
 
+def test_extracted_full_paraproducts_make_one_search_and_one_build_each(monkeypatch):
+    # the nine tables share their rectangles: one stacked product search,
+    # and each operator is built once, at its rescaled table
+    from dyadlab import measures
+    from dyadlab.model_ops import FullParaproduct
+
+    dec = decompose(rand_tensor(11), ZERO)
+    searches, builds = [], []
+    search, init = measures._product_bmo, FullParaproduct.__init__
+    monkeypatch.setattr(measures, "_product_bmo", lambda *args: searches.append(args) or search(*args))
+    monkeypatch.setattr(FullParaproduct, "__init__", lambda self, *args: builds.append(args) or init(self, *args))
+    ops = dec.extracted_full_paraproducts()
+    assert len(searches) == 1 and np.shape(searches[0][3])[0] == 9
+    assert len(builds) == 9 and len(ops) == 9
+
+
 # -- nested collapse sanity (term-by-term telescoping) -----------------------------
 
 def test_chain_collapse_identity_term_by_term():
