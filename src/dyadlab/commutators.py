@@ -15,13 +15,12 @@ from .core import (
     DiscreteFunction,
     DyadicCube,
     GridShift,
-    HaarFunction,
+    ResolutionError,
     TorusGrid,
     axis_average,
-    axis_haar_vector,
     cell_tables,
     enumerate_axis_shifts,
-    martingale_block,
+    haar_rows,
     profile_plan,
     rect_table,
     sample_axis_shift,
@@ -31,8 +30,9 @@ from .measures import (
     _chunks,
     _square_density,
     bmo_norm,
-    haar_outer,
-    haar_profiles,
+    coefficient_profiles,
+    haar_sum,
+    martingale_blocks,
     maximal_function,
     phi_function,
     sequence_product_bmo,
@@ -116,19 +116,25 @@ def _rect_avg(f: DiscreteFunction, c1: DyadicCube, c2: DyadicCube) -> float:
     return float(f.values[np.ix_(c1.cells(), c2.cells())].mean())
 
 
+def _haar_row(cube: DyadicCube) -> np.ndarray:
+    """The cancellative Haar profile of a cube of a 1-d factor: its row of
+    the lattice's `haar_rows`."""
+    if cube.axis.dim != 1:
+        raise ValueError("the expansions take cubes of 1-d factors")
+    if cube.level >= cube.axis.levels:
+        raise ResolutionError("cancellative Haar function needs children")
+    return haar_rows(cube.axis, cube.shift)[1 + cube.table_index]
+
+
 def expand_bipar(b: DiscreteFunction, f: DiscreteFunction, c1: DyadicCube,
                  c2: DyadicCube, shift: GridShift | None = None) -> dict:
     """Both Haar functions cancellative: the eight expansion terms plus the
     rectangle-average remainder reproduce <bf, h x h> exactly."""
     grid = b.grid
     om = shift if shift is not None else GridShift.zero(grid)
-    h1 = axis_haar_vector(HaarFunction(c1, (1,)))
-    h2 = axis_haar_vector(HaarFunction(c2, (1,)))
-    test = DiscreteFunction(grid, np.outer(h1, h2))
+    test = DiscreteFunction(grid, np.outer(_haar_row(c1), _haar_row(c2)))
     lhs = (b * f).pair(test)
-    terms = {}
-    for kind in range(1, 9):
-        terms[f"A{kind}"] = paraproduct_bifactor(kind, b, f, om).pair(test)
+    terms = {f"A{kind}": paraproduct_bifactor(kind, b, f, om).pair(test) for kind in range(1, 9)}
     avg_coef = _rect_avg(b, c1, c2)
     base = f.pair(test)
     return {"lhs": lhs, "terms": terms, "avg_coef": avg_coef, "base": base,
@@ -144,35 +150,18 @@ def expand_onepar(b: DiscreteFunction, f: DiscreteFunction, c1: DyadicCube,
         raise ValueError("haar_axis must be 0 or 1")
     grid = b.grid
     om = shift if shift is not None else GridShift.zero(grid)
-    if haar_axis == 0:
-        h = axis_haar_vector(HaarFunction(c1, (1,)))
-        ind = np.zeros(grid.shape[1])
-        ind[c2.cells()] = 1.0 / (len(c2.cells()) * grid.axes[1].cell_volume)
-        test = DiscreteFunction(grid, np.outer(h, ind))
-    else:
-        h = axis_haar_vector(HaarFunction(c2, (1,)))
-        ind = np.zeros(grid.shape[0])
-        ind[c1.cells()] = 1.0 / (len(c1.cells()) * grid.axes[0].cell_volume)
-        test = DiscreteFunction(grid, np.outer(ind, h))
+    hc, ac = (c1, c2) if haar_axis == 0 else (c2, c1)  # the Haar factor's cube, the averaged one
+    h = _haar_row(hc)
+    ind = np.zeros(grid.shape[1 - haar_axis])
+    ind[ac.cells()] = 1.0 / (len(ac.cells()) * grid.axes[1 - haar_axis].cell_volume)
+    test = DiscreteFunction(grid, np.outer(h, ind) if haar_axis == 0 else np.outer(ind, h))
     lhs = (b * f).pair(test)
-    terms = {}
-    for kind in (1, 2):
-        terms[f"a{kind}"] = paraproduct_onefactor(kind, haar_axis, b, f, om).pair(test)
+    terms = {f"a{kind}": paraproduct_onefactor(kind, haar_axis, b, f, om).pair(test) for kind in (1, 2)}
     # boundary term: the gap between the one-variable and rectangle averages
     # of the symbol, paired with the one-variable Haar coefficient of f
-    if haar_axis == 0:
-        bav = axis_average(b, c1, 0)  # profile in x2
-        coeff = f.pair_axis(h, 0)  # profile in x2
-        cells2 = c2.cells()
-        gap = (bav[cells2] - _rect_avg(b, c1, c2)) * coeff[cells2]
-        boundary = float(gap.mean())
-    else:
-        bav = axis_average(b, c2, 1)
-        coeff = f.pair_axis(h, 1)
-        cells1 = c1.cells()
-        gap = (bav[cells1] - _rect_avg(b, c1, c2)) * coeff[cells1]
-        boundary = float(gap.mean())
-    terms["boundary"] = boundary
+    cells = ac.cells()
+    gap = (axis_average(b, hc, haar_axis)[cells] - _rect_avg(b, c1, c2)) * f.pair_axis(h, haar_axis)[cells]
+    terms["boundary"] = float(gap.mean())
     avg_coef = _rect_avg(b, c1, c2)
     base = f.pair(test)
     return {"lhs": lhs, "terms": terms, "avg_coef": avg_coef, "base": base,
@@ -212,9 +201,11 @@ class AdaptedMaximal:
 
 
 def profile_adapted_max(b_prof: np.ndarray, g_prof: np.ndarray, axis: Axis) -> np.ndarray:
-    """One-factor adapted maximal of a profile over all wrapped windows."""
+    """One-factor adapted maximal of a profile over all wrapped windows;
+    rows (S, n) of profiles give one per row."""
     plan = profile_plan(axis)
-    return plan.cover_max(plan.oscillations(np.asarray(b_prof)[:, None], np.asarray(g_prof)[:, None]))[:, 0]
+    b, g = (np.asarray(v)[..., None] for v in (b_prof, g_prof))
+    return plan.cover_max(plan.oscillations(b, g))[..., 0]
 
 
 def adapted_phi(b: DiscreteFunction, f: DiscreteFunction, axis_idx: int,
@@ -224,12 +215,13 @@ def adapted_phi(b: DiscreteFunction, f: DiscreteFunction, axis_idx: int,
     in the other variable."""
     grid = f.grid
     om = shift if shift is not None else GridShift.zero(grid)
-    other = grid.axes[1 - axis_idx]
-    out = np.zeros(grid.shape)
-    for h, cube, coeff in haar_profiles(f, axis_idx, om):
-        m = profile_adapted_max(axis_average(b, cube, axis_idx), coeff, other)
-        out += haar_outer(h, m, axis_idx)
-    return DiscreteFunction(grid, out)
+    H, coeffs = coefficient_profiles(f, axis_idx, om)
+    # a cancellative Haar row is nonzero on every cell of its cube: its
+    # support, over its cell count, is the cube's averaging row
+    supp = H != 0
+    b_avg = supp / supp.sum(axis=1, keepdims=True) @ (b.values if axis_idx == 0 else b.values.T)
+    M = profile_adapted_max(b_avg, coeffs, grid.axes[1 - axis_idx])
+    return DiscreteFunction(grid, haar_sum(H, M, axis_idx))
 
 
 def pointwise_domination_check(b: DiscreteFunction, f: DiscreteFunction,
@@ -478,17 +470,14 @@ def aux_phi1(b: DiscreteFunction, f: DiscreteFunction, samples: int | None = Non
     if shifts is None:
         rng = np.random.default_rng(seed)
         shifts = [sample_axis_shift(axis2, rng) for _ in range(samples)]
+    # per Haar row, its cube's place in the unshifted lattice as 1_I / |I|
+    supp = haar_rows(axis2, AxisShift.zero(axis2))[1:] != 0
+    avg = supp / (supp.sum(axis=1, keepdims=True) * axis2.cell_volume)
     acc = np.zeros(grid.shape)
     for sh2 in shifts:
         om = GridShift(AxisShift.zero(grid.axes[0]), sh2)
-        phi = adapted_phi(b, f, 1, om)
-        sq = np.zeros(grid.shape)
-        for _, cube, coeff in haar_profiles(phi, 1, om):
-            ind = np.zeros(axis2.n_cells)
-            ind[DyadicCube(axis2, cube.level, cube.pos, AxisShift.zero(axis2)).cells()] = 1.0
-            sq += np.outer(coeff**2, ind / cube.measure)
-        m = maximal_function(DiscreteFunction(grid, np.sqrt(sq)), "axis1")
-        acc += m.values
+        _, coeffs = coefficient_profiles(adapted_phi(b, f, 1, om), 1, om)
+        acc += maximal_function(DiscreteFunction(grid, np.sqrt(haar_sum(avg, coeffs**2, 1))), "axis1").values
     return DiscreteFunction(grid, acc / len(shifts))
 
 
@@ -503,19 +492,14 @@ def aux_phi2(f: DiscreteFunction, depth: int, samples: int | None = None,
     else:
         rng = np.random.default_rng(seed)
         shifts = [sample_axis_shift(axis1, rng) for _ in range(samples)]
-    acc = {}
+    acc = np.zeros(grid.shape)
     for sh1 in shifts:
-        om = GridShift(sh1, AxisShift.zero(grid.axes[1]))
-        phi = phi_function(f, 0, om)
-        for lvl in range(axis1.levels - depth):
-            for base_pos in range(1 << lvl):
-                cube = DyadicCube(axis1, lvl, (base_pos,), sh1)
-                blk = martingale_block(phi, cube, depth, 0)
-                m = maximal_function(blk, "axis1")
-                key = (lvl, base_pos)
-                acc[key] = acc.get(key, 0.0) + m.values**2 / len(shifts)
-    total = sum(acc.values()) if acc else np.zeros(grid.shape)
-    return DiscreteFunction(grid, np.sqrt(total))
+        phi = phi_function(f, 0, GridShift(sh1, AxisShift.zero(grid.axes[1])))
+        # the blocks of every base cube of a level, as one stack
+        for blk in martingale_blocks(phi.values, grid, 0, sh1, depth):
+            m = maximal_function(DiscreteFunction(grid, blk), "axis1").values
+            acc += (m**2).sum(axis=0) / len(shifts)
+    return DiscreteFunction(grid, np.sqrt(acc))
 
 
 def weak_type_sets(

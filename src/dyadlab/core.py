@@ -34,13 +34,12 @@ __all__ = [
     "ResolutionError",
     "ConfigError",
     "haar_evaluate",
-    "axis_cube_indicator",
-    "axis_haar_vector",
     "axis_average",
     "axis_project",
     "martingale_difference",
     "martingale_block",
     "truncated_projection",
+    "cube_goodness",
     "classify_goodness",
     "goodness_fraction",
     "sample_shift",
@@ -259,13 +258,23 @@ class DyadicCube:
         w = self.width_cells
         return tuple((p * w + o) % self.axis.n_side for p, o in zip(self.pos, off))
 
-    def cells(self) -> np.ndarray:
-        """Flat level-L cell indices covered by the cube: a read-only row of
-        the cached table of its (axis, level, shift)."""
+    @property
+    def _row(self) -> int:
+        """The cube's row among the cubes of its level, in product order."""
         row = 0
         for p in self.pos:
             row = (row << self.level) + p
-        return _cube_table(self.axis, self.level, self.shift)[row]
+        return row
+
+    @property
+    def table_index(self) -> int:
+        """The cube's row in its lattice's tables, in cube index order."""
+        return level_rows(self.axis, self.level).start + self._row
+
+    def cells(self) -> np.ndarray:
+        """Flat level-L cell indices covered by the cube: a read-only row of
+        the cached table of its (axis, level, shift)."""
+        return _cube_table(self.axis, self.level, self.shift)[self._row]
 
     def ancestor(self, k: int) -> "DyadicCube":
         """The unique cube k levels up containing this one (same lattice)."""
@@ -338,7 +347,7 @@ def _cell_table(axis: Axis, starts: np.ndarray, width: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _cube_table(axis: Axis, level: int, shift: AxisShift) -> np.ndarray:
     """Cells of every level-`level` cube of the shifted lattice, one row per
-    cube in `axis_cubes` order (shared by all cubes of the lattice level).
+    cube in cube index order (shared by all cubes of the lattice level).
     The cache holds at most one table per level for each of the 2^(L*dim)
     shifts of an axis."""
     width = 1 << (axis.levels - level)
@@ -531,17 +540,6 @@ def profile_plan(axis: Axis, shift: AxisShift | None = None) -> StatsPlan:
     return StatsPlan(_factor_tables(axis, shift), [np.zeros((1, 1), dtype=np.intp)], (axis.n_cells, 1))
 
 
-def axis_cubes(axis: Axis, level: int, shift: AxisShift) -> Iterator[DyadicCube]:
-    for pos in itertools.product(range(1 << level), repeat=axis.dim):
-        yield DyadicCube(axis, level, pos, shift)
-
-
-def all_axis_cubes(axis: Axis, shift: AxisShift, max_level: int | None = None) -> Iterator[DyadicCube]:
-    top = axis.levels if max_level is None else max_level
-    for level in range(top + 1):
-        yield from axis_cubes(axis, level, shift)
-
-
 @dataclass(frozen=True)
 class DyadicRectangle:
     """Product of one cube per factor."""
@@ -557,13 +555,6 @@ class DyadicRectangle:
         return np.ix_(self.cube1.cells(), self.cube2.cells())
 
 
-def all_rectangles(grid: TorusGrid, shift: GridShift,
-                   max_levels: tuple[int | None, int | None] = (None, None)) -> Iterator[DyadicRectangle]:
-    for c1 in all_axis_cubes(grid.axes[0], shift.shift1, max_levels[0]):
-        for c2 in all_axis_cubes(grid.axes[1], shift.shift2, max_levels[1]):
-            yield DyadicRectangle(c1, c2)
-
-
 def _lattice_offsets(axis: Axis, shift: AxisShift) -> np.ndarray:
     """Per coordinate t and level j = 0..L, the offset (x_t - o_t) mod n of
     every cell x from the level-j lattice origin o: (dim, L + 1, cells)."""
@@ -573,10 +564,20 @@ def _lattice_offsets(axis: Axis, shift: AxisShift) -> np.ndarray:
     return (coord[:, None, :] - origin[:, :, None]) % n
 
 
+def level_rows(axis: Axis, level: int) -> slice:
+    """The rows of the level-`level` cubes in cube index order: the row
+    order of every per-cube table of a lattice (`cube_masks`, `haar_rows`,
+    `cube_goodness`, the `AxisOps` rows), level-major from level 0 to L, and
+    within a level the positions in product order, first coordinate slowest
+    (the row order of that level's `cell_tables` table)."""
+    first = ((1 << axis.dim * level) - 1) // ((1 << axis.dim) - 1)
+    return slice(first, first + (1 << axis.dim * level))
+
+
 @lru_cache(maxsize=None)
 def cube_masks(axis: Axis, shift: AxisShift) -> np.ndarray:
     """Read-only boolean cell mask of every cube of the shifted lattice, one
-    row per cube in `all_axis_cubes` order."""
+    row per cube in cube index order (`level_rows`)."""
     d, L = axis.dim, axis.levels
     level = np.arange(L + 1)[:, None]
     # per level, each cell's cube: offset bits L - j and up give its position
@@ -590,11 +591,10 @@ def cube_masks(axis: Axis, shift: AxisShift) -> np.ndarray:
 @lru_cache(maxsize=256)
 def haar_rows(axis: Axis, shift: AxisShift) -> np.ndarray:
     """Read-only Haar rows of the shifted lattice: the top row, then per cube
-    I of levels 0..L-1 (`all_axis_cubes` order) its 2^dim - 1 cancellative
-    rows, signatures in product order.  Signature e's row is the signed sum
-    of I's child masks, - on the children in the second half of I along an
-    odd number of the coordinates e flags, times |I|^(-1/2): bit for bit the
-    `axis_haar_vector` profiles."""
+    I of levels 0..L-1 (in cube index order, `level_rows`) its 2^dim - 1
+    cancellative rows, signatures in product order.  Signature e's row is
+    the signed sum of I's child masks, - on the children in the second half
+    of I along an odd number of the coordinates e flags, times |I|^(-1/2)."""
     d, L = axis.dim, axis.levels
     # offset bit L - j - 1: the cell lies in the second half of its level-j cube
     second = _lattice_offsets(axis, shift)[:, :L] >> L - 1 - np.arange(L)[:, None] & 1
@@ -620,9 +620,10 @@ class RectTable:
     """The rectangles of one shifted lattice as integer ids.
 
     Id i1 * n2 + i2 pairs cube i1 of factor 1 with cube i2 of factor 2 (n2
-    cubes in factor 2, each factor's cubes in `all_axis_cubes` order), so ids
-    run in `all_rectangles` order and a rectangle's copy in another lattice
-    keeps its id.  A measure is a cell count times the cell volume: exact.
+    cubes in factor 2, each factor's cubes in cube index order, see
+    `level_rows`), so ids run over factor 1's cubes outer and a rectangle's
+    copy in another lattice keeps its id.  A measure is a cell count times
+    the cell volume: exact.
     """
 
     masks1: np.ndarray  # (cubes of factor 1, cells of factor 1), bool
@@ -646,6 +647,8 @@ class RectTable:
 
 
 def rect_table(grid: TorusGrid, shift: GridShift) -> RectTable:
+    """The rectangles of the shifted lattice: each factor's `cube_masks`, in
+    cube index order (`level_rows`)."""
     return RectTable(cube_masks(grid.axes[0], shift.shift1), cube_masks(grid.axes[1], shift.shift2))
 
 
@@ -775,32 +778,18 @@ class HaarFunction:
         return any(self.signature)
 
 
-def axis_cube_indicator(cube: DyadicCube) -> np.ndarray:
-    v = np.zeros(cube.axis.n_cells)
-    v[cube.cells()] = 1.0
-    return v
-
-
-def axis_haar_vector(h: HaarFunction) -> np.ndarray:
-    """Evaluate a Haar function as an axis profile (values on level-L cells)."""
-    cube = h.cube
-    axis = cube.axis
-    if h.cancellative and cube.level >= axis.levels:
-        raise ResolutionError("cancellative Haar function needs children")
-    w = cube.width_cells
-    sign = np.ones(1)
-    for bit in h.signature:
-        # +1 on the first half of the coordinate range, -1 on the second
-        sgn = np.where(np.arange(w) < w // 2, 1.0, -1.0) if bit else np.ones(w)
-        sign = (sign[:, None] * sgn[None, :]).ravel()
-    vec = np.zeros(axis.n_cells)
-    vec[cube.cells()] = cube.measure ** -0.5 * sign
-    return vec
-
-
 def haar_evaluate(h: HaarFunction, grid: TorusGrid, axis: int) -> DiscreteFunction:
-    """The Haar profile lifted to the product grid (constant in the other variable)."""
-    vec = axis_haar_vector(h)
+    """The Haar profile lifted to the product grid (constant in the other
+    variable): the cube's `haar_rows` row of the signature, or without one
+    its `cube_masks` row times |I|^(-1/2)."""
+    cube = h.cube
+    if not h.cancellative:
+        vec = cube_masks(cube.axis, cube.shift)[cube.table_index] * cube.measure ** -0.5
+    elif cube.level >= cube.axis.levels:
+        raise ResolutionError("cancellative Haar function needs children")
+    else:
+        sig = int("".join(map(str, h.signature)), 2)
+        vec = haar_rows(cube.axis, cube.shift)[((1 << cube.axis.dim) - 1) * cube.table_index + sig]
     if axis == 0:
         return DiscreteFunction(grid, np.repeat(vec[:, None], grid.shape[1], axis=1))
     return DiscreteFunction(grid, np.repeat(vec[None, :], grid.shape[0], axis=0))
@@ -831,20 +820,9 @@ def axis_project(f: DiscreteFunction, level: int, axis: int, shift: AxisShift) -
 # ---------------------------------------------------------------------------
 
 def martingale_difference(f: DiscreteFunction, cube: DyadicCube, axis: int) -> DiscreteFunction:
-    """One-variable martingale difference: children averages minus the cube average."""
-    ax = f.grid.axes[axis]
-    if cube.level >= ax.levels:
-        raise ResolutionError("martingale difference needs children inside the grid")
-    out = np.zeros_like(f.values, dtype=f.values.dtype)
-    parent_avg = axis_average(f, cube, axis)
-    for child in cube.children():
-        cells = child.cells()
-        diff = axis_average(f, child, axis) - parent_avg
-        if axis == 0:
-            out[cells, :] = diff[None, :]
-        else:
-            out[:, cells] = diff[:, None]
-    return DiscreteFunction(f.grid, out)
+    """One-variable martingale difference: children averages minus the cube
+    average, on the cube (the depth-0 `martingale_block`)."""
+    return martingale_block(f, cube, 0, axis)
 
 
 def martingale_block(f: DiscreteFunction, cube: DyadicCube, depth: int, axis: int) -> DiscreteFunction:
@@ -873,58 +851,53 @@ def truncated_projection(f: DiscreteFunction, level_pair: tuple[int, int], shift
 # goodness
 # ---------------------------------------------------------------------------
 
-def _skeleton_distance_cells(cube: DyadicCube, coarse_level: int) -> int:
-    """Distance (in cell units, sup metric) from the cube to the union of
-    boundaries of the level-`coarse_level` lattice cubes."""
-    axis = cube.axis
-    n = axis.n_side
-    spacing = 1 << (axis.levels - coarse_level)
-    off = cube.shift.offset_cells(coarse_level)
-    w = cube.width_cells
-    best = None
-    for t, s in enumerate(cube.start_cells()):
-        r0 = (s - off[t]) % spacing
-        if r0 + w >= spacing or r0 == 0:
-            d = 0
-        else:
-            d = min(r0, spacing - r0 - w)
-        best = d if best is None else min(best, d)
-    return best
+@lru_cache(maxsize=256)
+def cube_goodness(axis: Axis, shift: AxisShift, r: int = 2, gamma: float | None = None,
+                  alpha: float = 1.0) -> np.ndarray:
+    """Read-only goodness of every cube of the shifted lattice, in cube index
+    order (`level_rows`): whether the cube stays quantitatively away from
+    the boundaries of all cubes at least 2^r times larger in its lattice.
 
-
-def classify_goodness(cube: DyadicCube, r: int = 2, gamma: float | None = None, alpha: float = 1.0) -> bool:
-    """Whether the cube stays quantitatively away from the boundaries of all
-    cubes at least 2^r times larger in its own lattice.
-
-    gamma defaults to alpha / (2 * (2*dim + alpha)).  The level-0 cube is the
-    whole torus, whose topological boundary is empty, so it never creates
-    badness; coarse levels start at 1.
+    A level-j cube is bad when, for a coarse level c in 1..j-r, its
+    sup-metric distance to the boundaries of the level-c cubes is at most
+    side^gamma * (coarse side)^(1 - gamma).  gamma defaults to
+    alpha / (2 * (2*dim + alpha)).  The level-0 cube is the whole torus,
+    whose topological boundary is empty, so coarse levels start at 1.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    axis = cube.axis
     if gamma is None:
         gamma = alpha / (2.0 * (2 * axis.dim + alpha))
-    side = cube.side
-    for coarse in range(1, cube.level - r + 1):
-        coarse_side = 2.0 ** (-coarse)
-        threshold = side ** gamma * coarse_side ** (1.0 - gamma)
-        dist = _skeleton_distance_cells(cube, coarse) / axis.n_side
-        if dist <= threshold:
-            return False
-    return True
+    L, n = axis.levels, axis.n_side
+    good = []
+    for j, tab in enumerate(cell_tables(axis, shift)):
+        w = 1 << (L - j)
+        start = tab[:, :1] // n ** np.arange(axis.dim) % n  # per cube and coordinate, its first cell
+        ok = np.ones(len(tab), dtype=bool)
+        for c in range(1, j - r + 1):
+            spacing = 1 << (L - c)
+            r0 = (start - np.array(shift.offset_cells(c))) % spacing
+            # per coordinate, the cells to the nearest level-c boundary: 0 if one meets the cube
+            gap = np.where((r0 == 0) | (r0 + w >= spacing), 0, np.minimum(r0, spacing - r0 - w))
+            ok &= gap.min(axis=1) / n > (2.0 ** -j) ** gamma * (2.0 ** -c) ** (1.0 - gamma)
+        good.append(ok)
+    out = np.concatenate(good)
+    out.setflags(write=False)
+    return out
 
 
-def goodness_fraction(axis: Axis, level: int, pos: tuple[int, ...] | None = None,
-                      r: int = 2, gamma: float | None = None, alpha: float = 1.0) -> float:
-    """Exact probability that a shifted copy of the base cube is good,
-    by enumeration over all axis shifts."""
-    if pos is None:
-        pos = tuple(0 for _ in range(axis.dim))
-    total = 0
-    good = 0
-    for shift in enumerate_axis_shifts(axis):
-        cube = DyadicCube(axis, level, pos, shift)
-        total += 1
-        good += classify_goodness(cube, r=r, gamma=gamma, alpha=alpha)
-    return good / total
+def classify_goodness(cube: DyadicCube, r: int = 2, gamma: float | None = None, alpha: float = 1.0) -> bool:
+    """The cube's entry of its lattice's `cube_goodness`."""
+    return bool(cube_goodness(cube.axis, cube.shift, r, gamma, alpha)[cube.table_index])
+
+
+def goodness_fraction(axis: Axis, level: int, r: int = 2, gamma: float | None = None,
+                      alpha: float = 1.0) -> float:
+    """Exact probability over all shifts that the level-`level` cube at a
+    given position is good: the share of good cubes of that level in the
+    unshifted lattice.  A shifted lattice is the unshifted one rotated, its
+    cubes relabelled within each level, and over all shifts the cube lands
+    on each level-`level` cube of the unshifted lattice equally often."""
+    if not 0 <= level <= axis.levels:
+        raise ResolutionError(f"level {level} outside 0..{axis.levels}")
+    return float(cube_goodness(axis, AxisShift.zero(axis), r, gamma, alpha)[level_rows(axis, level)].mean())

@@ -428,7 +428,7 @@ def representation_suite(config: ExperimentConfig, n_tensors: int = 50) -> Repor
         rep.add("roundtrip-residual", name, 0, resid, tol)
         gap = abs(decU.total_form(f1, f2, f3) - U.form(f1, f2, f3))
         rep.add("roundtrip-form", name, 0, gap / max(1.0, abs(U.form(f1, f2, f3))), tol)
-        probe = paraproduct_freeness_probe(U, partial=False)
+        probe = paraproduct_freeness_probe(U)
         tables = decU.full_paraproduct_tables()
         extracted = max(np.abs(tbl["lam"]).max() for tbl in tables.values())
         if probe["max_full"] < tol:
@@ -738,7 +738,7 @@ def mixed_norm_suite(config: ExperimentConfig, seeds_per_cell: int = 200) -> Rep
         (0.5, random_shift_operator(grid, om, (1, 0, 0), (0, 0, 1), (2, 1), rng0)),
         (0.25, random_partial_paraproduct(grid, om, (1, 0, 0), rng=rng0)),
     ]
-    probe = max(paraproduct_freeness_probe(U, partial=False)["max_full"] for _, U in parts)
+    probe = max(paraproduct_freeness_probe(U)["max_full"] for _, U in parts)
     rep.add("composite-parafree", "probe", config.seed, probe, config.tolerance)
     cells = [((4.0, 2.0), (4.0, 2.0)), ((2.0, 4.0), (2.0, 2.0)), ((4.0, 4.0), (4.0, 4.0))]
     for (p1, p2), (q1, q2) in cells:

@@ -63,15 +63,16 @@ class BilinearKernel:
 
 def _base_rectangles(grid: TorusGrid, max_cells: int | None = None):
     """The rectangles of the zero lattice with no level-0 factor and at most
-    `max_cells` cells, in `all_rectangles` order, as (R, 2) int arrays with
-    one column per factor: level, position, start cell and width."""
+    `max_cells` cells, in `RectTable` id order (each factor's cubes in cube
+    index order, `core.level_rows`, factor 1 outer), as (R, 2) int arrays
+    with one column per factor: level, position, start cell and width."""
     rows = []
     for axis in grid.axes:
         level = np.repeat(np.arange(1, axis.levels + 1), 1 << np.arange(1, axis.levels + 1))
         pos = np.arange(len(level)) + 2 - (1 << level)
         width = 1 << (axis.levels - level)
         rows.append((level, pos, pos * width, width))
-    # factor-1 cubes outer, as all_rectangles pairs them
+    # factor-1 cubes outer, as rectangle ids pair them
     cols = [np.stack([np.repeat(a, len(b)), np.tile(b, len(a))], axis=1) for a, b in zip(*rows)]
     if max_cells:
         keep = cols[3].prod(axis=1) <= max_cells

@@ -16,15 +16,15 @@ from .core import (
     DiscreteFunction,
     GridShift,
     RectTable,
+    ResolutionError,
     STATS_CHUNK,
     TorusGrid,
-    all_axis_cubes,
-    axis_cubes,
     axis_project,
+    cube_masks,
     enumerate_shifts,
     haar_coefficients,
     haar_rows,
-    martingale_block,
+    level_rows,
     per_sample,
     profile_plan,
     rect_table,
@@ -383,9 +383,10 @@ def maximal_function(
 
 def axis_profile_strong_max(vec: np.ndarray, axis: Axis) -> np.ndarray:
     """Strong maximal function of a single-factor profile, taken as a grid
-    whose second factor is one cell."""
+    whose second factor is one cell; rows (S, n) of profiles give one
+    maximal function per row."""
     plan = profile_plan(axis)
-    return plan.cover_max(plan.means(np.abs(np.asarray(vec, dtype=float))[:, None]))[:, 0]
+    return plan.cover_max(plan.means(np.abs(np.asarray(vec, dtype=float))[..., None]))[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,34 +459,46 @@ def _sf_axis(f: DiscreteFunction, om: GridShift, axis_idx: int) -> DiscreteFunct
     return DiscreteFunction(grid, np.sqrt(acc))
 
 
-def haar_profiles(f: DiscreteFunction, axis_idx: int, om: GridShift):
-    """(Haar row h, its cube, coefficient profile <f, h>_axis) of every
-    cancellative Haar function of one factor of the shifted lattice."""
-    axis, shift = f.grid.axes[axis_idx], om[axis_idx]
-    rows = haar_rows(axis, shift)[1:].reshape(-1, 2**axis.dim - 1, axis.n_cells)
-    for cube, cube_rows in zip(all_axis_cubes(axis, shift, axis.levels - 1), rows):
-        for h in cube_rows:
-            yield h, cube, f.pair_axis(h, axis_idx)
+def coefficient_profiles(f: DiscreteFunction, axis_idx: int, om: GridShift) -> tuple[np.ndarray, np.ndarray]:
+    """The cancellative Haar rows of one factor of the shifted lattice and,
+    one row each, their coefficient profiles <f, h>_axis over the other
+    factor's cells."""
+    H = haar_rows(f.grid.axes[axis_idx], om[axis_idx])[1:]
+    return H, H @ (f.values if axis_idx == 0 else f.values.T) * f.grid.axes[axis_idx].cell_volume
 
 
-def haar_outer(row: np.ndarray, prof: np.ndarray, axis_idx: int) -> np.ndarray:
-    """row on factor axis_idx times prof on the other factor."""
-    return np.outer(row, prof) if axis_idx == 0 else np.outer(prof, row)
+def haar_sum(rows: np.ndarray, profiles: np.ndarray, axis_idx: int) -> np.ndarray:
+    """sum_k rows[k] on factor axis_idx times profiles[k] on the other factor."""
+    return rows.T @ profiles if axis_idx == 0 else profiles.T @ rows
 
 
 def _sf_phi(f: DiscreteFunction, om: GridShift, axis_idx: int) -> DiscreteFunction:
     # smoothed version: Haar coefficient profiles run through the strong
     # one-dimensional maximal operator on the other axis
-    other = f.grid.axes[1 - axis_idx]
-    acc = np.zeros(f.grid.shape)
-    for h, _, coeff in haar_profiles(f, axis_idx, om):
-        acc += haar_outer(h**2, axis_profile_strong_max(coeff, other) ** 2, axis_idx)
-    return DiscreteFunction(f.grid, np.sqrt(acc))
+    H, coeffs = coefficient_profiles(f, axis_idx, om)
+    M = axis_profile_strong_max(coeffs, f.grid.axes[1 - axis_idx])
+    return DiscreteFunction(f.grid, np.sqrt(haar_sum(H**2, M**2, axis_idx)))
+
+
+def martingale_blocks(g: np.ndarray, grid: TorusGrid, axis_idx: int, shift: AxisShift, depth: int):
+    """Per level l below L - depth of one factor, the martingale blocks at
+    that depth of every level-l cube I, 1_I (E_{l+depth+1} - E_{l+depth}) g
+    in that variable, as one masked stack (cubes, *g.shape)."""
+    if depth < 0:
+        raise ResolutionError("block depth exceeds resolution")
+    ax, f = grid.axes[axis_idx], DiscreteFunction(grid, g)
+    for l in range(ax.levels - depth):
+        fine, coarse = (axis_project(f, l + depth + k, axis_idx, shift).values for k in (1, 0))
+        m = cube_masks(ax, shift)[level_rows(ax, l)]
+        # one mask row per cube, spread over g's axes
+        m = m.reshape(m.shape[:1] + (1,) * (g.ndim - 2) + ((-1, 1) if axis_idx == 0 else (1, -1)))
+        yield np.where(m, fine - coarse, 0.0)
 
 
 def _sf_block(f, kind, depths, shift_samples, seed, family):
     # sum over base rectangles of the averaged squared maximal function of
-    # the shifted martingale blocks at the given depth offsets
+    # the shifted martingale blocks at the given depth offsets, the blocks of
+    # each level (pair) as one stack
     grid = f.grid
     if shift_samples is None:
         shifts = list(enumerate_shifts(grid))
@@ -496,22 +509,15 @@ def _sf_block(f, kind, depths, shift_samples, seed, family):
     acc = np.zeros(grid.shape)
     i, j = depths
     for om in shifts:
-        g = family(om)(f) if family is not None else f
+        g = (family(om)(f) if family is not None else f).values
         if kind == "block":
-            for l1 in range(grid.axes[0].levels - i):
-                for c1 in axis_cubes(grid.axes[0], l1, om.shift1):
-                    g1 = martingale_block(g, c1, i, 0)
-                    for l2 in range(grid.axes[1].levels - j):
-                        for c2 in axis_cubes(grid.axes[1], l2, om.shift2):
-                            blk = martingale_block(g1, c2, j, 1)
-                            acc += wt * maximal_function(blk, "strong").values ** 2
+            stacks = (blk.reshape((-1,) + grid.shape) for g1 in martingale_blocks(g, grid, 0, om.shift1, i)
+                      for blk in martingale_blocks(g1, grid, 1, om.shift2, j))
         else:
             axis_idx = 0 if kind == "block1" else 1
-            sh = om.shift1 if axis_idx == 0 else om.shift2
-            for l in range(grid.axes[axis_idx].levels - i):
-                for c in axis_cubes(grid.axes[axis_idx], l, sh):
-                    blk = martingale_block(g, c, i, axis_idx)
-                    acc += wt * maximal_function(blk, "strong").values ** 2
+            stacks = martingale_blocks(g, grid, axis_idx, om[axis_idx], i)
+        for blk in stacks:
+            acc += wt * (maximal_function(DiscreteFunction(grid, blk), "strong").values ** 2).sum(axis=0)
     return DiscreteFunction(grid, np.sqrt(acc))
 
 
@@ -523,17 +529,14 @@ def phi_function(
 ) -> DiscreteFunction:
     """Maximal-smoothed Haar sum: sum_I h_I tensor M<f, h_I>_axis.
 
-    profile_op replaces the strong maximal operator applied to the Haar
-    coefficient profiles (the adapted-symbol variants pass their own)."""
+    profile_op replaces the strong maximal operator: it maps the Haar
+    coefficient profiles, one row per Haar row, to one profile each."""
     grid = f.grid
     om = shift if shift is not None else GridShift.zero(grid)
-    other = grid.axes[1 - axis_idx]
     if profile_op is None:
-        profile_op = lambda vec: axis_profile_strong_max(vec, other)
-    out = np.zeros(grid.shape)
-    for h, _, coeff in haar_profiles(f, axis_idx, om):
-        out += haar_outer(h, profile_op(coeff), axis_idx)
-    return DiscreteFunction(grid, out)
+        profile_op = lambda rows: axis_profile_strong_max(rows, grid.axes[1 - axis_idx])
+    H, coeffs = coefficient_profiles(f, axis_idx, om)
+    return DiscreteFunction(grid, haar_sum(H, profile_op(coeffs), axis_idx))
 
 
 def lower_sf_check(f: DiscreteFunction, v: Weight, p: float, shift: GridShift | None = None) -> dict:

@@ -27,13 +27,12 @@ from .core import (
     Axis,
     AxisShift,
     DiscreteFunction,
-    DyadicCube,
     GridShift,
     TorusGrid,
-    all_axis_cubes,
     cell_tables,
     cube_masks,
     haar_rows,
+    level_rows,
     per_sample,
     profile_plan,
     rect_table,
@@ -98,11 +97,6 @@ class AxisOps:
         self.canc_avg = self.avg[: len(self.haar)]
         self._rows = {"haar": self.haar, "unit": self.unit, "avg": self.avg, "canc_avg": self.canc_avg}
         self.paired = {kind: rows * axis.cell_volume for kind, rows in self._rows.items()}
-
-    @cached_property
-    def cubes(self) -> list[DyadicCube]:
-        """The lattice's cubes in row order, as objects: built on first use."""
-        return list(all_axis_cubes(self.axis, self.shift))
 
     # -- index helpers -------------------------------------------------------
     def canc_index(self, level: int, pos: int) -> int:
@@ -930,9 +924,9 @@ def sparse_dominate_paraproduct(
     every selected cube to own at least half of its measure.  The rule runs
     top-down over the levels: a cube inherits its parent's anchor unless
     the parent stopped.  Rows (S, n) of inputs give one result per row.
-    Returns the family (cubes in level-major order; one list per row), the
-    form value, the sparse sum (scaled by the symbol's BMO norm) and their
-    ratio.
+    Returns the family as a boolean selection of the lattice's cubes (in
+    cube index order; one row per input row), the form value, the sparse
+    sum (scaled by the symbol's BMO norm) and their ratio.
     """
     shift = shift if shift is not None else AxisShift.zero(axis)
     ops = axis_ops(axis, shift)
@@ -946,21 +940,17 @@ def sparse_dominate_paraproduct(
             stop, anchor = np.ones(budget.shape, dtype=bool), budget
         else:
             # the parent of each cube is the previous-level cube holding its first cell
-            owner = np.empty(axis.n_cells, dtype=np.intp)
-            owner[prev_tab] = np.arange(len(prev_tab))[:, None]
-            anchor = np.where(stopped[-1], prev_budget, prev_anchor)[..., owner[tab[:, 0]]]
+            parent = cube_masks(axis, shift)[level_rows(axis, level - 1)][:, tab[:, 0]].argmax(axis=0)
+            anchor = np.where(stopped[-1], prev_budget, prev_anchor)[..., parent]
             stop = (anchor > 0) & (budget > 2.0 * anchor)
         sparse = sparse + (avg[..., 0, :] * avg[..., 1, :] * avg[..., 2, :] * stop).sum(axis=-1) \
             * 2.0 ** (-level * axis.dim)
         stopped.append(stop)
-        prev_tab, prev_budget, prev_anchor = tab, budget, anchor
+        prev_budget, prev_anchor = budget, anchor
     rhs = axis_profile_bmo(b, axis) * sparse
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, math.inf, 0.0))
-    # ops.cubes lists the cubes of every level in cell-table order
-    chosen = np.concatenate(stopped, axis=-1)
-    family = [[ops.cubes[i] for i in np.flatnonzero(row)] for row in chosen.reshape(-1, len(ops.cubes))]
-    return {"family": family[0] if chosen.ndim == 1 else family, "lhs": per_sample(lhs),
+    return {"family": np.concatenate(stopped, axis=-1), "lhs": per_sample(lhs),
             "rhs": per_sample(rhs), "ratio": per_sample(ratio)}
 
 
@@ -980,34 +970,25 @@ def dmo_absolute_form_check(op, f1, f2, f3, exponents: tuple[float, float, float
     return op.absolute_form(f1, f2, f3) / den if den > 0 else 0.0
 
 
-def paraproduct_freeness_probe(op, partial: bool = True) -> dict:
+def paraproduct_freeness_probe(op) -> dict:
     """Pairings of every dual of a model operator's form against constants
     and a Haar pair, each probe one contraction through its gather plan.
 
     full[(a, b)] is the sup over rectangles of the form with a Haar function
     in slot a on the first axis and slot b on the second, constants in the
-    remaining slots (all nine duals).  With partial=True the one-axis
-    residual is probed too: a Haar function in one slot on one axis,
-    constants in the others on that axis, and max_partial is the max-abs
-    over the cells of the other axis, one per slot; the operator is free of
-    partial paraproducts when these vanish.
+    remaining slots (all nine duals); max_full is their max.
     """
     haar = [axis_ops(ax, sh).haar for ax, sh in zip(op.grid.axes, (op.shift.shift1, op.shift.shift2))]
-    def sup(spec, nd: int) -> float:
-        """max |form| with slot s's rows on axis x paired with each row of m
-        (with 1 when m is None) along sample axis `at` of nd: spec(x, s) = (m, at)."""
+    def sup(a: int, b: int) -> float:
+        """max |form| with the Haar rows in slot a on axis 1 and in slot b on
+        axis 2 (one sample axis each), constants elsewhere."""
         def factor(x, s, p):
-            m, at = spec(x, s)
-            v = p.sum(axis=1)[None] if m is None else m @ p.T
-            return v.reshape((1,) * at + (-1,) + (1,) * (nd - 1 - at) + (len(p),))
+            # slot s's rows p on axis x paired with the Haar rows there, or with 1
+            v = haar[x] @ p.T if s == (a, b)[x] else p.sum(axis=1)[None]
+            return v.reshape((1,) * x + (-1,) + (1,) * (1 - x) + (len(p),))
         tables = [factor(0, s, p1)[..., :, None] * factor(1, s, p2)[..., None, :]
                   for s, (p1, p2) in zip((1, 2, 3), op._pairing_rows)]
         return float(np.abs(op._contract(tables, False)).max())
 
-    full = {(a, b): sup(lambda x, s: (haar[x] if s == (a, b)[x] else None, x), 2) for a in (1, 2, 3) for b in (1, 2, 3)}
-    out = {"full": full, "max_full": max(full.values())}
-    if partial:
-        cells = [np.eye(ax.n_cells) / ax.cell_volume for ax in op.grid.axes]  # pair into the unscaled rows
-        out["max_partial"] = max(sup(lambda x, s: (haar[x] if s == a else None, 0) if x == h else (cells[x], s), 4)
-                                 for h in (0, 1) for a in (1, 2, 3))
-    return out
+    full = {(a, b): sup(a, b) for a in (1, 2, 3) for b in (1, 2, 3)}
+    return {"full": full, "max_full": max(full.values())}

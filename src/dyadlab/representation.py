@@ -37,7 +37,7 @@ from .core import (
     ResolutionError,
     TorusGrid,
     cell_tables,
-    classify_goodness,
+    cube_goodness,
     enumerate_shifts,
     goodness_fraction,
     haar_rows,
@@ -451,14 +451,11 @@ class AxisDecomposition:
 
     @cached_property
     def good(self) -> np.ndarray:
-        """Goodness of every cube, in `ops.cubes` order (read-only)."""
-        good = np.array([classify_goodness(c, r=self.r, gamma=self.gamma, alpha=self.alpha)
-                         for c in self.ops.cubes])
-        good.setflags(write=False)
-        return good
+        """Goodness of every cube, in cube index order (read-only)."""
+        return cube_goodness(self.axis, self.shift, self.r, self.gamma, self.alpha)
 
     def gated_weights(self) -> np.ndarray:
-        """Per cube of levels 0..L-1, in `ops.cubes` order: the inverse
+        """Per cube of levels 0..L-1, in cube index order: the inverse
         goodness probability of its level if the cube is good, else 0."""
         L = self.axis.levels
         inv = []
@@ -471,7 +468,7 @@ class AxisDecomposition:
         return np.where(self.good[:len(levels)], np.array(inv)[levels], 0.0)
 
     def smallest_cubes(self, branch: str, cell: str) -> np.ndarray:
-        """Index, in `ops.cubes` order, of the smallest cube of every term of
+        """Index, in cube index order, of the smallest cube of every term of
         a cell: one per table row, or for 'nesP' one term per cube of levels
         1..L-1."""
         if cell == "nesP":
@@ -574,7 +571,7 @@ class AxisDecomposition:
 
     def _averaging_rows(self, branch: str, cubes: np.ndarray) -> tuple[_Rows, _Rows]:
         """Write and read vectors of the collapsed averaging part, one row per
-        smallest cube (indices in `ops.cubes` order)."""
+        smallest cube (indices in cube index order)."""
         ops, X = self.ops, self.stride
         s_slot = SMALLEST_SLOT[branch]
         p, q = (slot for slot in (1, 2, 3) if slot != s_slot)
@@ -604,13 +601,14 @@ class AxisDecomposition:
     def averaging_reads(self, branch: str) -> tuple[_Sparse, list[tuple[int, int]], np.ndarray, _Rows]:
         """Read vectors of the averaging part, one row per smallest cube of
         levels 1..L-1, with each row's cube as (level, position) and as its
-        index in `ops.cubes` (below level L, its row in `ops.haar`), and the
+        index in cube index order (below level L, its row in `ops.haar`), and the
         rows' write vectors; built once."""
         def build():
             cubes = self.smallest_cubes(branch, "nesP")
             write, read = self._averaging_rows(branch, cubes)
+            level = np.searchsorted(self.ops.cube_offset, cubes, "right") - 1
             return (_stack([(np.arange(len(cubes)), read)], len(cubes), self.D**3),
-                    [(c.level, c.pos[0]) for c in (self.ops.cubes[i] for i in cubes)], cubes, write)
+                    list(zip(level.tolist(), (cubes - self.ops.cube_offset[level]).tolist())), cubes, write)
         return self._once(("averaging", branch), build)
 
     def averaged_profiles(self, products: np.ndarray) -> list[np.ndarray]:
@@ -662,7 +660,7 @@ class AxisDecomposition:
 
     def total(self, cube_weight: np.ndarray | None = None, exportable: bool = False) -> _Sparse:
         """The sum of the twelve matrices from the kept write and read rows,
-        one build; `cube_weight` (per cube, `ops.cubes` order) weights each
+        one build; `cube_weight` (per cube, cube index order) weights each
         term by its smallest cube's, `exportable` keeps the exportable table
         rows only.  A nested row's read terms are summed first, so entries
         may differ from the matrices' sum at rounding level."""

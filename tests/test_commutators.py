@@ -15,9 +15,6 @@ from dyadlab.core import (
     GridShift,
     HaarFunction,
     TorusGrid,
-    all_rectangles,
-    axis_cubes,
-    axis_haar_vector,
     martingale_difference,
     outer,
     sample_shift,
@@ -54,6 +51,7 @@ from dyadlab.model_ops import (
 )
 
 from coeff_maps import coeff_map, shift_from_map
+from haar_oracle import all_rectangles, axis_cubes, axis_haar_vector, ops_cubes
 
 GRID = TorusGrid.make(3)
 ZERO = GridShift.zero(GRID)
@@ -439,8 +437,8 @@ def atomic_terms(U):
                     specs.append((c1, k1, c2, k2))
                 yield block[idx] * scale, specs
     elif isinstance(U, FullParaproduct):
-        for i, cK in enumerate(o1.cubes[:len(o1.haar)]):
-            for j, cV in enumerate(o2.cubes[:len(o2.haar)]):
+        for i, cK in enumerate(ops_cubes(o1)[:len(o1.haar)]):
+            for j, cV in enumerate(ops_cubes(o2)[:len(o2.haar)]):
                 if U.lam[i, j] != 0.0:
                     yield U.lam[i, j], [(cK, "h" if U.pattern[0] == s else "a",
                                          cV, "h" if U.pattern[1] == s else "a") for s in (1, 2, 3)]
@@ -457,7 +455,7 @@ def atomic_terms(U):
                 scale *= c.measure**0.5 if kind == "a" else 1.0
                 shift_cubes.append((c, kind))
             bb = (pops.haar * vol) @ prof
-            for vi, cV in enumerate(pops.cubes[:len(pops.haar)]):
+            for vi, cV in enumerate(ops_cubes(pops)[:len(pops.haar)]):
                 if bb[vi] == 0.0:
                     continue
                 specs = []

@@ -13,11 +13,9 @@ from dyadlab.core import (
     HaarFunction,
     ResolutionError,
     TorusGrid,
-    all_axis_cubes,
-    axis_cubes,
-    axis_haar_vector,
     axis_project,
     classify_goodness,
+    cube_goodness,
     cube_masks,
     enumerate_axis_shifts,
     enumerate_shifts,
@@ -26,6 +24,7 @@ from dyadlab.core import (
     haar_coefficients,
     haar_evaluate,
     haar_rows,
+    level_rows,
     martingale_block,
     martingale_difference,
     sample_axis_shift,
@@ -33,7 +32,16 @@ from dyadlab.core import (
     truncated_projection,
 )
 
-from haar_oracle import object_rows
+from haar_oracle import (
+    all_axis_cubes,
+    all_rectangles,
+    axis_cube_indicator,
+    axis_cubes,
+    axis_haar_vector,
+    enumerated_goodness_fraction,
+    object_goodness,
+    object_rows,
+)
 
 TOL = 1e-12
 
@@ -110,20 +118,30 @@ def test_mask_tables_match_object_rows(levels, dims):
             assert not rows.flags.writeable and not masks.flags.writeable
 
 
-def test_row_tables_build_no_cube_objects(monkeypatch):
-    from dyadlab import core
-    from dyadlab.model_ops import AxisOps
+def _refuse_cube_objects(monkeypatch):
+    """Make building a cube or Haar-function object, or reading a cube's
+    cells, raise; and empty the package's caches, so that nothing built
+    earlier hides a walk."""
+    from dyadlab import commutators, core, measures, model_ops, representation
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a row table was built from cube objects")
+        raise AssertionError("a lattice was walked as cube objects")
 
-    grids = [TorusGrid.make(3), TorusGrid.make(2, (2, 1))]
-    shifts = [sample_shift(g, np.random.default_rng(31)) for g in grids]
     monkeypatch.setattr(core.DyadicCube, "__post_init__", refuse)
     monkeypatch.setattr(core.DyadicCube, "cells", refuse)
     monkeypatch.setattr(core.HaarFunction, "__post_init__", refuse)
-    core.cube_masks.cache_clear()
-    core.haar_rows.cache_clear()
+    for module in (core, measures, model_ops, commutators, representation):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def test_row_tables_build_no_cube_objects(monkeypatch):
+    from dyadlab.model_ops import AxisOps
+
+    grids = [TorusGrid.make(3), TorusGrid.make(2, (2, 1))]
+    shifts = [sample_shift(g, np.random.default_rng(31)) for g in grids]
+    _refuse_cube_objects(monkeypatch)
     for grid, om in zip(grids, shifts):
         for axis, shift in zip(grid.axes, (om.shift1, om.shift2)):
             haar_rows(axis, shift)
@@ -131,6 +149,64 @@ def test_row_tables_build_no_cube_objects(monkeypatch):
                 ops = AxisOps(axis, shift)
                 ops.descendant_rows(np.array([0, 1, 1]), np.array([0, 0, 1]), 1)
         haar_coefficients(grid.random(np.random.default_rng(0)), om)
+
+
+@pytest.mark.parametrize("suite", ["weighted", "commutator", "duality", "mixednorm", "representation",
+                                   "coefficients", "identity", "lowerbound"])
+def test_suites_walk_no_cube_objects(monkeypatch, suite):
+    # the identity and lowerbound suites build cubes for the public API that
+    # takes them (two per draw for the expansions, a witness rectangle for
+    # the median chain); every other suite walks its lattices by the tables
+    from dyadlab.harness import ExperimentConfig, run_suite
+
+    _refuse_cube_objects(monkeypatch)
+    config = ExperimentConfig(suite=suite, level=2, seed=7)
+    if suite in ("identity", "lowerbound"):
+        with pytest.raises(AssertionError, match="cube objects"):
+            run_suite(config)
+    else:
+        run_suite(config)
+
+
+def test_decompose_export_walks_no_cube_objects(monkeypatch, tmp_path):
+    from dyadlab import cli
+
+    _refuse_cube_objects(monkeypatch)
+    argv = ["--grid-level", "2", "--seed", "3", "--out", str(tmp_path), "decompose", "--random-shift",
+            "--export-families"]
+    assert cli.main(argv) == 0
+
+
+def _rotated(table, axis, shift, per_cube, levels):
+    """A per-cube table of the unshifted lattice (per_cube rows per cube of
+    levels 0..levels-1, in cube index order) as the shifted lattice's: the
+    cells rolled by offset_cells(0), then the cubes of each level k rotated
+    by ((offset_cells(k) - offset_cells(0)) mod n) >> (L - k), per
+    coordinate."""
+    d, n, L = axis.dim, axis.n_side, axis.levels
+    o0 = np.array(shift.offset_cells(0))
+    # flat cells run with the first coordinate fastest: it is the last array axis
+    cells = np.roll(table.reshape((len(table),) + (n,) * d), tuple(o0), axis=tuple(range(d, 0, -1)))
+    out = []
+    for k in range(levels):
+        rows = level_rows(axis, k)
+        block = cells[per_cube * rows.start:per_cube * rows.stop].reshape((1 << k,) * d + (per_cube,) + (n,) * d)
+        delta = ((np.array(shift.offset_cells(k)) - o0) % n) >> (L - k)
+        out.append(np.roll(block, tuple(-delta), axis=tuple(range(d))).reshape(-1, n**d))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("dim, levels", [(1, L) for L in range(1, 6)] + [(2, L) for L in range(1, 4)])
+def test_shifted_lattice_is_the_unshifted_one_rotated(dim, levels):
+    # the identity behind goodness_fraction: no sign flip is needed
+    axis = Axis(dim, levels)
+    zero = AxisShift.zero(axis)
+    masks0, haar0 = cube_masks(axis, zero), haar_rows(axis, zero)
+    for shift in enumerate_axis_shifts(axis):
+        assert np.array_equal(cube_masks(axis, shift), _rotated(masks0, axis, shift, 1, levels + 1))
+        haar = haar_rows(axis, shift)
+        assert np.array_equal(haar[0], haar0[0])
+        assert np.array_equal(haar[1:], _rotated(haar0[1:], axis, shift, (1 << dim) - 1, levels))
 
 
 def test_haar_orthogonality_within_grid():
@@ -342,8 +418,48 @@ def _brute_good(cube, r, gamma):
 
 def test_goodness_fraction_matches_enumeration_and_position_invariant():
     axis = Axis(1, 5)
-    fractions = [goodness_fraction(axis, 4, (p,), r=3, gamma=0.6) for p in range(16)]
+    fractions = [enumerated_goodness_fraction(axis, 4, (p,), r=3, gamma=0.6) for p in range(16)]
     assert all(abs(fr - 0.25) < 1e-12 for fr in fractions)
+    assert goodness_fraction(axis, 4, r=3, gamma=0.6) == 0.25
+
+
+GAMMAS = (None, 0.25, 0.6)
+
+
+@pytest.mark.parametrize("dim, levels", [(1, L) for L in range(1, 8)] + [(2, L) for L in range(1, 4)])
+def test_goodness_fraction_is_level_mean_of_enumeration(dim, levels):
+    # the level mean of the unshifted lattice's goodness equals, bit for bit,
+    # the enumeration over all shifts of the cube at the origin
+    axis = Axis(dim, levels)
+    for level in range(levels + 1):
+        for r in (1, 2, 3):
+            for gamma in GAMMAS:
+                want = enumerated_goodness_fraction(axis, level, r=r, gamma=gamma)
+                assert goodness_fraction(axis, level, r=r, gamma=gamma) == want, (level, r, gamma)
+    for level in (-1, levels + 1):
+        with pytest.raises(ResolutionError):
+            goodness_fraction(axis, level)
+
+
+@pytest.mark.parametrize("dim, levels", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3)])
+def test_goodness_table_matches_object_scan(dim, levels):
+    # cube_goodness and classify_goodness against the per-cube distance scan,
+    # on every shift (a sample of them at L=5)
+    axis = Axis(dim, levels)
+    shifts = list(enumerate_axis_shifts(axis))
+    if len(shifts) > 16:
+        shifts = [shifts[i] for i in np.random.default_rng(levels).choice(len(shifts), 16, replace=False)]
+    for shift in shifts:
+        cubes = list(all_axis_cubes(axis, shift))
+        for r in (1, 2, 3):
+            for gamma in GAMMAS:
+                good = cube_goodness(axis, shift, r, gamma)
+                want = [object_goodness(c, r, gamma) for c in cubes]
+                assert good.dtype == bool and good.tolist() == want
+                assert [classify_goodness(c, r, gamma) for c in cubes] == want
+                assert not good.flags.writeable
+    with pytest.raises(ValueError):
+        cube_goodness(axis, shifts[0], 0)
 
 
 def test_goodness_all_good_at_desk_scale_defaults():
@@ -450,7 +566,7 @@ def test_cube_cells_come_from_one_read_only_table():
 def test_rectangle_ids_follow_all_rectangles(levels, dims):
     # id k is the k-th rectangle of all_rectangles: same cells, same measure,
     # and a shifted copy keeps its id
-    from dyadlab.core import all_axis_cubes, all_rectangles, rect_table
+    from dyadlab.core import rect_table
 
     grid = TorusGrid.make(levels, dims)
     rng = np.random.default_rng(levels)
@@ -486,7 +602,7 @@ def test_window_tables_are_the_cubes_of_all_shifts(dim, levels):
 
 def test_shifted_cube_indicator_exactly_representable():
     axis = Axis(1, 3)
-    from dyadlab.core import axis_cube_indicator, sample_axis_shift
+    from dyadlab.core import sample_axis_shift
 
     shift = sample_axis_shift(axis, np.random.default_rng(10))
     cube = DyadicCube(axis, 1, (1,), shift)
@@ -511,6 +627,6 @@ def test_goodness_position_invariance_all_levels_L3():
     axis = Axis(1, 3)
     for level in (1, 2):
         for r, g in ((1, 0.5), (2, 0.9)):
-            fractions = {goodness_fraction(axis, level, (p,), r=r, gamma=g)
+            fractions = {enumerated_goodness_fraction(axis, level, (p,), r=r, gamma=g)
                          for p in range(1 << level)}
-            assert len(fractions) == 1
+            assert fractions == {goodness_fraction(axis, level, r=r, gamma=g)}

@@ -25,9 +25,11 @@ from dyadlab.harness import (
     run_suite,
     weight_catalog,
 )
-from dyadlab.core import GridShift, TorusGrid, all_rectangles, rect_table, sample_shift
+from dyadlab.core import GridShift, TorusGrid, rect_table, sample_shift
 from dyadlab.measures import ap_characteristic
 from dyadlab.representation import KernelTensor
+
+from haar_oracle import all_rectangles
 
 
 def small_config(**kw):

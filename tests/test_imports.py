@@ -5,6 +5,7 @@ call."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -92,3 +93,14 @@ def test_cli_decompose_never_imports_scipy(tmp_path):
         "print(json.dumps({'rc': rc, 'scipy': 'scipy' in sys.modules}))\n")
     assert out == {"rc": 0, "scipy": False}
     assert (tmp_path / "shift_families.json").exists() and (tmp_path / "partial_families.json").exists()
+
+
+def test_src_names_no_cube_walks():
+    # the lattices are walked by their tables: no module names the cube
+    # iterators, the per-cube Haar profiles or an AxisOps list of cubes
+    walk = re.compile(r"\b(?:all_axis_cubes|axis_cubes|haar_profiles)\b|\bops\.cubes\b")
+    package = os.path.join(SRC, "dyadlab")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                assert not walk.search(fh.read()), name

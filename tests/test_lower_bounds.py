@@ -15,7 +15,6 @@ from dyadlab.core import (
     DyadicRectangle,
     GridShift,
     TorusGrid,
-    all_rectangles,
     sample_shift,
 )
 from dyadlab.kernels import (
@@ -36,6 +35,8 @@ from dyadlab.lower_bounds import (
     weighted_median,
 )
 from dyadlab.measures import bmo_norm
+
+from haar_oracle import all_rectangles
 
 GRID = TorusGrid.make(3)
 ZERO = GridShift.zero(GRID)
@@ -638,7 +639,6 @@ def test_bmo_lower_bound_walks_no_cube_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the search walked cube objects")
 
-    monkeypatch.setattr(core, "all_rectangles", refuse)
     monkeypatch.setattr(core.DyadicCube, "cells", refuse)
     monkeypatch.setattr(core.DyadicCube, "__post_init__", refuse)
     got = bmo_lower_bound(BilinearKernel(GRID, tensor_riesz(1, 1)), b, 2, 1.0, 1, 1, 1.0,

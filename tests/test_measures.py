@@ -17,9 +17,6 @@ from dyadlab.core import (
     GridShift,
     HaarFunction,
     TorusGrid,
-    all_rectangles,
-    axis_cubes,
-    axis_haar_vector,
     enumerate_axis_shifts,
     enumerate_shifts,
     outer,
@@ -44,7 +41,7 @@ from dyadlab.measures import (
     square_function,
 )
 
-from haar_oracle import haar_functions, object_rows
+from haar_oracle import all_rectangles, axis_cubes, axis_haar_vector, haar_functions, object_rows
 
 GRID = TorusGrid.make(3)
 RNG = np.random.default_rng(1234)
@@ -582,7 +579,6 @@ def test_lower_sf_ratio_bounded_over_lacunary_sweep():
 def test_little_bmo_john_nirenberg_p_sweep():
     # p-oscillation norms stay within fixed factors of the p=1 norm
     b = rand_f(21)
-    from dyadlab.core import all_rectangles
 
     def p_osc(p):
         best = 0.0

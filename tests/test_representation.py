@@ -21,7 +21,6 @@ from dyadlab.core import (
     HaarFunction,
     ResolutionError,
     TorusGrid,
-    axis_haar_vector,
     classify_goodness,
     goodness_fraction,
     sample_axis_shift,
@@ -58,6 +57,8 @@ from dyadlab.representation import (
     _sandwich,
 )
 from dyadlab.sparse import _transposed
+
+from haar_oracle import axis_haar_vector, ops_cubes
 
 GRID = TorusGrid.make(3)
 ZERO = GridShift.zero(GRID)
@@ -316,7 +317,7 @@ def fast_and_reference(ad, ref, mode):
     """Every (branch, cell) matrix of one weighting mode, fast and per tuple.
     The gated mode weights the good smallest cubes of level l by 1 + l/7."""
     level_w = {lvl: 1.0 + lvl / 7 for lvl in range(ad.axis.levels)}
-    cube_w = np.array([level_w.get(c.level, 0.0) * g for c, g in zip(ad.ops.cubes, ad.good)])
+    cube_w = np.array([level_w.get(c.level, 0.0) * g for c, g in zip(ops_cubes(ad.ops), ad.good)])
     for b in BRANCHES:
         for c in CELLS:
             if mode == "gated":
@@ -557,7 +558,7 @@ def test_axis_total_matches_sum_of_matrices(L):
     rng = np.random.default_rng(L + 30)
     for shift in (AxisShift.zero(ax), sample_axis_shift(ax, rng), sample_axis_shift(ax, rng)):
         ad = AxisDecomposition(ax, shift, r=1)
-        w = np.array([(1.0 + c.level / 7) * g for c, g in zip(ad.ops.cubes, ad.good)])
+        w = np.array([(1.0 + c.level / 7) * g for c, g in zip(ops_cubes(ad.ops), ad.good)])
         for kwargs, weight in (({}, lambda b, c: None),
                                ({"cube_weight": w}, lambda b, c: w[ad.smallest_cubes(b, c)]),
                                ({"exportable": True}, lambda b, c: None if c == "nesP" else ad.exportable(b))):
@@ -716,7 +717,7 @@ def test_sparse_products_match_scipy_on_decomposer_matrices(L):
     for shift in (AxisShift.zero(ax), sample_axis_shift(ax, rng)):
         ad = AxisDecomposition(ax, shift, r=1)
         X = rng.standard_normal((ad.D**3, 5))
-        w = np.array([(1.0 + c.level / 7) * g for c, g in zip(ad.ops.cubes, ad.good)])
+        w = np.array([(1.0 + c.level / 7) * g for c, g in zip(ops_cubes(ad.ops), ad.good)])
         mats = [m for b in BRANCHES for m in (ad.reads(b), ad.averaging_reads(b)[0])]
         mats += [ad.matrix(b, c, weight) for b in BRANCHES for c in CELLS
                  for weight in (None, w[ad.smallest_cubes(b, c)], None if c == "nesP" else ad.exportable(b))]

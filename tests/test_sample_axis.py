@@ -48,6 +48,8 @@ from dyadlab.model_ops import (
     sparse_dominate_paraproduct,
 )
 
+from haar_oracle import all_axis_cubes
+
 S = 5  # samples per stack
 LATTICES = [(level, shifted) for level in (3, 4) for shifted in (False, True)]
 IDS = [f"L{level}-{'random' if shifted else 'zero'}" for level, shifted in LATTICES]
@@ -402,7 +404,7 @@ def _sparse_walk(b, g1, g2, g3, axis, shift):
     return family, lhs, rhs
 
 
-@pytest.mark.parametrize("level, shifted", LATTICES, ids=IDS)
+@pytest.mark.parametrize("level, shifted", LATTICES + [(2, False), (2, True)], ids=IDS + ["L2-zero", "L2-random"])
 def test_sparse_family_matches_stopping_walk(level, shifted):
     rng = np.random.default_rng(60 + level + 7 * shifted)
     axis = TorusGrid.make(level).axes[0]
@@ -412,18 +414,20 @@ def test_sparse_family_matches_stopping_walk(level, shifted):
     # spiky inputs half of the time, so that stopped cubes nest several deep
     rows[1:, ::2] *= np.exp(2.0 * rng.standard_normal((3, n_rows // 2, axis.n_cells)))
     out = sparse_dominate_paraproduct(*rows, axis, shift)
-    assert len(out["family"]) == n_rows
+    cubes = list(all_axis_cubes(axis, shift))
+    assert out["family"].shape == (n_rows, len(cubes)) and out["family"].dtype == bool
     depth = 0
     for s in range(n_rows):
         family, lhs, rhs = _sparse_walk(*rows[:, s], axis, shift)
-        assert set(out["family"][s]) == set(family)
-        assert len(out["family"][s]) == len(family)
+        chosen = [c for c, keep in zip(cubes, out["family"][s]) if keep]
+        assert set(chosen) == set(family)
+        assert len(chosen) == len(family)
         depth = max(depth, max(q.level for q in family))
         assert abs(out["lhs"][s] - lhs) <= 1e-12 * lhs
         assert abs(out["rhs"][s] - rhs) <= 1e-12 * rhs
         assert abs(out["ratio"][s] - lhs / rhs) <= 1e-12 * (lhs / rhs)
         single = sparse_dominate_paraproduct(*rows[:, s], axis, shift)
-        assert single["family"] == out["family"][s]
+        assert np.array_equal(single["family"], out["family"][s])
         assert single["ratio"] == pytest.approx(out["ratio"][s], rel=1e-12)
     assert depth >= 2
 
